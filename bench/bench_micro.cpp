@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the primitive operations the
 // cost model prices: hashing, serialization, sorting, the XOR codec,
-// subset combinatorics and the transport. These measure *this* host;
-// the table benches use the EC2-calibrated constants instead.
+// subset combinatorics and the transport, plus the run synthesizer.
+// These measure *this* host; the table benches use the EC2-calibrated
+// constants instead.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 #include "keyvalue/teragen.h"
 #include "simmpi/comm.h"
 #include "simmpi/world.h"
+#include "simulate/simulate.h"
 
 namespace cts {
 namespace {
@@ -32,6 +34,21 @@ void BM_TeraGen(benchmark::State& state) {
                           static_cast<std::int64_t>(n * kRecordBytes));
 }
 BENCHMARK(BM_TeraGen)->Arg(1000)->Arg(100000);
+
+// Key-only generation: what the synthesizer and the sampled
+// partitioners pay per record.
+void BM_TeraGenKey(benchmark::State& state) {
+  const TeraGen gen(42);
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  for (auto _ : state) {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      benchmark::DoNotOptimize(gen.key(i));
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_TeraGenKey)->Arg(100000);
 
 void BM_HashPartition(benchmark::State& state) {
   const TeraGen gen(42);
@@ -162,6 +179,22 @@ void BM_PlacementCreate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PlacementCreate)->Args({16, 3})->Args({20, 5});
+
+// One Backend::kSimulated coded synthesis of 20 k records: the
+// table-driven group ranks, the per-file contribution stream and the
+// per-dirty-group corrections.
+void BM_SynthesizeCoded(benchmark::State& state) {
+  SortConfig config;
+  config.num_nodes = static_cast<int>(state.range(0));
+  config.redundancy = static_cast<int>(state.range(1));
+  config.num_records = 20000;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(simulate::SynthesizeRun("coded", config));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(config.num_records));
+}
+BENCHMARK(BM_SynthesizeCoded)->Args({1000, 3})->Unit(benchmark::kMillisecond);
 
 void BM_TransportPingPong(benchmark::State& state) {
   const auto bytes = static_cast<std::size_t>(state.range(0));

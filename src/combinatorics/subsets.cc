@@ -44,6 +44,58 @@ bool BinomialOr(int n, int k, std::uint64_t* out) {
   return true;
 }
 
+BinomialTable::BinomialTable(int max_n, int max_k)
+    : stride_(static_cast<std::size_t>(max_k) + 1) {
+  CTS_CHECK_GE(max_n, 0);
+  CTS_CHECK_GE(max_k, 0);
+  constexpr std::uint64_t kSaturated = ~std::uint64_t{0};
+  table_.assign((static_cast<std::size_t>(max_n) + 1) * stride_, 0);
+  for (int c = 0; c <= max_n; ++c) {
+    std::uint64_t* row = &table_[static_cast<std::size_t>(c) * stride_];
+    row[0] = 1;
+    if (c == 0) continue;
+    const std::uint64_t* above = row - stride_;
+    for (std::size_t j = 1; j < stride_; ++j) {
+      // A saturated term saturates the sum: its exact value already
+      // exceeds 64 bits and the other term is nonnegative.
+      const std::uint64_t a = above[j - 1];
+      const std::uint64_t b = above[j];
+      row[j] = (a == kSaturated || b > kSaturated - a) ? kSaturated : a + b;
+    }
+  }
+}
+
+std::uint64_t ColexRankMembers(const BinomialTable& C, const int* members,
+                               int n) {
+  std::uint64_t rank = 0;
+  for (int i = 0; i < n; ++i) rank += C(members[i], i + 1);
+  return rank;
+}
+
+void ColexUnrankMembers(const BinomialTable& C, int K, int n,
+                        std::uint64_t rank, int* members) {
+  // Largest member first: members[j-1] is the greatest c below the
+  // previous member with C(c, j) <= the remaining rank. C(j-1, j) == 0,
+  // so the search range [j-1, hi] always holds one.
+  std::uint64_t rem = rank;
+  int hi = K - 1;
+  for (int j = n; j >= 1; --j) {
+    int lo = j - 1;
+    while (lo < hi) {
+      const int mid = lo + (hi - lo + 1) / 2;
+      if (C(mid, j) <= rem) {
+        lo = mid;
+      } else {
+        hi = mid - 1;
+      }
+    }
+    members[j - 1] = lo;
+    rem -= C(lo, j);
+    hi = lo - 1;
+  }
+  CTS_CHECK_EQ(rem, std::uint64_t{0});
+}
+
 std::vector<NodeMask> AllSubsets(int K, int r) {
   CTS_CHECK_GE(K, 0);
   CTS_CHECK_LE(K, kMaxNodes);

@@ -25,7 +25,7 @@ SampledPartitioner BuildDistributedSampledPartitioner(
     for (const auto& [offset, count] : local_ranges) {
       for (std::uint64_t i = 0; i < count && picked < n; ++i, ++position) {
         if (position % stride == 0) {
-          const Key key = gen.record(offset + i).key;
+          const Key key = gen.key(offset + i);
           mine.write_bytes(std::span<const std::uint8_t>(key));
           ++picked;
         }
@@ -72,7 +72,7 @@ std::unique_ptr<Partitioner> MakePartitioner(const SortConfig& config) {
             std::min(i * stride, config.num_records > 0
                                      ? config.num_records - 1
                                      : 0);
-        sample.push_back(gen.record(index).key);
+        sample.push_back(gen.key(index));
       }
       return std::make_unique<SampledPartitioner>(
           SampledPartitioner::FromSample(sample, config.num_nodes));

@@ -188,17 +188,20 @@ std::shared_ptr<const simscen::ScenarioRun> RunCache::GetScenarioRun(
 
 JobResult RunJob(const JobSpec& spec, RunCache& cache) {
   const AlgorithmInfo& info = FindOrDie(spec.algorithm);
+  JobResult result;
+  result.spec = spec;
+
   // kPriced/kSimulated are the closed-form backends; they have no way
   // to honor a scenario, and silently ignoring one would label an
   // unmitigated run as a scenario cell. Price scenarios with kReplay.
-  CTS_CHECK_MSG(!((spec.backend == Backend::kPriced ||
-                   spec.backend == Backend::kSimulated) &&
-                  spec.scenario.has_value()),
-                "closed-form backends ignore scenarios — use "
-                "Backend::kReplay");
-
-  JobResult result;
-  result.spec = spec;
+  if ((spec.backend == Backend::kPriced ||
+       spec.backend == Backend::kSimulated) &&
+      spec.scenario.has_value()) {
+    result.algorithm = spec.algorithm;
+    result.error =
+        "closed-form backends ignore scenarios — use Backend::kReplay";
+    return result;
+  }
 
   // kSimulated deliberately bypasses the cache: RunCache::Get executes
   // the live harness on a miss, and never executing is this backend's

@@ -87,8 +87,9 @@ struct JobResult {
   std::string algorithm;  // display name, e.g. "CodedTeraSort"
   bool priced = false;    // whether the breakdown is paper-scale
   // Non-empty when the backend could not produce a result for this
-  // spec (Backend::kSimulated only); every other field except `spec`
-  // and `algorithm` is then default-valued.
+  // spec (a Backend::kSimulated spec the synthesizer cannot honor, or
+  // a scenario on a closed-form backend); every other field except
+  // `spec` and `algorithm` is then default-valued.
   std::string error;
   // The measured run (shared with the RunCache when one was used).
   std::shared_ptr<const AlgorithmResult> execution;

@@ -39,14 +39,15 @@ const JobResult& MatrixResults::at(const std::string& algo,
 
 MatrixResults RunMatrix(const JobMatrix& matrix, RunCache& cache) {
   CTS_CHECK_MSG(!matrix.algos.empty(), "JobMatrix needs an algorithm axis");
-  // The closed-form backend cannot honor scenarios (RunJob rejects the
-  // combination per cell); fail at matrix level with the fix spelled
-  // out rather than on the first expanded cell.
-  CTS_CHECK_MSG(!(matrix.backend == Backend::kPriced &&
+  // The closed-form backends cannot honor scenarios (RunJob returns an
+  // error per cell); fail at matrix level with the fix spelled out
+  // rather than fill the matrix with error cells.
+  CTS_CHECK_MSG(!((matrix.backend == Backend::kPriced ||
+                   matrix.backend == Backend::kSimulated) &&
                   (!matrix.scenarios.empty() || !matrix.policies.empty() ||
                    !matrix.instances.empty())),
-                "a kPriced JobMatrix cannot carry scenario/policy/instance "
-                "axes — use Backend::kReplay");
+                "a closed-form JobMatrix cannot carry scenario/policy/"
+                "instance axes — use Backend::kReplay");
   CheckLabelsUnique(matrix.algos, "algorithm");
   CheckLabelsUnique(matrix.scenarios, "scenario");
   CheckLabelsUnique(matrix.policies, "policy");

@@ -15,15 +15,11 @@ std::uint64_t RecordHash(std::uint64_t seed, std::uint64_t index,
 
 }  // namespace
 
-Record TeraGen::record(std::uint64_t index) const {
-  Record rec{};
-
-  // --- Key ---
-  const std::uint64_t h = RecordHash(seed_, index, /*lane=*/0);
+Key TeraGen::key(std::uint64_t index) const {
   std::uint64_t prefix = 0;
   switch (dist_) {
     case KeyDistribution::kUniform:
-      prefix = h;
+      prefix = RecordHash(seed_, index, /*lane=*/0);
       break;
     case KeyDistribution::kSorted:
       prefix = index;
@@ -34,6 +30,7 @@ Record TeraGen::record(std::uint64_t index) const {
     case KeyDistribution::kSkewed: {
       // u^4 pushes mass toward the low end of the key domain; the
       // highest-keyed partition ends up nearly empty.
+      const std::uint64_t h = RecordHash(seed_, index, /*lane=*/0);
       const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
       const double skewed = u * u * u * u;
       prefix = static_cast<std::uint64_t>(
@@ -41,7 +38,7 @@ Record TeraGen::record(std::uint64_t index) const {
       break;
     }
     case KeyDistribution::kFewDistinct:
-      prefix = (h & 0xffu) << 56;
+      prefix = (RecordHash(seed_, index, /*lane=*/0) & 0xffu) << 56;
       break;
     case KeyDistribution::kBalanced:
       // Weyl sequence with the golden-ratio multiplier (odd, hence a
@@ -53,7 +50,12 @@ Record TeraGen::record(std::uint64_t index) const {
   }
   // Low 2 key bytes disambiguate records sharing a prefix.
   const auto suffix = static_cast<std::uint16_t>(RecordHash(seed_, index, 1));
-  rec.key = MakeKey(prefix, suffix);
+  return MakeKey(prefix, suffix);
+}
+
+Record TeraGen::record(std::uint64_t index) const {
+  Record rec{};
+  rec.key = key(index);
 
   // --- Value ---
   // Hadoop TeraGen writes the row id followed by printable filler; we

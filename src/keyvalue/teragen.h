@@ -43,6 +43,10 @@ class TeraGen {
   // The i-th record of the stream. Pure function of (seed, dist, i).
   Record record(std::uint64_t index) const;
 
+  // record(index).key without generating the 90-byte value, for
+  // callers that only partition or sample keys.
+  Key key(std::uint64_t index) const;
+
   // Records [start, start+count).
   std::vector<Record> generate(std::uint64_t start,
                                std::uint64_t count) const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -56,53 +55,6 @@ std::uint64_t FileOfRecord(std::uint64_t i, std::uint64_t total,
   return i < boundary ? i / (base + 1) : extra + (i - boundary) / base;
 }
 
-// Largest c in [j-1, K-1] with C(c, j) <= rem; a 64-bit overflowing
-// binomial is by definition > rem. C(j-1, j) == 0, so one exists.
-int LargestBinomialAtMost(int K, int j, std::uint64_t rem) {
-  int lo = j - 1;
-  int hi = K - 1;
-  while (lo < hi) {
-    const int mid = lo + (hi - lo + 1) / 2;
-    std::uint64_t v = 0;
-    if (BinomialOr(mid, j, &v) && v <= rem) {
-      lo = mid;
-    } else {
-      hi = mid - 1;
-    }
-  }
-  return lo;
-}
-
-// Vector twin of combinatorics ColexUnrank: ascending members of the
-// rank-th r-subset of {0..K-1}. Mask-free so K is not capped at
-// kNodeMaskBits. Precondition: rank < C(K, r) (and C(K, r) fits).
-std::vector<int> ColexUnrankMembers(int K, int r, std::uint64_t rank) {
-  std::vector<int> members(static_cast<std::size_t>(r));
-  std::uint64_t rem = rank;
-  for (int j = r; j >= 1; --j) {
-    const int c = LargestBinomialAtMost(K, j, rem);
-    members[static_cast<std::size_t>(j - 1)] = c;
-    std::uint64_t v = 0;
-    CTS_CHECK(BinomialOr(c, j, &v));
-    rem -= v;
-  }
-  CTS_CHECK_EQ(rem, std::uint64_t{0});
-  return members;
-}
-
-// Colex rank of an ascending member list: sum of C(member_i, i+1).
-// Precondition: C(K, |members|) fits in 64 bits, so every term and the
-// sum do too.
-std::uint64_t ColexRankMembers(const std::vector<int>& members) {
-  std::uint64_t rank = 0;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    std::uint64_t v = 0;
-    CTS_CHECK(BinomialOr(members[i], static_cast<int>(i) + 1, &v));
-    rank += v;
-  }
-  return rank;
-}
-
 // Shared input-side checks; builds the coordinator-style partitioner.
 SynthesisResult CheckedPartitioner(const SortConfig& config,
                                    std::unique_ptr<Partitioner>* out) {
@@ -152,7 +104,7 @@ SynthesisResult SynthesizeTeraSort(SortConfig config) {
         SplitRange(config.num_records, ku, static_cast<std::uint64_t>(k));
     for (std::uint64_t i = range.offset; i < range.offset + range.count;
          ++i) {
-      const PartitionId p = partitioner->partition(gen.record(i).key);
+      const PartitionId p = partitioner->partition(gen.key(i));
       ++hist[static_cast<std::size_t>(k)][static_cast<std::size_t>(p)];
     }
   }
@@ -212,6 +164,22 @@ struct CodedAcc {
   I128 rx = 0;
 };
 
+// One dirty-group contribution: `count` records of file g \ {g[slot]}
+// hash to partition g[slot], where g is the group with colex rank
+// `group` whose ascending members start at `offset` of the flat member
+// array.
+struct Contribution {
+  std::uint64_t group = 0;
+  std::size_t offset = 0;
+  int slot = 0;
+  std::uint64_t count = 0;
+};
+
+// The binomial table holds (K + 1) x (r + 2) entries; past this many
+// (128 MiB) the spec is far outside the K ~ 1000, small-r regime the
+// synthesizer targets and is refused up front.
+constexpr std::uint64_t kMaxTableEntries = std::uint64_t{1} << 24;
+
 SynthesisResult SynthesizeCoded(const SortConfig& config) {
   const int K = config.num_nodes;
   const int r = config.redundancy;
@@ -219,19 +187,30 @@ SynthesisResult SynthesizeCoded(const SortConfig& config) {
   if (r < 1 || r > K) {
     return Err("redundancy must satisfy 1 <= r <= K for CodedTeraSort");
   }
-  std::uint64_t num_files = 0;
-  std::uint64_t files_per_node = 0;
-  std::uint64_t num_groups = 0;       // C(K, r+1), 0 when r == K
-  std::uint64_t groups_per_node = 0;  // C(K-1, r)
-  if (!BinomialOr(K, r, &num_files)) {
+  if ((static_cast<std::uint64_t>(K) + 1) *
+          (static_cast<std::uint64_t>(r) + 2) >
+      kMaxTableEntries) {
+    std::ostringstream os;
+    os << "K=" << K << ", r=" << r << " needs a binomial table past "
+       << kMaxTableEntries << " entries — reduce r (or K)";
+    return Err(os.str());
+  }
+  // Every binomial below reads this table: the file and group counts,
+  // the baseline counts and the group ranks.
+  const BinomialTable C(K, r + 1);
+  const std::uint64_t num_files = C(K, r);
+  if (num_files == kU64Max) {
     return Err(OverflowMessage(K, r, "the file count C(K, r)"));
   }
-  CTS_CHECK(BinomialOr(K - 1, r - 1, &files_per_node));
+  const std::uint64_t files_per_node = C(K - 1, r - 1);
+  std::uint64_t num_groups = 0;       // C(K, r+1), 0 when r == K
+  std::uint64_t groups_per_node = 0;  // C(K-1, r)
   if (r < K) {
-    if (!BinomialOr(K, r + 1, &num_groups)) {
+    num_groups = C(K, r + 1);
+    if (num_groups == kU64Max) {
       return Err(OverflowMessage(K, r, "the group count C(K, r+1)"));
     }
-    CTS_CHECK(BinomialOr(K - 1, r, &groups_per_node));
+    groups_per_node = C(K - 1, r);
   }
   std::unique_ptr<Partitioner> partitioner;
   if (SynthesisResult bad = CheckedPartitioner(config, &partitioner);
@@ -276,18 +255,15 @@ SynthesisResult SynthesizeCoded(const SortConfig& config) {
     for (int k = 0; k < K; ++k) {
       CodedAcc& a = acc[static_cast<std::size_t>(k)];
       for (int q = 0; q < slots; ++q) {
-        std::uint64_t choose_below = 0;
-        std::uint64_t choose_above = 0;
-        const bool below_ok = BinomialOr(k, q, &choose_below);
-        const bool above_ok = BinomialOr(K - 1 - k, r - q, &choose_above);
-        if ((below_ok && choose_below == 0) ||
-            (above_ok && choose_above == 0)) {
+        const std::uint64_t choose_below = C(k, q);
+        const std::uint64_t choose_above = C(K - 1 - k, r - q);
+        if (choose_below == 0 || choose_above == 0) {
           continue;  // no group puts k at slot q
         }
         // Both factors nonzero: their product is bounded by
         // C(K-1, r), which fits (groups_per_node above), so neither
-        // factor can have overflowed.
-        CTS_CHECK(below_ok && above_ok);
+        // factor can have saturated.
+        CTS_CHECK(choose_below != kU64Max && choose_above != kU64Max);
         const I128 cnt = static_cast<I128>(choose_below) * choose_above;
         a.encode_xor += cnt * e8[static_cast<std::size_t>(q)];
         a.encode_payload += cnt * p8[static_cast<std::size_t>(q)];
@@ -310,79 +286,113 @@ SynthesisResult SynthesizeCoded(const SortConfig& config) {
   // (inside, the record either goes straight to its owner's reduce
   // pool or is a discarded duplicate), so only those become sparse
   // state. Everything else folds into per-node scalars here.
-  std::map<std::uint64_t, std::map<int, std::uint64_t>> file_cells;
+  //
+  // FileOfRecord steps through files 0, 1, 2, ... at most one per
+  // record, so one file is open at a time: `members` is its ascending
+  // node set (a colex successor step per file), `file_records` counts
+  // its records and `outside[t]` its records in partition t, for the
+  // targets listed in `touched`. Closing the file turns each nonzero
+  // cell (S, t) into a contribution to dirty group S + {t}.
   std::vector<std::uint64_t> partition_records(static_cast<std::size_t>(K),
                                                0);
   std::vector<std::uint64_t> mapped_records(static_cast<std::size_t>(K), 0);
-  std::uint64_t cached_rank = kU64Max;
-  std::vector<int> cached_members;
+  std::vector<int> members(static_cast<std::size_t>(r));
+  for (int j = 0; j < r; ++j) members[static_cast<std::size_t>(j)] = j;
+  std::uint64_t open_file = 0;
+  std::uint64_t file_records = 0;
+  std::vector<std::uint64_t> outside(static_cast<std::size_t>(K), 0);
+  std::vector<int> touched;
+  std::vector<int> group_members;  // slots ascending ids per contribution
+  std::vector<Contribution> contributions;
+  const auto close_file = [&] {
+    for (const int m : members) {
+      mapped_records[static_cast<std::size_t>(m)] += file_records;
+    }
+    file_records = 0;
+    for (const int t : touched) {
+      const std::size_t offset = group_members.size();
+      const auto split = std::upper_bound(members.begin(), members.end(), t);
+      group_members.insert(group_members.end(), members.begin(), split);
+      group_members.push_back(t);
+      group_members.insert(group_members.end(), split, members.end());
+      contributions.push_back(
+          {ColexRankMembers(C, &group_members[offset], slots), offset,
+           static_cast<int>(split - members.begin()),
+           outside[static_cast<std::size_t>(t)]});
+      outside[static_cast<std::size_t>(t)] = 0;
+    }
+    touched.clear();
+  };
   for (std::uint64_t i = 0; i < config.num_records; ++i) {
     const std::uint64_t f = FileOfRecord(i, config.num_records, num_files);
-    if (f != cached_rank || cached_members.empty()) {
-      cached_members = ColexUnrankMembers(K, r, f);
-      cached_rank = f;
+    if (f != open_file) {
+      CTS_CHECK_EQ(f, open_file + 1);
+      close_file();
+      ColexNextMembers(members.data(), r);
+      open_file = f;
     }
-    const PartitionId t = partitioner->partition(gen.record(i).key);
+    const PartitionId t = partitioner->partition(gen.key(i));
     ++partition_records[static_cast<std::size_t>(t)];
-    for (const int m : cached_members) {
-      ++mapped_records[static_cast<std::size_t>(m)];
-    }
-    if (!std::binary_search(cached_members.begin(), cached_members.end(),
-                            t)) {
-      ++file_cells[f][t];
+    ++file_records;
+    if (!std::binary_search(members.begin(), members.end(), t) &&
+        outside[static_cast<std::size_t>(t)]++ == 0) {
+      touched.push_back(t);
     }
   }
+  close_file();
 
   // Dirty groups: group S + {t} deviates from the all-empty baseline
-  // exactly when some member's target value n[S][t] is nonzero — at
-  // most one group per nonzero cell, so at most num_records of them.
-  std::map<std::uint64_t, std::vector<int>> dirty;
-  if (r < K) {
-    for (const auto& [frank, cells] : file_cells) {
-      const std::vector<int> members = ColexUnrankMembers(K, r, frank);
-      for (const auto& [t, n] : cells) {
-        std::vector<int> g = members;
-        g.insert(std::upper_bound(g.begin(), g.end(), t), t);
-        dirty.emplace(ColexRankMembers(g), std::move(g));
-      }
-    }
-  }
-
-  // Per dirty group: recompute every member's exact encode/decode and
-  // wire contribution and replace the baseline slot values.
+  // exactly when some member's target value n[S][t] is nonzero, so the
+  // contributions sorted by group rank list every dirty group once per
+  // nonzero value: one run of equal ranks per group, at most
+  // num_records of them. Per group, recompute every member's exact
+  // encode/decode and wire contribution and replace the baseline slot
+  // values. seg[j * r + p] is segment p of member j's incoming value;
+  // an empty value's segments are the precomputed s8.
+  std::sort(contributions.begin(), contributions.end(),
+            [](const Contribution& a, const Contribution& b) {
+              return a.group < b.group;
+            });
+  std::vector<std::uint64_t> incoming(static_cast<std::size_t>(slots));
   std::vector<std::uint64_t> value_len(static_cast<std::size_t>(slots));
+  std::vector<std::uint64_t> seg(static_cast<std::size_t>(slots * r));
   std::vector<std::uint64_t> wire(static_cast<std::size_t>(slots));
-  for (const auto& [grank, g] : dirty) {
-    (void)grank;
+  for (std::size_t run_begin = 0; run_begin < contributions.size();) {
+    const Contribution& first = contributions[run_begin];
+    const int* g = &group_members[first.offset];
+    std::fill(incoming.begin(), incoming.end(), 0);
+    std::size_t run_end = run_begin;
+    for (; run_end < contributions.size() &&
+           contributions[run_end].group == first.group;
+         ++run_end) {
+      incoming[static_cast<std::size_t>(contributions[run_end].slot)] =
+          contributions[run_end].count;
+    }
+    run_begin = run_end;
     std::uint64_t len_sum = 0;
     for (int j = 0; j < slots; ++j) {
-      // Member j's incoming value lives in file g \ {g[j]}.
-      std::vector<int> file = g;
-      file.erase(file.begin() + j);
-      std::uint64_t n = 0;
-      if (const auto fit = file_cells.find(ColexRankMembers(file));
-          fit != file_cells.end()) {
-        if (const auto cit = fit->second.find(g[static_cast<std::size_t>(j)]);
-            cit != fit->second.end()) {
-          n = cit->second;
-        }
+      const std::uint64_t n = incoming[static_cast<std::size_t>(j)];
+      const std::uint64_t len = PackedSize(n);
+      value_len[static_cast<std::size_t>(j)] = len;
+      len_sum += len;
+      std::uint64_t* row = &seg[static_cast<std::size_t>(j * r)];
+      for (int p = 0; p < r; ++p) {
+        row[p] = n == 0 ? s8[static_cast<std::size_t>(p)]
+                        : SegmentOf(len, r, p).length;
       }
-      value_len[static_cast<std::size_t>(j)] = PackedSize(n);
-      len_sum += value_len[static_cast<std::size_t>(j)];
     }
     std::uint64_t wire_sum = 0;
     for (int q = 0; q < slots; ++q) {
-      CodedAcc& a = acc[static_cast<std::size_t>(g[static_cast<std::size_t>(q)])];
+      CodedAcc& a = acc[static_cast<std::size_t>(g[q])];
       std::uint64_t xor_bytes = 0;
       std::uint64_t payload = 0;
       for (int j = 0; j < slots; ++j) {
         if (j == q) continue;
         const int position = q - (j < q ? 1 : 0);
-        const std::uint64_t seg =
-            SegmentOf(value_len[static_cast<std::size_t>(j)], r, position)
-                .length;
-        xor_bytes += seg;
-        payload = std::max(payload, seg);
+        const std::uint64_t len =
+            seg[static_cast<std::size_t>(j * r + position)];
+        xor_bytes += len;
+        payload = std::max(payload, len);
       }
       wire[static_cast<std::size_t>(q)] = header + payload;
       wire_sum += wire[static_cast<std::size_t>(q)];
@@ -401,7 +411,7 @@ SynthesisResult SynthesizeCoded(const SortConfig& config) {
               wire8[static_cast<std::size_t>(q)];
     }
     for (int q = 0; q < slots; ++q) {
-      acc[static_cast<std::size_t>(g[static_cast<std::size_t>(q)])].rx +=
+      acc[static_cast<std::size_t>(g[q])].rx +=
           (static_cast<I128>(wire_sum) - wire[static_cast<std::size_t>(q)]) -
           (static_cast<I128>(wire8_sum) -
            wire8[static_cast<std::size_t>(q)]);

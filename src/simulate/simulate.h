@@ -23,10 +23,19 @@
 // cells that actually hold records are streamed once and applied as
 // per-group corrections on top.
 //
+// The sparse state is flat. Records arrive in file order, so only the
+// open file's per-partition counts are live; closing a file turns each
+// nonzero cell (S, t) into one contribution (rank of group S + {t},
+// its members in one flat array, t's slot, the count). Sorting the
+// contributions by group rank lines up every dirty group's nonzero
+// values in one run, so no cell is ever looked up. All ranks, unranks
+// and baseline counts read one BinomialTable built per synthesis.
+//
 // Scale limits are arithmetic, not structural: any C(K, r) or
-// C(K, r+1) (or derived counter) that exceeds 64 bits is reported as
+// C(K, r+1) (or derived counter) that exceeds 64 bits, or a coded
+// (K, r) whose binomial table would pass 2^24 entries, is reported as
 // a structured error via SynthesisResult::error — never a process
-// abort (combinatorics BinomialOr).
+// abort.
 #pragma once
 
 #include <memory>
@@ -52,7 +61,8 @@ struct SynthesisResult {
 // "coded"). Structured errors (no abort): unknown/unpriceable
 // algorithm (e.g. "cmr"), PartitionerKind::kDistributedSampled (its
 // splitters depend on the live collective), redundancy out of range,
-// or 64-bit binomial/counter overflow at extreme (K, r).
+// 64-bit binomial/counter overflow or an oversized binomial table at
+// extreme (K, r).
 SynthesisResult SynthesizeRun(const std::string& algorithm,
                               const SortConfig& config);
 

@@ -3,9 +3,11 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "combinatorics/subsets.h"
 #include "common/check.h"
+#include "common/random.h"
 
 namespace cts {
 namespace {
@@ -214,6 +216,79 @@ TEST(Binomial, BinomialOrReportsOverflowWithoutAborting) {
   EXPECT_TRUE(BinomialOr(5, -1, &out));
   EXPECT_EQ(out, 0u);
   EXPECT_THROW(Binomial(1000, 8), CheckError);
+}
+
+// The table reproduces BinomialOr entry for entry, saturating exactly
+// where BinomialOr reports overflow.
+TEST(BinomialTable, MatchesBinomialOrExhaustively) {
+  const BinomialTable table(70, 8);
+  for (int c = 0; c <= 70; ++c) {
+    for (int j = 0; j <= 8; ++j) {
+      std::uint64_t exact = 0;
+      if (BinomialOr(c, j, &exact)) {
+        EXPECT_EQ(table(c, j), exact) << "C(" << c << "," << j << ")";
+        EXPECT_NE(table(c, j), ~std::uint64_t{0});
+      } else {
+        EXPECT_EQ(table(c, j), ~std::uint64_t{0})
+            << "C(" << c << "," << j << ") must saturate";
+      }
+    }
+  }
+  // Saturation does occur at scale: C(1000, 8) > 2^64.
+  const BinomialTable wide(1000, 8);
+  EXPECT_EQ(wide(1000, 3), 166167000u);
+  EXPECT_EQ(wide(1000, 8), ~std::uint64_t{0});
+}
+
+// Member-list rank/unrank agree with the mask-based pair on every
+// subset of every universe up to K = 20.
+TEST(ColexMembers, AgreesWithMaskRankingUpToK20) {
+  const BinomialTable table(20, 20);
+  for (int K = 1; K <= 20; ++K) {
+    for (int r = 1; r <= K; ++r) {
+      std::vector<int> members(static_cast<std::size_t>(r));
+      std::vector<int> next(static_cast<std::size_t>(r));
+      const auto subsets = AllSubsets(K, r);
+      for (std::uint64_t rank = 0; rank < subsets.size(); ++rank) {
+        const std::vector<NodeId> nodes = MaskToNodes(subsets[rank]);
+        ASSERT_EQ(ColexRankMembers(table, nodes.data(), r), rank)
+            << "K=" << K << " r=" << r;
+        ColexUnrankMembers(table, K, r, rank, members.data());
+        ASSERT_EQ(members, nodes) << "K=" << K << " r=" << r;
+        // The successor step walks the same order.
+        if (rank > 0) {
+          ColexNextMembers(next.data(), r);
+        } else {
+          next = members;
+        }
+        ASSERT_EQ(next, nodes) << "K=" << K << " r=" << r;
+      }
+    }
+  }
+}
+
+TEST(ColexMembers, RoundTripsAtK1000) {
+  const int K = 1000;
+  const int r = 3;
+  const BinomialTable table(K, r);
+  const std::uint64_t count = table(K, r);
+  Xoshiro256 rng(12);
+  std::vector<int> members(static_cast<std::size_t>(r));
+  for (int trial = 0; trial < 10000; ++trial) {
+    const std::uint64_t rank = rng() % count;
+    ColexUnrankMembers(table, K, r, rank, members.data());
+    ASSERT_TRUE(std::is_sorted(members.begin(), members.end()));
+    ASSERT_EQ(std::adjacent_find(members.begin(), members.end()),
+              members.end());
+    ASSERT_GE(members.front(), 0);
+    ASSERT_LT(members.back(), K);
+    ASSERT_EQ(ColexRankMembers(table, members.data(), r), rank);
+  }
+  // The extremes: the first and last 3-subsets of {0..999}.
+  ColexUnrankMembers(table, K, r, 0, members.data());
+  EXPECT_EQ(members, (std::vector<int>{0, 1, 2}));
+  ColexUnrankMembers(table, K, r, count - 1, members.data());
+  EXPECT_EQ(members, (std::vector<int>{997, 998, 999}));
 }
 
 }  // namespace

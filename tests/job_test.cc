@@ -141,21 +141,32 @@ TEST(Job, PricedBackendMatchesSimulateRun) {
   EXPECT_DOUBLE_EQ(result.makespan, result.breakdown.total());
 }
 
-// The closed-form backend cannot honor a scenario; silently pricing
+// The closed-form backends cannot honor a scenario; silently pricing
 // an unmitigated run under a scenario label would fake a null result,
-// so both RunJob and RunMatrix reject the combination loudly.
+// so RunJob returns a structured error and RunMatrix rejects the
+// combination loudly.
 TEST(Job, PricedBackendRejectsScenarios) {
-  JobSpec spec;
-  spec.algorithm = "terasort";
-  spec.config = SmallConfig(1);
-  spec.backend = Backend::kPriced;
-  spec.scenario = simscen::Scenario::Baseline(4);
-  EXPECT_THROW((void)RunJob(spec), CheckError);
+  for (const Backend backend : {Backend::kPriced, Backend::kSimulated}) {
+    SCOPED_TRACE(BackendName(backend));
+    JobSpec spec;
+    spec.algorithm = "terasort";
+    spec.config = SmallConfig(1);
+    spec.backend = backend;
+    spec.scenario = simscen::Scenario::Baseline(4);
+    const JobResult result = RunJob(spec);
+    EXPECT_NE(result.error.find("use Backend::kReplay"), std::string::npos)
+        << result.error;
+    EXPECT_EQ(result.execution, nullptr);
+    EXPECT_FALSE(result.priced);
+    EXPECT_EQ(result.makespan, 0.0);
+  }
 
   JobMatrix m;
   m.backend = Backend::kPriced;
   m.algos.push_back({"terasort", "terasort", SmallConfig(1)});
   m.scenarios.push_back({"healthy", simscen::Scenario::Baseline(4)});
+  EXPECT_THROW((void)RunMatrix(m), CheckError);
+  m.backend = Backend::kSimulated;
   EXPECT_THROW((void)RunMatrix(m), CheckError);
 }
 

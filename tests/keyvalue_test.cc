@@ -11,6 +11,7 @@
 #include "keyvalue/record.h"
 #include "keyvalue/recordio.h"
 #include "keyvalue/teragen.h"
+#include "keyvalue/teravalidate.h"
 
 namespace cts {
 namespace {
@@ -70,6 +71,60 @@ TEST(TeraGen, GenerateMatchesPointQueries) {
   ASSERT_EQ(batch.size(), 50u);
   for (std::uint64_t i = 0; i < 50; ++i) {
     EXPECT_EQ(batch[i], gen.record(100 + i));
+  }
+}
+
+constexpr KeyDistribution kAllDistributions[] = {
+    KeyDistribution::kUniform,     KeyDistribution::kSorted,
+    KeyDistribution::kReverseSorted, KeyDistribution::kSkewed,
+    KeyDistribution::kFewDistinct, KeyDistribution::kBalanced};
+
+// key() is the key half of record(), for callers that never need the
+// value (the synthesizer, the sampled partitioners).
+TEST(TeraGen, KeyMatchesRecordKey) {
+  for (const KeyDistribution dist : kAllDistributions) {
+    SCOPED_TRACE(static_cast<int>(dist));
+    const TeraGen gen(2017, dist);
+    for (const std::uint64_t i :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{1} << 32,
+          std::uint64_t{1} << 63, ~std::uint64_t{0}}) {
+      EXPECT_EQ(gen.key(i), gen.record(i).key) << "index " << i;
+    }
+    for (std::uint64_t i = 0; i < 10000; ++i) {
+      ASSERT_EQ(gen.key(i), gen.record(i).key) << "index " << i;
+    }
+  }
+}
+
+// The live Map input is byte-identical to what it was before key()
+// existed: these checksums of the first 100 k records (seed 2017) were
+// taken from the generator that built each key inside record().
+TEST(TeraGen, InputChecksumsArePinned) {
+  struct Pinned {
+    KeyDistribution dist;
+    std::uint64_t xor_hash;
+    std::uint64_t sum_hash;
+  };
+  const Pinned pinned[] = {
+      {KeyDistribution::kUniform, 0xe4a28f8b5fc3ae1aULL,
+       0xfe1fffa22b47ef04ULL},
+      {KeyDistribution::kSorted, 0x0da3e7de4875c8acULL,
+       0x51437755f2cdc5a0ULL},
+      {KeyDistribution::kReverseSorted, 0xc9ec4ee44c94afddULL,
+       0x78f06c0ff07e5ebdULL},
+      {KeyDistribution::kSkewed, 0x6e6b3220e25522b4ULL,
+       0x7dd34488eb3d0354ULL},
+      {KeyDistribution::kFewDistinct, 0x32859e1b598b79c1ULL,
+       0x497a87fe34e06d6dULL},
+      {KeyDistribution::kBalanced, 0x3df260a4ad92d51aULL,
+       0xba389bafba2a3f6eULL},
+  };
+  for (const Pinned& p : pinned) {
+    SCOPED_TRACE(static_cast<int>(p.dist));
+    const RecordChecksum sum = ChecksumOfInput(TeraGen(2017, p.dist), 100000);
+    EXPECT_EQ(sum.count, 100000u);
+    EXPECT_EQ(sum.xor_hash, p.xor_hash);
+    EXPECT_EQ(sum.sum_hash, p.sum_hash);
   }
 }
 

@@ -246,6 +246,127 @@ TEST(SimulatedBackend, PricesCodedRunAtK1000) {
   EXPECT_EQ(tx, shuffle.mcast_bytes);
 }
 
+// FNV-1a over every counter the pricing can read: NodeWork and its
+// CodecStats, every traffic channel (by stage name) and the per-node
+// shuffle traffic.
+std::uint64_t CounterDigest(const AlgorithmResult& run) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto byte = [&h](std::uint8_t b) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  };
+  const auto add = [&byte](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  add(run.work.size());
+  for (const NodeWork& w : run.work) {
+    for (const std::uint64_t v :
+         {w.map_bytes, w.map_files, w.pack_bytes, w.unpack_bytes,
+          w.reduce_bytes, w.codec.packets_encoded, w.codec.encode_xor_bytes,
+          w.codec.encode_payload_bytes, w.codec.packets_decoded,
+          w.codec.decode_xor_bytes, w.codec.decoded_bytes}) {
+      add(v);
+    }
+  }
+  add(run.traffic.size());
+  for (const auto& [stage_name, c] : run.traffic) {
+    for (const char ch : stage_name) byte(static_cast<std::uint8_t>(ch));
+    for (const std::uint64_t v :
+         {c.unicast_msgs, c.unicast_bytes, c.mcast_msgs, c.mcast_bytes,
+          c.mcast_recipient_bytes, c.comm_creations}) {
+      add(v);
+    }
+  }
+  add(run.shuffle_node_traffic.size());
+  for (const simmpi::NodeTraffic& t : run.shuffle_node_traffic) {
+    add(t.tx_bytes);
+    add(t.rx_bytes);
+  }
+  return h;
+}
+
+// K far past the live harness has no live twin, so these digests pin
+// every synthesized counter exactly: any change to the synthesizer's
+// arithmetic or data structures must reproduce them bit for bit.
+TEST(SimulatedBackend, GoldenCountersAtScale) {
+  struct Golden {
+    const char* algorithm;
+    int K;
+    int r;
+    KeyDistribution dist;
+    PartitionerKind partitioner;
+    std::uint64_t digest;
+  };
+  using KD = KeyDistribution;
+  using PK = PartitionerKind;
+  const Golden grid[] = {
+      {"coded", 1000, 3, KD::kUniform, PK::kRange,
+       0xf61bc1fcce467e81ULL},
+      {"coded", 1000, 3, KD::kUniform, PK::kSampled,
+       0x992bc5f9f16805ffULL},
+      {"coded", 1000, 3, KD::kSkewed, PK::kRange,
+       0xca3cd52d0f8f3b3fULL},
+      {"coded", 1000, 3, KD::kSkewed, PK::kSampled,
+       0x992bc5f9f16805ffULL},
+      {"coded", 1000, 3, KD::kBalanced, PK::kRange,
+       0x2317d2b5d0809f36ULL},
+      {"coded", 1000, 3, KD::kBalanced, PK::kSampled,
+       0x5435f113d8c287f2ULL},
+      {"coded", 1000, 3, KD::kFewDistinct, PK::kRange,
+       0x2a325cbe6e1a60a2ULL},
+      {"coded", 1000, 3, KD::kFewDistinct, PK::kSampled,
+       0x1996e2bc78e8b5a9ULL},
+      {"coded", 200, 2, KD::kUniform, PK::kRange,
+       0x8e3f9d1115134387ULL},
+      {"coded", 200, 2, KD::kUniform, PK::kSampled,
+       0x62160e5f1736abf8ULL},
+      {"coded", 200, 2, KD::kSkewed, PK::kRange,
+       0x9c4ced45d0d6e8f4ULL},
+      {"coded", 200, 2, KD::kSkewed, PK::kSampled,
+       0x62160e5f1736abf8ULL},
+      {"coded", 200, 2, KD::kBalanced, PK::kRange,
+       0x926767569e0af6eeULL},
+      {"coded", 200, 2, KD::kBalanced, PK::kSampled,
+       0x09017e5b538f67a4ULL},
+      {"coded", 200, 2, KD::kFewDistinct, PK::kRange,
+       0xa85f2ac508662d54ULL},
+      {"coded", 200, 2, KD::kFewDistinct, PK::kSampled,
+       0x18248fd7cdefd7c6ULL},
+      {"terasort", 100, 1, KD::kUniform, PK::kRange,
+       0x3c2741dd277ce20cULL},
+      {"terasort", 100, 1, KD::kUniform, PK::kSampled,
+       0x267cbd6ea8ce4b4cULL},
+      {"terasort", 100, 1, KD::kSkewed, PK::kRange,
+       0x3dc761b92e56a781ULL},
+      {"terasort", 100, 1, KD::kSkewed, PK::kSampled,
+       0x267cbd6ea8ce4b4cULL},
+      {"terasort", 100, 1, KD::kBalanced, PK::kRange,
+       0xd2cdde8ae92789cbULL},
+      {"terasort", 100, 1, KD::kBalanced, PK::kSampled,
+       0x71cb059788730980ULL},
+      {"terasort", 100, 1, KD::kFewDistinct, PK::kRange,
+       0x159e1b8ee49c284dULL},
+      {"terasort", 100, 1, KD::kFewDistinct, PK::kSampled,
+       0x303f7cff22138663ULL},
+  };
+  for (const Golden& g : grid) {
+    SortConfig config;
+    config.num_nodes = g.K;
+    config.redundancy = g.r;
+    config.num_records = 20000;
+    config.distribution = g.dist;
+    config.partitioner = g.partitioner;
+    const simulate::SynthesisResult synth =
+        simulate::SynthesizeRun(g.algorithm, config);
+    ASSERT_TRUE(synth.ok()) << synth.error;
+    const std::uint64_t digest = CounterDigest(*synth.run);
+    EXPECT_EQ(digest, g.digest)
+        << g.algorithm << " K=" << g.K << " r=" << g.r
+        << " dist=" << static_cast<int>(g.dist)
+        << " partitioner=" << static_cast<int>(g.partitioner);
+  }
+}
+
 // Structured errors, never aborts (the BinomialOr contract end-to-end).
 TEST(SimulatedBackend, OverflowAndUnsupportedSpecsReturnErrors) {
   job::JobSpec spec;
@@ -261,6 +382,14 @@ TEST(SimulatedBackend, OverflowAndUnsupportedSpecsReturnErrors) {
   EXPECT_FALSE(overflow.priced);
   EXPECT_EQ(overflow.makespan, 0.0);
   EXPECT_EQ(overflow.execution, nullptr);
+
+  // C(5000, 4999) fits, but its binomial table would not.
+  spec.config.num_nodes = 5000;
+  spec.config.redundancy = 4999;
+  const job::JobResult table = job::RunJob(spec);
+  EXPECT_NE(table.error.find("binomial table"), std::string::npos)
+      << table.error;
+  EXPECT_EQ(table.execution, nullptr);
 
   // CMR has no synthesized pricing.
   spec.algorithm = "cmr";
