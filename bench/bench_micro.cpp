@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the primitive operations the
 // cost model prices: hashing, serialization, sorting, the XOR codec,
-// subset combinatorics and the transport, plus the run synthesizer.
+// subset combinatorics and the transport, plus the run synthesizer
+// and the scenario DES.
 // These measure *this* host; the table benches use the EC2-calibrated
 // constants instead.
 #include <benchmark/benchmark.h>
@@ -19,6 +20,7 @@
 #include "keyvalue/teragen.h"
 #include "simmpi/comm.h"
 #include "simmpi/world.h"
+#include "simscen/engine.h"
 #include "simulate/simulate.h"
 
 namespace cts {
@@ -195,6 +197,44 @@ void BM_SynthesizeCoded(benchmark::State& state) {
                           static_cast<std::int64_t>(config.num_records));
 }
 BENCHMARK(BM_SynthesizeCoded)->Args({1000, 3})->Unit(benchmark::kMillisecond);
+
+// One scenario replay of a fixed 4-node full-duplex shuffle (every
+// node unicasts 1 MB to every other, then one 3-way multicast each)
+// with node 1 failing mid-shuffle: the flow DES with its outage
+// re-queue, without (Arg 0) and with (Arg 1) the flight-recorder
+// probe sampling into a timeline.
+void BM_ReplayScenario(benchmark::State& state) {
+  simscen::ScenarioRun run;
+  run.algorithm = "micro";
+  run.num_nodes = 4;
+  run.stages.push_back(
+      {"Map", simscen::StageKind::kCompute, {1.0, 1.0, 1.0, 1.0}});
+  run.stages.push_back({"Shuffle", simscen::StageKind::kNetwork, {}});
+  std::uint64_t seq = 0;
+  for (NodeId src = 0; src < 4; ++src) {
+    for (NodeId dst = 0; dst < 4; ++dst) {
+      if (dst != src) run.shuffle_log.push_back({src, {dst}, 1 << 20, seq++});
+    }
+  }
+  for (NodeId src = 0; src < 4; ++src) {
+    run.shuffle_log.push_back(
+        {src, {(src + 1) % 4, (src + 2) % 4, (src + 3) % 4}, 1 << 19, seq++});
+  }
+  simscen::Scenario scenario = simscen::Scenario::Baseline(4);
+  scenario.discipline = simnet::Discipline::kParallelFullDuplex;
+  scenario.cluster.straggler.kind = simscen::StragglerKind::kFailStop;
+  scenario.cluster.straggler.node = 1;
+  scenario.cluster.straggler.fail_at = 1.1;
+  scenario.cluster.straggler.recovery = 0.1;
+  const bool timeline = state.range(0) != 0;
+  for (auto _ : state) {
+    obs::Timeline tl;
+    benchmark::DoNotOptimize(
+        simscen::ReplayScenario(run, scenario, timeline ? &tl : nullptr));
+    benchmark::DoNotOptimize(tl);
+  }
+}
+BENCHMARK(BM_ReplayScenario)->Arg(0)->Arg(1);
 
 void BM_TransportPingPong(benchmark::State& state) {
   const auto bytes = static_cast<std::size_t>(state.range(0));

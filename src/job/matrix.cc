@@ -25,16 +25,16 @@ const JobResult& MatrixResults::at(const std::string& algo,
                                    const std::string& scenario,
                                    const std::string& policy,
                                    const std::string& instance) const {
-  for (const MatrixCell& cell : cells_) {
-    if (cell.algo == algo && cell.scenario == scenario &&
-        cell.policy == policy && cell.instance == instance) {
-      return cell.result;
-    }
+  const std::string* const labels[] = {&instance, &scenario, &policy, &algo};
+  std::size_t index = 0;
+  for (std::size_t a = 0; a < axes_.size(); ++a) {
+    const auto it = axes_[a].find(*labels[a]);
+    CTS_CHECK_MSG(it != axes_[a].end(),
+                  "no matrix cell (" << algo << ", " << scenario << ", "
+                                     << policy << ", " << instance << ")");
+    index = index * axes_[a].size() + it->second;
   }
-  CTS_CHECK_MSG(false, "no matrix cell (" << algo << ", " << scenario << ", "
-                                          << policy << ", " << instance
-                                          << ")");
-  return cells_.front().result;  // unreachable
+  return cells_[index].result;
 }
 
 MatrixResults RunMatrix(const JobMatrix& matrix, RunCache& cache) {
@@ -98,6 +98,17 @@ MatrixResults RunMatrix(const JobMatrix& matrix, RunCache& cache) {
 
   const int executions_before = cache.executions();
   MatrixResults results;
+  const auto index_axis = [&](std::size_t a, const auto& axis) {
+    for (std::size_t i = 0; i < axis.size(); ++i) {
+      results.axes_[a].emplace(axis[i].label, i);
+    }
+  };
+  index_axis(0, instances);
+  index_axis(1, scenarios);
+  index_axis(2, policies);
+  index_axis(3, matrix.algos);
+  results.cells_.reserve(instances.size() * scenarios.size() *
+                         policies.size() * matrix.algos.size());
   for (const InstanceCell& instance : instances) {
     for (const ScenarioCell& scenario : scenarios) {
       for (const PolicyCell& policy : policies) {

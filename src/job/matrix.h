@@ -10,6 +10,9 @@
 // bench_mitigation 18 scenario×policy cells off 3 executions each).
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -84,7 +87,8 @@ class MatrixResults {
 
   // The cell at (algo, scenario, policy, instance); labels of
   // collapsed axes default to "". Dies on an unknown address (a typo'd
-  // label must not silently price the wrong cell).
+  // label must not silently price the wrong cell). One label lookup
+  // per axis: cells are stored in the fixed nesting order.
   const JobResult& at(const std::string& algo,
                       const std::string& scenario = "",
                       const std::string& policy = "",
@@ -96,6 +100,10 @@ class MatrixResults {
  private:
   friend MatrixResults RunMatrix(const JobMatrix&, RunCache&);
   std::vector<MatrixCell> cells_;
+  // Label -> position on each axis, in the cell nesting order
+  // (instance, scenario, policy, algo), so cell (i, s, p, a) sits at
+  // ((i * |S| + s) * |P| + p) * |A| + a. A collapsed axis holds "".
+  std::array<std::map<std::string, std::size_t>, 4> axes_;
   int executions_ = 0;
 };
 

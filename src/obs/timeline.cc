@@ -5,6 +5,8 @@
 #include "obs/timeline.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "driver/run_result.h"
@@ -19,10 +21,13 @@ Timeline BuildLiveTimeline(const AlgorithmResult& result) {
   // and message count once that stage's traffic is on the wire.
   // Virtual time is the tick index itself — the live path has no
   // deterministic clock, the barrier sequence *is* its time axis.
+  // Every series is resolved once and appended to directly.
   double cum_bytes = 0;
   double cum_msgs = 0;
-  tl.Sample("live/stage_bytes/bytes", 0, 0);
-  tl.Sample("live/stage_msgs", 0, 0);
+  auto& stage_bytes = tl.Series("live/stage_bytes/bytes");
+  auto& stage_msgs = tl.Series("live/stage_msgs");
+  stage_bytes.push_back({0, 0});
+  stage_msgs.push_back({0, 0});
   for (std::size_t s = 0; s < result.stage_order.size(); ++s) {
     const auto it = result.traffic.find(result.stage_order[s]);
     if (it != result.traffic.end()) {
@@ -30,36 +35,40 @@ Timeline BuildLiveTimeline(const AlgorithmResult& result) {
       cum_msgs += static_cast<double>(it->second.unicast_msgs +
                                       it->second.mcast_msgs);
     }
-    tl.Sample("live/stage_bytes/bytes", static_cast<double>(s + 1),
-              cum_bytes);
-    tl.Sample("live/stage_msgs", static_cast<double>(s + 1), cum_msgs);
+    stage_bytes.push_back({static_cast<double>(s + 1), cum_bytes});
+    stage_msgs.push_back({static_cast<double>(s + 1), cum_msgs});
   }
 
   // Shuffle-round ticks: the transmission log in seq order, one round
   // per K transmissions (every sender fires once per round under both
   // sync modes). Cumulative bytes in flight plus the per-round burst.
   if (!result.shuffle_log.empty() && result.config.num_nodes > 0) {
-    simnet::TransmissionLog log = result.shuffle_log;
+    // Only (seq, bytes) matter: sort those, not copies of the log.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> log;
+    log.reserve(result.shuffle_log.size());
+    for (const simnet::Transmission& t : result.shuffle_log) {
+      log.emplace_back(t.seq, t.bytes);
+    }
     std::sort(log.begin(), log.end(),
-              [](const simnet::Transmission& a,
-                 const simnet::Transmission& b) { return a.seq < b.seq; });
+              [](const auto& a, const auto& b) { return a.first < b.first; });
     const std::size_t per_round =
         static_cast<std::size_t>(result.config.num_nodes);
+    auto& shuffle_bytes = tl.Series("live/shuffle_bytes/bytes");
+    auto& shuffle_round_bytes = tl.Series("live/shuffle_round_bytes/bytes");
     double cum = 0;
     double round_bytes = 0;
     std::size_t round = 0;
-    tl.Sample("live/shuffle_bytes/bytes", 0, 0);
+    shuffle_bytes.push_back({0, 0});
     for (std::size_t i = 0; i < log.size(); ++i) {
-      cum += static_cast<double>(log[i].bytes);
-      round_bytes += static_cast<double>(log[i].bytes);
+      cum += static_cast<double>(log[i].second);
+      round_bytes += static_cast<double>(log[i].second);
       const bool round_end =
           (i + 1) % per_round == 0 || i + 1 == log.size();
       if (round_end) {
         ++round;
-        tl.Sample("live/shuffle_bytes/bytes",
-                  static_cast<double>(round), cum);
-        tl.Sample("live/shuffle_round_bytes/bytes",
-                  static_cast<double>(round), round_bytes);
+        shuffle_bytes.push_back({static_cast<double>(round), cum});
+        shuffle_round_bytes.push_back(
+            {static_cast<double>(round), round_bytes});
         round_bytes = 0;
       }
     }

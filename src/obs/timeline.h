@@ -120,7 +120,14 @@ inline constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
 class Timeline {
  public:
   void Sample(const std::string& key, double t, double value) {
-    series_[key].push_back(TimelineSample{t, value});
+    Series(key).push_back(TimelineSample{t, value});
+  }
+
+  // The sample vector of series `key`, created empty on first use.
+  // Hot samplers resolve each series once and append through the
+  // reference (map nodes never move), paying no per-sample key lookup.
+  std::vector<TimelineSample>& Series(const std::string& key) {
+    return series_[key];
   }
 
   const std::map<std::string, std::vector<TimelineSample>>& series() const {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -23,6 +24,66 @@ bool Touches(const simnet::Transmission& t, NodeId node) {
   return false;
 }
 
+// What the flight recorder reads off the DES. It only changes at
+// events, so one measurement serves every tick up to the next event.
+struct DesState {
+  double inflight = 0;
+  double requeue_depth = 0;
+  double link_utilization = 0;
+};
+
+// One replay's flight-recorder ticks: fixed steps of the replay clock,
+// derived from the log itself (serialized duration / 256 by default)
+// — a pure function of the inputs, so two replays tick identically.
+// The three series are resolved once; a tick is three appends.
+class ProbeTicks {
+ public:
+  ProbeTicks(const TimelineProbe& probe, const simnet::TransmissionLog& log,
+             const Topology& topo)
+      : probe_(probe) {
+    if (probe.timeline == nullptr) return;
+    double span_bytes = 0;
+    for (const auto& t : log) {
+      span_bytes += static_cast<double>(t.bytes) * topo.multicast_penalty(t);
+    }
+    dt_ = probe.interval > 0 ? probe.interval
+                             : span_bytes / topo.access_bytes_per_sec / 256.0;
+    if (dt_ > 0) {
+      inflight_ = &probe.timeline->Series("des/inflight_flows");
+      requeue_depth_ = &probe.timeline->Series("des/requeue_depth");
+      link_utilization_ = &probe.timeline->Series("des/link_utilization");
+    }
+  }
+
+  bool active() const { return inflight_ != nullptr; }
+  // True when a tick falls at or before replay time `t`.
+  bool due(double t) const { return active() && next_ <= t; }
+
+  // One sample of every series at replay time `t`.
+  void At(double t, const DesState& s) {
+    const double ts = probe_.t0 + probe_.scale * t;
+    inflight_->push_back({ts, s.inflight});
+    requeue_depth_->push_back({ts, s.requeue_depth});
+    link_utilization_->push_back({ts, s.link_utilization});
+  }
+  // Every tick at or before `t` (Through) or strictly before it
+  // (Before), all reading the same state `s`.
+  void Through(double t, const DesState& s) {
+    for (; next_ <= t; next_ += dt_) At(next_, s);
+  }
+  void Before(double t, const DesState& s) {
+    for (; next_ < t; next_ += dt_) At(next_, s);
+  }
+
+ private:
+  const TimelineProbe& probe_;
+  double dt_ = 0;
+  double next_ = 0;
+  std::vector<obs::TimelineSample>* inflight_ = nullptr;
+  std::vector<obs::TimelineSample>* requeue_depth_ = nullptr;
+  std::vector<obs::TimelineSample>* link_utilization_ = nullptr;
+};
+
 // One transmission in flight. The flow streams `stream_total` bytes
 // from the sender's uplink; each receiver's downlink is released once
 // `payload` bytes have flowed, the uplink (and core share) when the
@@ -34,8 +95,9 @@ struct Flow {
   bool crossing = false;    // traverses the core
   bool touches_outage = false;
 
-  int up_res = -1;
-  std::vector<int> down_res;  // deduplicated
+  // Exclusive access links: the uplink first, then the receivers'
+  // downlinks (deduplicated).
+  std::vector<int> links;
 
   // Fluid inter-rack pipes the flow's stream crosses (core + source
   // rack uplink, held until the stream tail is done) and the
@@ -66,6 +128,19 @@ struct Flow {
   }
   double next_threshold() const {
     return receivers_released ? stream_total : payload;
+  }
+
+  int up_res() const { return links.front(); }
+  std::span<const int> down_res() const {
+    return std::span<const int>(links).subspan(1);
+  }
+  // The links the flow needs to make progress from its current state:
+  // the uplink always; the downlinks only until the payload has been
+  // delivered (a re-queued tail must not wait for downlinks it already
+  // released).
+  std::span<const int> needed() const {
+    return std::span<const int>(links).first(receivers_released ? 1
+                                                                : links.size());
   }
 };
 
@@ -130,16 +205,17 @@ class FlowSim {
           static_cast<double>(t.bytes) * topo.multicast_penalty(t);
       f.crossing = topo.crosses_core(t);
       f.touches_outage = outage_.active() && Touches(t, outage_.node);
-      f.up_res = up_of(t.src);
+      f.links.reserve(1 + t.dsts.size());
+      f.links.push_back(up_of(t.src));
       for (const NodeId d : t.dsts) {
         CTS_CHECK_GE(d, 0);
         CTS_CHECK_LT(d, n);
         CTS_CHECK_NE(d, t.src);
-        f.down_res.push_back(down_of(d));
+        f.links.push_back(down_of(d));
       }
-      std::sort(f.down_res.begin(), f.down_res.end());
-      f.down_res.erase(std::unique(f.down_res.begin(), f.down_res.end()),
-                       f.down_res.end());
+      std::sort(f.links.begin() + 1, f.links.end());
+      f.links.erase(std::unique(f.links.begin() + 1, f.links.end()),
+                    f.links.end());
       if (use_pipes_ && f.crossing) {
         const int src_rack = topo.rack_of(t.src);
         if (core_pipe >= 0) f.pipes_stream.push_back({core_pipe, 1.0});
@@ -167,7 +243,7 @@ class FlowSim {
 
     if (order_ == simnet::ReplayOrder::kLogOrder) {
       for (std::size_t i = 0; i < flows_.size(); ++i) {
-        for (const int r : needed(flows_[i])) {
+        for (const int r : flows_[i].needed()) {
           resources_[static_cast<std::size_t>(r)].queue.push_back(i);
         }
       }
@@ -196,57 +272,12 @@ class FlowSim {
     double now = 0;
     double makespan = 0;
     std::size_t remaining = flows_.size();
-
-    // Flight-recorder ticks: fixed steps of the replay clock, derived
-    // from the log itself (serialized duration / 256 by default) — a
-    // pure function of the inputs, so two replays tick identically.
-    double dt = 0;
-    double next_tick = 0;
-    if (probe.timeline != nullptr) {
-      double span_bytes = 0;
-      for (const Flow& f : flows_) span_bytes += f.stream_total;
-      dt = probe.interval > 0
-               ? probe.interval
-               : span_bytes / topo_.access_bytes_per_sec / 256.0;
-    }
-    const bool sampling = probe.timeline != nullptr && dt > 0;
-    const auto sample_at = [&](double t) {
-      double inflight = 0;
-      double requeue_depth = 0;
-      std::vector<char> busy(resources_.size(), 0);
-      for (const Flow& f : flows_) {
-        if (f.done) continue;
-        if (f.admitted) {
-          inflight += 1;
-          busy[static_cast<std::size_t>(f.up_res)] = 1;
-          if (!f.receivers_released) {
-            for (const int r : f.down_res) {
-              busy[static_cast<std::size_t>(r)] = 1;
-            }
-          }
-        } else if (f.first_admit >= 0) {
-          // Admitted once, knocked back by the outage, not yet back on
-          // the wire: the re-queue backlog.
-          requeue_depth += 1;
-        }
-      }
-      double busy_links = 0;
-      for (const char b : busy) busy_links += b;
-      const double ts = probe.t0 + probe.scale * t;
-      probe.timeline->Sample("des/inflight_flows", ts, inflight);
-      probe.timeline->Sample("des/requeue_depth", ts, requeue_depth);
-      probe.timeline->Sample(
-          "des/link_utilization", ts,
-          busy_links / static_cast<double>(resources_.size()));
-    };
+    ProbeTicks ticks(probe, log_, topo_);
 
     ProcessOutage(now);
     Admit(now);
     Reallocate(now);
-    if (sampling) {
-      sample_at(0.0);
-      next_tick = dt;
-    }
+    if (ticks.active()) ticks.Through(0.0, Measure());
     while (remaining > 0) {
       // Earliest next threshold crossing among active flows, plus the
       // outage window edges (a blocked system only moves again when
@@ -268,14 +299,9 @@ class FlowSim {
       }
       CTS_CHECK_LT(t_next, kInf);
       // Rates are piecewise-constant between events, so the state at
-      // every tick in (now, t_next] is the state right now — emit the
-      // due ticks before the batch mutates it.
-      if (sampling) {
-        while (next_tick <= t_next) {
-          sample_at(next_tick);
-          next_tick += dt;
-        }
-      }
+      // every tick in (now, t_next] is the state right now — measure
+      // it once and emit the due ticks before the batch mutates it.
+      if (ticks.due(t_next)) ticks.Through(t_next, Measure());
       now = std::max(now, t_next);
 
       // Collect every flow whose candidate equals the event time (ties
@@ -303,12 +329,12 @@ class FlowSim {
         f.seg_start = t_next;
         if (!f.receivers_released) {
           f.receivers_released = true;
-          for (const int r : f.down_res) Release(r);
+          for (const int r : f.down_res()) Release(r);
           if (stats != nullptr) stats->delivered_payload_bytes += f.payload;
         }
         if (f.receivers_released && f.seg_sent >= f.stream_total) {
           f.done = true;
-          Release(f.up_res);
+          Release(f.up_res());
           makespan = std::max(makespan, t_next);
           if (stats != nullptr) {
             stats->flow_end[i] = t_next;
@@ -321,7 +347,7 @@ class FlowSim {
       Admit(now);
       Reallocate(now);
     }
-    if (sampling) sample_at(makespan);  // the drained end state
+    if (ticks.active()) ticks.At(makespan, Measure());  // drained end state
     if (stats != nullptr) {
       stats->flows_started = admissions_;
       stats->flows_requeued = requeued_;
@@ -338,17 +364,27 @@ class FlowSim {
     return full_duplex_ ? 2 * n + 1 : n;
   }
 
-  // The exclusive resources a flow needs to make progress from its
-  // current state: the uplink always; the receiver downlinks only
-  // until the payload has been delivered (a re-queued tail must not
-  // wait for downlinks it already released).
-  std::vector<int> needed(const Flow& f) const {
-    std::vector<int> rs;
-    rs.push_back(f.up_res);
-    if (!f.receivers_released) {
-      rs.insert(rs.end(), f.down_res.begin(), f.down_res.end());
+  // The flight recorder's view of the current state: flows on the
+  // wire, outage victims waiting to re-enter it, and the fraction of
+  // access links some admitted flow still needs.
+  DesState Measure() {
+    DesState s;
+    busy_.assign(resources_.size(), 0);
+    for (const Flow& f : flows_) {
+      if (f.done) continue;
+      if (f.admitted) {
+        s.inflight += 1;
+        for (const int r : f.needed()) busy_[static_cast<std::size_t>(r)] = 1;
+      } else if (f.first_admit >= 0) {
+        // Admitted once, knocked back by the outage, not yet back on
+        // the wire: the re-queue backlog.
+        s.requeue_depth += 1;
+      }
     }
-    return rs;
+    double busy_links = 0;
+    for (const char b : busy_) busy_links += b;
+    s.link_utilization = busy_links / static_cast<double>(resources_.size());
+    return s;
   }
 
   void Release(int r) {
@@ -385,7 +421,7 @@ class FlowSim {
     for (const std::size_t i :
          ChooseOrder(OrderingDecision::Kind::kOutageRequeue, now, tie_)) {
       Flow& f = flows_[i];
-      for (const int r : needed(f)) {
+      for (const int r : f.needed()) {
         Release(r);
         if (order_ == simnet::ReplayOrder::kLogOrder) {
           resources_[static_cast<std::size_t>(r)].queue.push_back(i);
@@ -424,7 +460,7 @@ class FlowSim {
   bool Admissible(std::size_t i, double now) const {
     const Flow& f = flows_[i];
     if (f.touches_outage && InOutage(now)) return false;
-    for (const int r : needed(f)) {
+    for (const int r : f.needed()) {
       const Resource& res = resources_[static_cast<std::size_t>(r)];
       if (order_ == simnet::ReplayOrder::kLogOrder) {
         // Admissible only when this flow is the earliest unreleased
@@ -450,7 +486,7 @@ class FlowSim {
     f.seg_sent = f.receivers_released ? f.payload : 0.0;
     f.rate = 0;  // assigned by Reallocate before any event math
     if (order_ != simnet::ReplayOrder::kLogOrder) {
-      for (const int r : needed(f)) {
+      for (const int r : f.needed()) {
         resources_[static_cast<std::size_t>(r)].occupied = true;
       }
     }
@@ -483,6 +519,15 @@ class FlowSim {
     }
   }
 
+  // One flow's entry in a max-min recomputation.
+  struct Share {
+    Flow* f;
+    double cap;
+    bool payload_live;  // pipes path: downlink shares still held
+    bool fixed = false;
+    double limit = 0;
+  };
+
   // Max-min rates: every flow is capped by the access links it still
   // holds (exclusive, so the cap is the raw link rate); concurrent
   // cross-rack flows then share the core by progressive filling. A
@@ -492,11 +537,8 @@ class FlowSim {
       ReallocatePipes(now);
       return;
     }
-    struct Entry {
-      Flow* f;
-      double cap;
-    };
-    std::vector<Entry> crossing;
+    std::vector<Share>& crossing = shares_;
+    crossing.clear();
     for (Flow& f : flows_) {
       if (!f.admitted || f.done) continue;
       double cap = topo_.access_bytes_per_sec;
@@ -504,7 +546,7 @@ class FlowSim {
       // uplink always does. With a uniform access rate the min is the
       // access rate either way.
       if (f.crossing && topo_.core_is_finite()) {
-        crossing.push_back({&f, cap});
+        crossing.push_back({&f, cap, false});
       } else {
         SetRate(f, cap, now);
       }
@@ -515,10 +557,10 @@ class FlowSim {
     // grant the lowest-capped flow min(cap, equal share of what
     // remains).
     std::sort(crossing.begin(), crossing.end(),
-              [](const Entry& a, const Entry& b) { return a.cap < b.cap; });
+              [](const Share& a, const Share& b) { return a.cap < b.cap; });
     double remaining = topo_.core_bytes_per_sec;
     std::size_t left = crossing.size();
-    for (Entry& e : crossing) {
+    for (Share& e : crossing) {
       const double level = remaining / static_cast<double>(left);
       const double r = std::min(e.cap, level);
       SetRate(*e.f, r, now);
@@ -540,14 +582,8 @@ class FlowSim {
   // shared-core path above keeps its original arithmetic so the
   // infinite-pipe replay stays bit-for-bit.
   void ReallocatePipes(double now) {
-    struct Entry {
-      Flow* f;
-      double cap;
-      bool payload_live;  // downlink shares still held
-      bool fixed = false;
-      double limit = 0;
-    };
-    std::vector<Entry> entries;
+    std::vector<Share>& entries = shares_;
+    entries.clear();
     for (Flow& f : flows_) {
       if (!f.admitted || f.done) continue;
       const bool payload_live =
@@ -561,15 +597,17 @@ class FlowSim {
     if (entries.empty()) return;
     ++maxmin_recomputations_;
 
-    std::vector<double> rem(pipe_cap_);
-    std::vector<double> weight(pipe_cap_.size(), 0.0);
-    const auto each_pipe = [](const Entry& e, auto&& fn) {
+    std::vector<double>& rem = pipe_rem_;
+    std::vector<double>& weight = pipe_weight_;
+    rem.assign(pipe_cap_.begin(), pipe_cap_.end());
+    weight.assign(pipe_cap_.size(), 0.0);
+    const auto each_pipe = [](const Share& e, auto&& fn) {
       for (const auto& [p, w] : e.f->pipes_stream) fn(p, w);
       if (e.payload_live) {
         for (const auto& [p, w] : e.f->pipes_payload) fn(p, w);
       }
     };
-    for (const Entry& e : entries) {
+    for (const Share& e : entries) {
       each_pipe(e, [&](int p, double w) {
         weight[static_cast<std::size_t>(p)] += w;
       });
@@ -581,7 +619,7 @@ class FlowSim {
       // constraints existed; the lowest of these is where the water
       // level binds next, and every flow at that limit fixes there.
       double level = kInf;
-      for (Entry& e : entries) {
+      for (Share& e : entries) {
         if (e.fixed) continue;
         e.limit = e.cap;
         each_pipe(e, [&](int p, double w) {
@@ -592,7 +630,7 @@ class FlowSim {
         level = std::min(level, e.limit);
       }
       CTS_CHECK_GT(level, 0.0);
-      for (Entry& e : entries) {
+      for (Share& e : entries) {
         if (e.fixed || e.limit > level) continue;
         e.fixed = true;
         --unfixed;
@@ -622,6 +660,13 @@ class FlowSim {
   OrderingHook* const hook_;
   std::vector<std::size_t> tie_;     // reused decision-batch buffer
   std::vector<std::size_t> chosen_;  // hook-returned order buffer
+  // Per-event scratch, reused so the event loop never allocates: the
+  // max-min entries, the pipes' remaining capacity and weight, and the
+  // flight recorder's busy-link flags.
+  std::vector<Share> shares_;
+  std::vector<double> pipe_rem_;
+  std::vector<double> pipe_weight_;
+  std::vector<char> busy_;
   bool use_pipes_ = false;
   std::vector<double> pipe_cap_;  // core, then per-rack up, then down
   bool outage_hit_ = false;
@@ -643,30 +688,12 @@ double SerialNetMakespan(const simnet::TransmissionLog& log,
     stats->flow_start.assign(log.size(), 0.0);
   }
 
-  // Same tick derivation as the parallel path: serialized duration of
-  // the whole log over 256 steps. On the shared medium at most one
+  // Same ticks as the parallel path. On the shared medium at most one
   // transmission is in flight, so the series read 0/1 in-flight, the
   // restart backlog, and the fraction of node links the current
   // transmission occupies.
-  double dt = 0;
-  double next_tick = 0;
-  if (probe.timeline != nullptr) {
-    double span_bytes = 0;
-    for (const auto& t : log) {
-      span_bytes += static_cast<double>(t.bytes) * topo.multicast_penalty(t);
-    }
-    dt = probe.interval > 0
-             ? probe.interval
-             : span_bytes / topo.access_bytes_per_sec / 256.0;
-  }
-  const bool sampling = probe.timeline != nullptr && dt > 0;
-  const auto sample = [&](double t, double inflight, double requeue_depth,
-                          double utilization) {
-    const double ts = probe.t0 + probe.scale * t;
-    probe.timeline->Sample("des/inflight_flows", ts, inflight);
-    probe.timeline->Sample("des/requeue_depth", ts, requeue_depth);
-    probe.timeline->Sample("des/link_utilization", ts, utilization);
-  };
+  ProbeTicks ticks(probe, log, topo);
+  std::vector<NodeId> dsts;  // reused for the utilization count
 
   double now = 0;
   for (std::size_t i = 0; i < log.size(); ++i) {
@@ -709,22 +736,18 @@ double SerialNetMakespan(const simnet::TransmissionLog& log,
       start = outage.end;
       end = outage.end + dur;
     }
-    if (sampling) {
+    if (ticks.active()) {
       // Ticks inside the restart wait see an idle medium with the
       // victim queued; ticks inside [start, end] see it transmitting.
-      while (next_tick < start) {
-        sample(next_tick, 0, 1, 0);
-        next_tick += dt;
-      }
-      std::vector<NodeId> dsts(t.dsts);
-      std::sort(dsts.begin(), dsts.end());
-      dsts.erase(std::unique(dsts.begin(), dsts.end()), dsts.end());
-      const double links = 1.0 + static_cast<double>(dsts.size());
-      const double utilization =
-          std::min(1.0, links / static_cast<double>(topo.num_nodes));
-      while (next_tick <= end) {
-        sample(next_tick, 1, 0, utilization);
-        next_tick += dt;
+      ticks.Before(start, {0, 1, 0});
+      if (ticks.due(end)) {
+        dsts.assign(t.dsts.begin(), t.dsts.end());
+        std::sort(dsts.begin(), dsts.end());
+        dsts.erase(std::unique(dsts.begin(), dsts.end()), dsts.end());
+        const double links = 1.0 + static_cast<double>(dsts.size());
+        ticks.Through(end, {1, 0,
+                            std::min(1.0, links / static_cast<double>(
+                                                      topo.num_nodes))});
       }
     }
     if (stats != nullptr) {
@@ -736,7 +759,7 @@ double SerialNetMakespan(const simnet::TransmissionLog& log,
     }
     now = end;
   }
-  if (sampling) sample(now, 0, 0, 0);  // the drained end state
+  if (ticks.active()) ticks.At(now, {});  // the drained end state
   return now;
 }
 

@@ -109,7 +109,11 @@ struct NetReplayStats {
 // each sample lands in the timeline at t0 + scale * t_log, so the
 // scenario engine can place a network stage's series in scenario
 // seconds (scale = shuffle_correction). interval <= 0 picks the
-// default: the log's serialized duration / 256.
+// default: the log's serialized duration / 256. The DES state is
+// constant between events, so the probe measures it once per event
+// and appends every tick due up to the next event through the three
+// series, resolved once per replay (obs::Timeline::Series): the
+// samples are exactly those of a per-tick measurement.
 struct TimelineProbe {
   obs::Timeline* timeline = nullptr;
   double t0 = 0;        // scenario time of replay-clock zero

@@ -231,6 +231,59 @@ TEST(Matrix, MemoizesLiveExecutionPerKey) {
             results.at("terasort_again", "healthy", "none").execution);
 }
 
+// at() finds a cell by one label lookup per axis: every cell answers
+// at its own address, a collapsed axis answers to "", and an unknown
+// label on any axis still dies.
+TEST(Matrix, AtAddressesEveryCell) {
+  JobMatrix m;
+  m.backend = Backend::kReplay;
+  m.algos.push_back({"terasort", "terasort", SmallConfig(1)});
+  m.algos.push_back({"coded_r2", "coded", SmallConfig(2)});
+  simscen::Scenario slow = simscen::Scenario::Baseline(4);
+  slow.cluster.straggler.kind = simscen::StragglerKind::kSlowNode;
+  slow.cluster.straggler.slowdown = 3.0;
+  simscen::Scenario racks = simscen::Scenario::Baseline(4);
+  racks.topology = simscen::Topology::Oversubscribed(4, 2, 4.0);
+  m.scenarios.push_back({"healthy", simscen::Scenario::Baseline(4)});
+  m.scenarios.push_back({"slow", slow});
+  m.scenarios.push_back({"racks", racks});
+  m.policies.push_back({"none", mitigate::MitigationPolicy::None()});
+  m.policies.push_back({"spec", mitigate::MitigationPolicy::Speculative()});
+  m.instances.push_back({"small", 1.0, 0.1});
+  m.instances.push_back({"fast", 2.0, 0.3});
+
+  RunCache cache;
+  const MatrixResults results = RunMatrix(m, cache);
+  ASSERT_EQ(results.cells().size(), 24u);
+  for (std::size_t i = 0; i < results.cells().size(); ++i) {
+    const MatrixCell& cell = results.cells()[i];
+    EXPECT_EQ(&results.at(cell.algo, cell.scenario, cell.policy,
+                          cell.instance),
+              &cell.result)
+        << i;
+  }
+  EXPECT_THROW((void)results.at("nope", "slow", "none", "fast"), CheckError);
+  EXPECT_THROW((void)results.at("terasort", "nope", "none", "fast"),
+               CheckError);
+  EXPECT_THROW((void)results.at("terasort", "slow", "nope", "fast"),
+               CheckError);
+  EXPECT_THROW((void)results.at("terasort", "slow", "none", "nope"),
+               CheckError);
+  // A populated axis has no "" entry.
+  EXPECT_THROW((void)results.at("terasort"), CheckError);
+
+  // Collapsed axes resolve through "" (the bench_table2 style).
+  JobMatrix flat;
+  flat.backend = Backend::kPriced;
+  flat.algos = m.algos;
+  const MatrixResults priced = RunMatrix(flat, cache);
+  ASSERT_EQ(priced.cells().size(), 2u);
+  EXPECT_EQ(&priced.at("terasort"), &priced.cells()[0].result);
+  EXPECT_EQ(&priced.at("coded_r2"), &priced.cells()[1].result);
+  EXPECT_THROW((void)priced.at("coded_r3"), CheckError);
+  EXPECT_THROW((void)priced.at("terasort", "healthy"), CheckError);
+}
+
 TEST(Parse, StragglerSpecs) {
   std::string error;
   const auto slow = ParseStraggler("slow:0:4", 8, &error);

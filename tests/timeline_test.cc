@@ -4,12 +4,15 @@
 // the DES series sampled along scenario time — must reproduce bit for
 // bit across reruns and across host threads. The Chrome-trace counter
 // export must round-trip through ValidateTrace.
+#include <cstring>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "job/job.h"
+#include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
 #include "simscen/engine.h"
@@ -163,6 +166,162 @@ TEST(Timeline, ReplayJobEmbedsBothSubsystems) {
   EXPECT_TRUE(first.timeline.series().count("live/stage_bytes/bytes"));
   EXPECT_TRUE(first.timeline.series().count("des/inflight_flows"));
   EXPECT_TRUE(first.timeline == second.timeline);
+}
+
+// ---- Golden DES series ----
+//
+// Seeded, hand-built ScenarioRuns replayed over a grid of network
+// disciplines, initiation orders, topologies, stragglers and
+// mitigation policies. Every replay's timeline digest, makespan and
+// per-flow wire times, plus the DES registry counters, fold into one
+// FNV hash pinned below: a rewrite of the DES or its flight-recorder
+// probe must reproduce every sample and every event bit for bit.
+// Live runs are deliberately absent — their shuffle-log seq order
+// varies across processes.
+
+enum class LogShape { kUnicast, kMulticast, kMixed };
+
+simscen::ScenarioRun GoldenRun(int k, LogShape shape, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  simscen::ScenarioRun run;
+  run.algorithm = "golden";
+  run.num_nodes = k;
+  run.redundancy = 2;
+  run.shuffle_correction = 1.25;
+  const auto per_node = [&](double lo, double span) {
+    std::vector<double> s;
+    for (int n = 0; n < k; ++n) {
+      s.push_back(lo + span * static_cast<double>(rng.below(1000)) / 1000.0);
+    }
+    return s;
+  };
+  run.stages.push_back({"Map", simscen::StageKind::kCompute, per_node(0.5, 1)});
+  run.stages.push_back({"Shuffle", simscen::StageKind::kNetwork, {}});
+  run.stages.push_back(
+      {"Reduce", simscen::StageKind::kCompute, per_node(0.2, 0.5)});
+
+  // Two passes of every sender in turn, so per-sender order and log
+  // order differ once senders interleave; multicasts reach 2..3 peers.
+  std::uint64_t seq = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int src = 0; src < k; ++src) {
+      for (int j = 1; j < k; ++j) {
+        const bool multicast =
+            shape == LogShape::kMulticast ||
+            (shape == LogShape::kMixed && rng.below(2) == 0);
+        const int fanout = multicast ? 2 + static_cast<int>(rng.below(2)) : 1;
+        simnet::Transmission t;
+        t.src = src;
+        for (int e = 0; e < fanout; ++e) {
+          t.dsts.push_back((src + 1 + (j - 1 + e) % (k - 1)) % k);
+        }
+        t.bytes = 100000 + rng.below(400000);
+        t.seq = seq++;
+        run.shuffle_log.push_back(std::move(t));
+      }
+    }
+  }
+  return run;
+}
+
+std::uint64_t FoldDouble(std::uint64_t h, double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, 8);
+  return FnvMix(h, &bits, 8);
+}
+
+TEST(Timeline, GoldenReplayTimelines) {
+  auto& registry = MetricRegistry::Global();
+  const char* const kCounters[] = {"simscen/flows_started",
+                                   "simscen/flows_requeued",
+                                   "simscen/maxmin_recomputations"};
+  std::vector<std::uint64_t> before;
+  for (const char* name : kCounters) {
+    before.push_back(registry.counter(name).value());
+  }
+
+  std::uint64_t h = kFnvOffset;
+  std::size_t replays = 0;
+  std::size_t samples = 0;
+  for (const int k : {4, 6, 8}) {
+    for (const LogShape shape :
+         {LogShape::kUnicast, LogShape::kMulticast, LogShape::kMixed}) {
+      const simscen::ScenarioRun run =
+          GoldenRun(k, shape, 1000 * static_cast<std::uint64_t>(k) +
+                                  static_cast<std::uint64_t>(shape));
+      std::vector<simscen::Topology> topologies;
+      topologies.push_back(simscen::Topology::SingleRack(k));
+      topologies.push_back(simscen::Topology::Oversubscribed(k, k / 2, 4.0));
+      topologies.push_back(
+          simscen::Topology::RackOversubscribed(k, k / 2, 2.0, 3.0, 2.0));
+      topologies.back().rack_aware_multicast = true;
+      for (const simnet::Discipline discipline :
+           {simnet::Discipline::kSerial,
+            simnet::Discipline::kParallelHalfDuplex,
+            simnet::Discipline::kParallelFullDuplex}) {
+        for (const simnet::ReplayOrder order :
+             {simnet::ReplayOrder::kLogOrder,
+              simnet::ReplayOrder::kPerSender}) {
+          for (const simscen::Topology& topology : topologies) {
+            simscen::Scenario scenario = simscen::Scenario::Baseline(k);
+            scenario.topology = topology;
+            scenario.discipline = discipline;
+            scenario.order = order;
+            // Fail-stop windows are placed relative to this cell's own
+            // unperturbed shuffle: one mid-shuffle, one already in
+            // progress when the shuffle starts.
+            const simscen::StageSpan shuffle =
+                simscen::ReplayScenario(run, scenario).spans[1];
+            std::vector<simscen::StragglerModel> stragglers(5);
+            stragglers[1].kind = simscen::StragglerKind::kSlowNode;
+            stragglers[1].node = 1;
+            stragglers[1].slowdown = 3.0;
+            stragglers[2].kind = simscen::StragglerKind::kShiftedExp;
+            stragglers[2].seed = static_cast<std::uint64_t>(k);
+            stragglers[3].kind = simscen::StragglerKind::kFailStop;
+            stragglers[3].node = 0;
+            stragglers[3].fail_at = shuffle.start + 0.4 * shuffle.seconds();
+            stragglers[3].recovery = 0.3 * shuffle.seconds();
+            stragglers[4].kind = simscen::StragglerKind::kFailStop;
+            stragglers[4].node = k - 1;
+            stragglers[4].fail_at = shuffle.start - 0.1 * shuffle.seconds();
+            stragglers[4].recovery = 0.5 * shuffle.seconds();
+            for (const simscen::StragglerModel& straggler : stragglers) {
+              for (const mitigate::MitigationPolicy& policy :
+                   {mitigate::MitigationPolicy::None(),
+                    mitigate::MitigationPolicy::Speculative(),
+                    mitigate::MitigationPolicy::CodedMap()}) {
+                scenario.cluster.straggler = straggler;
+                scenario.mitigation = policy;
+                Timeline tl;
+                const simscen::ScenarioOutcome out =
+                    simscen::ReplayScenario(run, scenario, &tl);
+                const std::uint64_t digest = tl.Digest();
+                h = FnvMix(h, &digest, 8);
+                h = FoldDouble(h, out.makespan);
+                for (const auto& f : out.shuffle_flows) {
+                  h = FoldDouble(h, f.start);
+                  h = FoldDouble(h, f.end);
+                }
+                ++replays;
+                samples += tl.total_samples();
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    const std::uint64_t delta =
+        registry.counter(kCounters[i]).value() - before[i];
+    h = FnvMix(h, &delta, 8);
+  }
+  EXPECT_EQ(replays, 2430u);
+  EXPECT_EQ(samples, 1797093u);
+  EXPECT_EQ(h, 0x3ff2384f3db231acULL)
+      << std::hex << "0x" << h << std::dec << " over " << samples
+      << " samples";
 }
 
 TEST(Trace, CounterExportRoundTrips) {

@@ -25,8 +25,9 @@ break that promise. Rules:
              metric names must not end in `_s` (seconds belong to
              JsonReport timing keys, registry counters are
              dimensionless).
-  timelinekey  string keys fed to obs::Timeline::Sample(...) must
-             match the flight-recorder grammar
+  timelinekey  string keys fed to obs::Timeline::Sample(...) or
+             resolved by obs::Timeline::Series(...) must match the
+             flight-recorder grammar
              <subsystem>/<name>[/unit] — lowercase [a-z][a-z0-9_]*
              subsystem, then one or two [A-Za-z0-9_.+-]+ segments
              (src/obs/timeline.h; tools/trace_check.py enforces the
@@ -57,7 +58,7 @@ REGISTRY_KEY_RE = re.compile(
     r"\b(?:counter|gauge|histogram)\(\s*\"([^\"]*)\"")
 KEY_OK_RE = re.compile(r"[A-Za-z0-9_/.:+%-]+\Z")
 RESERVED_KEYS = {"bench", "metrics", "timeline"}
-SAMPLE_KEY_RE = re.compile(r"(?:\.|->)Sample\(\s*\"([^\"]*)\"")
+SAMPLE_KEY_RE = re.compile(r"(?:\.|->)(?:Sample|Series)\(\s*\"([^\"]*)\"")
 TIMELINE_KEY_RE = re.compile(r"[a-z][a-z0-9_]*(/[A-Za-z0-9_.+-]+){1,2}\Z")
 
 
@@ -198,6 +199,12 @@ def self_test():
                  'tl.Sample("DES/inflight", t, v);', ["timelinekey"])
     ok &= expect("timelinekey-too-deep", "src/x.cc",
                  'tl.Sample("a/b/c/d", t, v);', ["timelinekey"])
+    ok &= expect("timelinekey-series-ok", "src/x.cc",
+                 'auto& s = probe.timeline->Series("des/requeue_depth");',
+                 [])
+    ok &= expect("timelinekey-series-bad", "src/x.cc",
+                 'auto& s = tl.Series("Des/requeue_depth");',
+                 ["timelinekey"])
     ok &= expect("timelinekey-allow", "src/x.cc",
                  "// repo-lint: allow(timelinekey)\n"
                  'tl.Sample("LEGACY", t, v);', [])
