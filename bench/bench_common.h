@@ -141,8 +141,8 @@ class JsonReport {
   // the flight-recorder summary under a nested "timeline" object
   // (omitted while no timeline was added), so every bench JSON
   // doubles as an observability readout — CheckBenchJsonSchema
-  // validates both extensions and tools/bench_trend.py flattens them
-  // into "metrics/<name>" / "timeline/<name>" keys.
+  // validates both extensions and ctstat flattens them into
+  // "metrics/<name>" / "timeline/<name>" keys (obs::ParseBenchJson).
   bool write() const {
     const std::map<std::string, double> snapshot =
         obs::MetricRegistry::Global().Snapshot();
@@ -229,168 +229,20 @@ class JsonReport {
 };
 
 // Validates the flat bench-JSON schema JsonReport emits, so the CI
-// artifacts stay machine-parseable (tools/bench_trend.py consumes
-// them): one object, a "bench" string naming the binary, and every
-// other key mapping to a finite number or null, with no duplicate
-// keys. The allowed nestings are the "metrics" key — the
-// obs::MetricRegistry snapshot — and the "timeline" key — the
-// flight-recorder summary — whose values must themselves be flat
-// objects of finite-or-null numbers. `required` lists top-level
-// metric keys that must be present. Returns an empty string on
-// success, else a description of the first violation. Deliberately a
-// tiny recursive-descent scanner, not a JSON library: it accepts
-// exactly the subset JsonReport writes.
+// artifacts stay machine-parseable (ctstat gates them): the rules of
+// obs::ParseBenchJson, plus `required` — flattened metric keys that
+// must be present (a null counts as present). Returns an empty string
+// on success, else a description of the first violation.
 inline std::string CheckBenchJsonSchema(
     const std::string& content,
     const std::vector<std::string>& required = {}) {
-  std::size_t pos = 0;
-  const auto skip_ws = [&] {
-    while (pos < content.size() &&
-           (content[pos] == ' ' || content[pos] == '\n' ||
-            content[pos] == '\t' || content[pos] == '\r')) {
-      ++pos;
-    }
-  };
-  const auto fail = [&](const std::string& msg) {
-    return msg + " (at byte " + std::to_string(pos) + ")";
-  };
-
-  // Parses a quoted string without escapes (JsonReport never emits
-  // any); leaves pos past the closing quote.
-  std::string str;
-  const auto parse_string = [&]() -> bool {
-    if (pos >= content.size() || content[pos] != '"') return false;
-    const std::size_t close = content.find('"', pos + 1);
-    if (close == std::string::npos) return false;
-    str = content.substr(pos + 1, close - pos - 1);
-    if (str.find('\\') != std::string::npos) return false;
-    pos = close + 1;
-    return true;
-  };
-
-  skip_ws();
-  if (pos >= content.size() || content[pos] != '{') {
-    return fail("expected '{'");
-  }
-  ++pos;
-
-  std::map<std::string, char> keys;  // key -> 's'tring | 'n'umber/null
-  skip_ws();
-  bool first = true;
-  while (true) {
-    skip_ws();
-    if (pos < content.size() && content[pos] == '}') {
-      ++pos;
-      break;
-    }
-    if (!first) {
-      if (pos >= content.size() || content[pos] != ',') {
-        return fail("expected ',' or '}'");
-      }
-      ++pos;
-      skip_ws();
-    }
-    first = false;
-    if (!parse_string()) return fail("expected a quoted key");
-    const std::string key = str;
-    if (keys.count(key)) return "duplicate key \"" + key + "\"";
-    skip_ws();
-    if (pos >= content.size() || content[pos] != ':') {
-      return fail("expected ':' after \"" + key + "\"");
-    }
-    ++pos;
-    skip_ws();
-    if (pos < content.size() && content[pos] == '"') {
-      if (!parse_string()) return fail("unterminated string value");
-      keys[key] = 's';
-    } else if (pos < content.size() && content[pos] == '{') {
-      if (key != "metrics" && key != "timeline") {
-        return "nested object under \"" + key +
-               "\" — only \"metrics\" and \"timeline\" may nest";
-      }
-      ++pos;
-      std::map<std::string, char> nested;
-      bool nested_first = true;
-      while (true) {
-        skip_ws();
-        if (pos < content.size() && content[pos] == '}') {
-          ++pos;
-          break;
-        }
-        if (!nested_first) {
-          if (pos >= content.size() || content[pos] != ',') {
-            return fail("expected ',' or '}' inside \"" + key + "\"");
-          }
-          ++pos;
-          skip_ws();
-        }
-        nested_first = false;
-        if (!parse_string()) return fail("expected a quoted nested key");
-        const std::string nested_key = str;
-        if (nested.count(nested_key)) {
-          return "duplicate key \"" + key + "/" + nested_key + "\"";
-        }
-        skip_ws();
-        if (pos >= content.size() || content[pos] != ':') {
-          return fail("expected ':' after \"" + key + "/" + nested_key +
-                      "\"");
-        }
-        ++pos;
-        skip_ws();
-        if (content.compare(pos, 4, "null") == 0) {
-          pos += 4;
-        } else {
-          char* end = nullptr;
-          const double v = std::strtod(content.c_str() + pos, &end);
-          if (end == content.c_str() + pos) {
-            return fail("value of \"" + key + "/" + nested_key +
-                        "\" is not a number");
-          }
-          if (!std::isfinite(v)) {
-            return "value of \"" + key + "/" + nested_key +
-                   "\" is not finite";
-          }
-          pos = static_cast<std::size_t>(end - content.c_str());
-        }
-        nested[nested_key] = 'n';
-      }
-      keys[key] = 'm';
-    } else if (content.compare(pos, 4, "null") == 0) {
-      pos += 4;
-      keys[key] = 'n';
-    } else {
-      char* end = nullptr;
-      const double v = std::strtod(content.c_str() + pos, &end);
-      if (end == content.c_str() + pos) {
-        return fail("value of \"" + key + "\" is not a number");
-      }
-      if (!std::isfinite(v)) {
-        return "value of \"" + key + "\" is not finite";
-      }
-      pos = static_cast<std::size_t>(end - content.c_str());
-      keys[key] = 'n';
-    }
-  }
-  skip_ws();
-  if (pos != content.size()) return fail("trailing content after '}'");
-
-  const auto bench = keys.find("bench");
-  if (bench == keys.end()) return "missing \"bench\" key";
-  if (bench->second != 's') return "\"bench\" must be a string";
-  for (const auto& [key, type] : keys) {
-    if (key == "bench") continue;
-    if (key == "metrics" || key == "timeline") {
-      if (type != 'm') {
-        return "\"" + key + "\" must be a nested object";
-      }
-      continue;
-    }
-    if (type != 'n') {
-      return "metric \"" + key + "\" must be a number or null";
-    }
-  }
+  obs::LedgerEntry entry;
+  std::string error;
+  if (!obs::ParseBenchJson(content, &entry, &error)) return error;
   for (const std::string& key : required) {
-    if (!keys.count(key)) return "missing required key \"" + key + "\"";
+    if (!entry.values.count(key)) {
+      return "missing required key \"" + key + "\"";
+    }
   }
   return "";
 }

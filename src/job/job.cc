@@ -212,7 +212,6 @@ JobResult RunJob(const JobSpec& spec, RunCache& cache) {
         simulate::SynthesizeRun(spec.algorithm, spec.config);
     if (!synth.ok()) {
       result.error = std::move(synth.error);
-      result.metrics_snapshot = obs::MetricRegistry::Global().Snapshot();
       return result;
     }
     result.execution = std::move(synth.run);
@@ -227,7 +226,14 @@ JobResult RunJob(const JobSpec& spec, RunCache& cache) {
     result.makespan = result.breakdown.total();
     result.timeline = obs::BuildLiveTimeline(*result.execution);
     FillDollars(spec, result);
-    result.metrics_snapshot = obs::MetricRegistry::Global().Snapshot();
+    return result;
+  }
+
+  // Every other backend executes (or replays) the engine, whose
+  // CTS_CHECKs would abort on an out-of-range cluster shape.
+  result.error = BoundsError(info, spec.config);
+  if (!result.error.empty()) {
+    result.algorithm = spec.algorithm;
     return result;
   }
 
@@ -286,7 +292,6 @@ JobResult RunJob(const JobSpec& spec, RunCache& cache) {
   }
   result.makespan = result.breakdown.total();
   FillDollars(spec, result);
-  result.metrics_snapshot = obs::MetricRegistry::Global().Snapshot();
   return result;
 }
 

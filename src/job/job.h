@@ -87,11 +87,14 @@ struct JobResult {
   std::string algorithm;  // display name, e.g. "CodedTeraSort"
   bool priced = false;    // whether the breakdown is paper-scale
   // Non-empty when the backend could not produce a result for this
-  // spec (a Backend::kSimulated spec the synthesizer cannot honor, or
-  // a scenario on a closed-form backend); every other field except
-  // `spec` and `algorithm` is then default-valued.
+  // spec (a cluster shape BoundsError rejects, a Backend::kSimulated
+  // spec the synthesizer cannot honor, or a scenario on a closed-form
+  // backend); every other field except `spec` and `algorithm` is then
+  // default-valued.
   std::string error;
   // The measured run (shared with the RunCache when one was used).
+  // Its run_metrics hold the registry deltas of that one execution;
+  // the process-wide obs::MetricRegistry is cumulative across jobs.
   std::shared_ptr<const AlgorithmResult> execution;
   // Per-stage seconds of the requested view.
   StageBreakdown breakdown;
@@ -114,13 +117,6 @@ struct JobResult {
   double usd_egress = 0;
   double usd = 0;
   double cross_rack_bytes = 0;
-
-  // Snapshot of the process-wide obs::MetricRegistry taken when the
-  // job finished: transport byte/message counters, arena hit/miss, DES
-  // flow accounting, cache hits — everything observable about how this
-  // result was produced. Cumulative across the process (a sweep's
-  // N-th result includes the first N cells).
-  std::map<std::string, double> metrics_snapshot;
 
   // The flight-recorder series of this cell: the live series derived
   // from the (cached) execution's deterministic counters, plus — when

@@ -233,6 +233,10 @@ std::optional<InjectedDelay> ParseInjectDelay(const std::string& spec,
 std::optional<simscen::Scenario> ParseScenario(const ScenarioSpec& spec,
                                                int num_nodes,
                                                std::string* error) {
+  if (num_nodes < 1) {
+    SetError(error, "a scenario needs K >= 1 nodes");
+    return std::nullopt;
+  }
   simscen::Scenario s = simscen::Scenario::Baseline(num_nodes);
   const auto straggler = ParseStraggler(spec.straggler, num_nodes, error);
   if (!straggler.has_value()) return std::nullopt;

@@ -112,6 +112,26 @@ std::size_t EditDistance(const std::string& a, const std::string& b) {
 
 }  // namespace
 
+std::string BoundsError(const AlgorithmInfo& info, const SortConfig& config) {
+  const int K = config.num_nodes;
+  const int r = config.redundancy;
+  if (K < 1) return "K = " + std::to_string(K) + " nodes: need K >= 1";
+  if (std::find(info.knobs.begin(), info.knobs.end(), "redundancy") ==
+      info.knobs.end()) {
+    return "";
+  }
+  if (r < 1 || r > K) {
+    return info.name + " needs 1 <= r <= K, got r = " + std::to_string(r) +
+           " at K = " + std::to_string(K);
+  }
+  if (K > kMaxNodes) {
+    return info.name + " places files by " + std::to_string(kMaxNodes) +
+           "-bit node masks: K = " + std::to_string(K) + " exceeds " +
+           std::to_string(kMaxNodes);
+  }
+  return "";
+}
+
 int CmrRecordsPerFile(const SortConfig& config) {
   const std::uint64_t files = Binomial(config.num_nodes, config.redundancy);
   CTS_CHECK_GT(files, std::uint64_t{0});

@@ -12,8 +12,8 @@
 //
 // The built-in algorithms register themselves on first registry
 // access (a lazy central registration, deliberately not per-TU static
-// initializers: the subsystem libraries are static archives, and a
-// binary that references only the registry must still see all three).
+// initializers: the library is a static archive, and a binary that
+// references only the registry must still see all three).
 // Tests and future engines can Register() additional entries.
 #pragma once
 
@@ -57,6 +57,13 @@ std::vector<std::string> Names();
 // Closest registered name to a misspelling (edit distance <= 2, ties
 // broken alphabetically); empty when nothing is close.
 std::string SuggestName(const std::string& name);
+
+// The cluster-shape bounds the engines enforce by aborting mid-run:
+// K >= 1, and with the "redundancy" knob 1 <= r <= K and K <= 64 (the
+// NodeMask width placements index by). Empty when in bounds, else the
+// violated bound. RunJob returns it as JobResult::error before it
+// executes anything; Backend::kSimulated keeps its own bounds.
+std::string BoundsError(const AlgorithmInfo& info, const SortConfig& config);
 
 // The CMR adapter sizes its text workload so that total record count
 // tracks SortConfig::num_records across the C(K, r) files; exposed so

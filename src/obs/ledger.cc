@@ -1,44 +1,22 @@
 #include "obs/ledger.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <functional>
+#include <limits>
+#include <set>
 #include <sstream>
 #include <utility>
+
+#include "obs/trace.h"
 
 namespace cts::obs {
 
 namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void WriteStringMap(std::ostringstream& out,
                     const std::map<std::string, std::string>& m) {
@@ -52,10 +30,14 @@ void WriteStringMap(std::ostringstream& out,
   out << '}';
 }
 
-// Minimal scanner for the exact shape SerializeEntry writes: a
-// one-level object of string -> (string | object of string->string).
-// Arbitrary JSON string escapes are honored so round-trips survive
-// hostile axis values; anything structurally richer is rejected.
+// The JSON scanner behind every reader in this file: ledger lines,
+// bench --json artifacts and Google Benchmark output. It reads
+// strings (every JSON escape; unicode escapes ASCII only), numbers in
+// the strict JSON grammar, objects and arrays — each member or element
+// handed to a callback that consumes its value — and skips any value a
+// reader does not use. Objects reject duplicate keys, and nesting is
+// capped so hostile input fails cleanly instead of exhausting the
+// stack.
 class Scanner {
  public:
   explicit Scanner(const std::string& s) : s_(s) {}
@@ -68,8 +50,8 @@ class Scanner {
   }
 
   void SkipWs() {
-    while (i_ < s_.size() &&
-           (s_[i_] == ' ' || s_[i_] == '\t' || s_[i_] == '\r')) {
+    while (i_ < s_.size() && (s_[i_] == ' ' || s_[i_] == '\t' ||
+                              s_[i_] == '\r' || s_[i_] == '\n')) {
       ++i_;
     }
   }
@@ -92,6 +74,8 @@ class Scanner {
     SkipWs();
     return i_ >= s_.size();
   }
+
+  std::size_t offset() const { return i_; }
 
   bool ParseString(std::string* out, std::string* error) {
     if (!Expect('"', error)) return false;
@@ -160,33 +144,164 @@ class Scanner {
     return true;
   }
 
-  bool ParseStringMap(std::map<std::string, std::string>* out,
-                      std::string* error) {
-    if (!Expect('{', error)) return false;
-    out->clear();
-    if (Peek('}')) {
+  // -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?, converted by strtod
+  // (so decimal text round-trips the double it was printed from).
+  bool ParseNumber(double* out, std::string* error) {
+    SkipWs();
+    const std::size_t start = i_;
+    const auto digits = [&] {
+      const std::size_t from = i_;
+      while (i_ < s_.size() && s_[i_] >= '0' && s_[i_] <= '9') ++i_;
+      return i_ > from;
+    };
+    if (i_ < s_.size() && s_[i_] == '-') ++i_;
+    if (i_ < s_.size() && s_[i_] == '0') {
       ++i_;
+    } else if (!digits()) {
+      return Fail("expected a number", error);
+    }
+    if (i_ < s_.size() && s_[i_] == '.') {
+      ++i_;
+      if (!digits()) return Fail("bad fraction", error);
+    }
+    if (i_ < s_.size() && (s_[i_] == 'e' || s_[i_] == 'E')) {
+      ++i_;
+      if (i_ < s_.size() && (s_[i_] == '+' || s_[i_] == '-')) ++i_;
+      if (!digits()) return Fail("bad exponent", error);
+    }
+    char* end = nullptr;
+    *out = std::strtod(s_.c_str() + start, &end);
+    if (end != s_.c_str() + i_) return Fail("bad number", error);
+    if (!std::isfinite(*out)) return Fail("number out of range", error);
+    return true;
+  }
+
+  // A number, or null read as NaN.
+  bool ParseNumberOrNull(double* out, std::string* error) {
+    if (PeekLiteral("null")) {
+      i_ += 4;
+      *out = std::numeric_limits<double>::quiet_NaN();
       return true;
     }
-    while (true) {
-      std::string key, value;
-      if (!ParseString(&key, error)) return false;
-      if (!Expect(':', error)) return false;
-      if (!ParseString(&value, error)) return false;
-      if (out->count(key) != 0) return Fail("duplicate key", error);
-      (*out)[key] = value;
-      if (Peek(',')) {
+    return ParseNumber(out, error);
+  }
+
+  // `open` element (',' element)* `close`; `element()` consumes each.
+  bool ParseList(char open, char close, const std::function<bool()>& element,
+                 std::string* error) {
+    if (!Expect(open, error)) return false;
+    if (++depth_ > kMaxDepth) return Fail("nesting too deep", error);
+    if (!Peek(close)) {
+      while (true) {
+        if (!element()) return false;
+        if (!Peek(',')) break;
         ++i_;
-        continue;
       }
-      return Expect('}', error);
+    }
+    --depth_;
+    return Expect(close, error);
+  }
+
+  // Reads one object; `member(key)` must consume the key's value.
+  bool ParseObject(const std::function<bool(const std::string&)>& member,
+                   std::string* error) {
+    std::set<std::string> seen;
+    return ParseList(
+        '{', '}',
+        [&] {
+          std::string key;
+          if (!ParseString(&key, error)) return false;
+          if (!seen.insert(key).second) {
+            return Fail("duplicate key '" + key + "'", error);
+          }
+          return Expect(':', error) && member(key);
+        },
+        error);
+  }
+
+  bool SkipValue(std::string* error) {
+    SkipWs();
+    if (i_ >= s_.size()) return Fail("expected a value", error);
+    switch (s_[i_]) {
+      case '"': {
+        std::string ignored;
+        return ParseString(&ignored, error);
+      }
+      case '{':
+        return ParseObject(
+            [&](const std::string&) { return SkipValue(error); }, error);
+      case '[':
+        return ParseList('[', ']', [&] { return SkipValue(error); }, error);
+      default:
+        // NaN and Infinity are how Google Benchmark spells a
+        // non-finite counter.
+        for (const char* word :
+             {"true", "false", "null", "NaN", "Infinity", "-Infinity"}) {
+          if (PeekLiteral(word)) {
+            i_ += std::strlen(word);
+            return true;
+          }
+        }
+        double ignored = 0;
+        return ParseNumber(&ignored, error);
     }
   }
 
+  bool ParseStringMap(std::map<std::string, std::string>* out,
+                      std::string* error) {
+    out->clear();
+    return ParseObject(
+        [&](const std::string& key) {
+          return ParseString(&(*out)[key], error);
+        },
+        error);
+  }
+
  private:
+  static constexpr int kMaxDepth = 64;
+
+  bool PeekLiteral(const char* word) {
+    SkipWs();
+    return s_.compare(i_, std::strlen(word), word) == 0;
+  }
+
   const std::string& s_;
   std::size_t i_ = 0;
+  int depth_ = 0;
 };
+
+// One Google Benchmark run object -> its two timing values (seconds);
+// aggregate rows (mean/median/stddev of repetitions) are skipped so
+// the raw runs gate.
+bool ReadGbenchRun(Scanner& sc, LedgerEntry* out, std::string* error) {
+  std::string name, run_type, unit = "ns";
+  double real = std::numeric_limits<double>::quiet_NaN();
+  double cpu = real;
+  const bool ok = sc.ParseObject(
+      [&](const std::string& key) {
+        if (key == "name") return sc.ParseString(&name, error);
+        if (key == "run_type") return sc.ParseString(&run_type, error);
+        if (key == "time_unit") return sc.ParseString(&unit, error);
+        if (key == "real_time" || key == "cpu_time") {
+          return sc.ParseNumber(key == "real_time" ? &real : &cpu, error);
+        }
+        return sc.SkipValue(error);
+      },
+      error);
+  if (!ok) return false;
+  if (run_type == "aggregate") return true;
+  const double scale = unit == "ns"   ? 1e-9
+                       : unit == "us" ? 1e-6
+                       : unit == "ms" ? 1e-3
+                       : unit == "s"  ? 1.0
+                                      : 0.0;
+  if (name.empty() || scale == 0) {
+    return sc.Fail("malformed Google Benchmark entry '" + name + "'", error);
+  }
+  if (!std::isnan(real)) out->values[name + "/real_time_s"] = real * scale;
+  if (!std::isnan(cpu)) out->values[name + "/cpu_time_s"] = cpu * scale;
+  return true;
+}
 
 }  // namespace
 
@@ -246,48 +361,118 @@ bool ParseEntry(const std::string& line, LedgerEntry* out,
                 std::string* error) {
   *out = LedgerEntry{};
   Scanner sc(line);
-  if (!sc.Expect('{', error)) return false;
-  if (sc.Peek('}')) {
-    return sc.Fail("empty ledger entry", error);
-  }
-  while (true) {
-    std::string key;
-    if (!sc.ParseString(&key, error)) return false;
-    if (!sc.Expect(':', error)) return false;
-    if (key == "bench") {
-      if (!sc.ParseString(&out->bench, error)) return false;
-    } else if (key == "run") {
-      if (!sc.ParseString(&out->run, error)) return false;
-    } else if (key == "fingerprint") {
-      if (!sc.ParseString(&out->fingerprint, error)) return false;
-    } else if (key == "code_version") {
-      if (!sc.ParseString(&out->code_version, error)) return false;
-    } else if (key == "axes") {
-      if (!sc.ParseStringMap(&out->axes, error)) return false;
-    } else if (key == "timeline") {
-      if (!sc.ParseStringMap(&out->timeline, error)) return false;
-    } else if (key == "values") {
-      std::map<std::string, std::string> raw;
-      if (!sc.ParseStringMap(&raw, error)) return false;
-      for (const auto& [k, v] : raw) {
-        char* end = nullptr;
-        const double d = std::strtod(v.c_str(), &end);
-        if (end == v.c_str() || *end != '\0') {
-          return sc.Fail("unparsable value for '" + k + "'", error);
+  int members = 0;
+  const bool ok = sc.ParseObject(
+      [&](const std::string& key) {
+        ++members;
+        if (key == "bench") return sc.ParseString(&out->bench, error);
+        if (key == "run") return sc.ParseString(&out->run, error);
+        if (key == "fingerprint") {
+          return sc.ParseString(&out->fingerprint, error);
         }
-        out->values[k] = d;
-      }
-    } else {
-      return sc.Fail("unknown ledger key '" + key + "'", error);
-    }
-    if (sc.Peek(',')) {
-      if (!sc.Expect(',', error)) return false;
-      continue;
-    }
-    break;
-  }
-  if (!sc.Expect('}', error)) return false;
+        if (key == "code_version") {
+          return sc.ParseString(&out->code_version, error);
+        }
+        if (key == "axes") return sc.ParseStringMap(&out->axes, error);
+        if (key == "timeline") {
+          return sc.ParseStringMap(&out->timeline, error);
+        }
+        if (key != "values") {
+          return sc.Fail("unknown ledger key '" + key + "'", error);
+        }
+        return sc.ParseObject(
+            [&](const std::string& k) {
+              std::string v;
+              if (!sc.ParseString(&v, error)) return false;
+              char* end = nullptr;
+              const double d = std::strtod(v.c_str(), &end);
+              if (end == v.c_str() || *end != '\0') {
+                return sc.Fail("unparsable value for '" + k + "'", error);
+              }
+              out->values[k] = d;
+              return true;
+            },
+            error);
+      },
+      error);
+  if (!ok) return false;
+  if (members == 0) return sc.Fail("empty ledger entry", error);
   if (!sc.AtEnd()) return sc.Fail("trailing content", error);
+  return true;
+}
+
+bool ParseBenchJson(const std::string& content, LedgerEntry* out,
+                    std::string* error) {
+  *out = LedgerEntry{};
+  Scanner sc(content);
+  std::string bench;
+  bool named = false;
+  const auto number = [&](const std::string& key) {
+    double v = 0;
+    if (!sc.ParseNumberOrNull(&v, nullptr)) {
+      return sc.Fail("value of \"" + key + "\" must be a number or null",
+                     error);
+    }
+    if (!out->values.emplace(key, v).second) {
+      return sc.Fail("duplicate key \"" + key + "\"", error);
+    }
+    return true;
+  };
+  const bool ok = sc.ParseObject(
+      [&](const std::string& key) {
+        if (key == "bench") {
+          named = true;
+          return sc.ParseString(&bench, nullptr) ||
+                 sc.Fail("\"bench\" must be a string", error);
+        }
+        if (key != "metrics" && key != "timeline") return number(key);
+        if (!sc.Peek('{')) {
+          return sc.Fail("\"" + key + "\" must be a nested object", error);
+        }
+        return sc.ParseObject(
+            [&](const std::string& nested) {
+              return number(key + "/" + nested);
+            },
+            error);
+      },
+      error);
+  if (!ok) return false;
+  if (!sc.AtEnd()) return sc.Fail("trailing content", error);
+  if (!named) return sc.Fail("missing \"bench\" key", error);
+  out->bench = out->run = bench;  // one entry per bench, named by it
+  out->fingerprint = HexDigest(Fingerprint64(bench));
+  return true;
+}
+
+bool ParseGbenchJson(const std::string& content, LedgerEntry* out,
+                     std::string* error) {
+  *out = LedgerEntry{};
+  Scanner sc(content);
+  std::string executable = "bench";
+  bool listed = false;
+  const bool ok = sc.ParseObject(
+      [&](const std::string& key) {
+        if (key == "context") {
+          return sc.ParseObject(
+              [&](const std::string& field) {
+                return field == "executable"
+                           ? sc.ParseString(&executable, error)
+                           : sc.SkipValue(error);
+              },
+              error);
+        }
+        if (key != "benchmarks") return sc.SkipValue(error);
+        listed = true;
+        return sc.ParseList(
+            '[', ']', [&] { return ReadGbenchRun(sc, out, error); }, error);
+      },
+      error);
+  if (!ok) return false;
+  if (!sc.AtEnd()) return sc.Fail("trailing content", error);
+  if (!listed) return sc.Fail("missing \"benchmarks\" list", error);
+  out->bench = out->run =
+      "gbench:" + executable.substr(executable.rfind('/') + 1);
+  out->fingerprint = HexDigest(Fingerprint64(out->bench));
   return true;
 }
 
@@ -299,28 +484,73 @@ bool AppendEntry(const std::string& path, const LedgerEntry& entry) {
 }
 
 std::vector<LedgerEntry> ReadLedger(const std::string& path,
-                                    std::string* error) {
+                                    std::string* error, bool* artifact) {
   std::vector<LedgerEntry> entries;
+  if (artifact != nullptr) *artifact = false;
   std::ifstream in(path);
   if (!in) {
     if (error != nullptr) *error = "cannot open ledger '" + path + "'";
     return entries;
   }
-  std::string line;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    LedgerEntry e;
-    std::string perr;
-    if (!ParseEntry(line, &e, &perr)) {
-      if (error != nullptr) {
-        *error = path + ":" + std::to_string(lineno) + ": " + perr;
-      }
-      return entries;
-    }
-    entries.push_back(std::move(e));
+  std::ostringstream slurp;
+  slurp << in.rdbuf();
+  const std::string content = slurp.str();
+
+  // The first object's keys name the format. A file with no object,
+  // or whose first object breaks before naming its format, is
+  // malformed, and the error says on which line.
+  Scanner sc(content);
+  if (sc.AtEnd()) {
+    if (error != nullptr) *error = path + ": empty file";
+    return entries;
   }
+  bool gbench = false;
+  bool ledger = false;
+  std::string scan_error;
+  const bool scanned = sc.ParseObject(
+      [&](const std::string& key) {
+        gbench = gbench || key == "benchmarks";
+        ledger = ledger || key == "fingerprint";
+        return sc.SkipValue(&scan_error);
+      },
+      &scan_error);
+  if (!scanned && !gbench && !ledger) {
+    if (error != nullptr) {
+      const auto line = 1 + std::count(content.begin(),
+                                       content.begin() + sc.offset(), '\n');
+      *error = path + ":" + std::to_string(line) + ": " + scan_error;
+    }
+    return entries;
+  }
+
+  if (ledger && !gbench) {
+    std::istringstream lines(content);
+    std::string line;
+    int lineno = 0;
+    while (std::getline(lines, line)) {
+      ++lineno;
+      if (line.empty()) continue;
+      LedgerEntry e;
+      std::string perr;
+      if (!ParseEntry(line, &e, &perr)) {
+        if (error != nullptr) {
+          *error = path + ":" + std::to_string(lineno) + ": " + perr;
+        }
+        return entries;
+      }
+      entries.push_back(std::move(e));
+    }
+    return entries;
+  }
+  LedgerEntry e;
+  std::string perr;
+  if (!(gbench ? ParseGbenchJson(content, &e, &perr)
+               : ParseBenchJson(content, &e, &perr))) {
+    if (error != nullptr) *error = path + ": " + perr;
+    return entries;
+  }
+  if (artifact != nullptr) *artifact = true;
+  entries.push_back(std::move(e));
   return entries;
 }
 

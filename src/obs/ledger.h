@@ -30,7 +30,8 @@
 //     digests, enough for ctstat to flag drift without replaying.
 //
 // tools/ctstat queries ledgers (list / filter / compare / --check);
-// bench/bench_common.h writes entries behind --ledger=FILE.
+// bench/bench_common.h writes entries behind --ledger=FILE. The same
+// JSON scanner reads bench --json artifacts and Google Benchmark output.
 #pragma once
 
 #include <cstdint>
@@ -89,14 +90,35 @@ std::string SerializeEntry(const LedgerEntry& entry);
 bool ParseEntry(const std::string& line, LedgerEntry* out,
                 std::string* error);
 
+// Bench artifacts read as one entry each, named and fingerprinted by
+// the bench (bench == run), nested "metrics"/"timeline" blocks
+// flattened to "metrics/<key>"/"timeline/<key>", and JSON null
+// (JsonReport's non-finite) read as NaN. ParseBenchJson enforces
+// JsonReport's schema: one object, a "bench" string, every other key a
+// number or null, no duplicate keys, nesting only under
+// "metrics"/"timeline" (flat objects of numbers or nulls).
+bool ParseBenchJson(const std::string& content, LedgerEntry* out,
+                    std::string* error);
+
+// A Google Benchmark --benchmark_out file: bench "gbench:<executable
+// basename>", "<benchmark>/real_time_s" and ".../cpu_time_s" in
+// seconds per non-aggregate benchmark.
+bool ParseGbenchJson(const std::string& content, LedgerEntry* out,
+                     std::string* error);
+
 // Appends one line to `path` (creating the file), returning false on
 // I/O failure.
 bool AppendEntry(const std::string& path, const LedgerEntry& entry);
 
-// All entries of a ledger file in file order. Malformed lines abort
-// the read: *error names the line, and the entries parsed so far are
-// returned.
+// All entries of one file in file order, telling three formats apart
+// by the keys of the file's first object: "benchmarks" marks Google
+// Benchmark output, "fingerprint" a run ledger (one entry per line),
+// anything else a bench --json artifact. An artifact reads as a
+// single entry; *artifact tells which kind was read. Malformed input,
+// an empty file included, aborts the read: *error names the file (and
+// line), and the entries parsed so far are returned.
 std::vector<LedgerEntry> ReadLedger(const std::string& path,
-                                    std::string* error);
+                                    std::string* error,
+                                    bool* artifact = nullptr);
 
 }  // namespace cts::obs

@@ -33,11 +33,12 @@
 // <name>/count, <name>/sum, <name>/max and <name>/p50-p99 bucket
 // upper-bound estimates. The map plugs directly into
 // bench::JsonReport (which embeds it under the artifact's "metrics"
-// key) and JobResult::metrics_snapshot.
+// key) and the run ledger. The registry is process-wide and
+// cumulative; RunCache freezes each execution's deltas into
+// AlgorithmResult::run_metrics, the per-run view.
 //
-// Header-only on purpose: the registry sits below every subsystem
-// (transport, DES, cache, driver), so it must not drag a link-time
-// dependency into cts_common-adjacent libraries.
+// Header-only: the registry sits below every subsystem (transport,
+// DES, cache, driver) and needs no translation unit of its own.
 #pragma once
 
 #include <algorithm>

@@ -27,11 +27,9 @@
 //   * the run ledger (ledger.h) stores per-series FNV digests so
 //     ctstat can detect timeline drift without storing every sample.
 //
-// Header-only on purpose, like metrics.h: simscen sits *below*
-// cts_obs in the link order (cts_obs links cts_simscen for the trace
-// builders), so the DES can only see obs headers that need no
-// obs translation unit. BuildLiveTimeline, which needs
-// driver/run_result.h, lives in timeline.cc inside cts_obs.
+// Header-only, like metrics.h, so the DES records into it without
+// depending on the trace builders. BuildLiveTimeline, which needs
+// driver/run_result.h, lives in timeline.cc.
 #pragma once
 
 #include <cmath>

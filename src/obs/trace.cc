@@ -12,10 +12,6 @@
 
 namespace cts::obs {
 
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -45,6 +41,10 @@ std::string JsonEscape(const std::string& s) {
   }
   return out;
 }
+
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 void WriteNumber(std::ostream& out, double v) {
   // otherData carries byte totals that must round-trip exactly; %.17g

@@ -126,6 +126,10 @@ class Trace {
 // tools/trace_check.py for CI artifacts.
 std::string ValidateTrace(const Trace& trace);
 
+// `s` escaped for a JSON string literal (quotes, backslashes, control
+// characters); the trace writer and the run ledger share it.
+std::string JsonEscape(const std::string& s);
+
 // Live run -> trace. One track per node; `pid` distinguishes
 // algorithms when several traces are merged into one file. The process
 // name defaults to result.algorithm.

@@ -29,13 +29,6 @@ std::vector<T> Dedupe(const std::vector<T>& in) {
   return out;
 }
 
-bool HonorsRedundancy(const std::string& algorithm) {
-  const job::AlgorithmInfo* info = job::Find(algorithm);
-  if (info == nullptr) return true;  // unknown name fails later, loudly
-  return std::find(info->knobs.begin(), info->knobs.end(), "redundancy") !=
-         info->knobs.end();
-}
-
 std::string FormatDouble(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
@@ -115,26 +108,23 @@ PlanResult RunPlan(const PlanAxes& axes, const PlanQuery& query,
     matrix.pricing = axes.cost;
 
     for (const std::string& algorithm : algorithms) {
-      if (HonorsRedundancy(algorithm)) {
-        for (const int r : redundancies) {
-          if (r < 1 || r > num_nodes - 1) continue;  // no C(K, r) placement
-          job::AlgoAxis axis;
-          axis.label = algorithm + "_r" + std::to_string(r);
-          axis.algorithm = algorithm;
-          axis.config.num_nodes = num_nodes;
-          axis.config.redundancy = r;
-          axis.config.num_records = axes.records;
-          axis.config.seed = axes.seed;
-          matrix.algos.push_back(std::move(axis));
-        }
-      } else {
+      const job::AlgorithmInfo* info = job::Find(algorithm);
+      if (info == nullptr) return fail("unknown algorithm '" + algorithm + "'");
+      const bool knob = std::find(info->knobs.begin(), info->knobs.end(),
+                                  "redundancy") != info->knobs.end();
+      for (const int r : knob ? redundancies : std::vector<int>{1}) {
+        if (r < 1 || r > num_nodes - 1) continue;  // no C(K, r) placement
         job::AlgoAxis axis;
-        axis.label = algorithm;
+        axis.label = knob ? algorithm + "_r" + std::to_string(r) : algorithm;
         axis.algorithm = algorithm;
         axis.config.num_nodes = num_nodes;
-        axis.config.redundancy = 1;
+        axis.config.redundancy = r;
         axis.config.num_records = axes.records;
         axis.config.seed = axes.seed;
+        // A shape the engines cannot run fails the plan: its cells
+        // would be errors, with no makespan to price.
+        const std::string bounds = job::BoundsError(*info, axis.config);
+        if (!bounds.empty()) return fail(bounds);
         matrix.algos.push_back(std::move(axis));
       }
     }
@@ -181,6 +171,12 @@ PlanResult RunPlan(const PlanAxes& axes, const PlanQuery& query,
     const job::MatrixResults results = job::RunMatrix(matrix, cache);
     result.cells += results.replays();
     result.executions += results.executions();
+    for (const job::MatrixCell& cell : results.cells()) {
+      if (!cell.result.error.empty()) {
+        return fail(cell.algo + "@K" + std::to_string(num_nodes) + ": " +
+                    cell.result.error);
+      }
+    }
 
     // Aggregate each architecture over the straggler set: the SLO is a
     // statement about the tail of that distribution, and the row is

@@ -1,8 +1,8 @@
 // Golden-schema test for the bench --json artifacts: JsonReport's
-// output must stay machine-parseable (CI archives it and
-// tools/bench_trend.py diffs consecutive runs), so the schema checker
-// in bench/bench_common.h validates what JsonReport writes and rejects
-// everything that would break the pipeline.
+// output must stay machine-parseable (CI archives it and ctstat diffs
+// consecutive runs), so the schema checker in bench/bench_common.h
+// validates what JsonReport writes and rejects everything that would
+// break the pipeline.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -77,6 +77,8 @@ TEST(BenchJsonSchema, AcceptsTheDocumentedShapeDirectly) {
                 "  \"c\": 1e-3\n}\n"),
             "");
   EXPECT_EQ(CheckBenchJsonSchema("{\"bench\":\"x\"}"), "");
+  EXPECT_EQ(CheckBenchJsonSchema("{\"bench\":\"x\",\"a\":-0.5e-3,\"b\":12E+2}"),
+            "");
 }
 
 // The one nesting exception: the "metrics" key carries the
@@ -148,6 +150,14 @@ TEST(BenchJsonSchema, RejectsSchemaViolations) {
   EXPECT_NE(CheckBenchJsonSchema("{\"bench\": \"x\"} extra"), "");
   // Unquoted key.
   EXPECT_NE(CheckBenchJsonSchema("{bench: \"x\"}"), "");
+  // Anything outside the JSON number grammar, or out of double range.
+  for (const char* bad : {"01", "1.", "-", "1e", "0x10", "inf", "NaN", "+1",
+                          ".5", "1e999"}) {
+    EXPECT_NE(CheckBenchJsonSchema(std::string("{\"bench\":\"x\",\"a\":") +
+                                   bad + "}"),
+              "")
+        << bad;
+  }
 }
 
 }  // namespace

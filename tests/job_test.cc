@@ -1,8 +1,12 @@
 // The unified Job API (src/job): registry round-trip against the
-// direct Run* entry points, JobMatrix memoization (one live execution
+// direct Run* entry points, the cluster-shape bounds (also through the
+// built ctsort and ctcheck), JobMatrix memoization (one live execution
 // per distinct (algorithm, SortConfig) key), the shared scenario-spec
 // parser, and the bench-JSON schema of JobResult::metrics.
+#include <sys/wait.h>
+
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -15,6 +19,7 @@
 #include "job/matrix.h"
 #include "job/parse.h"
 #include "job/registry.h"
+#include "obs/metrics.h"
 #include "terasort/terasort.h"
 
 namespace cts::job {
@@ -170,6 +175,97 @@ TEST(Job, PricedBackendRejectsScenarios) {
   EXPECT_THROW((void)RunMatrix(m), CheckError);
 }
 
+// One predicate holds the cluster-shape bounds the engines would
+// otherwise enforce by aborting: K >= 1 everywhere, 1 <= r <= K and
+// K <= 64 where the algorithm has the redundancy knob.
+TEST(Registry, BoundsErrorNamesEachBound) {
+  const AlgorithmInfo& terasort = *Find("terasort");
+  const AlgorithmInfo& coded = *Find("coded");
+  const AlgorithmInfo& cmr = *Find("cmr");
+  const auto bounds = [](const AlgorithmInfo& info, int K, int r) {
+    SortConfig config = SmallConfig(r);
+    config.num_nodes = K;
+    return BoundsError(info, config);
+  };
+  for (const AlgorithmInfo* info : {&terasort, &coded, &cmr}) {
+    SCOPED_TRACE(info->name);
+    EXPECT_EQ(bounds(*info, 4, 2), "");
+    EXPECT_EQ(bounds(*info, 1, 1), "");
+    EXPECT_EQ(bounds(*info, 64, 3), "");
+    EXPECT_NE(bounds(*info, 0, 1).find("K >= 1"), std::string::npos);
+  }
+  for (const AlgorithmInfo* info : {&coded, &cmr}) {
+    SCOPED_TRACE(info->name);
+    EXPECT_EQ(bounds(*info, 4, 4), "");  // r = K is in range
+    EXPECT_NE(bounds(*info, 4, 0).find("1 <= r <= K"), std::string::npos);
+    EXPECT_NE(bounds(*info, 4, 5).find("1 <= r <= K"), std::string::npos);
+    EXPECT_NE(bounds(*info, 65, 2).find("exceeds 64"), std::string::npos);
+  }
+  // TeraSort has no redundancy knob and no mask-indexed placement.
+  EXPECT_EQ(bounds(terasort, 4, 0), "");
+  EXPECT_EQ(bounds(terasort, 4, 5), "");
+  EXPECT_EQ(bounds(terasort, 65, 2), "");
+}
+
+// RunJob reports an out-of-range shape as JobResult::error before it
+// executes anything, on every executing backend; the synthesizer keeps
+// its own bounds, so K = 1000 still prices.
+TEST(Job, RunJobRejectsOutOfRangeShapes) {
+  for (const Backend backend :
+       {Backend::kLive, Backend::kPriced, Backend::kReplay}) {
+    SCOPED_TRACE(BackendName(backend));
+    RunCache cache;
+    JobSpec spec;
+    spec.algorithm = "coded";
+    spec.config = SmallConfig(5);
+    spec.backend = backend;
+    const JobResult result = RunJob(spec, cache);
+    EXPECT_NE(result.error.find("1 <= r <= K"), std::string::npos)
+        << result.error;
+    EXPECT_EQ(result.execution, nullptr);
+    EXPECT_EQ(cache.executions(), 0);
+  }
+
+  JobSpec spec;
+  spec.algorithm = "coded";
+  spec.config = SmallConfig(3);
+  spec.config.num_nodes = 1000;
+  spec.backend = Backend::kSimulated;
+  const JobResult result = RunJob(spec);
+  EXPECT_EQ(result.error, "");
+  EXPECT_GT(result.makespan, 0.0);
+}
+
+// The built ctsort / ctcheck (CMake sets CTSORT_BIN and CTCHECK_BIN)
+// exit 2 with a message on an out-of-range shape or a mistyped
+// enumerated flag, instead of aborting or running the default.
+TEST(Cli, BadShapesAndTyposExitTwo) {
+  const char* ctsort = std::getenv("CTSORT_BIN");
+  const char* ctcheck = std::getenv("CTCHECK_BIN");
+  if (ctsort == nullptr || ctcheck == nullptr) {
+    GTEST_SKIP() << "CTSORT_BIN/CTCHECK_BIN not set (run through ctest)";
+  }
+  const auto status = [](const char* bin, const std::string& args) {
+    const int s = std::system(
+        (std::string(bin) + " " + args + " > /dev/null 2>&1").c_str());
+    return WIFEXITED(s) ? WEXITSTATUS(s) : -1;  // -1: killed by a signal
+  };
+  for (const char* args :
+       {"--nodes=0", "--redundancy=0", "--nodes=4 --redundancy=5",
+        "--algo=coded --nodes=65 --redundancy=2", "--nodes=0 --scenario",
+        "--partitioner=sampeld", "--codegen=batchd", "--dist=unifrom",
+        "--schedule=paralel-full"}) {
+    EXPECT_EQ(status(ctsort, std::string(args) + " --records=2000"), 2)
+        << "ctsort " << args;
+  }
+  for (const char* args :
+       {"--nodes=0", "--redundancies=0", "--nodes=4 --redundancies=5",
+        "--algos=coded --nodes=65", "--algos=terasrt"}) {
+    EXPECT_EQ(status(ctcheck, std::string(args) + " --quiet"), 2)
+        << "ctcheck " << args;
+  }
+}
+
 // The matrix memoizes the live execution per (algorithm, SortConfig)
 // key: scenarios × policies are replays of one measured run, and a
 // duplicate algorithm entry under a different label costs nothing.
@@ -207,11 +303,10 @@ TEST(Matrix, MemoizesLiveExecutionPerKey) {
   for (const MatrixCell& cell : results.cells()) {
     EXPECT_GT(cell.result.makespan, 0.0) << cell.algo;
     ASSERT_TRUE(cell.result.outcome.has_value());
-    // Every result carries the registry snapshot taken at completion,
-    // including the cache accounting above.
-    EXPECT_TRUE(cell.result.metrics_snapshot.count("job/cache_misses"))
-        << cell.algo;
   }
+  // The process-wide registry carries the cache accounting above.
+  EXPECT_TRUE(
+      obs::MetricRegistry::Global().Snapshot().count("job/cache_misses"));
 
   // Duplicate-label axes are rejected, and every addressed cell is
   // reachable.

@@ -237,6 +237,20 @@ TEST(PlannerTest, RejectsBadAxes) {
   EXPECT_FALSE(RunPlan(axes, PlanQuery{}, cache).error.empty());
 
   axes = PlanAxes{};
+  axes.algorithms = {"terasrt"};  // typo: no registered algorithm
+  EXPECT_FALSE(RunPlan(axes, PlanQuery{}, cache).error.empty());
+
+  // K = 65 passes every axis check but the 64-bit placement masks; it
+  // must fail the plan, not price error cells as free winners.
+  axes = PlanAxes{};
+  axes.node_counts = {65};
+  axes.algorithms = {"coded"};
+  const PlanResult too_wide = RunPlan(axes, PlanQuery{}, cache);
+  EXPECT_NE(too_wide.error.find("K = 65"), std::string::npos)
+      << too_wide.error;
+  EXPECT_TRUE(too_wide.rows.empty());
+
+  axes = PlanAxes{};
   PlanQuery query;
   query.sort_key = "vibes";
   EXPECT_FALSE(RunPlan(axes, query, cache).error.empty());

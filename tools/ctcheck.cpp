@@ -31,7 +31,6 @@
 //   --quiet                    suppress the text table
 #include <cstdint>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -41,41 +40,18 @@
 #include "common/table.h"
 #include "job/job.h"
 #include "job/parse.h"
+#include "job/registry.h"
 #include "tools/flag_parser.h"
 
 namespace {
 
 using namespace cts;
 using cts::tools::Flags;
-
-std::vector<std::string> SplitCommas(const std::string& s) {
-  std::vector<std::string> out;
-  std::string field;
-  std::istringstream in(s);
-  while (std::getline(in, field, ',')) out.push_back(field);
-  return out;
-}
-
-std::vector<int> ParseIntList(const std::string& s, const char* what) {
-  std::vector<int> out;
-  for (const std::string& f : SplitCommas(s)) {
-    try {
-      std::size_t pos = 0;
-      const int v = std::stoi(f, &pos);
-      if (pos != f.size() || v < 0) throw std::invalid_argument(f);
-      out.push_back(v);
-    } catch (const std::exception&) {
-      Flags::Fail(std::string("bad ") + what + " entry '" + f + "'");
-    }
-  }
-  return out;
-}
+using cts::tools::ParseIntList;
+using cts::tools::Split;
 
 check::OutageSpec ParseOutage(const std::string& spec) {
-  std::vector<std::string> parts;
-  std::string field;
-  std::istringstream in(spec);
-  while (std::getline(in, field, ':')) parts.push_back(field);
+  const std::vector<std::string> parts = Split(spec, ':');
   if (parts.size() != 3) {
     Flags::Fail("outage expects NODE:STARTFRAC:DURFRAC: '" + spec + "'");
   }
@@ -99,22 +75,19 @@ check::OutageSpec ParseOutage(const std::string& spec) {
 int main(int argc, char** argv) {
   Flags flags(argc, argv, "ctcheck");
 
-  const auto algos = SplitCommas(flags.Get("algos", "terasort,coded"));
+  const auto algos = Split(flags.Get("algos", "terasort,coded"));
   const auto redundancies =
       ParseIntList(flags.Get("redundancies", "2"), "redundancy");
   const auto nodes = ParseIntList(flags.Get("nodes", "8"), "node count");
   const std::uint64_t records = flags.GetU64("records", 40000);
   const std::uint64_t seed = flags.GetU64("seed", 2017);
-  auto topologies = SplitCommas(flags.Get("topologies", "flat,4:4"));
-  for (std::string& t : topologies) {
-    if (t == "flat") t.clear();  // the single-rack default
-  }
-  const auto disciplines = SplitCommas(flags.Get("disciplines", "half,full"));
-  const auto orders = SplitCommas(flags.Get("orders", "log,per-sender"));
+  const auto topologies =
+      tools::ParseTopologyList(flags.Get("topologies", "flat,4:4"));
+  const auto disciplines = Split(flags.Get("disciplines", "half,full"));
+  const auto orders = Split(flags.Get("orders", "log,per-sender"));
 
   check::CheckOptions copts;
-  for (const std::string& spec :
-       SplitCommas(flags.Get("outages", "0:0.25:0.25"))) {
+  for (const std::string& spec : Split(flags.Get("outages", "0:0.25:0.25"))) {
     copts.outages.push_back(ParseOutage(spec));
   }
   copts.ordering_budget = flags.GetU64("budget", 150);
@@ -148,6 +121,10 @@ int main(int argc, char** argv) {
         spec.config.redundancy = r;
         spec.config.num_records = records;
         spec.config.seed = seed;
+        const job::AlgorithmInfo* info = job::Find(algo);
+        if (info == nullptr) Flags::Fail("unknown algorithm '" + algo + "'");
+        const std::string bounds = job::BoundsError(*info, spec.config);
+        if (!bounds.empty()) Flags::Fail(bounds);
         // One transport analysis per live run: the captured stream is
         // a property of (algorithm, r, K), not of the replay network.
         bool first_combo = true;

@@ -39,7 +39,6 @@
 //   --quiet                    suppress the text table
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -54,36 +53,12 @@ namespace {
 
 using namespace cts;
 using cts::tools::Flags;
-
-std::vector<std::string> SplitCommas(const std::string& s) {
-  std::vector<std::string> out;
-  std::string field;
-  std::istringstream in(s);
-  while (std::getline(in, field, ',')) out.push_back(field);
-  return out;
-}
-
-std::vector<int> ParseIntList(const std::string& s, const char* what) {
-  std::vector<int> out;
-  for (const std::string& f : SplitCommas(s)) {
-    try {
-      std::size_t pos = 0;
-      const int v = std::stoi(f, &pos);
-      if (pos != f.size() || v < 0) throw std::invalid_argument(f);
-      out.push_back(v);
-    } catch (const std::exception&) {
-      Flags::Fail(std::string("bad ") + what + " entry '" + f + "'");
-    }
-  }
-  return out;
-}
+using cts::tools::ParseIntList;
+using cts::tools::Split;
 
 plan::InstanceProfile ParseInstance(const std::string& spec) {
   plan::InstanceProfile p;
-  std::istringstream in(spec);
-  std::string field;
-  std::vector<std::string> parts;
-  while (std::getline(in, field, ':')) parts.push_back(field);
+  const std::vector<std::string> parts = Split(spec, ':');
   if (parts.empty() || parts.size() > 3 || parts[0].empty()) {
     Flags::Fail("instance expects NAME[:SPEED[:USD_PER_HOUR]]: '" + spec +
                 "'");
@@ -108,18 +83,16 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv, "ctplan");
 
   plan::PlanAxes axes;
-  axes.algorithms = SplitCommas(flags.Get("algos", "terasort,coded"));
+  axes.algorithms = Split(flags.Get("algos", "terasort,coded"));
   axes.redundancies = ParseIntList(flags.Get("redundancies", "3"),
                                    "redundancy");
   axes.node_counts = ParseIntList(flags.Get("nodes", "16"), "node count");
-  for (std::string& spec : axes.topologies = SplitCommas(
-           flags.Get("topologies", "flat"))) {
-    if (spec == "flat") spec.clear();  // the single-rack default
-  }
-  axes.stragglers = SplitCommas(flags.Get("stragglers", "none"));
-  axes.policies = SplitCommas(flags.Get("policies", "none"));
+  axes.topologies =
+      tools::ParseTopologyList(flags.Get("topologies", "flat"));
+  axes.stragglers = Split(flags.Get("stragglers", "none"));
+  axes.policies = Split(flags.Get("policies", "none"));
   for (const std::string& spec :
-       SplitCommas(flags.Get("instances", "m3.large:1:0.133"))) {
+       Split(flags.Get("instances", "m3.large:1:0.133"))) {
     axes.instances.push_back(ParseInstance(spec));
   }
   axes.records = flags.GetU64("records", 200000);

@@ -132,23 +132,6 @@ using namespace cts;
 
 using cts::tools::Flags;
 
-KeyDistribution ParseDist(const std::string& name) {
-  if (name == "uniform") return KeyDistribution::kUniform;
-  if (name == "sorted") return KeyDistribution::kSorted;
-  if (name == "reverse") return KeyDistribution::kReverseSorted;
-  if (name == "skewed") return KeyDistribution::kSkewed;
-  if (name == "fewdistinct") return KeyDistribution::kFewDistinct;
-  if (name == "balanced") return KeyDistribution::kBalanced;
-  Flags::Fail("unknown --dist=" + name);
-}
-
-ShuffleSchedule ParseSchedule(const std::string& name) {
-  if (name == "serial") return ShuffleSchedule::kSerial;
-  if (name == "parallel-full") return ShuffleSchedule::kParallelFullDuplex;
-  if (name == "parallel-half") return ShuffleSchedule::kParallelHalfDuplex;
-  Flags::Fail("unknown --schedule=" + name);
-}
-
 // The registry printout behind --list-algos.
 void ListAlgorithms() {
   TextTable table("registered algorithms (ctsort --algo=NAME)");
@@ -298,17 +281,28 @@ int main(int argc, char** argv) {
   config.redundancy = static_cast<int>(flags.GetU64("redundancy", 3));
   config.num_records = flags.GetU64("records", 200000);
   config.seed = flags.GetU64("seed", 2017);
-  config.distribution = ParseDist(flags.Get("dist", "uniform"));
-  config.partitioner = flags.Get("partitioner", "range") == "sampled"
-                           ? PartitionerKind::kSampled
-                           : PartitionerKind::kRange;
-  config.codegen_mode = flags.Get("codegen", "split") == "batched"
-                            ? CodeGenMode::kBatched
-                            : CodeGenMode::kCommSplit;
+  config.distribution = flags.GetChoice<KeyDistribution>(
+      "dist", "uniform",
+      {{"uniform", KeyDistribution::kUniform},
+       {"sorted", KeyDistribution::kSorted},
+       {"reverse", KeyDistribution::kReverseSorted},
+       {"skewed", KeyDistribution::kSkewed},
+       {"fewdistinct", KeyDistribution::kFewDistinct},
+       {"balanced", KeyDistribution::kBalanced}});
+  config.partitioner = flags.GetChoice<PartitionerKind>(
+      "partitioner", "range",
+      {{"range", PartitionerKind::kRange},
+       {"sampled", PartitionerKind::kSampled}});
+  config.codegen_mode = flags.GetChoice<CodeGenMode>(
+      "codegen", "split",
+      {{"split", CodeGenMode::kCommSplit}, {"batched", CodeGenMode::kBatched}});
   const std::vector<std::string> algos =
       ResolveAlgos(flags.Get("algo", "both"));
-  const ShuffleSchedule schedule =
-      ParseSchedule(flags.Get("schedule", "serial"));
+  const ShuffleSchedule schedule = flags.GetChoice<ShuffleSchedule>(
+      "schedule", "serial",
+      {{"serial", ShuffleSchedule::kSerial},
+       {"parallel-full", ShuffleSchedule::kParallelFullDuplex},
+       {"parallel-half", ShuffleSchedule::kParallelHalfDuplex}});
   const std::uint64_t paper_records =
       flags.GetU64("paper-records", config.num_records);
   const bool verify = !flags.GetBool("no-verify");
@@ -362,14 +356,13 @@ int main(int argc, char** argv) {
   if (json_path == "true") json_path = "BENCH_ctsort.json";
   std::string ledger_path = flags.Get("ledger", "");
   if (ledger_path == "true") ledger_path = "LEDGER_ctsort.jsonl";
-  const std::string backend_name = flags.Get("backend", "live");
-  if (backend_name != "live" && backend_name != "priced" &&
-      backend_name != "simulated") {
-    Flags::Fail("unknown --backend=" + backend_name +
-                " (live | priced | simulated)");
-  }
-  const bool simulated = backend_name == "simulated";
-  const bool priced_trace = backend_name == "priced";
+  const job::Backend backend = flags.GetChoice<job::Backend>(
+      "backend", "live",
+      {{"live", job::Backend::kLive},
+       {"priced", job::Backend::kPriced},
+       {"simulated", job::Backend::kSimulated}});
+  const bool simulated = backend == job::Backend::kSimulated;
+  const bool priced_trace = backend == job::Backend::kPriced;
   const std::string trace_path = flags.Get("trace", "");
   if (trace_path == "true") Flags::Fail("--trace needs a path: --trace=FILE");
   if (!trace_path.empty() && simulated) {
@@ -459,6 +452,7 @@ int main(int argc, char** argv) {
     spec.config = config;
     spec.backend = job::Backend::kLive;
     runs.push_back({name, job::RunJob(spec, cache)});
+    if (!runs.back().live.error.empty()) Flags::Fail(runs.back().live.error);
     const job::AlgorithmInfo* info = job::Find(name);
     Report(*runs.back().live.execution, verify && info->sorts);
     // The sections below only need counters, logs and events; drop the

@@ -1,12 +1,18 @@
 // ctstat — trend queries over run ledgers (obs/ledger.h): the query
-// half of the flight recorder. ctsort and the bench binaries append
-// one JSONL entry per evaluated run behind --ledger=FILE; ctstat
+// half of the flight recorder, and the repo's one regression gate.
+// ctsort and the bench binaries append one JSONL entry per evaluated
+// run behind --ledger=FILE and write bench --json artifacts; ctstat
 // lists, filters, diffs and gates those entries so CI (and a human
-// with two ledgers) can answer "did this cell move?" without
-// replaying anything.
+// with two ledgers or two artifacts) can answer "did this cell move?"
+// without replaying anything.
 //
-// Usage: ctstat --ledger=FILE [--flags]
-//   --ledger=FILE           the ledger to query (required)
+// Usage: ctstat --ledger=FILE[,FILE...] [--flags]
+//   --ledger=FILE,...       inputs (required): run ledgers, bench
+//                           --json artifacts and Google Benchmark
+//                           --benchmark_out files, told apart by
+//                           content; each artifact is one entry
+//                           fingerprinted by its bench name, and
+//                           artifacts of two benches are an error
 //   --filter=K=V,...        keep entries matching every K=V; K is an
 //                           axis name or one of the pseudo-axes
 //                           bench, run, fingerprint, code_version
@@ -20,8 +26,9 @@
 //   --check                 gate: per fingerprint with >= 2 entries,
 //                           compare latest vs first on every key
 //                           ending in --suffix; growth beyond
-//                           --threshold exits 1 (the CI ledger-smoke
-//                           step runs this)
+//                           --threshold exits 1; a lone artifact
+//                           (the only --ledger file) must carry a
+//                           finite --suffix key and no null one
 //   --suffix=total_s        gating key suffix
 //   --threshold=0.15        allowed relative growth
 //   --re-emit               print each kept entry's canonical
@@ -35,7 +42,7 @@
 //   --quiet                 suppress the text tables
 //
 // Exit status: 0 clean, 1 gate failure (--check only), 2 usage or
-// ledger parse error.
+// parse error.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -43,7 +50,6 @@
 #include <iostream>
 #include <limits>
 #include <map>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -57,15 +63,8 @@ namespace {
 
 using namespace cts;
 using cts::tools::Flags;
+using cts::tools::Split;
 using obs::LedgerEntry;
-
-std::vector<std::string> SplitCommas(const std::string& s) {
-  std::vector<std::string> out;
-  std::string field;
-  std::istringstream in(s);
-  while (std::getline(in, field, ',')) out.push_back(field);
-  return out;
-}
 
 // A --filter clause: axis (or pseudo-axis) name -> required value.
 struct Filter {
@@ -95,10 +94,13 @@ bool GatedKey(const std::string& key, const std::string& suffix) {
           key[key.size() - suffix.size() - 1] == '_');
 }
 
-// Relative growth new vs old; a vanished baseline counts as infinite
-// growth (same convention as tools/bench_trend.py).
+// Relative growth new vs old. A non-positive baseline has no relative
+// scale: growing from it counts as infinite growth (a makespan that
+// used to be free now costs time), anything else as none.
 double Growth(double oldv, double newv) {
-  if (oldv == 0) return newv == 0 ? 0 : std::numeric_limits<double>::infinity();
+  if (oldv <= 0) {
+    return newv > oldv ? std::numeric_limits<double>::infinity() : 0;
+  }
   return (newv - oldv) / oldv;
 }
 
@@ -151,7 +153,11 @@ std::vector<GateRow> GateFingerprints(const std::vector<LedgerEntry>& entries,
     for (const auto& [key, oldv] : base->values) {
       if (!GatedKey(key, suffix)) continue;
       const auto it = latest->values.find(key);
-      if (it == latest->values.end()) continue;
+      // Added, removed and null (NaN) metrics never gate.
+      if (it == latest->values.end() || std::isnan(oldv) ||
+          std::isnan(it->second)) {
+        continue;
+      }
       GateRow row;
       row.fingerprint = fp;
       row.run = latest->run;
@@ -164,6 +170,25 @@ std::vector<GateRow> GateFingerprints(const std::vector<LedgerEntry>& entries,
     }
   }
   return rows;
+}
+
+// Why an artifact with nothing to compare against cannot gate, or ""
+// when it can: it needs a finite key under the gate suffix, and a null
+// one means the bench stopped producing the number the gate watches.
+std::string Ungatable(const LedgerEntry& e, const std::string& suffix) {
+  std::string nulls;
+  bool gates = false;
+  for (const auto& [key, value] : e.values) {
+    if (!GatedKey(key, suffix)) continue;
+    if (std::isnan(value)) {
+      nulls += (nulls.empty() ? "" : ", ") + key;
+    } else {
+      gates = true;
+    }
+  }
+  if (!nulls.empty()) return "null (non-finite) metric(s): " + nulls;
+  if (!gates) return "no *" + suffix + " metric, so it cannot gate";
+  return "";
 }
 
 void WriteCsv(const std::vector<LedgerEntry>& entries, std::ostream& out) {
@@ -201,7 +226,7 @@ int main(int argc, char** argv) {
 
   const std::string ledger = flags.Get("ledger", "");
   std::vector<Filter> filters;
-  for (const std::string& clause : SplitCommas(flags.Get("filter", ""))) {
+  for (const std::string& clause : Split(flags.Get("filter", ""))) {
     if (clause.empty()) continue;
     const auto eq = clause.find('=');
     if (eq == std::string::npos || eq == 0) {
@@ -221,9 +246,26 @@ int main(int argc, char** argv) {
   flags.CheckAllConsumed();
   if (ledger.empty()) Flags::Fail("--ledger=FILE is required");
 
-  std::string error;
-  std::vector<LedgerEntry> all = obs::ReadLedger(ledger, &error);
-  if (!error.empty()) Flags::Fail(error);
+  std::vector<LedgerEntry> all;
+  const std::vector<std::string> paths = Split(ledger);
+  std::string artifact_bench;
+  bool alone = false;  // one artifact and no other input: no baseline
+  for (const std::string& path : paths) {
+    std::string error;
+    bool artifact = false;
+    std::vector<LedgerEntry> read = obs::ReadLedger(path, &error, &artifact);
+    if (!error.empty()) Flags::Fail(error);
+    if (artifact) {
+      const std::string& bench = read.front().bench;
+      if (!artifact_bench.empty() && bench != artifact_bench) {
+        Flags::Fail("comparing different benches ('" + artifact_bench +
+                    "' vs '" + bench + "')");
+      }
+      artifact_bench = bench;
+      alone = paths.size() == 1;
+    }
+    for (LedgerEntry& e : read) all.push_back(std::move(e));
+  }
 
   std::vector<LedgerEntry> entries;
   for (LedgerEntry& e : all) {
@@ -255,7 +297,7 @@ int main(int argc, char** argv) {
   }
 
   if (!compare.empty()) {
-    const std::vector<std::string> fps = SplitCommas(compare);
+    const std::vector<std::string> fps = Split(compare);
     if (fps.size() != 2) Flags::Fail("--compare expects FPA,FPB");
     const LedgerEntry* a = FindByFingerprint(entries, fps[0]);
     const LedgerEntry* b = FindByFingerprint(entries, fps[1]);
@@ -304,6 +346,7 @@ int main(int argc, char** argv) {
 
   int regressions = 0;
   double max_growth = 0;
+  bool ungatable = false;
   if (check) {
     const std::vector<GateRow> rows =
         GateFingerprints(entries, suffix, threshold);
@@ -334,6 +377,14 @@ int main(int argc, char** argv) {
                 << TextTable::Num(threshold * 100, 0) << "% in " << ledger
                 << "\n";
     }
+    if (alone && !entries.empty()) {
+      const std::string why = Ungatable(entries.front(), suffix);
+      if (!why.empty()) {
+        std::cerr << "ctstat: " << entries.front().bench << ": " << why
+                  << "\n";
+        ungatable = true;
+      }
+    }
   }
 
   if (!csv.empty()) {
@@ -356,5 +407,5 @@ int main(int argc, char** argv) {
   }
   report.write();
 
-  return check && regressions > 0 ? 1 : 0;
+  return regressions > 0 || ungatable ? 1 : 0;
 }

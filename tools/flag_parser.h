@@ -1,17 +1,23 @@
 // Minimal --key=value flag parser shared by the CLI tools (ctsort,
-// ctplan). Unknown flags are fatal — a typo must not silently run the
-// wrong experiment — and every tool gets the same surface: bare flags
-// are booleans, `--key=value` everything else, CheckAllConsumed()
-// after parsing.
+// ctplan, ctcheck, ctstat). Unknown flags are fatal — a typo must not
+// silently run the wrong experiment — and every tool gets the same
+// surface: bare flags are booleans, `--key=value` everything else,
+// CheckAllConsumed() after parsing; list-valued flags go through the
+// helpers below the class.
 #pragma once
 
 #include <cerrno>
 #include <cstdint>
 #include <cstdlib>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <set>
+#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace cts::tools {
 
@@ -66,6 +72,20 @@ class Flags {
     return parsed;
   }
 
+  // An enumerated flag: the value must name one of `choices`; anything
+  // else is fatal and lists the accepted names.
+  template <typename T>
+  T GetChoice(const std::string& key, const std::string& fallback,
+              std::initializer_list<std::pair<const char*, T>> choices) {
+    const std::string v = Get(key, fallback);
+    std::string names;
+    for (const auto& [name, value] : choices) {
+      if (v == name) return value;
+      names += (names.empty() ? "" : " | ") + std::string(name);
+    }
+    Fail("unknown --" + key + "=" + v + " (" + names + ")");
+  }
+
   // Boolean flags are passed bare (--scenario); "--scenario=yes" must
   // not silently mean false.
   bool GetBool(const std::string& key) {
@@ -92,5 +112,41 @@ class Flags {
   std::map<std::string, std::string> values_;
   std::set<std::string> consumed_;
 };
+
+// A `sep`-separated flag value, field by field ("" -> none).
+inline std::vector<std::string> Split(const std::string& s, char sep = ',') {
+  std::vector<std::string> out;
+  std::string field;
+  std::istringstream in(s);
+  while (std::getline(in, field, sep)) out.push_back(field);
+  return out;
+}
+
+// A comma-separated list of non-negative integers; a bad entry is
+// fatal, reported as "bad <what> entry".
+inline std::vector<int> ParseIntList(const std::string& s, const char* what) {
+  std::vector<int> out;
+  for (const std::string& f : Split(s)) {
+    try {
+      std::size_t pos = 0;
+      const int v = std::stoi(f, &pos);
+      if (pos != f.size() || v < 0) throw std::invalid_argument(f);
+      out.push_back(v);
+    } catch (const std::exception&) {
+      Flags::Fail(std::string("bad ") + what + " entry '" + f + "'");
+    }
+  }
+  return out;
+}
+
+// A --topologies list: "flat" names the single-rack default, which
+// job::ParseTopology spells as the empty spec.
+inline std::vector<std::string> ParseTopologyList(const std::string& s) {
+  std::vector<std::string> out = Split(s);
+  for (std::string& spec : out) {
+    if (spec == "flat") spec.clear();
+  }
+  return out;
+}
 
 }  // namespace cts::tools
