@@ -1,6 +1,5 @@
 #include "codedterasort/coded_terasort.h"
 
-#include <algorithm>
 #include <map>
 #include <utility>
 #include <vector>
@@ -170,15 +169,14 @@ void CodedTeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
             DecodePacket(g, self, sender, packet, iv_access, &work.codec));
       }
       // The r segments reassemble I^self_{g \ {self}}.
-      const auto value = MergeSegments(segments);
-      Buffer value_buf{std::vector<std::uint8_t>(value)};
+      Buffer value_buf(MergeSegments(segments));
       UnpackRecordsInto(value_buf, pool);
     }
   });
 
   // ---- Reduce ----
   stages.run(stage::kReduce, [&] {
-    std::sort(pool.begin(), pool.end(), RecordLess);
+    SortRecords(pool);
     work.reduce_bytes += pool.size() * kRecordBytes;
     for (const Record& rec : pool) {
       CTS_CHECK_MSG(partitioner->partition(rec.key) == self,

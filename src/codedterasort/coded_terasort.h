@@ -20,7 +20,8 @@
 //   Decode   — node k cancels known segments from each received packet
 //              (Algorithm 2) and merges the r recovered segments per
 //              group into the needed intermediate value.
-//   Reduce   — node k sorts partition P_k locally (std::sort).
+//   Reduce   — node k sorts partition P_k locally (SortRecords, an
+//              in-place MSD radix sort on the key bytes).
 //
 // Redundancy r must satisfy 1 <= r <= K. r = K degenerates to "every
 // node maps everything" (no groups, empty shuffle); r = 1 degenerates

@@ -26,12 +26,21 @@ void CodedPacket::serialize(Buffer& out) const {
 
 CodedPacket CodedPacket::deserialize(Buffer& in) {
   CodedPacket p;
+  // Both lengths come off the wire: bound them by the bytes left
+  // before allocating for them.
   const std::uint32_t count = in.read_u32();
+  CTS_CHECK_MSG(count <= in.remaining() / sizeof(std::uint64_t),
+                "truncated packet: " << count << " lengths but only "
+                                     << in.remaining() << " bytes");
   p.iv_lengths.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     p.iv_lengths.push_back(in.read_u64());
   }
   const std::uint64_t payload_size = in.read_u64();
+  CTS_CHECK_MSG(payload_size <= in.remaining(),
+                "truncated packet: " << payload_size
+                                     << "-byte payload but only "
+                                     << in.remaining() << " bytes");
   p.payload.resize(payload_size);
   in.read_bytes(p.payload);
   return p;

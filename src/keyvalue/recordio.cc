@@ -1,11 +1,85 @@
 #include "keyvalue/recordio.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "common/check.h"
 
 namespace cts {
+
+namespace {
+
+// Buckets this small are cheaper to insertion-sort than to count.
+constexpr std::ptrdiff_t kInsertionSortMax = 32;
+
+void InsertionSort(Record* first, Record* last) {
+  if (last - first < 2) return;
+  for (Record* i = first + 1; i != last; ++i) {
+    if (!RecordLess(*i, i[-1])) continue;
+    const Record held = *i;
+    Record* j = i;
+    do {
+      *j = j[-1];
+      --j;
+    } while (j != first && RecordLess(held, j[-1]));
+    *j = held;
+  }
+}
+
+// Sorts [first, last), whose records all share key bytes [0, byte).
+void RadixSortFrom(Record* first, Record* last, std::size_t byte) {
+  const std::ptrdiff_t n = last - first;
+  if (n <= kInsertionSortMax) return InsertionSort(first, last);
+  std::array<std::ptrdiff_t, 256> count;
+  for (;; ++byte) {
+    if (byte == kKeyBytes) return std::sort(first, last, RecordLess);
+    count.fill(0);
+    for (const Record* rec = first; rec != last; ++rec) {
+      ++count[rec->key[byte]];
+    }
+    // A byte that every record shares splits nothing: try the next.
+    if (count[first->key[byte]] != n) break;
+  }
+
+  // One bucket per value of the key byte: next unplaced slot and end.
+  struct Bucket {
+    Record* next;
+    Record* end;
+  };
+  std::array<Bucket, 256> buckets;
+  Record* start = first;
+  for (std::size_t b = 0; b < 256; ++b) {
+    buckets[b] = {start, start + count[b]};
+    start += count[b];
+  }
+
+  // Fill each bucket in turn. A misplaced record is held and swapped
+  // into the next free slot of its own bucket until the record that
+  // comes back belongs to the bucket being filled.
+  for (std::size_t b = 0; b < 256; ++b) {
+    Bucket& bucket = buckets[b];
+    while (bucket.next != bucket.end) {
+      if (bucket.next->key[byte] == b) {
+        ++bucket.next;
+        continue;
+      }
+      Record held = *bucket.next;
+      do {
+        std::swap(held, *buckets[held.key[byte]].next++);
+      } while (held.key[byte] != b);
+      *bucket.next++ = held;
+    }
+  }
+
+  start = first;
+  for (const Bucket& bucket : buckets) {
+    if (bucket.end - start > 1) RadixSortFrom(start, bucket.end, byte + 1);
+    start = bucket.end;
+  }
+}
+
+}  // namespace
 
 std::size_t PackRecords(std::span<const Record> records, Buffer& out) {
   const std::size_t before = out.size();
@@ -26,7 +100,7 @@ std::vector<Record> UnpackRecords(Buffer& in) {
 
 void UnpackRecordsInto(Buffer& in, std::vector<Record>& out) {
   const std::uint64_t n = in.read_u64();
-  CTS_CHECK_MSG(n * kRecordBytes <= in.remaining(),
+  CTS_CHECK_MSG(n <= in.remaining() / kRecordBytes,
                 "truncated record list: " << n << " records but only "
                                           << in.remaining() << " bytes");
   const std::size_t old = out.size();
@@ -35,6 +109,10 @@ void UnpackRecordsInto(Buffer& in, std::vector<Record>& out) {
     const auto view = in.read_view(n * kRecordBytes);
     std::memcpy(out.data() + old, view.data(), view.size());
   }
+}
+
+void SortRecords(std::span<Record> records) {
+  RadixSortFrom(records.data(), records.data() + records.size(), 0);
 }
 
 bool IsSorted(std::span<const Record> records) {

@@ -31,6 +31,16 @@ inline std::size_t PackedSize(std::size_t n) {
   return sizeof(std::uint64_t) + n * kRecordBytes;
 }
 
+// Sorts records by RecordLess in place (the Reduce stage). An
+// American-flag MSD radix sort over key bytes 0..9: each level counts
+// 256 buckets and permutes the records by cycle-following, a level
+// where every record shares the byte is skipped, buckets of at most 32
+// records are insertion-sorted, and a bucket whose ten key bytes are
+// all equal falls back to std::sort for the value tiebreak. No heap
+// allocation; recursion is at most kKeyBytes deep. RecordLess orders
+// by all 100 bytes, so the result equals std::sort's exactly.
+void SortRecords(std::span<Record> records);
+
 // ---- Validation helpers (used by tests and examples) ----
 
 // True iff records are sorted by RecordLess.

@@ -1,6 +1,5 @@
 #include "terasort/terasort.h"
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -117,6 +116,16 @@ void TeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
   // ---- Unpack ----
   std::vector<Record> pool;
   stages.run(stage::kUnpack, [&] {
+    // Size the reduce pool once: the own bucket plus the records of
+    // every payload (a u64 count, then the records; received[self]
+    // stays empty).
+    std::size_t pool_records = hashed[static_cast<std::size_t>(self)].size();
+    for (const Buffer& buf : received) {
+      if (buf.size() > sizeof(std::uint64_t)) {
+        pool_records += (buf.size() - sizeof(std::uint64_t)) / kRecordBytes;
+      }
+    }
+    pool.reserve(pool_records);
     for (int sender = 0; sender < K; ++sender) {
       if (sender == self) continue;
       auto& buf = received[static_cast<std::size_t>(sender)];
@@ -132,7 +141,7 @@ void TeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
   stages.run(stage::kReduce, [&] {
     auto& own = hashed[static_cast<std::size_t>(self)];
     pool.insert(pool.end(), own.begin(), own.end());
-    std::sort(pool.begin(), pool.end(), RecordLess);
+    SortRecords(pool);
     work.reduce_bytes += pool.size() * kRecordBytes;
     // Partition-ownership invariant: everything this node reduced must
     // belong to its key range.

@@ -9,7 +9,8 @@
 //   Shuffle — serial unicast: node 0 sends its K-1 intermediate values
 //             back-to-back, then node 1, ... (paper Fig. 9(a)).
 //   Unpack  — received arrays are deserialized into KV lists.
-//   Reduce  — node k sorts partition P_k locally (std::sort).
+//   Reduce  — node k sorts partition P_k locally (SortRecords, an
+//             in-place MSD radix sort on the key bytes).
 //
 // The input file of node k is generated in place from the deterministic
 // TeraGen stream (the paper's coordinator pre-places files on workers'

@@ -261,6 +261,26 @@ TEST(CodedTeraSort, SkewedDataWithSampledPartitioner) {
   EXPECT_EQ(Concatenate(result), ExpectedSorted(config));
 }
 
+// Keys with only 256 distinct 8-byte prefixes, and descending keys,
+// through the coded shuffle and the Reduce sort at the paper's K = 4.
+TEST(CodedTeraSort, SortsFewDistinctAndReverseSortedKeys) {
+  for (const KeyDistribution dist :
+       {KeyDistribution::kFewDistinct, KeyDistribution::kReverseSorted}) {
+    for (const int r : {2, 3}) {
+      SCOPED_TRACE(testing::Message() << "distribution "
+                                      << static_cast<int>(dist) << ", r "
+                                      << r);
+      SortConfig config;
+      config.num_nodes = 4;
+      config.redundancy = r;
+      config.num_records = 3000;
+      config.distribution = dist;
+      EXPECT_EQ(Concatenate(RunCodedTeraSort(config)),
+                ExpectedSorted(config));
+    }
+  }
+}
+
 TEST(CodedTeraSort, RejectsInvalidRedundancy) {
   SortConfig config;
   config.num_nodes = 4;

@@ -283,6 +283,28 @@ TEST(Codec, WireFormatRoundTrip) {
   EXPECT_EQ(restored.payload, packet.payload);
 }
 
+// Wire-supplied lengths are bounded by the bytes left before anything
+// is allocated for them, so a corrupt header is a CheckError rather
+// than std::bad_alloc or std::length_error.
+TEST(Codec, DeserializeRejectsLengthsBeyondTheBuffer) {
+  Buffer huge_count;
+  huge_count.write_u32(0xffffffffu);
+  EXPECT_THROW(CodedPacket::deserialize(huge_count), CheckError);
+
+  Buffer huge_payload;
+  huge_payload.write_u32(1);
+  huge_payload.write_u64(7);
+  huge_payload.write_u64(std::uint64_t{1} << 62);
+  EXPECT_THROW(CodedPacket::deserialize(huge_payload), CheckError);
+
+  // One byte short of a well-formed packet.
+  Buffer short_payload;
+  short_payload.write_u32(0);
+  short_payload.write_u64(4);
+  short_payload.write_bytes(std::vector<std::uint8_t>(3));
+  EXPECT_THROW(CodedPacket::deserialize(short_payload), CheckError);
+}
+
 TEST(Codec, StatsCountXorWork) {
   const FakeIvStore store(3, 2);
   const NodeMask group = NodesToMask({0, 1, 2});

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <map>
+#include <new>
 #include <vector>
 
 #include "common/check.h"
@@ -15,6 +18,10 @@
 
 namespace cts {
 namespace {
+
+// Heap allocations made by this process, counted by the replacement
+// operator new below, so a test can assert a call allocates nothing.
+std::atomic<std::size_t> g_heap_allocations{0};
 
 TEST(Record, SizeIs100Bytes) {
   EXPECT_EQ(sizeof(Record), 100u);
@@ -371,6 +378,12 @@ TEST(RecordIO, TruncatedBufferThrows) {
   Buffer b;
   b.write_u64(100);  // claims 100 records, provides none
   EXPECT_THROW(UnpackRecords(b), CheckError);
+  // ceil(2^64 / 100) records: the byte count wraps to 84, which the
+  // 100 bytes that follow would cover.
+  Buffer wrap;
+  wrap.write_u64(184467440737095517ULL);
+  wrap.write_bytes(std::vector<std::uint8_t>(kRecordBytes));
+  EXPECT_THROW(UnpackRecords(wrap), CheckError);
 }
 
 TEST(RecordIO, IsSortedPermutationDetectsReordering) {
@@ -393,5 +406,81 @@ TEST(RecordIO, IsSortedPermutationRejectsSizeMismatch) {
   EXPECT_FALSE(IsSortedPermutationOf(recs, sorted));
 }
 
+// SortRecords must reproduce std::sort(..., RecordLess) exactly: the
+// comparator orders by all 100 bytes, so the sorted order is unique.
+void ExpectSortsLikeStdSort(std::vector<Record> records) {
+  std::vector<Record> expected = records;
+  std::sort(expected.begin(), expected.end(), RecordLess);
+  const std::size_t allocations = g_heap_allocations.load();
+  SortRecords(records);
+  EXPECT_EQ(g_heap_allocations.load(), allocations) << "SortRecords allocated";
+  const auto diff = std::mismatch(records.begin(), records.end(),
+                                  expected.begin(), expected.end());
+  EXPECT_TRUE(diff.first == records.end())
+      << "first difference at index " << (diff.first - records.begin())
+      << " of " << records.size();
+}
+
+TEST(SortRecords, MatchesStdSortOnEveryDistributionAndSize) {
+  for (const KeyDistribution dist : kAllDistributions) {
+    for (const std::uint64_t n : {0, 1, 2, 31, 32, 33, 257, 100000}) {
+      SCOPED_TRACE(testing::Message() << "distribution "
+                                      << static_cast<int>(dist) << ", n "
+                                      << n);
+      ExpectSortsLikeStdSort(TeraGen(2017, dist).generate(0, n));
+    }
+  }
+}
+
+TEST(SortRecords, AllIdenticalRecords) {
+  ExpectSortsLikeStdSort(
+      std::vector<Record>(1000, TeraGen(3).record(12345)));
+}
+
+// TeraGen values start with the row id, so generated records are
+// already in value order; this moves each record's random key to the
+// front of its value so that ties on the key leave work to do.
+std::vector<Record> RandomValueRecords(std::uint64_t seed, std::uint64_t n) {
+  std::vector<Record> records = TeraGen(seed).generate(0, n);
+  for (Record& rec : records) {
+    std::copy(rec.key.begin(), rec.key.end(), rec.value.begin());
+  }
+  return records;
+}
+
+// Equal 10-byte keys leave only the value to order by: the buckets
+// run out of key bytes and fall back to the full comparator.
+TEST(SortRecords, EqualKeysOrderByValue) {
+  std::vector<Record> records = RandomValueRecords(4, 5000);
+  for (Record& rec : records) rec.key = MakeKey(0x0123456789abcdefULL, 7);
+  ExpectSortsLikeStdSort(records);
+}
+
+// Keys that differ only in the last byte: nine shared levels, then
+// buckets of about 20 (insertion sort) or 80 records (value fallback).
+TEST(SortRecords, KeysDifferingOnlyInByteNine) {
+  for (const std::uint64_t n : {5000, 20000}) {
+    std::vector<Record> records = RandomValueRecords(5, n);
+    for (Record& rec : records) {
+      const std::uint8_t last = rec.value[kKeyBytes - 1];
+      rec.key = MakeKey(0xfedcba9876543210ULL, 0x3300);
+      rec.key[kKeyBytes - 1] = last;
+    }
+    ExpectSortsLikeStdSort(records);
+  }
+}
+
 }  // namespace
 }  // namespace cts
+
+void* operator new(std::size_t size) {
+  cts::g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler does not pair an inlined free() with
+// the operator new above and warn about a mismatch.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}

@@ -27,13 +27,20 @@ std::vector<Record> ExpectedSorted(const SortConfig& config) {
   return recs;
 }
 
-TEST(TeraSort, SortsUniformData) {
-  SortConfig config;
-  config.num_nodes = 4;
-  config.num_records = 4000;
-  const AlgorithmResult result = RunTeraSort(config);
-  EXPECT_EQ(result.algorithm, "TeraSort");
-  EXPECT_EQ(Concatenate(result), ExpectedSorted(config));
+TEST(TeraSort, SortsEveryDistribution) {
+  for (const KeyDistribution dist :
+       {KeyDistribution::kUniform, KeyDistribution::kSorted,
+        KeyDistribution::kReverseSorted, KeyDistribution::kSkewed,
+        KeyDistribution::kFewDistinct, KeyDistribution::kBalanced}) {
+    SCOPED_TRACE(static_cast<int>(dist));
+    SortConfig config;
+    config.num_nodes = 4;
+    config.num_records = 4000;
+    config.distribution = dist;
+    const AlgorithmResult result = RunTeraSort(config);
+    EXPECT_EQ(result.algorithm, "TeraSort");
+    EXPECT_EQ(Concatenate(result), ExpectedSorted(config));
+  }
 }
 
 TEST(TeraSort, EachPartitionIsSortedAndOrderedAcrossNodes) {
