@@ -162,8 +162,9 @@ void CodedTeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
       for (const NodeId sender : MaskToNodes(WithoutNode(g, self))) {
         Buffer& wire = incoming.at({g, sender});
         const CodedPacket packet = CodedPacket::deserialize(wire);
-        // The wire buffer is arena-backed (Comm::deliver); return the
-        // storage now that the packet is deserialized.
+        // The wire buffer is arena-backed (Comm::bcast copies through
+        // the arena); return the storage now that the packet is
+        // deserialized.
         BufferArena::Local().release(wire.take());
         segments.push_back(
             DecodePacket(g, self, sender, packet, iv_access, &work.codec));

@@ -179,12 +179,13 @@ class Buffer {
 };
 
 // Thread-local free list of payload byte vectors for the shuffle hot
-// path. At K~100 every message the transport moves allocates a payload
-// copy (Comm::deliver) that the receiver frees right after consuming
-// it; recycling the backing vectors removes that churn. The pool is
-// per-thread and lock-free: a node thread both sends (acquire) and
-// receives (release) in roughly equal measure during a shuffle, so the
-// pools balance without cross-thread traffic.
+// path. At K~100 every message sent from a buffer the caller keeps
+// allocates a payload copy (Comm's copying send/isend/bcast) that the
+// receiver frees right after consuming it; recycling the backing
+// vectors removes that churn. The pool is per-thread and lock-free: a
+// node thread both sends (acquire) and receives (release) in roughly
+// equal measure during a shuffle, so the pools balance without
+// cross-thread traffic.
 class BufferArena {
  public:
   // The calling thread's arena.

@@ -191,6 +191,14 @@ JobResult RunJob(const JobSpec& spec, RunCache& cache) {
   JobResult result;
   result.spec = spec;
 
+  // Every view prices per-record work, and the paper-scale ratio of an
+  // empty run is undefined.
+  if (spec.config.num_records == 0) {
+    result.algorithm = spec.algorithm;
+    result.error = "a job needs at least one record (num_records = 0)";
+    return result;
+  }
+
   // kPriced/kSimulated are the closed-form backends; they have no way
   // to honor a scenario, and silently ignoring one would label an
   // unmitigated run as a scenario cell. Price scenarios with kReplay.

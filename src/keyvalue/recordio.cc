@@ -81,15 +81,20 @@ void RadixSortFrom(Record* first, Record* last, std::size_t byte) {
 
 }  // namespace
 
+std::span<std::uint8_t> AppendPackedSlots(Buffer& out, std::size_t n) {
+  // A fresh buffer is allocated once, at its final size; appending to
+  // a used one keeps the vector's geometric growth.
+  if (out.empty()) out.reserve(PackedSize(n));
+  out.write_u64(n);
+  const std::size_t start = out.size();
+  out.resize(start + n * kRecordBytes);
+  return out.mutable_span().subspan(start);
+}
+
 std::size_t PackRecords(std::span<const Record> records, Buffer& out) {
-  const std::size_t before = out.size();
-  out.write_u64(records.size());
-  if (!records.empty()) {
-    out.write_bytes(std::span<const std::uint8_t>(
-        reinterpret_cast<const std::uint8_t*>(records.data()),
-        records.size() * kRecordBytes));
-  }
-  return out.size() - before;
+  const std::span<std::uint8_t> slots = AppendPackedSlots(out, records.size());
+  if (!slots.empty()) std::memcpy(slots.data(), records.data(), slots.size());
+  return PackedSize(records.size());
 }
 
 std::vector<Record> UnpackRecords(Buffer& in) {

@@ -16,6 +16,12 @@
 
 namespace cts {
 
+// Appends one packed list of n records to `out`: the count is
+// written, and the n zeroed 100-byte record slots that follow are
+// returned for the caller to fill with std::memcpy. The wire layout is
+// known here and nowhere else.
+std::span<std::uint8_t> AppendPackedSlots(Buffer& out, std::size_t n);
+
 // Serializes records into `out` (appending). Returns bytes written.
 std::size_t PackRecords(std::span<const Record> records, Buffer& out);
 
@@ -29,6 +35,14 @@ void UnpackRecordsInto(Buffer& in, std::vector<Record>& out);
 // Size in bytes that PackRecords will produce for n records.
 inline std::size_t PackedSize(std::size_t n) {
   return sizeof(std::uint64_t) + n * kRecordBytes;
+}
+
+// The most records a packed list of `bytes` bytes can hold (the
+// inverse of PackedSize), for sizing a destination before unpacking.
+inline std::size_t MaxPackedRecords(std::size_t bytes) {
+  return bytes > sizeof(std::uint64_t)
+             ? (bytes - sizeof(std::uint64_t)) / kRecordBytes
+             : 0;
 }
 
 // Sorts records by RecordLess in place (the Reduce stage). An

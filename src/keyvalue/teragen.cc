@@ -13,6 +13,25 @@ std::uint64_t RecordHash(std::uint64_t seed, std::uint64_t index,
   return Mix64(seed ^ Mix64(index * 0x9e3779b97f4a7c15ULL + lane));
 }
 
+// One printable byte per nibble: byte j of the result is 'A' plus
+// nibble j of h's low 32 bits. Three shift-and-mask steps spread the
+// nibbles to byte lanes; no lane can carry into the next.
+std::uint64_t PrintableWord(std::uint64_t h) {
+  std::uint64_t w = h & 0xffffffffULL;
+  w = (w | (w << 16)) & 0x0000ffff0000ffffULL;
+  w = (w | (w << 8)) & 0x00ff00ff00ff00ffULL;
+  w = (w | (w << 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  return w + 0x4141414141414141ULL;  // 'A' in every byte
+}
+
+// Stores the low n bytes of `word` at out[0, n), least significant
+// first, whatever the host's byte order.
+void StoreLowBytes(std::uint8_t* out, std::uint64_t word, std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) {
+    out[j] = static_cast<std::uint8_t>(word >> (8 * j));
+  }
+}
+
 }  // namespace
 
 Key TeraGen::key(std::uint64_t index) const {
@@ -60,19 +79,21 @@ Record TeraGen::record(std::uint64_t index) const {
   // --- Value ---
   // Hadoop TeraGen writes the row id followed by printable filler; we
   // keep that shape: 8 bytes of big-endian row id, then pseudo-random
-  // printable ASCII so values differ record-to-record.
+  // printable ASCII so values differ record-to-record. Value bytes
+  // 8w..8w+7 come from hash lane 2 + w, low nibble first; the stores
+  // go byte by byte so the layout does not depend on host endianness.
+  std::uint8_t* out = rec.value.data();
   for (int i = 0; i < 8; ++i) {
-    rec.value[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(index >> (8 * (7 - i)));
+    out[i] = static_cast<std::uint8_t>(index >> (8 * (7 - i)));
   }
-  std::uint64_t vstream = RecordHash(seed_, index, /*lane=*/2);
-  for (std::size_t i = 8; i < kValueBytes; ++i) {
-    if (i % 8 == 0) {
-      vstream = RecordHash(seed_, index, /*lane=*/2 + i / 8);
-    }
-    rec.value[i] = static_cast<std::uint8_t>('A' + (vstream & 0x0f));
-    vstream >>= 4;
+  constexpr std::size_t kTail = kValueBytes / 8;  // the 2-byte last word
+  for (std::size_t w = 1; w < kTail; ++w) {
+    StoreLowBytes(out + 8 * w,
+                  PrintableWord(RecordHash(seed_, index, /*lane=*/2 + w)), 8);
   }
+  StoreLowBytes(out + 8 * kTail,
+                PrintableWord(RecordHash(seed_, index, /*lane=*/2 + kTail)),
+                kValueBytes % 8);
   return rec;
 }
 

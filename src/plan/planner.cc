@@ -76,8 +76,18 @@ PlanResult RunPlan(const PlanAxes& axes, const PlanQuery& query,
     return fail("unknown sort key '" + query.sort_key +
                 "' (usd | makespan | egress)");
   }
+  // Written so that NaN fails too.
+  if (!(query.quantile >= 0 && query.quantile <= 1)) {
+    return fail("quantile " + FormatDouble(query.quantile) +
+                " is outside [0, 1]");
+  }
   if (algorithms.empty()) return fail("plan needs at least one algorithm");
   if (redundancies.empty()) return fail("plan needs a redundancy axis");
+  for (const int r : redundancies) {
+    if (r < 1) {
+      return fail("redundancy r = " + std::to_string(r) + ": need r >= 1");
+    }
+  }
   if (node_counts.empty()) return fail("plan needs a node-count axis");
   if (topologies.empty()) topologies.push_back("");
   if (stragglers.empty()) stragglers.push_back("none");
@@ -113,7 +123,7 @@ PlanResult RunPlan(const PlanAxes& axes, const PlanQuery& query,
       const bool knob = std::find(info->knobs.begin(), info->knobs.end(),
                                   "redundancy") != info->knobs.end();
       for (const int r : knob ? redundancies : std::vector<int>{1}) {
-        if (r < 1 || r > num_nodes - 1) continue;  // no C(K, r) placement
+        if (r > num_nodes - 1) continue;  // no C(K, r) placement at this K
         job::AlgoAxis axis;
         axis.label = knob ? algorithm + "_r" + std::to_string(r) : algorithm;
         axis.algorithm = algorithm;

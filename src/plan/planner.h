@@ -50,6 +50,8 @@ struct InstanceProfile {
 // m3.large.
 struct PlanAxes {
   std::vector<std::string> algorithms = {"terasort", "coded"};
+  // Each r >= 1; an r >= K is skipped at that K (no C(K, r) placement),
+  // so one list can span several cluster sizes.
   std::vector<int> redundancies = {3};
   std::vector<int> node_counts = {16};
   std::vector<std::string> topologies;  // "" = single rack
@@ -70,7 +72,7 @@ struct PlanQuery {
   // The SLO: the q-quantile makespan over the straggler set must not
   // exceed this many seconds. Infinity = every row meets it.
   double slo_seconds = std::numeric_limits<double>::infinity();
-  double quantile = 0.99;
+  double quantile = 0.99;  // in [0, 1]
   // Row order of PlanResult::rows: "usd" | "makespan" | "egress".
   std::string sort_key = "usd";
   // Drop rows dearer than this before picking the winner.

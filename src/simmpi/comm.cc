@@ -21,25 +21,26 @@ int Comm::rank_of_global(NodeId node) const {
   return static_cast<int>(it - members_->begin());
 }
 
-void Comm::deliver(int dst_rank, Tag tag,
-                   std::span<const std::uint8_t> payload) {
-  // Payload copies come from the thread-local arena; consumers on the
-  // shuffle hot path hand the backing store back (see
-  // terasort/coded_terasort), so steady-state shuffles stop
-  // allocating.
+Buffer Comm::ArenaCopy(std::span<const std::uint8_t> payload) {
+  // Copies come from the thread-local arena; consumers on the shuffle
+  // hot path hand the backing store back (see coded_terasort), so
+  // steady-state shuffles stop allocating.
   Buffer copy(BufferArena::Local().acquire(payload.size()));
   copy.write_bytes(payload);
-  world_->mailbox(global(dst_rank)).deliver(id_, my_global(), tag,
-                                            std::move(copy));
+  return copy;
 }
 
-void Comm::send(int dst_rank, Tag tag,
-                std::span<const std::uint8_t> payload) {
+void Comm::deliver(int dst_rank, Tag tag, Buffer payload) {
+  world_->mailbox(global(dst_rank)).deliver(id_, my_global(), tag,
+                                            std::move(payload));
+}
+
+void Comm::send(int dst_rank, Tag tag, Buffer&& payload) {
   CTS_CHECK_MSG(dst_rank != rank_, "send to self (rank " << rank_ << ")");
   CTS_CHECK_GE(tag, 0);  // negative tags are reserved for collectives
   world_->stats().record_unicast(payload.size(), my_global(),
                                  global(dst_rank));
-  deliver(dst_rank, tag, payload);
+  deliver(dst_rank, tag, std::move(payload));
 }
 
 Buffer Comm::recv(int src_rank, Tag tag) {
@@ -49,18 +50,17 @@ Buffer Comm::recv(int src_rank, Tag tag) {
   return world_->mailbox(my_global()).receive(id_, global(src_rank), tag);
 }
 
-Request Comm::isend(int dst_rank, Tag tag,
-                    std::span<const std::uint8_t> payload) {
+Request Comm::isend(int dst_rank, Tag tag, Buffer&& payload) {
   CTS_CHECK_GE(tag, 0);  // negative tags are reserved for collectives
   if (dst_rank != rank_) {
-    // Accounted at initiation: the eager copy below is the moment the
-    // bytes occupy the wire, so overlapped schedules measure the same
-    // loads as blocking ones.
+    // Accounted at initiation: handing the payload to the mailbox is
+    // the moment the bytes occupy the wire, so overlapped schedules
+    // measure the same loads as blocking ones.
     world_->stats().record_unicast(payload.size(), my_global(),
                                    global(dst_rank));
   }
   // Self-sends are loopback: delivered, but never on the network.
-  deliver(dst_rank, tag, payload);
+  deliver(dst_rank, tag, std::move(payload));
   Request req;
   req.kind_ = Request::Kind::kSend;
   req.done_ = true;
@@ -146,7 +146,7 @@ void Comm::bcast(int root_rank, Buffer& payload) {
                                      my_global(), recipients);
     for (int m = 0; m < size(); ++m) {
       if (m == rank_) continue;
-      deliver(m, kTagBcast, payload.span());
+      deliver(m, kTagBcast, ArenaCopy(payload.span()));
     }
   } else {
     payload = world_->mailbox(my_global())
@@ -157,7 +157,7 @@ void Comm::bcast(int root_rank, Buffer& payload) {
 void Comm::bcast_put(const Buffer& payload) {
   for (int m = 0; m < size(); ++m) {
     if (m == rank_) continue;
-    deliver(m, kTagBcast, payload.span());
+    deliver(m, kTagBcast, ArenaCopy(payload.span()));
   }
 }
 
@@ -168,9 +168,11 @@ void Comm::barrier() {
     for (int m = 1; m < size(); ++m) {
       (void)world_->mailbox(my_global()).receive(id_, global(m), kTagBarrier);
     }
-    for (int m = 1; m < size(); ++m) deliver(m, kTagBarrier, token.span());
+    for (int m = 1; m < size(); ++m) {
+      deliver(m, kTagBarrier, ArenaCopy(token.span()));
+    }
   } else {
-    deliver(0, kTagBarrier, token.span());
+    deliver(0, kTagBarrier, ArenaCopy(token.span()));
     (void)world_->mailbox(my_global()).receive(id_, global(0), kTagBarrier);
   }
 }
@@ -188,7 +190,7 @@ std::vector<Buffer> Comm::gather(int root_rank, const Buffer& payload) {
           world_->mailbox(my_global()).receive(id_, global(m), kTagGather);
     }
   } else {
-    deliver(root_rank, kTagGather, payload.span());
+    deliver(root_rank, kTagGather, ArenaCopy(payload.span()));
   }
   return out;
 }

@@ -114,7 +114,18 @@ class Comm {
   int rank_of_global(NodeId node) const;
 
   // ---- Point-to-point (accounted as unicast) ----
-  void send(int dst_rank, Tag tag, std::span<const std::uint8_t> payload);
+  //
+  // The Buffer&& overloads of send and isend take ownership: the
+  // payload itself becomes the receiver's message, with no copy, and
+  // the caller's buffer is left empty. The span and const Buffer&
+  // overloads copy the payload into an arena-backed buffer and then
+  // take the same path, for callers that keep or reuse their buffer.
+  // Either way the accounting, the log's seq and the captured transport
+  // events are the same.
+  void send(int dst_rank, Tag tag, Buffer&& payload);
+  void send(int dst_rank, Tag tag, std::span<const std::uint8_t> payload) {
+    send(dst_rank, tag, ArenaCopy(payload));
+  }
   void send(int dst_rank, Tag tag, const Buffer& payload) {
     send(dst_rank, tag, payload.span());
   }
@@ -122,13 +133,17 @@ class Comm {
 
   // ---- Nonblocking point-to-point ----
   //
-  // isend is eager-buffered: the payload is copied into the
-  // destination mailbox and the unicast is accounted immediately (at
-  // initiation), so the returned request is already complete — exactly
-  // MPI_Isend under an eager protocol. Unlike the blocking pair,
-  // self-sends are legal (loopback; not accounted as network traffic):
-  // isend(self) + irecv(self) cannot deadlock.
-  Request isend(int dst_rank, Tag tag, std::span<const std::uint8_t> payload);
+  // isend is eager-buffered: the payload is placed in the destination
+  // mailbox (moved, or copied as for send) and the unicast is
+  // accounted immediately (at initiation), so the returned request is
+  // already complete — exactly MPI_Isend under an eager protocol.
+  // Unlike the blocking pair, self-sends are legal (loopback; not
+  // accounted as network traffic): isend(self) + irecv(self) cannot
+  // deadlock.
+  Request isend(int dst_rank, Tag tag, Buffer&& payload);
+  Request isend(int dst_rank, Tag tag, std::span<const std::uint8_t> payload) {
+    return isend(dst_rank, tag, ArenaCopy(payload));
+  }
   Request isend(int dst_rank, Tag tag, const Buffer& payload) {
     return isend(dst_rank, tag, payload.span());
   }
@@ -221,7 +236,10 @@ class Comm {
        std::shared_ptr<const std::vector<NodeId>> members, int rank)
       : world_(world), id_(id), members_(std::move(members)), rank_(rank) {}
 
-  void deliver(int dst_rank, Tag tag, std::span<const std::uint8_t> payload);
+  // A copy of `payload` in a buffer from the calling thread's arena.
+  static Buffer ArenaCopy(std::span<const std::uint8_t> payload);
+  // Hands `payload` to rank dst_rank's mailbox (unaccounted).
+  void deliver(int dst_rank, Tag tag, Buffer payload);
   Request post_recv(NodeId src, Tag tag);
 
   static constexpr Tag kTagBcast = -1;

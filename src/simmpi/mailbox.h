@@ -3,9 +3,9 @@
 // One Mailbox per destination node. Messages are keyed by
 // (communicator id, source node, tag) and matched FIFO per key —
 // exactly MPI's non-overtaking guarantee for matching (source, tag,
-// comm) triples. send() is eager-buffered (copies the payload into the
-// destination mailbox and returns), which matches MPI_Send semantics
-// for the message sizes the simulator moves.
+// comm) triples. send() is eager-buffered (the payload is placed in
+// the destination mailbox and send returns), which matches MPI_Send
+// semantics for the message sizes the simulator moves.
 //
 // Matching happens in POSTING order, as in MPI: every receive — the
 // blocking receive() as well as a posted irecv — takes a ticket, the

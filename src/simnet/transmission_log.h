@@ -21,18 +21,18 @@ namespace cts::simnet {
 // application-layer multicast lists all receivers of the single
 // logical transmission.
 //
-// `seq` is the global initiation index within the stage (assigned
-// under the traffic-stats lock at the instant the send hits the
-// transport), and equals the entry's position in the stage's log.
-// This makes initiation order an explicit attribute of each entry —
-// a barrier-synchronous run records the paper's sender-serial order,
-// an overlapped run records the true interleaved order — so a
-// replay can recover it even if a caller filters or reorders a
-// stage's log before replaying (seqs are unique within a stage; logs
-// of DIFFERENT stages must not be mixed, their seqs restart at 0).
-// Within one sender, seq order IS program order (a node thread
-// initiates its sends sequentially), which is what the per-sender
-// replay discipline relies on.
+// `seq` is the global arrival index within the stage: drawn from an
+// atomic counter at the instant a send reaches the transport, it
+// equals the entry's position in the stage's log. It is arrival order,
+// not schedule order: node threads race to the transport, so the same
+// spec can log a different interleaving of senders on every execution,
+// barrier-synchronous runs included (a blocking send returns as soon
+// as the payload is queued, and a node starts its own sends the moment
+// the message it waits for arrives). Only within one sender is seq
+// order program order (a node thread initiates its sends
+// sequentially), which is what the per-sender replay discipline relies
+// on. Seqs are unique within a stage; logs of DIFFERENT stages must not
+// be mixed, their seqs restart at 0.
 struct Transmission {
   NodeId src = 0;
   std::vector<NodeId> dsts;

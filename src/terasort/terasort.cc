@@ -1,5 +1,6 @@
 #include "terasort/terasort.h"
 
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -47,30 +48,57 @@ void TeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
   StageRunner stages(comm, recorder, &config.injected_delays);
   NodeWork work;
 
-  // Hash outputs: intermediate value I^j_{self} per partition j.
-  std::vector<std::vector<Record>> hashed(static_cast<std::size_t>(K));
-  // Serialized outgoing values, one per other node.
+  // Intermediate values I^j_{self} in wire form, one packed list per
+  // other node j (Map writes them; Shuffle hands them over).
   std::vector<Buffer> packed(static_cast<std::size_t>(K));
+  // Partition P_self: this node's own records, then every received one.
+  std::vector<Record> pool;
   // Raw shuffle payloads received from other nodes.
   std::vector<Buffer> received(static_cast<std::size_t>(K));
 
   // ---- Map ----
+  // A key-only pass hashes every record to its partition and counts
+  // each intermediate value, so every packed list is allocated once at
+  // its exact size. The second pass generates each record once, into
+  // its slot: the own partition into the reduce pool, the rest into
+  // the buffer that leaves the node.
   stages.run(stage::kMap, [&] {
-    const auto records = gen.generate(my_range.offset, my_range.count);
-    for (const Record& rec : records) {
-      const PartitionId p = partitioner->partition(rec.key);
-      hashed[static_cast<std::size_t>(p)].push_back(rec);
+    const auto n = static_cast<std::size_t>(my_range.count);
+    std::vector<PartitionId> dest(n);
+    std::vector<std::size_t> counts(static_cast<std::size_t>(K), 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      dest[i] = partitioner->partition(gen.key(my_range.offset + i));
+      ++counts[static_cast<std::size_t>(dest[i])];
     }
-    work.map_bytes += records.size() * kRecordBytes;
+    std::vector<std::uint8_t*> slot(static_cast<std::size_t>(K), nullptr);
+    for (int j = 0; j < K; ++j) {
+      if (j == self) continue;
+      const auto jj = static_cast<std::size_t>(j);
+      slot[jj] = AppendPackedSlots(packed[jj], counts[jj]).data();
+    }
+    pool.reserve(counts[static_cast<std::size_t>(self)]);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Record rec = gen.record(my_range.offset + i);
+      if (dest[i] == self) {
+        pool.push_back(rec);
+        continue;
+      }
+      std::uint8_t*& out = slot[static_cast<std::size_t>(dest[i])];
+      std::memcpy(out, &rec, kRecordBytes);
+      out += kRecordBytes;
+    }
+    work.map_bytes += n * kRecordBytes;
     work.map_files += 1;
   });
 
   // ---- Pack ----
+  // Map already wrote every intermediate value in packed form; the
+  // stage keeps its place in the paper's breakdown and counts the
+  // packed bytes.
   stages.run(stage::kPack, [&] {
     for (int j = 0; j < K; ++j) {
       if (j == self) continue;
-      work.pack_bytes += PackRecords(hashed[static_cast<std::size_t>(j)],
-                                     packed[static_cast<std::size_t>(j)]);
+      work.pack_bytes += packed[static_cast<std::size_t>(j)].size();
     }
   });
 
@@ -81,6 +109,7 @@ void TeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
   // kOverlapped: every node posts its K-1 receives, fires all K-1
   // sends nonblocking, then drains — all senders initiate
   // concurrently, which parallel links can overlap.
+  // Either way each packed list is handed to the transport, not copied.
   stages.run(stage::kShuffle, [&] {
     if (config.shuffle_sync == ShuffleSync::kOverlapped) {
       std::vector<simmpi::Request> recvs;
@@ -91,7 +120,8 @@ void TeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
       }
       for (int j = 0; j < K; ++j) {
         if (j == self) continue;
-        (void)comm.isend(j, kTagShuffle, packed[static_cast<std::size_t>(j)]);
+        (void)comm.isend(j, kTagShuffle,
+                         std::move(packed[static_cast<std::size_t>(j)]));
       }
       std::size_t i = 0;
       for (int sender = 0; sender < K; ++sender) {
@@ -104,7 +134,8 @@ void TeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
       if (sender == self) {
         for (int j = 0; j < K; ++j) {
           if (j == self) continue;
-          comm.send(j, kTagShuffle, packed[static_cast<std::size_t>(j)]);
+          comm.send(j, kTagShuffle,
+                    std::move(packed[static_cast<std::size_t>(j)]));
         }
       } else {
         received[static_cast<std::size_t>(sender)] =
@@ -114,16 +145,13 @@ void TeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
   });
 
   // ---- Unpack ----
-  std::vector<Record> pool;
   stages.run(stage::kUnpack, [&] {
-    // Size the reduce pool once: the own bucket plus the records of
-    // every payload (a u64 count, then the records; received[self]
+    // Size the reduce pool once for everything it will hold: the own
+    // partition plus the records of every payload (received[self]
     // stays empty).
-    std::size_t pool_records = hashed[static_cast<std::size_t>(self)].size();
+    std::size_t pool_records = pool.size();
     for (const Buffer& buf : received) {
-      if (buf.size() > sizeof(std::uint64_t)) {
-        pool_records += (buf.size() - sizeof(std::uint64_t)) / kRecordBytes;
-      }
+      pool_records += MaxPackedRecords(buf.size());
     }
     pool.reserve(pool_records);
     for (int sender = 0; sender < K; ++sender) {
@@ -131,16 +159,12 @@ void TeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
       auto& buf = received[static_cast<std::size_t>(sender)];
       work.unpack_bytes += buf.size();
       UnpackRecordsInto(buf, pool);
-      // Shuffle payloads are arena-backed (Comm::deliver); hand the
-      // storage back now that the records are unpacked.
-      BufferArena::Local().release(buf.take());
+      buf = Buffer();  // the payload is unpacked: free it now
     }
   });
 
   // ---- Reduce ----
   stages.run(stage::kReduce, [&] {
-    auto& own = hashed[static_cast<std::size_t>(self)];
-    pool.insert(pool.end(), own.begin(), own.end());
     SortRecords(pool);
     work.reduce_bytes += pool.size() * kRecordBytes;
     // Partition-ownership invariant: everything this node reduced must

@@ -226,6 +226,25 @@ TEST(Job, RunJobRejectsOutOfRangeShapes) {
     EXPECT_EQ(cache.executions(), 0);
   }
 
+  // A job with no records has nothing to price, on any backend.
+  for (const Backend backend : {Backend::kLive, Backend::kPriced,
+                                Backend::kReplay, Backend::kSimulated}) {
+    for (const char* algorithm : {"terasort", "coded"}) {
+      SCOPED_TRACE(std::string(BackendName(backend)) + " " + algorithm);
+      RunCache cache;
+      JobSpec spec;
+      spec.algorithm = algorithm;
+      spec.config = SmallConfig(2);
+      spec.config.num_records = 0;
+      spec.backend = backend;
+      const JobResult result = RunJob(spec, cache);
+      EXPECT_NE(result.error.find("at least one record"), std::string::npos)
+          << result.error;
+      EXPECT_EQ(result.execution, nullptr);
+      EXPECT_EQ(cache.executions(), 0);
+    }
+  }
+
   JobSpec spec;
   spec.algorithm = "coded";
   spec.config = SmallConfig(3);
@@ -236,14 +255,17 @@ TEST(Job, RunJobRejectsOutOfRangeShapes) {
   EXPECT_GT(result.makespan, 0.0);
 }
 
-// The built ctsort / ctcheck (CMake sets CTSORT_BIN and CTCHECK_BIN)
-// exit 2 with a message on an out-of-range shape or a mistyped
-// enumerated flag, instead of aborting or running the default.
+// The built ctsort / ctcheck / ctplan (CMake sets CTSORT_BIN,
+// CTCHECK_BIN and CTPLAN_BIN) exit 2 with a message on an out-of-range
+// shape, an impossible axis or a mistyped enumerated flag, instead of
+// aborting or running the default.
 TEST(Cli, BadShapesAndTyposExitTwo) {
   const char* ctsort = std::getenv("CTSORT_BIN");
   const char* ctcheck = std::getenv("CTCHECK_BIN");
-  if (ctsort == nullptr || ctcheck == nullptr) {
-    GTEST_SKIP() << "CTSORT_BIN/CTCHECK_BIN not set (run through ctest)";
+  const char* ctplan = std::getenv("CTPLAN_BIN");
+  if (ctsort == nullptr || ctcheck == nullptr || ctplan == nullptr) {
+    GTEST_SKIP() << "CTSORT_BIN/CTCHECK_BIN/CTPLAN_BIN not set (run through "
+                    "ctest)";
   }
   const auto status = [](const char* bin, const std::string& args) {
     const int s = std::system(
@@ -257,6 +279,15 @@ TEST(Cli, BadShapesAndTyposExitTwo) {
         "--schedule=paralel-full"}) {
     EXPECT_EQ(status(ctsort, std::string(args) + " --records=2000"), 2)
         << "ctsort " << args;
+  }
+  for (const char* args : {"--records=0", "--records=0 --backend=priced"}) {
+    EXPECT_EQ(status(ctsort, args), 2) << "ctsort " << args;
+  }
+  for (const char* args :
+       {"--records=0", "--quantile=2", "--quantile=-0.5", "--quantile=nan",
+        "--algos=terasort,coded --redundancies=0"}) {
+    EXPECT_EQ(status(ctplan, std::string(args) + " --nodes=4"), 2)
+        << "ctplan " << args;
   }
   for (const char* args :
        {"--nodes=0", "--redundancies=0", "--nodes=4 --redundancies=5",

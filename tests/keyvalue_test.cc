@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/random.h"
 #include "keyvalue/partitioner.h"
 #include "keyvalue/record.h"
 #include "keyvalue/recordio.h"
@@ -140,6 +141,59 @@ TEST(TeraGen, ValueEmbedsRowId) {
   const Record r = gen.record(0x0102030405060708ULL);
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(r.value[static_cast<std::size_t>(i)], i + 1);
+  }
+}
+
+// The value TeraGen wrote one byte at a time: the big-endian row id,
+// then one printable byte per nibble of the lane-(2 + i / 8) hash,
+// low nibble first. record() must keep reproducing it exactly.
+Value ReferenceValue(std::uint64_t seed, std::uint64_t index) {
+  const auto hash = [&](std::uint64_t lane) {
+    return Mix64(seed ^ Mix64(index * 0x9e3779b97f4a7c15ULL + lane));
+  };
+  Value value{};
+  for (int i = 0; i < 8; ++i) {
+    value[static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(index >> (8 * (7 - i)));
+  }
+  std::uint64_t vstream = 0;
+  for (std::size_t i = 8; i < kValueBytes; ++i) {
+    if (i % 8 == 0) vstream = hash(2 + i / 8);
+    value[i] = static_cast<std::uint8_t>('A' + (vstream & 0x0f));
+    vstream >>= 4;
+  }
+  return value;
+}
+
+TEST(TeraGen, ValueFillMatchesByteReference) {
+  std::vector<std::uint64_t> indices = {
+      0,
+      1,
+      (std::uint64_t{1} << 32) - 1,
+      std::uint64_t{1} << 32,
+      (std::uint64_t{1} << 32) + 1,
+      std::uint64_t{1} << 63,
+      ~std::uint64_t{0} - 1,
+      ~std::uint64_t{0},
+  };
+  Xoshiro256 rng(99);
+  while (indices.size() < 10000) {
+    // Alternate full-range draws with small indices, where the row id
+    // bytes are mostly zero.
+    const std::uint64_t draw = rng();
+    indices.push_back(indices.size() % 2 == 0 ? draw : draw >> 40);
+  }
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{2017},
+        ~std::uint64_t{0}}) {
+    for (const KeyDistribution dist : kAllDistributions) {
+      SCOPED_TRACE(static_cast<int>(dist));
+      const TeraGen gen(seed, dist);
+      for (const std::uint64_t i : indices) {
+        ASSERT_EQ(gen.record(i).value, ReferenceValue(seed, i))
+            << "seed " << seed << " index " << i;
+      }
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -250,10 +251,37 @@ TEST(PlannerTest, RejectsBadAxes) {
       << too_wide.error;
   EXPECT_TRUE(too_wide.rows.empty());
 
+  // r < 1 has no placement at any K; unlike r >= K (skipped per K, so
+  // one list can span cluster sizes) it fails the plan.
+  axes = PlanAxes{};
+  axes.algorithms = {"terasort", "coded"};
+  axes.redundancies = {0};
+  EXPECT_NE(RunPlan(axes, PlanQuery{}, cache).error.find("r >= 1"),
+            std::string::npos);
+  axes.redundancies = {2, -1};
+  EXPECT_NE(RunPlan(axes, PlanQuery{}, cache).error.find("r >= 1"),
+            std::string::npos);
+
   axes = PlanAxes{};
   PlanQuery query;
   query.sort_key = "vibes";
   EXPECT_FALSE(RunPlan(axes, query, cache).error.empty());
+
+  for (const double q :
+       {2.0, -0.01, std::numeric_limits<double>::quiet_NaN()}) {
+    query = PlanQuery{};
+    query.quantile = q;
+    EXPECT_NE(RunPlan(axes, query, cache).error.find("outside [0, 1]"),
+              std::string::npos)
+        << q;
+  }
+
+  // A job with no records has nothing to price.
+  axes = PlanAxes{};
+  axes.records = 0;
+  EXPECT_NE(
+      RunPlan(axes, PlanQuery{}, cache).error.find("at least one record"),
+      std::string::npos);
 
   // None of the rejected axes reached an execution.
   EXPECT_EQ(cache.executions(), 0);

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/check.h"
 #include "simmpi/comm.h"
+#include "simmpi/eventlog.h"
 #include "simmpi/mailbox.h"
 #include "simmpi/world.h"
 
@@ -116,7 +119,9 @@ TEST(Comm, SendToSelfIsAnError) {
   Comm c = Comm::World(world, 0);
   Buffer b;
   EXPECT_THROW(c.send(0, 1, b), CheckError);
+  EXPECT_THROW(c.send(0, 1, BufferOf({1})), CheckError);
   EXPECT_THROW((void)c.recv(0, 1), CheckError);
+  EXPECT_EQ(world.pending_messages(), 0u);
 }
 
 TEST(Comm, NegativeUserTagRejected) {
@@ -124,6 +129,121 @@ TEST(Comm, NegativeUserTagRejected) {
   Comm c = Comm::World(world, 0);
   Buffer b;
   EXPECT_THROW(c.send(1, -1, b), CheckError);
+  EXPECT_THROW(c.send(1, -1, BufferOf({1})), CheckError);
+  EXPECT_THROW((void)c.isend(1, -1, BufferOf({1})), CheckError);
+  EXPECT_EQ(world.pending_messages(), 0u);
+  EXPECT_EQ(world.stats().total().unicast_msgs, 0u);
+}
+
+// What one run of the exchange below leaves behind: the received
+// bytes, the accounting and the captured transport events.
+struct ExchangeRecord {
+  std::vector<std::vector<std::uint8_t>> received;  // by receiving node
+  ChannelCounters counters;
+  std::vector<NodeTraffic> per_node;
+  std::vector<std::tuple<NodeId, std::vector<NodeId>, std::uint64_t,
+                         std::uint64_t>>
+      log;  // (src, dsts, bytes, seq)
+  // Per performing thread, its events in program order (stamps drop
+  // out: they interleave the threads).
+  std::map<NodeId, std::vector<std::tuple<int, NodeId, NodeId, CommId, Tag,
+                                          std::uint64_t, std::uint64_t>>>
+      events;
+};
+
+// Node 0 sends eight payloads of different sizes, alternating blocking
+// send and isend to nodes 1 and 2, plus one loopback isend to itself;
+// every send goes through the moving overloads when `move` is set and
+// through the copying ones otherwise.
+ExchangeRecord RunExchange(bool move) {
+  TransportRecorder::RequestCapture(true);
+  World world(3);
+  TransportRecorder::RequestCapture(false);
+  world.stats().set_stage("Shuffle");
+  ExchangeRecord out;
+  out.received.resize(3);
+  const auto payload = [](int i) {
+    Buffer b;
+    for (int j = 0; j < 10 * i + 3; ++j) {
+      b.write_u8(static_cast<std::uint8_t>(17 * i + j));
+    }
+    return b;
+  };
+  RunNodes(world, [&](NodeId n) {
+    Comm c = Comm::World(world, n);
+    auto& got = out.received[static_cast<std::size_t>(n)];
+    const auto take = [&got](Buffer b) {
+      got.insert(got.end(), b.data(), b.data() + b.size());
+    };
+    if (n != 0) {
+      // Posting every receive first keeps the key's match state alive,
+      // so arrival indices do not depend on how fast this node drains.
+      std::vector<Request> recvs;
+      for (int i = 0; i < 4; ++i) recvs.push_back(c.irecv(0, 7));
+      for (Buffer& b : Comm::waitall(recvs)) take(std::move(b));
+      return;
+    }
+    Request self_recv = c.irecv(0, 9);
+    for (int i = 0; i < 8; ++i) {
+      Buffer b = payload(i);
+      const int dst = 1 + i % 2;
+      if (move) {
+        if (i < 4) {
+          c.send(dst, 7, std::move(b));
+        } else {
+          (void)c.isend(dst, 7, std::move(b));
+        }
+        EXPECT_TRUE(b.empty());  // NOLINT(bugprone-use-after-move): moved out
+      } else if (i < 4) {
+        c.send(dst, 7, b);
+      } else {
+        (void)c.isend(dst, 7, b.span());
+      }
+    }
+    Buffer loop = payload(9);
+    if (move) {
+      (void)c.isend(0, 9, std::move(loop));
+    } else {
+      (void)c.isend(0, 9, loop);
+    }
+    take(Comm::wait(self_recv));
+  });
+  EXPECT_EQ(world.pending_messages(), 0u);
+  out.counters = world.stats().stage("Shuffle");
+  out.per_node = world.stats().per_node("Shuffle");
+  for (const auto& t : world.stats().transmission_log("Shuffle")) {
+    out.log.emplace_back(t.src, t.dsts, t.bytes, t.seq);
+  }
+  for (const TransportEvent& ev : world.transport_log()) {
+    out.events[ev.performer].emplace_back(static_cast<int>(ev.kind), ev.dst,
+                                          ev.src, ev.comm, ev.tag, ev.index,
+                                          ev.bytes);
+  }
+  return out;
+}
+
+TEST(Comm, MovingSendMatchesCopyingSend) {
+  const ExchangeRecord copied = RunExchange(/*move=*/false);
+  const ExchangeRecord moved = RunExchange(/*move=*/true);
+  EXPECT_EQ(moved.received, copied.received);
+  EXPECT_FALSE(moved.received[0].empty());  // the loopback arrived
+  // Eight unicasts; the loopback is never on the network.
+  EXPECT_EQ(moved.counters.unicast_msgs, 8u);
+  EXPECT_EQ(copied.counters.unicast_msgs, 8u);
+  EXPECT_EQ(moved.counters.unicast_bytes, copied.counters.unicast_bytes);
+  EXPECT_EQ(moved.counters.mcast_msgs, 0u);
+  ASSERT_EQ(moved.per_node.size(), copied.per_node.size());
+  for (std::size_t k = 0; k < moved.per_node.size(); ++k) {
+    EXPECT_EQ(moved.per_node[k].tx_bytes, copied.per_node[k].tx_bytes) << k;
+    EXPECT_EQ(moved.per_node[k].rx_bytes, copied.per_node[k].rx_bytes) << k;
+  }
+  EXPECT_EQ(moved.log, copied.log);
+  ASSERT_EQ(moved.log.size(), 8u);
+  for (std::size_t i = 0; i < moved.log.size(); ++i) {
+    EXPECT_EQ(std::get<3>(moved.log[i]), i);  // sender program order
+  }
+  EXPECT_EQ(moved.events, copied.events);
+  EXPECT_EQ(moved.events.at(0).size(), 11u);  // 9 sends, 1 post, 1 match
 }
 
 TEST(Comm, ManyToOneOrderedPerSource) {

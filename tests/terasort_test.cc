@@ -6,6 +6,7 @@
 #include "analytics/loads.h"
 #include "keyvalue/recordio.h"
 #include "keyvalue/teragen.h"
+#include "keyvalue/teravalidate.h"
 #include "terasort/terasort.h"
 
 namespace cts {
@@ -187,6 +188,130 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return "Unknown";
     });
+
+// FNV-1a over everything a TeraSort run reports except wall times:
+// every NodeWork field, the per-stage traffic, the per-node shuffle
+// traffic, the stage sequence, the shuffle log in per-sender order
+// (the global seq order is arrival order at the transport, which
+// threads race for) and each partition's checksum.
+std::uint64_t RunDigest(const AlgorithmResult& run) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto byte = [&h](std::uint8_t b) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  };
+  const auto add = [&byte](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  const auto add_name = [&](const std::string& name) {
+    add(name.size());
+    for (const char ch : name) byte(static_cast<std::uint8_t>(ch));
+  };
+  add(run.work.size());
+  for (const NodeWork& w : run.work) {
+    for (const std::uint64_t v :
+         {w.map_bytes, w.map_files, w.pack_bytes, w.unpack_bytes,
+          w.reduce_bytes, w.codec.packets_encoded, w.codec.encode_xor_bytes,
+          w.codec.encode_payload_bytes, w.codec.packets_decoded,
+          w.codec.decode_xor_bytes, w.codec.decoded_bytes}) {
+      add(v);
+    }
+  }
+  add(run.traffic.size());
+  for (const auto& [stage_name, c] : run.traffic) {
+    add_name(stage_name);
+    for (const std::uint64_t v :
+         {c.unicast_msgs, c.unicast_bytes, c.mcast_msgs, c.mcast_bytes,
+          c.mcast_recipient_bytes, c.comm_creations}) {
+      add(v);
+    }
+  }
+  add(run.shuffle_node_traffic.size());
+  for (const simmpi::NodeTraffic& t : run.shuffle_node_traffic) {
+    add(t.tx_bytes);
+    add(t.rx_bytes);
+  }
+  add(run.stage_order.size());
+  for (const std::string& name : run.stage_order) add_name(name);
+  add(run.compute_events.size());
+  for (const ComputeEvent& ev : run.compute_events) {
+    add_name(ev.stage);
+    add(static_cast<std::uint64_t>(ev.node));
+  }
+  simnet::TransmissionLog log = run.shuffle_log;
+  std::stable_sort(log.begin(), log.end(), [](const auto& a, const auto& b) {
+    return a.src != b.src ? a.src < b.src : a.seq < b.seq;
+  });
+  add(log.size());
+  for (const simnet::Transmission& t : log) {
+    add(static_cast<std::uint64_t>(t.src));
+    add(t.dsts.size());
+    for (const NodeId d : t.dsts) add(static_cast<std::uint64_t>(d));
+    add(t.bytes);
+  }
+  add(run.partitions.size());
+  for (const auto& p : run.partitions) {
+    const RecordChecksum sum = ChecksumOfRecords(p);
+    add(sum.count);
+    add(sum.xor_hash);
+    add(sum.sum_hash);
+  }
+  return h;
+}
+
+// Pins every counter and every output byte of the live engine across
+// K, both shuffle schedules, all three partitioners, every key
+// distribution and two input sizes (plus the empty input). The
+// digests were taken from the engine that generated each node's file
+// into a vector, hashed it into per-partition buckets and packed each
+// bucket into a fresh buffer; a rewrite of Map, Pack, Shuffle or
+// Unpack must reproduce them bit for bit. Both schedules share one
+// digest: they move the same bytes between the same nodes.
+TEST(TeraSort, GoldenDigestAcrossTheGrid) {
+  struct Golden {
+    int K;
+    std::uint64_t digest;
+  };
+  const Golden grid[] = {
+      {1, 0xa0ea3ae31d1cfbf7ULL},
+      {2, 0x630bb7b66c0facb0ULL},
+      {3, 0x0d5aa187f856406aULL},
+      {4, 0xef86dab18bcb94d8ULL},
+      {7, 0x5c6c0265f38f8240ULL},
+  };
+  for (const Golden& g : grid) {
+    for (const ShuffleSync sync :
+         {ShuffleSync::kBarrier, ShuffleSync::kOverlapped}) {
+      std::uint64_t h = 0xcbf29ce484222325ULL;
+      const auto fold = [&h](std::uint64_t v) {
+        h = (h ^ v) * 0x100000001b3ULL;
+      };
+      SortConfig config;
+      config.num_nodes = g.K;
+      config.shuffle_sync = sync;
+      config.num_records = 0;
+      fold(RunDigest(RunTeraSort(config)));
+      for (const PartitionerKind partitioner :
+           {PartitionerKind::kRange, PartitionerKind::kSampled,
+            PartitionerKind::kDistributedSampled}) {
+        for (const KeyDistribution dist :
+             {KeyDistribution::kUniform, KeyDistribution::kSorted,
+              KeyDistribution::kReverseSorted, KeyDistribution::kSkewed,
+              KeyDistribution::kFewDistinct, KeyDistribution::kBalanced}) {
+          for (const std::uint64_t records : {5, 3000}) {
+            config.partitioner = partitioner;
+            config.distribution = dist;
+            config.num_records = records;
+            fold(RunDigest(RunTeraSort(config)));
+          }
+        }
+      }
+      EXPECT_EQ(h, g.digest)
+          << "K = " << g.K << " sync " << static_cast<int>(sync) << " got 0x"
+          << std::hex << h;
+    }
+  }
+}
 
 TEST(TeraSort, SampledPartitionerBalancesSkew) {
   SortConfig skewed;
