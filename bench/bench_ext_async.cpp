@@ -22,8 +22,8 @@
 // nonblocking isend/irecv (TeraSort posts all transfers up front,
 // CodedTeraSort fires every multicast of the round before draining,
 // CMR streams a file's values as soon as the file is mapped). The
-// discrete-event replay (analytics::ReplayShuffleSeconds over the
-// measured transmission logs) prices both initiation orders: the gap
+// scenario engine's flow replay of the measured transmission logs
+// (simscen::NetMakespan) prices both initiation orders: the gap
 // between the barrier-synchronous log and the overlapped log under
 // the same parallel discipline is the cost of the paper's
 // sender-serial ordering — now closable by the engine, not just
@@ -36,13 +36,28 @@
 #include "codedterasort/coded_terasort.h"
 #include "common/table.h"
 #include "simmpi/world.h"
-#include "simnet/schedule.h"
+#include "simnet/transmission_log.h"
+#include "simscen/engine.h"
+#include "simscen/netsim.h"
 #include "terasort/terasort.h"
 
 namespace {
 
 using namespace cts;
 using namespace cts::bench;
+
+// Paper-scale shuffle seconds of `run`'s transmission log: the Shuffle
+// stage of the baseline scenario replayed under `discipline` and
+// `order`.
+double ReplayShuffle(
+    const AlgorithmResult& run, const CostModel& model, const RunScale& scale,
+    simnet::Discipline discipline,
+    simnet::ReplayOrder order = simnet::ReplayOrder::kLogOrder) {
+  simscen::Scenario s = simscen::Scenario::Baseline(run.config.num_nodes);
+  s.discipline = discipline;
+  s.order = order;
+  return simscen::ReplayScenario(run, model, scale, s).breakdown().shuffle();
+}
 
 // Replay pricing of one algorithm run: serial schedule plus the two
 // parallel disciplines. Barrier logs replay in recorded (global) log
@@ -56,13 +71,14 @@ void AddReplayRow(TextTable& table, const std::string& name,
                          : simnet::ReplayOrder::kLogOrder;
   table.add_row(
       {name,
-       TextTable::Num(ReplayShuffleSeconds(run, model, scale,
-                                           ShuffleSchedule::kSerial)),
-       TextTable::Num(ReplayShuffleSeconds(
-           run, model, scale, ShuffleSchedule::kParallelHalfDuplex, order)),
-       TextTable::Num(ReplayShuffleSeconds(
-           run, model, scale, ShuffleSchedule::kParallelFullDuplex,
-           order))});
+       TextTable::Num(
+           ReplayShuffle(run, model, scale, simnet::Discipline::kSerial)),
+       TextTable::Num(ReplayShuffle(run, model, scale,
+                                    simnet::Discipline::kParallelHalfDuplex,
+                                    order)),
+       TextTable::Num(ReplayShuffle(run, model, scale,
+                                    simnet::Discipline::kParallelFullDuplex,
+                                    order))});
 }
 
 }  // namespace
@@ -87,13 +103,13 @@ int main(int argc, char** argv) {
   const struct {
     const char* name;
     const char* json_key;
-    ShuffleSchedule schedule;
+    simnet::Discipline schedule;
   } schedules[] = {
-      {"serial (paper)", "serial", ShuffleSchedule::kSerial},
+      {"serial (paper)", "serial", simnet::Discipline::kSerial},
       {"parallel half-duplex", "parallel_half",
-       ShuffleSchedule::kParallelHalfDuplex},
+       simnet::Discipline::kParallelHalfDuplex},
       {"parallel full-duplex", "parallel_full",
-       ShuffleSchedule::kParallelFullDuplex},
+       simnet::Discipline::kParallelFullDuplex},
   };
 
   for (const auto& s : schedules) {
@@ -129,8 +145,9 @@ int main(int argc, char** argv) {
 
   {
     TextTable table(
-        "shuffle makespan from transmission-log replay (seconds at paper "
-        "scale; 'overlapped' rows replay the nonblocking engine's logs)");
+        "shuffle makespan from transmission-log replay (simscen::NetMakespan; "
+        "seconds at paper scale; 'overlapped' rows replay the nonblocking "
+        "engine's logs)");
     table.set_header(
         {"algorithm", "serial", "parallel half-dup", "parallel full-dup"});
     AddReplayRow(table, "TeraSort barrier", plain, model, scale);
@@ -150,9 +167,9 @@ int main(int argc, char** argv) {
   // the paper's serial schedule, while moving byte-identical traffic.
   {
     const double serial3 =
-        ReplayShuffleSeconds(coded3, model, scale, ShuffleSchedule::kSerial);
-    const double over3 = ReplayShuffleSeconds(
-        coded3_over, model, scale, ShuffleSchedule::kParallelFullDuplex,
+        ReplayShuffle(coded3, model, scale, simnet::Discipline::kSerial);
+    const double over3 = ReplayShuffle(
+        coded3_over, model, scale, simnet::Discipline::kParallelFullDuplex,
         simnet::ReplayOrder::kPerSender);
     CTS_CHECK_LT(over3, serial3);
     CTS_CHECK_EQ(
@@ -173,13 +190,12 @@ int main(int argc, char** argv) {
     cc.redundancy = r;
     cc.seed = EnvU64("CTS_SEED", 2017);
 
-    simnet::LinkModel link;
-    link.bytes_per_sec = model.effective_link_rate();
-    link.multicast_log_coeff = model.multicast_log_coeff;
+    // The paper testbed's links, from the constants CostModel uses.
+    const simscen::Topology rack = simscen::Topology::SingleRack(K);
 
     TextTable table(
-        "CMR Grep K=16 r=2: barrier vs overlapped shuffle (replay seconds "
-        "at executed scale)");
+        "CMR Grep K=16 r=2: barrier vs overlapped shuffle "
+        "(simscen::NetMakespan replay seconds at executed scale)");
     table.set_header({"mode", "payload load L", "serial replay",
                       "overlap full-dup replay", "vs serial"});
     for (const cmr::ShuffleMode mode :
@@ -197,10 +213,10 @@ int main(int argc, char** argv) {
       CTS_CHECK_EQ(barrier.traffic.at(stage::kShuffle).transmitted_bytes(),
                    overlapped.traffic.at(stage::kShuffle).transmitted_bytes());
 
-      const double serial = simnet::ReplayMakespan(
-          barrier.shuffle_log, link, K, simnet::Discipline::kSerial);
-      const double over = simnet::ReplayMakespan(
-          overlapped.shuffle_log, link, K,
+      const double serial = simscen::NetMakespan(
+          barrier.shuffle_log, rack, simnet::Discipline::kSerial);
+      const double over = simscen::NetMakespan(
+          overlapped.shuffle_log, rack,
           simnet::Discipline::kParallelFullDuplex,
           simnet::ReplayOrder::kPerSender);
       CTS_CHECK_LT(over, serial);  // K=16, r>1: strictly below

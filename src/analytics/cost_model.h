@@ -43,8 +43,8 @@ struct RunScale {
 struct CostModel {
   // ---- Network ----
   // The three link constants live in common/units.h so the closed
-  // forms here and the simnet/simscen replay engines share one
-  // calibration.
+  // forms here and the scenario engine's replay (simscen::Topology)
+  // share one calibration.
   //
   // 100 Mbps tc-limited NICs (paper Section V-B).
   double link_bytes_per_sec = kPaperLinkBytesPerSec;

@@ -108,7 +108,7 @@ double ParallelShuffleSeconds(const AlgorithmResult& result,
 
 StageBreakdown SimulateRun(const AlgorithmResult& result,
                            const CostModel& model, const RunScale& scale,
-                           ShuffleSchedule schedule) {
+                           simnet::Discipline discipline) {
   const int r = std::max(result.config.redundancy, 1);
   StageBreakdown out;
   out.algorithm = result.algorithm;
@@ -142,19 +142,19 @@ StageBreakdown SimulateRun(const AlgorithmResult& result,
     const ShuffleScaling s = ComputeShuffleScaling(result, model, scale);
 
     double seconds = 0;
-    switch (schedule) {
-      case ShuffleSchedule::kSerial:
+    switch (discipline) {
+      case simnet::Discipline::kSerial:
         // The paper's discipline: one transmission at a time, so the
         // stage time is the sum over the shared medium.
         seconds = model.unicast_seconds(scale.bytes(sh.unicast_bytes)) +
                   static_cast<double>(sh.mcast_bytes) * s.correction *
                       s.penalty / model.effective_link_rate();
         break;
-      case ShuffleSchedule::kParallelFullDuplex:
-      case ShuffleSchedule::kParallelHalfDuplex:
+      case simnet::Discipline::kParallelFullDuplex:
+      case simnet::Discipline::kParallelHalfDuplex:
         seconds = ParallelShuffleSeconds(
             result, model, s.correction, s.penalty,
-            schedule == ShuffleSchedule::kParallelFullDuplex);
+            discipline == simnet::Discipline::kParallelFullDuplex);
         break;
     }
     out.stages.push_back({stage::kShuffle, seconds});
@@ -184,43 +184,6 @@ StageBreakdown MeasuredBreakdown(const AlgorithmResult& result) {
         {name, it == result.wall_seconds.end() ? 0.0 : it->second});
   }
   return out;
-}
-
-double ReplayShuffleSeconds(const AlgorithmResult& result,
-                            const CostModel& model, const RunScale& scale,
-                            simnet::Discipline discipline,
-                            simnet::ReplayOrder order) {
-  const ShuffleScaling s = ComputeShuffleScaling(result, model, scale);
-  simnet::LinkModel link;
-  link.bytes_per_sec = model.effective_link_rate();
-  // The replay applies the fan-out penalty per transmission.
-  link.multicast_log_coeff = model.multicast_log_coeff;
-  // s.correction maps measured bytes to paper-scale bytes; time is
-  // linear in bytes for a fixed schedule shape, so it applies to the
-  // replayed seconds directly.
-  return simnet::ReplayMakespan(result.shuffle_log, link,
-                                result.config.num_nodes, discipline,
-                                order) *
-         s.correction;
-}
-
-double ReplayShuffleSeconds(const AlgorithmResult& result,
-                            const CostModel& model, const RunScale& scale,
-                            ShuffleSchedule schedule,
-                            simnet::ReplayOrder order) {
-  simnet::Discipline discipline = simnet::Discipline::kSerial;
-  switch (schedule) {
-    case ShuffleSchedule::kSerial:
-      discipline = simnet::Discipline::kSerial;
-      break;
-    case ShuffleSchedule::kParallelHalfDuplex:
-      discipline = simnet::Discipline::kParallelHalfDuplex;
-      break;
-    case ShuffleSchedule::kParallelFullDuplex:
-      discipline = simnet::Discipline::kParallelFullDuplex;
-      break;
-  }
-  return ReplayShuffleSeconds(result, model, scale, discipline, order);
 }
 
 TextTable BreakdownTable(const std::string& title,

@@ -13,7 +13,7 @@
 #include "analytics/cost_model.h"
 #include "common/table.h"
 #include "driver/run_result.h"
-#include "simnet/schedule.h"
+#include "simnet/transmission_log.h"
 
 namespace cts {
 
@@ -58,8 +58,8 @@ RunScale PaperScale(std::uint64_t executed_records,
 // runs the correction folds in the header/padding adjustment: packet
 // count is combinatorial in (K, r), so header bytes and the
 // zero-padding residue are charged unscaled — at paper scale both are
-// <1%. Shared by the closed forms, ReplayShuffleSeconds, and the
-// scenario engine (src/simscen).
+// <1%. Shared by the closed forms and the scenario engine
+// (src/simscen).
 struct ShuffleScaling {
   double penalty = 1.0;     // multicast fan-out factor (tx side only)
   double correction = 1.0;  // measured bytes -> paper-scale bytes
@@ -69,59 +69,24 @@ ShuffleScaling ComputeShuffleScaling(const AlgorithmResult& result,
                                      const CostModel& model,
                                      const RunScale& scale);
 
-// How the shuffle stage uses the network (paper Section VI, third
-// future direction — "Asynchronous Execution"):
-//   kSerial           — the paper's discipline: one sender at a time on
-//                       a shared medium; stage time = sum of all
-//                       transmissions.
-//   kParallelFullDuplex — all nodes transmit and receive concurrently
-//                       on independent full-duplex links; stage time =
-//                       max over nodes of max(tx, rx) occupancy.
-//   kParallelHalfDuplex — concurrent, but a node's NIC carries tx + rx
-//                       on one 100 Mbps budget (the tc-limited EC2
-//                       setting applies one cap to each direction
-//                       combined in the worst case).
-enum class ShuffleSchedule {
-  kSerial,
-  kParallelFullDuplex,
-  kParallelHalfDuplex,
-};
-
 // Prices every stage of `result` under `model` at `scale`. Handles both
-// algorithms: stages the run did not execute get zero rows.
-StageBreakdown SimulateRun(const AlgorithmResult& result,
-                           const CostModel& model, const RunScale& scale,
-                           ShuffleSchedule schedule = ShuffleSchedule::kSerial);
+// algorithms: stages the run did not execute get zero rows. The shuffle
+// is a closed form under `discipline` (paper Section VI, "Asynchronous
+// Execution"): kSerial sums every transmission on the shared medium
+// (the paper's setup); the parallel disciplines take the busiest node's
+// link occupancy, max(tx, rx) under full duplex and tx + rx under half,
+// assuming perfect overlap. simscen::ReplayScenario replays the log's
+// actual initiation order instead.
+StageBreakdown SimulateRun(
+    const AlgorithmResult& result, const CostModel& model,
+    const RunScale& scale,
+    simnet::Discipline discipline = simnet::Discipline::kSerial);
 
 // Executed-scale breakdown straight from the measured wall clocks (no
 // cost model): one row per executed stage, in execution order. The
 // job API's kLive backend and any engine without NodeWork counters
 // (e.g. CMR) report through this.
 StageBreakdown MeasuredBreakdown(const AlgorithmResult& result);
-
-// Prices the shuffle stage by discrete-event replay of the measured
-// transmission log (simnet::ReplayMakespan) instead of the closed
-// forms, scaled to paper bytes with the same correction the closed
-// forms use. The closed forms assume perfect overlap; the replay
-// respects the log's actual initiation order, so it separates what
-// the paper's sender-serial ordering achieves on a parallel network
-// (ShuffleSync::kBarrier logs) from what the overlapped engine
-// achieves (ShuffleSync::kOverlapped logs). `order` picks the replay
-// constraint — kLogOrder for the recorded global sequence,
-// kPerSender for fully asynchronous initiation (deterministic for
-// overlapped runs).
-double ReplayShuffleSeconds(
-    const AlgorithmResult& result, const CostModel& model,
-    const RunScale& scale, ShuffleSchedule schedule,
-    simnet::ReplayOrder order = simnet::ReplayOrder::kLogOrder);
-
-// Same replay addressed by the simnet discipline directly (callers
-// that parsed a --discipline flag need no round-trip through
-// ShuffleSchedule).
-double ReplayShuffleSeconds(
-    const AlgorithmResult& result, const CostModel& model,
-    const RunScale& scale, simnet::Discipline discipline,
-    simnet::ReplayOrder order = simnet::ReplayOrder::kLogOrder);
 
 // Renders breakdowns as a paper-style table: one row per run, columns
 // CodeGen / Map / Pack-Encode / Shuffle / Unpack-Decode / Reduce /

@@ -38,7 +38,6 @@
 #include <string>
 #include <vector>
 
-#include "simnet/schedule.h"
 #include "simnet/transmission_log.h"
 #include "simscen/netsim.h"
 #include "simscen/scenario.h"

@@ -28,7 +28,7 @@
 // draining receives. Overlap never changes the bytes on the wire
 // (loads are byte-identical; tests/property_test.cc asserts this);
 // it only changes the initiation ORDER, which the transmission-log
-// replay (simnet::ReplayMakespan) prices under parallel links.
+// replay (simscen::NetMakespan) prices under parallel links.
 #pragma once
 
 #include <cstdint>
@@ -96,7 +96,7 @@ struct CmrResult {
   // uncoded = IV bytes unicast, coded = XOR-packet payload bytes.
   std::uint64_t shuffled_payload_bytes = 0;
   // Ordered shuffle transmissions (true initiation order), for
-  // discrete-event replay by simnet::ReplayMakespan.
+  // discrete-event replay by simscen::NetMakespan.
   simnet::TransmissionLog shuffle_log;
 
   // Transport events for happens-before analysis (empty unless capture

@@ -15,8 +15,9 @@ inline constexpr double kGB = 1000.0 * 1000.0 * 1000.0;
 inline constexpr double kMbps = 1000.0 * 1000.0 / 8.0;  // bytes per second
 
 // Paper-testbed link defaults, shared by the analytics cost model and
-// the simnet/simscen replay engines so the calibration cannot drift
-// between the closed forms and the discrete-event simulators.
+// the scenario engine's topology (simscen::Topology) so the
+// calibration cannot drift between the closed forms and the
+// discrete-event replay.
 //
 // 100 Mbps tc-limited NICs (paper Section V-B).
 inline constexpr double kPaperLinkBytesPerSec = 100 * kMbps;

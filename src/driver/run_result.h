@@ -161,7 +161,7 @@ struct AlgorithmResult {
   std::vector<simmpi::NodeTraffic> shuffle_node_traffic;
 
   // Ordered shuffle transmissions, for discrete-event replay
-  // (simnet::SerialMakespan / ParallelMakespan).
+  // (simscen::NetMakespan).
   simnet::TransmissionLog shuffle_log;
 
   // Transport send/post/match events of the whole run, for the

@@ -72,7 +72,7 @@ struct JobSpec {
   // 0 reports at the executed scale.
   std::uint64_t paper_records = 0;
   // kPriced: closed-form shuffle discipline.
-  ShuffleSchedule schedule = ShuffleSchedule::kSerial;
+  simnet::Discipline schedule = simnet::Discipline::kSerial;
   // When set, the result's dollar fields are filled: the view's
   // makespan × K priced at `pricing->node_usd_per_hour`, plus the
   // run's cross-rack shuffle traffic under the scenario topology

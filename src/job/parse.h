@@ -13,7 +13,7 @@
 #include <string>
 
 #include "driver/run_result.h"
-#include "simnet/schedule.h"
+#include "simnet/transmission_log.h"
 #include "simscen/engine.h"
 
 namespace cts::job {

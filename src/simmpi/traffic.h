@@ -252,7 +252,7 @@ class TrafficStats {
   }
 
   // Ordered transmissions of one stage (initiation order), for
-  // discrete-event replay by simnet::ParallelMakespan et al.
+  // discrete-event replay by simscen::NetMakespan.
   simnet::TransmissionLog transmission_log(const std::string& stage) const {
     std::lock_guard lock(mu_);
     const auto it = stages_.find(stage);

@@ -10,11 +10,11 @@
 // (possibly straggling) node does, and the shuffle stage is priced by
 // the topology-aware flow replay (simscen/netsim.h).
 //
-// On a homogeneous single-rack profile with no contention the replay
-// degenerates to the analytics closed forms and to
-// simnet::ReplayMakespan (tests/simscen_test.cc asserts 1e-9 relative
-// agreement), so scenario sweeps and the paper tables share one
-// pricing pipeline.
+// On a homogeneous single-rack profile with no contention the compute
+// stages and the serial shuffle degenerate to the analytics closed
+// forms (tests/simscen_test.cc asserts 1e-9 relative agreement), and a
+// parallel shuffle is the log's NetMakespan scaled to paper bytes, so
+// scenario sweeps and the paper tables share one pricing pipeline.
 #pragma once
 
 #include <string>
@@ -23,7 +23,7 @@
 #include "analytics/report.h"
 #include "driver/run_result.h"
 #include "mitigate/policy.h"
-#include "simnet/schedule.h"
+#include "simnet/transmission_log.h"
 #include "simscen/netsim.h"
 #include "simscen/scenario.h"
 
@@ -41,7 +41,9 @@ struct Scenario {
 
   // The do-nothing scenario: homogeneous single-rack cluster, no
   // straggler, no mitigation. Replaying under it reproduces the
-  // measured run (the degenerate case the tests pin to 1e-9).
+  // measured run: its compute stages and serial shuffle equal the
+  // closed forms to 1e-9, and its shuffle is the log's NetMakespan
+  // times the paper-scale correction.
   static Scenario Baseline(int num_nodes) {
     Scenario s;
     s.cluster = ClusterProfile::Homogeneous(num_nodes);

@@ -118,7 +118,7 @@ struct Flow {
   // seg_start) while the allocated rate is unchanged. The segment is
   // only reset when the rate actually changes, so a flow whose rate
   // never varies completes at admit_time + total/rate in one floating
-  // addition — the same arithmetic simnet uses.
+  // addition.
   double rate = 0;
   double seg_start = 0;
   double seg_sent = 0;
@@ -166,6 +166,8 @@ class FlowSim {
     CTS_CHECK_GT(topo.core_bytes_per_sec, 0.0);
     resources_.resize(full_duplex ? 2 * static_cast<std::size_t>(n)
                                   : static_cast<std::size_t>(n));
+    active_.reserve(resources_.size());
+    heads_.reserve(resources_.size());
 
     // The generalized multi-pipe path exists only when a per-rack pipe
     // actually constrains; otherwise Reallocate keeps the original
@@ -249,7 +251,7 @@ class FlowSim {
       }
     } else {
       // Per-sender FIFO in seq order (a sender's seq order is its
-      // program order), mirroring simnet::ParallelPerSenderMakespan.
+      // program order).
       sender_queue_.resize(static_cast<std::size_t>(n));
       for (std::size_t i = 0; i < flows_.size(); ++i) {
         sender_queue_[static_cast<std::size_t>(flows_[i].t->src)]
@@ -283,8 +285,8 @@ class FlowSim {
       // outage window edges (a blocked system only moves again when
       // the outage starts releasing flows or ends re-admitting them).
       double t_next = kInf;
-      for (const Flow& f : flows_) {
-        if (!f.admitted || f.done) continue;
+      for (const std::size_t i : active_) {
+        const Flow& f = flows_[i];
         CTS_CHECK_GT(f.rate, 0.0);
         const double cand =
             f.seg_start + (f.next_threshold() - f.seg_sent) / f.rate;
@@ -312,9 +314,8 @@ class FlowSim {
       // after the batch), so collect-then-process with the canonical
       // ascending order is the historical behaviour bit-for-bit.
       tie_.clear();
-      for (std::size_t i = 0; i < flows_.size(); ++i) {
+      for (const std::size_t i : active_) {
         const Flow& f = flows_[i];
-        if (!f.admitted || f.done) continue;
         const double cand =
             f.seg_start + (f.next_threshold() - f.seg_sent) / f.rate;
         if (cand > t_next) continue;
@@ -334,6 +335,7 @@ class FlowSim {
         }
         if (f.receivers_released && f.seg_sent >= f.stream_total) {
           f.done = true;
+          Deactivate(i);
           Release(f.up_res());
           makespan = std::max(makespan, t_next);
           if (stats != nullptr) {
@@ -387,6 +389,10 @@ class FlowSim {
     return s;
   }
 
+  void Deactivate(std::size_t i) {
+    active_.erase(std::lower_bound(active_.begin(), active_.end(), i));
+  }
+
   void Release(int r) {
     Resource& res = resources_[static_cast<std::size_t>(r)];
     if (order_ == simnet::ReplayOrder::kLogOrder) {
@@ -433,6 +439,7 @@ class FlowSim {
       }
       ++requeued_;
       f.admitted = false;
+      Deactivate(i);
       f.rate = 0;
       f.seg_start = now;
       f.seg_sent = f.receivers_released ? f.payload : 0.0;
@@ -464,9 +471,9 @@ class FlowSim {
       const Resource& res = resources_[static_cast<std::size_t>(r)];
       if (order_ == simnet::ReplayOrder::kLogOrder) {
         // Admissible only when this flow is the earliest unreleased
-        // user of every link it needs — per-link FIFO in log order,
-        // which reproduces simnet's list schedule (an earlier log
-        // entry holds or reserves the link until it releases it).
+        // user of every link it needs — per-link FIFO in log order
+        // (an earlier log entry holds or reserves the link until it
+        // releases it).
         if (res.head >= res.queue.size() || res.queue[res.head] != i) {
           return false;
         }
@@ -480,6 +487,7 @@ class FlowSim {
   void AdmitFlow(std::size_t i, double now) {
     Flow& f = flows_[i];
     f.admitted = true;
+    active_.insert(std::lower_bound(active_.begin(), active_.end(), i), i);
     ++admissions_;
     if (f.first_admit < 0) f.first_admit = now;
     f.seg_start = now;
@@ -494,16 +502,23 @@ class FlowSim {
 
   void Admit(double now) {
     if (order_ == simnet::ReplayOrder::kLogOrder) {
-      // Admissions cannot enable other admissions (queues pop on
-      // release only), so one pass in log order suffices.
-      for (std::size_t i = 0; i < flows_.size(); ++i) {
+      // Only a flow at the head of every queue it needs is admissible,
+      // and admissions cannot enable other admissions (queues pop on
+      // release only), so one pass over the queue heads in log order
+      // suffices.
+      heads_.clear();
+      for (const Resource& res : resources_) {
+        if (res.head < res.queue.size()) heads_.push_back(res.queue[res.head]);
+      }
+      std::sort(heads_.begin(), heads_.end());
+      heads_.erase(std::unique(heads_.begin(), heads_.end()), heads_.end());
+      for (const std::size_t i : heads_) {
         if (!flows_[i].admitted && !flows_[i].done && Admissible(i, now)) {
           AdmitFlow(i, now);
         }
       }
     } else {
-      // Sender-id order breaks simultaneous ties exactly like the
-      // greedy in simnet::ParallelPerSenderMakespan.
+      // Simultaneous starts go to the lower sender id.
       for (std::size_t n = 0; n < sender_queue_.size(); ++n) {
         while (sender_head_[n] < sender_queue_[n].size()) {
           const std::size_t i = sender_queue_[n][sender_head_[n]];
@@ -539,8 +554,8 @@ class FlowSim {
     }
     std::vector<Share>& crossing = shares_;
     crossing.clear();
-    for (Flow& f : flows_) {
-      if (!f.admitted || f.done) continue;
+    for (const std::size_t i : active_) {
+      Flow& f = flows_[i];
       double cap = topo_.access_bytes_per_sec;
       // Released downlinks no longer constrain the stream tail; the
       // uplink always does. With a uniform access rate the min is the
@@ -584,8 +599,8 @@ class FlowSim {
   void ReallocatePipes(double now) {
     std::vector<Share>& entries = shares_;
     entries.clear();
-    for (Flow& f : flows_) {
-      if (!f.admitted || f.done) continue;
+    for (const std::size_t i : active_) {
+      Flow& f = flows_[i];
       const bool payload_live =
           !f.receivers_released && !f.pipes_payload.empty();
       if (f.pipes_stream.empty() && !payload_live) {
@@ -660,9 +675,15 @@ class FlowSim {
   OrderingHook* const hook_;
   std::vector<std::size_t> tie_;     // reused decision-batch buffer
   std::vector<std::size_t> chosen_;  // hook-returned order buffer
+  // Admitted, unfinished flows in ascending log index, at most one per
+  // uplink: the event loop visits only these, in the order a scan of
+  // every flow would, so a replay costs O(events x nodes), not
+  // O(events x flows).
+  std::vector<std::size_t> active_;
   // Per-event scratch, reused so the event loop never allocates: the
-  // max-min entries, the pipes' remaining capacity and weight, and the
-  // flight recorder's busy-link flags.
+  // log-order queue heads, the max-min entries, the pipes' remaining
+  // capacity and weight, and the flight recorder's busy-link flags.
+  std::vector<std::size_t> heads_;
   std::vector<Share> shares_;
   std::vector<double> pipe_rem_;
   std::vector<double> pipe_weight_;

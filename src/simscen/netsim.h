@@ -1,15 +1,14 @@
-// Topology-aware discrete-event replay of a transmission log.
+// Topology-aware discrete-event replay of a transmission log: the
+// one network model every replayed shuffle makespan comes from.
 //
-// Generalizes simnet::ReplayMakespan from identical per-node links to
-// a rack Topology with an oversubscribed core:
+// Nodes sit on a rack Topology with an oversubscribed core:
 //
-//   * Access links are exclusive, as in simnet: a node transmits one
-//     flow and receives one flow at a time (one combined under a
-//     half-duplex discipline). Under ReplayOrder::kLogOrder each link
-//     serves its transmissions in per-link FIFO order of the log —
-//     provably the same schedule simnet's list scheduler produces;
-//     under kPerSender only each sender's program order constrains,
-//     with ties broken by sender id exactly as simnet does.
+//   * Access links are exclusive: a node transmits one flow and
+//     receives one flow at a time (one combined under a half-duplex
+//     discipline). Under ReplayOrder::kLogOrder each link serves its
+//     transmissions in per-link FIFO order of the log; under
+//     kPerSender only each sender's program order constrains, with
+//     simultaneous starts going to the lower sender id.
 //   * The core is a fluid shared resource: all concurrently active
 //     cross-rack flows share its capacity by progressive-filling
 //     max-min (each flow additionally capped by its access links),
@@ -20,10 +19,10 @@
 // bytes × (1 + coeff·log2(fanout)) — the application-layer multicast
 // penalty — while each receiver's downlink is held only until the
 // payload `bytes` have flowed; the sender's uplink (and the core, for
-// cross-rack flows) carries the stream to the end. With an infinite
-// core and the default access rate this reproduces
-// simnet::ReplayMakespan bit-for-bit modulo floating-point event
-// accumulation (tests assert 1e-9 relative agreement).
+// cross-rack flows) carries the stream to the end. On a single rack
+// the serial discipline is the sum of the sender-side durations (the
+// analytics closed form), and a parallel replay lies between the
+// busiest link's total occupancy and that sum.
 #pragma once
 
 #include <cstddef>
@@ -31,7 +30,6 @@
 #include <vector>
 
 #include "obs/timeline.h"
-#include "simnet/schedule.h"
 #include "simnet/transmission_log.h"
 #include "simscen/scenario.h"
 

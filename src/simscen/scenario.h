@@ -90,8 +90,8 @@ struct ClusterProfile {
 // of `core_bytes_per_sec` that every cross-rack flow traverses. All
 // three inter-rack pipes are fluid resources shared max-min among the
 // flows crossing them; each defaults to infinity, and with all of them
-// infinite the fabric is non-blocking and the replay degenerates to
-// simnet::ReplayMakespan's per-node-link model.
+// infinite the fabric is non-blocking: only the per-node access links
+// constrain the replay.
 struct Topology {
   int num_nodes = 0;
   // Nodes per rack; <= 0 or >= num_nodes means a single rack. Rack of
@@ -106,8 +106,8 @@ struct Topology {
   double rack_uplink_bytes_per_sec = std::numeric_limits<double>::infinity();
   double rack_downlink_bytes_per_sec =
       std::numeric_limits<double>::infinity();
-  // Sender-side penalty coefficient for application-layer multicast,
-  // identical in role to simnet::LinkModel::multicast_log_coeff.
+  // Sender-side penalty coefficient for application-layer multicast
+  // (the same kMulticastLogCoeff constant as CostModel's).
   double multicast_log_coeff = kMulticastLogCoeff;
   // Rack-aware application-layer multicast: the sender emits one copy
   // per destination *rack* (the rack switch replicates locally), so
@@ -146,9 +146,8 @@ struct Topology {
   // count folded into a unicast-rate multiplier). Under
   // rack_aware_multicast the fanout is the number of distinct racks
   // the transmission reaches (its own rack's switch counts once);
-  // otherwise it is the receiver count — the exact floating-point
-  // expression of simnet::LinkModel::tx_seconds, so degenerate
-  // replays stay bit-stable.
+  // otherwise it is the receiver count, 1 + coeff·log2(fanout) for a
+  // fanout above 1 and exactly 1 for a unicast.
   double multicast_penalty(const simnet::Transmission& t) const;
 
   bool core_is_finite() const {

@@ -164,12 +164,12 @@ TEST(ParallelSchedule, FullDuplexIsFastestSerialSlowest) {
   const CostModel model;
   const RunScale scale{1.0};
   const double serial =
-      SimulateRun(result, model, scale, ShuffleSchedule::kSerial).shuffle();
+      SimulateRun(result, model, scale, simnet::Discipline::kSerial).shuffle();
   const double half =
-      SimulateRun(result, model, scale, ShuffleSchedule::kParallelHalfDuplex)
+      SimulateRun(result, model, scale, simnet::Discipline::kParallelHalfDuplex)
           .shuffle();
   const double full =
-      SimulateRun(result, model, scale, ShuffleSchedule::kParallelFullDuplex)
+      SimulateRun(result, model, scale, simnet::Discipline::kParallelFullDuplex)
           .shuffle();
   EXPECT_LT(full, half);
   EXPECT_LT(half, serial);
@@ -193,9 +193,9 @@ TEST(ParallelSchedule, CodingGainShrinksWhenLinksRunInParallel) {
       SimulateRun(plain, model, scale).shuffle() /
       SimulateRun(coded, model, scale).shuffle();
   const double parallel_gain =
-      SimulateRun(plain, model, scale, ShuffleSchedule::kParallelFullDuplex)
+      SimulateRun(plain, model, scale, simnet::Discipline::kParallelFullDuplex)
           .shuffle() /
-      SimulateRun(coded, model, scale, ShuffleSchedule::kParallelFullDuplex)
+      SimulateRun(coded, model, scale, simnet::Discipline::kParallelFullDuplex)
           .shuffle();
   EXPECT_GT(serial_gain, 2.0);       // near r on the shared medium
   EXPECT_LT(parallel_gain, 1.5);     // rx-bound once links parallelize

@@ -1,14 +1,17 @@
 // The unified Job API (src/job): registry round-trip against the
 // direct Run* entry points, the cluster-shape bounds (also through the
-// built ctsort and ctcheck), JobMatrix memoization (one live execution
-// per distinct (algorithm, SortConfig) key), the shared scenario-spec
-// parser, and the bench-JSON schema of JobResult::metrics.
+// built ctsort and ctcheck), ctsort's replay table against its scenario
+// projection, JobMatrix memoization (one live execution per distinct
+// (algorithm, SortConfig) key), the shared scenario-spec parser, and
+// the bench-JSON schema of JobResult::metrics.
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -295,6 +298,49 @@ TEST(Cli, BadShapesAndTyposExitTwo) {
     EXPECT_EQ(status(ctcheck, std::string(args) + " --quiet"), 2)
         << "ctcheck " << args;
   }
+}
+
+// ctsort's --discipline/--order table and its --scenario projection
+// price one measured log through one replay, so they print the same
+// shuffle seconds. This shape's per-sender replay sits on an ulp-level
+// near-tie, where two different schedulers disagree.
+TEST(Cli, ReplayTableMatchesScenarioShuffle) {
+  const char* ctsort = std::getenv("CTSORT_BIN");
+  if (ctsort == nullptr) {
+    GTEST_SKIP() << "CTSORT_BIN not set (run through ctest)";
+  }
+  const std::string command =
+      std::string(ctsort) +
+      " --algo=coded --nodes=12 --redundancy=3 --records=12000"
+      " --dist=balanced --paper-records=120000000 --no-verify"
+      " --discipline=full --order=per-sender --scenario 2>&1";
+  FILE* pipe = popen(command.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string out;
+  char buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, pipe)) > 0;) {
+    out.append(buf, n);
+  }
+  ASSERT_EQ(pclose(pipe), 0) << out;
+  // Cell `index` of the CodedTeraSort row in the table titled `title`
+  // (cell 0 is the empty text before the first bar).
+  const auto cell = [&out](const std::string& title, int index) {
+    std::istringstream in(out.substr(std::min(out.find(title), out.size())));
+    std::string line;
+    while (std::getline(in, line) && line.rfind("| CodedTeraSort |", 0) != 0) {
+    }
+    std::istringstream row(line);
+    std::string text;
+    for (int i = 0; i <= index; ++i) std::getline(row, text, '|');
+    std::string word;
+    std::istringstream(text) >> word;
+    return word;
+  };
+  // | algorithm | discipline | order | seconds | against the
+  // projection's | Algorithm | CodeGen | Map | Pack/Encode | Shuffle |.
+  const std::string replayed = cell("shuffle makespan", 4);
+  ASSERT_FALSE(replayed.empty()) << out;
+  EXPECT_EQ(replayed, cell("scenario projection", 5)) << out;
 }
 
 // The matrix memoizes the live execution per (algorithm, SortConfig)

@@ -98,14 +98,14 @@ struct Cell {
   std::string name;
   std::string algorithm;
   SortConfig config;
-  ShuffleSchedule schedule = ShuffleSchedule::kSerial;
+  simnet::Discipline schedule = simnet::Discipline::kSerial;
 };
 
 std::vector<Cell> IdentityCells() {
   std::vector<Cell> cells;
-  const auto add = [&](std::string name, std::string algorithm,
-                       auto mutate,
-                       ShuffleSchedule schedule = ShuffleSchedule::kSerial) {
+  const auto add = [&](std::string name, std::string algorithm, auto mutate,
+                       simnet::Discipline schedule =
+                           simnet::Discipline::kSerial) {
     Cell cell;
     cell.name = std::move(name);
     cell.algorithm = std::move(algorithm);
@@ -123,7 +123,7 @@ std::vector<Cell> IdentityCells() {
   add(
       "terasort_k16_parallel", "terasort",
       [](SortConfig& c) { c.num_nodes = 16; },
-      ShuffleSchedule::kParallelFullDuplex);
+      simnet::Discipline::kParallelFullDuplex);
   add("coded_k4_r2", "coded", [](SortConfig& c) {
     c.num_nodes = 4;
     c.redundancy = 2;
@@ -151,7 +151,7 @@ std::vector<Cell> IdentityCells() {
         c.redundancy = 3;
         c.codegen_mode = CodeGenMode::kBatched;
       },
-      ShuffleSchedule::kParallelHalfDuplex);
+      simnet::Discipline::kParallelHalfDuplex);
   return cells;
 }
 

@@ -36,6 +36,9 @@
 //   --partitioner=range|sampled       key partitioner        [range]
 //   --codegen=split|batched           group creation mode    [split]
 //   --schedule=serial|parallel-full|parallel-half            [serial]
+//                                     closed-form shuffle pricing of
+//                                     the projection (parallel forms
+//                                     assume perfect overlap)
 //   --paper-records=N                 report at this scale   [=records]
 //   --no-verify                       skip output validation
 //   --json[=path]                     bench-schema JSON of every job's
@@ -67,8 +70,9 @@
 //                                     MetricRegistry snapshot after
 //                                     the run
 //
-// Transmission-log replay (simnet::ReplayMakespan; prints the shuffle
-// makespan of the measured log under a network discipline):
+// Transmission-log replay (the flow DES, simscen::NetMakespan: prints
+// the Shuffle stage of the baseline scenario replay, i.e. the measured
+// log's makespan under a network discipline at paper scale):
 //   --discipline=serial|half|full     replay discipline
 //   --order=log|per-sender            initiation-order constraint [log]
 //
@@ -298,11 +302,11 @@ int main(int argc, char** argv) {
       {{"split", CodeGenMode::kCommSplit}, {"batched", CodeGenMode::kBatched}});
   const std::vector<std::string> algos =
       ResolveAlgos(flags.Get("algo", "both"));
-  const ShuffleSchedule schedule = flags.GetChoice<ShuffleSchedule>(
+  const simnet::Discipline schedule = flags.GetChoice<simnet::Discipline>(
       "schedule", "serial",
-      {{"serial", ShuffleSchedule::kSerial},
-       {"parallel-full", ShuffleSchedule::kParallelFullDuplex},
-       {"parallel-half", ShuffleSchedule::kParallelHalfDuplex}});
+      {{"serial", simnet::Discipline::kSerial},
+       {"parallel-full", simnet::Discipline::kParallelFullDuplex},
+       {"parallel-half", simnet::Discipline::kParallelHalfDuplex}});
   const std::uint64_t paper_records =
       flags.GetU64("paper-records", config.num_records);
   const bool verify = !flags.GetBool("no-verify");
@@ -504,11 +508,16 @@ int main(int argc, char** argv) {
   }
 
   // ---- Transmission-log replay (--discipline/--order) ----
+  // The Shuffle stage of the baseline scenario replay: the same call
+  // --scenario makes, so both tables price a log identically.
   if (!scenario_spec.discipline.empty() || !scenario_spec.order.empty()) {
     const bench::BenchPricing pricing =
         bench::PaperPricing(config, paper_records);
+    simscen::Scenario baseline = simscen::Scenario::Baseline(config.num_nodes);
+    baseline.discipline = discipline;
+    baseline.order = order;
     TextTable replay("shuffle makespan: discrete-event replay of the "
-                     "measured log (simnet::ReplayMakespan)");
+                     "measured log (simscen::NetMakespan)");
     replay.set_header({"Algorithm", "discipline", "order", "seconds"});
     for (const AlgoRun& run : runs) {
       if (!job::Find(run.name)->priced) continue;
@@ -517,9 +526,11 @@ int main(int argc, char** argv) {
            scenario_spec.discipline.empty() ? "serial"
                                             : scenario_spec.discipline,
            scenario_spec.order.empty() ? "log" : scenario_spec.order,
-           TextTable::Num(ReplayShuffleSeconds(
-               *run.live.execution, pricing.model, pricing.scale,
-               discipline, order))});
+           TextTable::Num(simscen::ReplayScenario(*run.live.execution,
+                                                  pricing.model,
+                                                  pricing.scale, baseline)
+                              .breakdown()
+                              .shuffle())});
     }
     std::cout << '\n';
     replay.render(std::cout);
