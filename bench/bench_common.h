@@ -1,14 +1,19 @@
-// Shared support for the table/figure reproduction harnesses.
+// Shared support for the bench harnesses (bench_paper's presets,
+// bench_scenarios, bench_mitigation, bench_ext_async) and the tools'
+// JSON and ledger output.
 //
-// Each bench binary reruns the paper's experiment at a reduced scale
+// Each bench reruns the paper's experiment at a reduced scale
 // (default 1/100: 1.2 M records standing for the paper's 12 GB =
 // 120 M records), prices the measured counters with the calibrated
 // CostModel, and prints the paper's numbers next to the reproduced
 // ones.
 //
-// Environment knobs:
-//   CTS_RECORDS  — executed record count (default per bench)
+// Environment knobs, each a whole base-10 number (anything else exits
+// 2 with the variable named):
+//   CTS_RECORDS  — executed record count (default per bench; >= 1)
 //   CTS_SEED     — workload seed (default 2017)
+//   CTS_TRIALS   — repeated trials of the paper tables (default 1)
+//   CTS_UNIFORM  — nonzero selects the uniform key stream
 //
 // The benches default to the kBalanced key stream: at 1/100 scale a
 // uniform stream's per-value Poisson noise inflates zero-padding in
@@ -18,9 +23,11 @@
 // Set CTS_UNIFORM=1 to use the uniform stream anyway.
 #pragma once
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -250,129 +257,35 @@ inline std::string CheckBenchJsonSchema(
 // The paper's workload: 12 GB = 120 M 100-byte records.
 inline constexpr std::uint64_t kPaperRecords = 120'000'000;
 
-inline std::uint64_t EnvU64(const char* name, std::uint64_t fallback) {
+// Reads a whole base-10 uint64 knob; an unset or empty variable keeps
+// `fallback`. Anything else — a sign, an exponent, trailing text, a
+// value past 2^64 - 1 or below `min` — prints the variable and exits 2.
+inline std::uint64_t EnvU64(const char* name, std::uint64_t fallback,
+                            std::uint64_t min = 0) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
-  return static_cast<std::uint64_t>(std::strtoull(v, nullptr, 10));
+  const char* end = v + std::strlen(v);
+  std::uint64_t value = 0;
+  const auto [last, ec] = std::from_chars(v, end, value);
+  if (ec != std::errc() || last != end || value < min) {
+    std::cerr << name << "=" << v << ": expected a whole number";
+    if (min > 0) std::cerr << " >= " << min;
+    std::cerr << "\n";
+    std::exit(2);
+  }
+  return value;
 }
 
 inline SortConfig BenchConfig(int K, int r, std::uint64_t default_records) {
   SortConfig config;
   config.num_nodes = K;
   config.redundancy = r;
-  config.num_records = EnvU64("CTS_RECORDS", default_records);
+  config.num_records = EnvU64("CTS_RECORDS", default_records, 1);
   config.seed = EnvU64("CTS_SEED", 2017);
   config.distribution = EnvU64("CTS_UNIFORM", 0) != 0
                             ? KeyDistribution::kUniform
                             : KeyDistribution::kBalanced;
   return config;
-}
-
-// The calibrated-testbed pricing every bench uses: the EC2 CostModel
-// plus the RunScale mapping the executed record count to the reported
-// paper workload. One helper instead of the same two lines at the top
-// of every bench main.
-struct BenchPricing {
-  CostModel model;
-  RunScale scale;
-};
-
-inline BenchPricing PaperPricing(const SortConfig& config,
-                                 std::uint64_t reported_records =
-                                     kPaperRecords) {
-  return BenchPricing{CostModel{},
-                      PaperScale(config.num_records, reported_records)};
-}
-
-// One row of a paper table (seconds; <0 marks a non-existent cell).
-struct PaperRow {
-  std::string name;
-  double codegen = -1;
-  double map = 0;
-  double pack_encode = 0;
-  double shuffle = 0;
-  double unpack_decode = 0;
-  double reduce = 0;
-
-  double total() const {
-    return (codegen > 0 ? codegen : 0) + map + pack_encode + shuffle +
-           unpack_decode + reduce;
-  }
-};
-
-inline TextTable PaperTable(const std::string& title,
-                            const std::vector<PaperRow>& rows) {
-  TextTable table(title);
-  table.set_header({"Algorithm", "CodeGen", "Map", "Pack/Encode", "Shuffle",
-                    "Unpack/Decode", "Reduce", "Total", "Speedup"});
-  const double baseline = rows.empty() ? 0 : rows.front().total();
-  for (const auto& row : rows) {
-    std::string speedup = "-";
-    if (&row != &rows.front()) {
-      speedup = TextTable::Num(baseline / row.total(), 2) + "x";
-    }
-    table.add_row({row.name,
-                   row.codegen < 0 ? "-" : TextTable::Num(row.codegen),
-                   TextTable::Num(row.map), TextTable::Num(row.pack_encode),
-                   TextTable::Num(row.shuffle),
-                   TextTable::Num(row.unpack_decode),
-                   TextTable::Num(row.reduce), TextTable::Num(row.total()),
-                   speedup});
-  }
-  return table;
-}
-
-// Prints a side-by-side comparison of paper vs reproduced totals.
-inline void PrintComparison(const std::vector<PaperRow>& paper,
-                            const std::vector<StageBreakdown>& repro) {
-  TextTable t("paper vs reproduced (total seconds, speedup over row 1)");
-  t.set_header({"Algorithm", "paper total", "repro total", "paper speedup",
-                "repro speedup"});
-  for (std::size_t i = 0; i < paper.size() && i < repro.size(); ++i) {
-    const double pt = paper[i].total();
-    const double rt = repro[i].total();
-    std::string ps = "-", rs = "-";
-    if (i > 0) {
-      ps = TextTable::Num(paper[0].total() / pt, 2) + "x";
-      rs = TextTable::Num(repro[0].total() / rt, 2) + "x";
-    }
-    t.add_row({paper[i].name, TextTable::Num(pt), TextTable::Num(rt), ps, rs});
-  }
-  t.render(std::cout);
-}
-
-// Mean and sample standard deviation of repeated-trial totals. The
-// paper reports 5-run averages; set CTS_TRIALS to mimic (the spread
-// here comes only from the workload seed — there is no EC2 jitter).
-struct TrialStats {
-  double mean = 0;
-  double stddev = 0;
-};
-
-inline TrialStats Summarize(const std::vector<double>& samples) {
-  TrialStats s;
-  if (samples.empty()) return s;
-  for (const double v : samples) s.mean += v;
-  s.mean /= static_cast<double>(samples.size());
-  if (samples.size() > 1) {
-    double var = 0;
-    for (const double v : samples) var += (v - s.mean) * (v - s.mean);
-    s.stddev = std::sqrt(var / static_cast<double>(samples.size() - 1));
-  }
-  return s;
-}
-
-// Runs `run(seed)` for CTS_TRIALS distinct seeds (default 1) and
-// returns the per-trial totals.
-template <typename Fn>
-std::vector<double> RunTrials(const SortConfig& base, Fn&& run) {
-  const std::uint64_t trials = EnvU64("CTS_TRIALS", 1);
-  std::vector<double> totals;
-  totals.reserve(trials);
-  for (std::uint64_t t = 0; t < trials; ++t) {
-    totals.push_back(run(base.seed + t));
-  }
-  return totals;
 }
 
 inline void PrintRunBanner(const SortConfig& config) {

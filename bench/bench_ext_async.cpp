@@ -91,7 +91,8 @@ int main(int argc, char** argv) {
             << ") ===\n";
   PrintRunBanner(base);
 
-  const auto [model, scale] = PaperPricing(base);
+  const CostModel model;
+  const RunScale scale = PaperScale(base.num_records, kPaperRecords);
 
   const AlgorithmResult plain = RunTeraSort(base);
   SortConfig coded_cfg = base;

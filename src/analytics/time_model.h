@@ -5,7 +5,7 @@
 //   r*           = floor or ceil of sqrt(Tshuffle / Tmap)
 //   T*_total,CMR ≈ 2*sqrt(Tshuffle*Tmap) + Treduce               (5)
 //
-// Used by bench_model to reproduce the Section III-B analysis of
+// Used by `bench_paper model` to reproduce the Section III-B analysis of
 // Table I (shuffle is 508.5x Map; r* = 23; ~10x promised saving) and by
 // the cluster-planner example to pick r for a workload.
 #pragma once

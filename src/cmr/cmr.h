@@ -15,7 +15,7 @@
 //     order) into the final output.
 //
 // The two shuffles move exactly the loads of paper eq. (2):
-// L_uncoded = 1 - r/K and L_coded = (1/r)(1 - r/K) (bench_fig2
+// L_uncoded = 1 - r/K and L_coded = (1/r)(1 - r/K) (`bench_paper fig2`
 // verifies this equality on measured traffic).
 //
 // Shuffle sequencing (ShuffleSync in CmrConfig): kBarrier runs the

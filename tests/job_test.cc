@@ -2,16 +2,19 @@
 // direct Run* entry points, the cluster-shape bounds (also through the
 // built ctsort and ctcheck), ctsort's replay table against its scenario
 // projection, JobMatrix memoization (one live execution per distinct
-// (algorithm, SortConfig) key), the shared scenario-spec parser, and
-// the bench-JSON schema of JobResult::metrics.
+// (algorithm, SortConfig) key), the shared scenario-spec parser, the
+// bench-JSON schema of JobResult::metrics, and bench_paper's exit
+// status and pinned preset output.
 #include <sys/wait.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -22,6 +25,7 @@
 #include "job/matrix.h"
 #include "job/parse.h"
 #include "job/registry.h"
+#include "obs/ledger.h"
 #include "obs/metrics.h"
 #include "terasort/terasort.h"
 
@@ -258,17 +262,21 @@ TEST(Job, RunJobRejectsOutOfRangeShapes) {
   EXPECT_GT(result.makespan, 0.0);
 }
 
-// The built ctsort / ctcheck / ctplan (CMake sets CTSORT_BIN,
-// CTCHECK_BIN and CTPLAN_BIN) exit 2 with a message on an out-of-range
-// shape, an impossible axis or a mistyped enumerated flag, instead of
-// aborting or running the default.
+// The built ctsort / ctcheck / ctplan / bench_paper (CMake sets
+// CTSORT_BIN, CTCHECK_BIN, CTPLAN_BIN and BENCH_PAPER_BIN) exit 2 with
+// a message on an out-of-range shape, an impossible axis, a mistyped
+// enumerated flag, a missing or unknown preset, or a CTS_* knob that
+// is not a whole base-10 number, instead of aborting or running the
+// default.
 TEST(Cli, BadShapesAndTyposExitTwo) {
   const char* ctsort = std::getenv("CTSORT_BIN");
   const char* ctcheck = std::getenv("CTCHECK_BIN");
   const char* ctplan = std::getenv("CTPLAN_BIN");
-  if (ctsort == nullptr || ctcheck == nullptr || ctplan == nullptr) {
-    GTEST_SKIP() << "CTSORT_BIN/CTCHECK_BIN/CTPLAN_BIN not set (run through "
-                    "ctest)";
+  const char* bench_paper = std::getenv("BENCH_PAPER_BIN");
+  if (ctsort == nullptr || ctcheck == nullptr || ctplan == nullptr ||
+      bench_paper == nullptr) {
+    GTEST_SKIP() << "CTSORT_BIN/CTCHECK_BIN/CTPLAN_BIN/BENCH_PAPER_BIN not "
+                    "set (run through ctest)";
   }
   const auto status = [](const char* bin, const std::string& args) {
     const int s = std::system(
@@ -297,6 +305,129 @@ TEST(Cli, BadShapesAndTyposExitTwo) {
         "--algos=coded --nodes=65", "--algos=terasrt"}) {
     EXPECT_EQ(status(ctcheck, std::string(args) + " --quiet"), 2)
         << "ctcheck " << args;
+  }
+  // Each knob is set through the shell's environment prefix.
+  for (const char* env :
+       {"CTS_RECORDS=0", "CTS_RECORDS=abc", "CTS_RECORDS=-5",
+        "CTS_RECORDS=1e3", "CTS_RECORDS=99999999999999999999",
+        "CTS_SEED=x"}) {
+    EXPECT_EQ(status((std::string(env) + " " + bench_paper).c_str(),
+                     "table1"),
+              2)
+        << env << " bench_paper table1";
+  }
+  for (const char* args : {"", "tabel1", "table1 --bogus"}) {
+    EXPECT_EQ(status(bench_paper, args), 2) << "bench_paper " << args;
+  }
+}
+
+// bench_paper's four fast presets at 20 000 records print the flat JSON
+// values below, which were recorded from the per-result bench binaries
+// the driver replaced (one per preset, same names and knobs). The
+// priced values are a function of the measured counters, so they pin
+// the whole execute-and-price path; EXPECT_DOUBLE_EQ leaves room for
+// last-ulp drift in sums taken in the shuffle log's order, which is a
+// thread race.
+TEST(Cli, PaperPresetsArePinned) {
+  const char* bench_paper = std::getenv("BENCH_PAPER_BIN");
+  if (bench_paper == nullptr) {
+    GTEST_SKIP() << "BENCH_PAPER_BIN not set (run through ctest)";
+  }
+  const std::map<std::string, std::map<std::string, double>> pinned = {
+      {"table1",
+       {{"terasort/Map_s", 1.8615421836228287},
+        {"terasort/Pack_s", 2.3484},
+        {"terasort/Reduce_s", 10.483240223463687},
+        {"terasort/Shuffle_s", 948.3385263157895},
+        {"terasort/Unpack_s", 0.8495421686746988},
+        {"terasort/shuffle_share", 0.9838748553710482},
+        {"terasort/total_s", 963.8812508915507}}},
+      {"model",
+       {{"ideal_r", 23},
+        {"promised_speedup", 10.164250267283098},
+        {"shuffle_over_map", 509.4370327242257},
+        {"shuffle_share", 0.9871499980326528}}},
+      {"ablation_codegen",
+       {{"K16_r1/codegen_s", 0.42},
+        {"K16_r1/net_benefit_s", -0.42},
+        {"K16_r2/codegen_s", 1.96},
+        {"K16_r2/net_benefit_s", 361.82947368421054},
+        {"K16_r3/codegen_s", 6.37},
+        {"K16_r3/net_benefit_s", 528.5048630947366},
+        {"K16_r4/codegen_s", 15.288},
+        {"K16_r4/net_benefit_s", 621.3435789473683},
+        {"K16_r5/codegen_s", 28.028000000000002},
+        {"K16_r5/net_benefit_s", 677.1527971283765},
+        {"K16_r6/codegen_s", 40.04},
+        {"K16_r6/net_benefit_s", 714.9928420809716},
+        {"K16_r7/codegen_s", 45.045},
+        {"K16_r7/net_benefit_s", 748.1714014238265},
+        {"K16_r8/codegen_s", 40.04},
+        {"K16_r8/net_benefit_s", 783.5389473684211},
+        {"K20_r1/codegen_s", 0.665},
+        {"K20_r1/net_benefit_s", -0.665},
+        {"K20_r2/codegen_s", 3.99},
+        {"K20_r2/net_benefit_s", 355.75736842105255},
+        {"K20_r3/codegen_s", 16.9575},
+        {"K20_r3/net_benefit_s", 511.5107778286638},
+        {"K20_r4/codegen_s", 54.264},
+        {"K20_r4/net_benefit_s", 574.2833684210526},
+        {"K20_r5/codegen_s", 135.66},
+        {"K20_r5/net_benefit_s", 560.1353193553583},
+        {"K20_r6/codegen_s", 271.32},
+        {"K20_r6/net_benefit_s", 473.2641515517409},
+        {"K20_r7/codegen_s", 440.895},
+        {"K20_r7/net_benefit_s", 340.97377731782524},
+        {"K20_r8/codegen_s", 587.86},
+        {"K20_r8/net_benefit_s", 223.59263157894736}}},
+      {"ablation_straggler",
+       {{"s1.0/coded_total_s", 461.0159217423528},
+        {"s1.0/speedup", 2.0907764904272295},
+        {"s1.0/terasort_total_s", 963.8812508915507},
+        {"s1.5/coded_total_s", 487.8661859102975},
+        {"s1.5/speedup", 1.9916286615132128},
+        {"s1.5/terasort_total_s", 971.648278842082},
+        {"s2.0/coded_total_s", 514.8017866254496},
+        {"s2.0/speedup", 1.9025148224607213},
+        {"s2.0/terasort_total_s", 979.4180296841794},
+        {"s4.0/coded_total_s", 622.5441894860581},
+        {"s4.0/speedup", 1.6231731821106323},
+        {"s4.0/terasort_total_s", 1010.4970330525695},
+        {"s8.0/coded_total_s", 838.0289952072753},
+        {"s8.0/speedup", 1.2799736595319617},
+        {"s8.0/terasort_total_s", 1072.655039789349}}},
+  };
+  for (const auto& [preset, values] : pinned) {
+    const std::string path =
+        ::testing::TempDir() + "/bench_paper_" + preset + ".json";
+    const int s = std::system(
+        ("CTS_RECORDS=20000 CTS_SEED=2017 CTS_UNIFORM=0 CTS_TRIALS=1 " +
+         std::string(bench_paper) + " " + preset + " --json=" + path +
+         " > /dev/null 2>&1")
+            .c_str());
+    ASSERT_TRUE(WIFEXITED(s) && WEXITSTATUS(s) == 0) << preset;
+    std::ifstream in(path);
+    std::ostringstream content;
+    content << in.rdbuf();
+    std::vector<std::string> required;
+    for (const auto& [key, value] : values) required.push_back(key);
+    EXPECT_EQ(bench::CheckBenchJsonSchema(content.str(), required), "")
+        << preset;
+    obs::LedgerEntry entry;
+    std::string error;
+    ASSERT_TRUE(obs::ParseBenchJson(content.str(), &entry, &error)) << error;
+    EXPECT_EQ(entry.bench, preset);
+    std::map<std::string, double> flat;
+    for (const auto& [key, value] : entry.values) {
+      if (key.rfind("metrics/", 0) != 0 && key.rfind("timeline/", 0) != 0) {
+        flat[key] = value;
+      }
+    }
+    EXPECT_EQ(flat.size(), values.size()) << preset;
+    for (const auto& [key, value] : values) {
+      EXPECT_DOUBLE_EQ(flat[key], value) << preset << " " << key;
+    }
+    std::remove(path.c_str());
   }
 }
 
@@ -444,7 +575,7 @@ TEST(Matrix, AtAddressesEveryCell) {
   // A populated axis has no "" entry.
   EXPECT_THROW((void)results.at("terasort"), CheckError);
 
-  // Collapsed axes resolve through "" (the bench_table2 style).
+  // Collapsed axes resolve through "" (the bench_paper table style).
   JobMatrix flat;
   flat.backend = Backend::kPriced;
   flat.algos = m.algos;

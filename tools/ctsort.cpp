@@ -511,8 +511,7 @@ int main(int argc, char** argv) {
   // The Shuffle stage of the baseline scenario replay: the same call
   // --scenario makes, so both tables price a log identically.
   if (!scenario_spec.discipline.empty() || !scenario_spec.order.empty()) {
-    const bench::BenchPricing pricing =
-        bench::PaperPricing(config, paper_records);
+    const RunScale scale = PaperScale(config.num_records, paper_records);
     simscen::Scenario baseline = simscen::Scenario::Baseline(config.num_nodes);
     baseline.discipline = discipline;
     baseline.order = order;
@@ -527,8 +526,8 @@ int main(int argc, char** argv) {
                                             : scenario_spec.discipline,
            scenario_spec.order.empty() ? "log" : scenario_spec.order,
            TextTable::Num(simscen::ReplayScenario(*run.live.execution,
-                                                  pricing.model,
-                                                  pricing.scale, baseline)
+                                                  CostModel{}, scale,
+                                                  baseline)
                               .breakdown()
                               .shuffle())});
     }
