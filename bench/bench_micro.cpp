@@ -172,6 +172,42 @@ void BM_DecodePacket(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodePacket)->Args({3, 1 << 16})->Args({5, 1 << 16});
 
+// The kernels the live engine runs: EncodeInto appends the packet to a
+// fresh exact-size wire buffer; DecodeInto reads it in place and
+// cancels straight into the wanted value.
+void BM_EncodeInto(benchmark::State& state) {
+  const int r = static_cast<int>(state.range(0));
+  const auto iv_bytes = static_cast<std::size_t>(state.range(1));
+  const CodecFixture fx(r, iv_bytes);
+  const IvAccess iv = fx.access();
+  for (auto _ : state) {
+    Buffer wire;
+    EncodeInto(fx.group, 0, iv, wire);
+    benchmark::DoNotOptimize(wire.span().data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(iv_bytes));
+}
+BENCHMARK(BM_EncodeInto)->Args({3, 1 << 16})->Args({5, 1 << 16});
+
+void BM_DecodeInto(benchmark::State& state) {
+  const int r = static_cast<int>(state.range(0));
+  const auto iv_bytes = static_cast<std::size_t>(state.range(1));
+  const CodecFixture fx(r, iv_bytes);
+  const IvAccess iv = fx.access();
+  Buffer wire;
+  EncodeInto(fx.group, 0, iv, wire);
+  const PacketView packet = ParsePacket(wire.span());
+  std::vector<std::uint8_t> value(iv_bytes);
+  for (auto _ : state) {
+    DecodeInto(fx.group, 1, 0, packet, iv, ValueWindow{0, {}, value});
+    benchmark::DoNotOptimize(value.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(iv_bytes));
+}
+BENCHMARK(BM_DecodeInto)->Args({3, 1 << 16})->Args({5, 1 << 16});
+
 void BM_SubsetEnumeration(benchmark::State& state) {
   const int K = static_cast<int>(state.range(0));
   const int r = static_cast<int>(state.range(1));

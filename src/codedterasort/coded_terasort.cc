@@ -1,6 +1,8 @@
 #include "codedterasort/coded_terasort.h"
 
+#include <cstring>
 #include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -16,7 +18,7 @@ namespace cts {
 
 namespace {
 
-// Key for a node's stored serialized intermediate value I^target_file.
+// Key for a node's packed intermediate value I^target_file.
 using IvKey = std::pair<NodeId, FileId>;
 
 }  // namespace
@@ -77,68 +79,80 @@ void CodedTeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
   });
 
   // ---- Map ----
-  // KV pairs of this node's own partition, collected straight into the
-  // reduce pool; and the kept intermediate values I^t_S (t not in S)
-  // as record lists, serialized during Encode.
+  // A key-only pass hashes every record of every stored file F_S to its
+  // partition and counts each intermediate value, so each kept I^t_S
+  // (t not in S) is allocated once, at its exact packed size, and the
+  // reduce pool is reserved for the own partition. The second pass
+  // generates each record once, into its slot: I^self_S into the pool,
+  // I^t_S into its packed value. Records for the other members of S
+  // are generated and dropped — those nodes mapped F_S too (paper
+  // Fig. 5).
   std::vector<Record> pool;
-  std::map<IvKey, std::vector<Record>> kept;
+  std::map<IvKey, Buffer> ivs;
   stages.run(stage::kMap, [&] {
-    std::vector<std::vector<Record>> hashed(static_cast<std::size_t>(K));
-    for (const FileId f : placement.files_on_node(self)) {
+    const std::vector<FileId>& files = placement.files_on_node(self);
+    const auto k = static_cast<std::size_t>(K);
+    std::size_t n = 0;
+    for (const FileId f : files) n += ranges.count[static_cast<std::size_t>(f)];
+    std::vector<PartitionId> dest(n);
+    std::vector<std::size_t> counts(files.size() * k, 0);
+    PartitionId* to = dest.data();
+    for (std::size_t i = 0; i < files.size(); ++i) {
+      const auto fi = static_cast<std::size_t>(files[i]);
+      for (std::uint64_t j = 0; j < ranges.count[fi]; ++j, ++to) {
+        *to = partitioner->partition(gen.key(ranges.offset[fi] + j));
+        ++counts[i * k + static_cast<std::size_t>(*to)];
+      }
+    }
+    std::size_t own = 0;
+    for (std::size_t i = 0; i < files.size(); ++i) {
+      own += counts[i * k + static_cast<std::size_t>(self)];
+    }
+    pool.reserve(own);
+    const PartitionId* next = dest.data();
+    std::vector<std::uint8_t*> slot(k);
+    for (std::size_t i = 0; i < files.size(); ++i) {
+      const FileId f = files[i];
       const NodeMask file_mask = placement.file_nodes(f);
-      const auto fi = static_cast<std::size_t>(f);
-      const auto records = gen.generate(ranges.offset[fi], ranges.count[fi]);
-      for (auto& bucket : hashed) bucket.clear();
-      for (const Record& rec : records) {
-        const PartitionId p = partitioner->partition(rec.key);
-        hashed[static_cast<std::size_t>(p)].push_back(rec);
-      }
       for (int t = 0; t < K; ++t) {
-        auto& bucket = hashed[static_cast<std::size_t>(t)];
-        if (t == self) {
-          // I^k_S: this node's own partition — straight to Reduce.
-          pool.insert(pool.end(), bucket.begin(), bucket.end());
-        } else if (!Contains(file_mask, t)) {
-          // I^t_S for t outside S: needed for the coded shuffle.
-          kept.emplace(IvKey{t, f}, std::move(bucket));
-          bucket = {};
-        }
-        // I^t_S for t in S \ {k}: discarded — node t mapped F_S too
-        // (paper Fig. 5).
+        const auto tt = static_cast<std::size_t>(t);
+        slot[tt] = t == self || Contains(file_mask, t)
+                       ? nullptr
+                       : AppendPackedSlots(ivs[IvKey{t, f}],
+                                           counts[i * k + tt])
+                             .data();
       }
-      work.map_bytes += records.size() * kRecordBytes;
+      const auto fi = static_cast<std::size_t>(f);
+      for (std::uint64_t j = 0; j < ranges.count[fi]; ++j) {
+        const Record rec = gen.record(ranges.offset[fi] + j);
+        const PartitionId p = *next++;
+        if (p == self) {
+          pool.push_back(rec);
+        } else if (std::uint8_t*& out = slot[static_cast<std::size_t>(p)]) {
+          std::memcpy(out, &rec, kRecordBytes);
+          out += kRecordBytes;
+        }  // else p is in S \ {self}: dropped
+      }
+      work.map_bytes += ranges.count[fi] * kRecordBytes;
       work.map_files += 1;
     }
   });
 
   // ---- Encode ----
-  // Serialized intermediate values (the Encode stage owns
-  // serialization in the paper's implementation), then one coded
-  // packet per group this node belongs to.
-  std::map<IvKey, std::vector<std::uint8_t>> serialized;
+  // One coded packet per group this node belongs to, XORed straight
+  // into its wire buffer from the packed values Map wrote.
   const IvAccess iv_access =
       [&](NodeId target, NodeMask file_mask) -> std::span<const std::uint8_t> {
-    const auto it =
-        serialized.find(IvKey{target, placement.file_of(file_mask)});
-    CTS_CHECK_MSG(it != serialized.end(),
+    const auto it = ivs.find(IvKey{target, placement.file_of(file_mask)});
+    CTS_CHECK_MSG(it != ivs.end(),
                   "node " << self << " missing IV for target " << target
                           << " file mask " << file_mask);
-    return it->second;
+    return it->second.span();
   };
   std::map<NodeMask, Buffer> outgoing;
   stages.run(stage::kEncode, [&] {
-    for (auto& [key, records] : kept) {
-      Buffer buf;
-      PackRecords(records, buf);
-      serialized.emplace(key, buf.take());
-    }
-    kept.clear();  // records now live in serialized form
     for (const auto& [g, group_comm] : groups) {
-      const CodedPacket packet =
-          EncodePacket(g, self, iv_access, &work.codec);
-      Buffer wire;
-      packet.serialize(wire);
-      outgoing.emplace(g, std::move(wire));
+      EncodeInto(g, self, iv_access, outgoing[g], &work.codec);
     }
   });
 
@@ -146,33 +160,43 @@ void CodedTeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
   // kBarrier: serial, groups in colex order, members in ascending
   // order within a group (paper Fig. 9(b)). kOverlapped: the whole
   // round's coded packets are posted before any receive drains. Both
-  // schedules live in simmpi::MulticastRound.
+  // schedules live in simmpi::MulticastRound. Each packet is one
+  // payload that the root and its r recipients share.
   std::map<std::pair<NodeMask, NodeId>, Buffer> incoming;
   stages.run(stage::kShuffle, [&] {
     incoming = simmpi::MulticastRound(
         groups, outgoing,
         config.shuffle_sync == ShuffleSync::kOverlapped);
+    outgoing.clear();  // the recipients hold what they still need
   });
 
   // ---- Decode ----
+  // A header pass reads every group's wanted length from the packets
+  // in place and sizes the reduce pool once; then each group's r
+  // packets decode straight into the pool's records.
   stages.run(stage::kDecode, [&] {
-    for (const auto& [g, group_comm] : groups) {
-      std::vector<DecodedSegment> segments;
-      segments.reserve(static_cast<std::size_t>(r));
+    std::vector<PacketView> packets;
+    const auto parse_group = [&](NodeMask g) -> std::span<const PacketView> {
+      packets.clear();
       for (const NodeId sender : MaskToNodes(WithoutNode(g, self))) {
-        Buffer& wire = incoming.at({g, sender});
-        const CodedPacket packet = CodedPacket::deserialize(wire);
-        // The wire buffer is arena-backed (Comm::bcast copies through
-        // the arena); return the storage now that the packet is
-        // deserialized.
-        BufferArena::Local().release(wire.take());
-        segments.push_back(
-            DecodePacket(g, self, sender, packet, iv_access, &work.codec));
+        packets.push_back(ParsePacket(incoming.at({g, sender}).span()));
       }
-      // The r segments reassemble I^self_{g \ {self}}.
-      Buffer value_buf(MergeSegments(segments));
-      UnpackRecordsInto(value_buf, pool);
+      return packets;
+    };
+    std::size_t records = pool.size();
+    for (const auto& [g, group_comm] : groups) {
+      records += GroupRecordCount(g, self, parse_group(g));
     }
+    std::size_t at = pool.size();
+    pool.resize(records);
+    for (const auto& [g, group_comm] : groups) {
+      const std::span<const PacketView> group_packets = parse_group(g);
+      const std::size_t n = GroupRecordCount(g, self, group_packets);
+      DecodeRecordsInto(g, self, group_packets, iv_access,
+                        std::span(pool).subspan(at, n), &work.codec);
+      at += n;
+    }
+    incoming.clear();
   });
 
   // ---- Reduce ----

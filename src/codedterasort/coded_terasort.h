@@ -9,17 +9,22 @@
 //              intermediate values per file it keeps only I^k_S (its
 //              own partition) and {I^i_S : i not in S}; values for
 //              other members of S are discarded — those nodes computed
-//              them locally (paper Fig. 5).
-//   Encode   — per multicast group M (|M| = r+1), node k serializes
-//              the relevant values and XORs r segments into the coded
-//              packet E_{M,k} (Algorithm 1).
+//              them locally (paper Fig. 5). A key-only pass counts
+//              every value, then each record is generated once, into
+//              the reduce pool or into its value's exact-size packed
+//              buffer (the one IV store Encode and Decode read).
+//   Encode   — per multicast group M (|M| = r+1), node k XORs r
+//              segments of those packed values straight into the wire
+//              buffer of the coded packet E_{M,k} (Algorithm 1;
+//              coding/codec.h's EncodeInto).
 //   Multicast Shuffling — serial multicast: groups in colex order, and
 //              within each group members broadcast in ascending order
 //              (paper Fig. 9(b)); each packet is MPI_Bcast to the r
-//              other members.
-//   Decode   — node k cancels known segments from each received packet
-//              (Algorithm 2) and merges the r recovered segments per
-//              group into the needed intermediate value.
+//              other members as one payload they all share.
+//   Decode   — node k reads every received packet in place: a header
+//              pass sizes the reduce pool once, then each group's r
+//              packets are decoded straight into the pool, their known
+//              segments cancelled there (Algorithm 2; DecodeRecordsInto).
 //   Reduce   — node k sorts partition P_k locally (SortRecords, an
 //              in-place MSD radix sort on the key bytes).
 //

@@ -19,6 +19,24 @@
 // the sender knows all constituents, so the header is the natural
 // place. Header overhead is 8r + O(1) bytes per packet and is included
 // in all traffic accounting.
+//
+// This module owns the packet's wire layout, all little-endian:
+//
+//     u32 count | count x u64 IV lengths | u64 payload size | payload
+//
+// Two kernels do the work, and everything else is a front-end over
+// them:
+//   EncodeInto  appends E_{M,self} straight to its wire buffer: the
+//               first segment is copied, the other r-1 are XORed in
+//               eight bytes at a time.
+//   DecodeInto  reads a packet in place (ParsePacket), copies its
+//               wanted segment straight into the destination and
+//               cancels the r-1 known segments there, eight bytes at a
+//               time. It allocates nothing.
+// The live engine calls them through DecodeRecordsInto, which decodes
+// one group's packed record list into the reduce pool. EncodePacket,
+// DecodePacket and CodedPacket are the packet-object front-ends that
+// the coded CMR engine, the benches and the tests use.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +47,7 @@
 #include "coding/segments.h"
 #include "common/buffer.h"
 #include "common/types.h"
+#include "keyvalue/record.h"
 
 namespace cts {
 
@@ -39,8 +58,7 @@ namespace cts {
 using IvAccess =
     std::function<std::span<const std::uint8_t>(NodeId target, NodeMask file)>;
 
-// One coded multicast packet (wire format: u32 count, count u64
-// lengths, u64 payload size, payload bytes).
+// One coded multicast packet as an object (see the wire layout above).
 struct CodedPacket {
   // Length of I^t_{M\{t}} for each t in M\{sender}, ascending t. The
   // receiver k finds its own entry to learn |I^k_{M\{k}}|.
@@ -49,6 +67,7 @@ struct CodedPacket {
   std::vector<std::uint8_t> payload;
 
   void serialize(Buffer& out) const;
+  // Reads one packet from `in`'s cursor, bounded as ParsePacket.
   static CodedPacket deserialize(Buffer& in);
 
   // Bytes this packet occupies on the wire.
@@ -58,6 +77,26 @@ struct CodedPacket {
            sizeof(std::uint64_t) + payload.size();
   }
 };
+
+// A coded packet read in place from its wire bytes.
+struct PacketView {
+  std::uint32_t count = 0;
+  std::span<const std::uint8_t> lengths;  // `count` little-endian u64s
+  std::span<const std::uint8_t> payload;
+
+  // The i-th IV length of the header (i < count).
+  std::uint64_t length(std::size_t i) const;
+  std::size_t wire_size() const {
+    return sizeof(std::uint32_t) + lengths.size() + sizeof(std::uint64_t) +
+           payload.size();
+  }
+};
+
+// Reads the packet at the front of `wire` without copying. Both
+// lengths that come off the wire are bounded by the bytes left (count
+// <= remaining / 8, payload <= remaining); a violation, or a header cut
+// short, is a CheckError.
+PacketView ParsePacket(std::span<const std::uint8_t> wire);
 
 // Counters the cost model consumes (XOR work and packet handling).
 struct CodecStats {
@@ -83,8 +122,58 @@ struct CodecStats {
   }
 };
 
-// Algorithm 1 for one group: builds E_{M,self}. `group` must contain
-// `self` and have at least 2 members.
+// The encode kernel (Algorithm 1 for one group): appends E_{M,self}
+// to `wire` in the wire layout above. An empty `wire` is allocated
+// once, at the packet's exact size. `group` must contain `self` and
+// have at least 2 members.
+void EncodeInto(NodeMask group, NodeId self, const IvAccess& iv,
+                Buffer& wire, CodecStats* stats = nullptr);
+
+// Where decoded bytes of the receiver's wanted value land: value bytes
+// [begin, begin + head.size()) in `head`, and the next body.size()
+// bytes in `body`. The live engine sends the value's leading count
+// word to a local and its records straight into the reduce pool.
+struct ValueWindow {
+  std::uint64_t begin = 0;
+  std::span<std::uint8_t> head;
+  std::span<std::uint8_t> body;
+};
+
+// The decode kernel (Algorithm 2 for one packet): node `self` decodes
+// the packet multicast by `sender` within `group`, cancelling segments
+// via `iv`. The wanted segment is copied into `out` and the r-1 known
+// segments are cancelled there in place. Returns where the segment
+// lies within the wanted value I^self_{M\{self}}, which `out` must
+// cover. Checks the header count (== r), the side-information lengths,
+// that the payload holds the wanted segment, and that every byte past
+// it cancels to zero padding. Makes no heap allocation.
+SegmentSpan DecodeInto(NodeMask group, NodeId self, NodeId sender,
+                       const PacketView& packet, const IvAccess& iv,
+                       const ValueWindow& out, CodecStats* stats = nullptr);
+
+// ---- Packed record lists (the values CodedTeraSort shuffles) ----
+//
+// `packets` are the r packets node `self` received in `group`, parsed
+// in place, in ascending sender order; the wanted value is a packed
+// record list (u64 count, then 100-byte records; see recordio.h).
+
+// The header pass of one group: the number of records in the wanted
+// value, whose length L every one of the r packets must agree on and
+// which must be a packed record list's size.
+std::size_t GroupRecordCount(NodeMask group, NodeId self,
+                             std::span<const PacketView> packets);
+
+// Decodes one group straight into `records` (exactly GroupRecordCount
+// records): the value's leading count word goes to a local and must
+// equal that count, and the r segments must cover the value exactly.
+void DecodeRecordsInto(NodeMask group, NodeId self,
+                       std::span<const PacketView> packets,
+                       const IvAccess& iv, std::span<Record> records,
+                       CodecStats* stats = nullptr);
+
+// ---- Packet-object front-ends ----
+
+// EncodeInto, returned as a packet object.
 CodedPacket EncodePacket(NodeMask group, NodeId self, const IvAccess& iv,
                          CodecStats* stats = nullptr);
 
@@ -94,8 +183,7 @@ struct DecodedSegment {
   std::vector<std::uint8_t> bytes;  // exactly span.length bytes
 };
 
-// Algorithm 2 for one packet: node `self` decodes the packet multicast
-// by `sender` within `group`, cancelling segments via `iv`.
+// DecodeInto for a packet object, returning the segment's bytes.
 DecodedSegment DecodePacket(NodeMask group, NodeId self, NodeId sender,
                             const CodedPacket& packet, const IvAccess& iv,
                             CodecStats* stats = nullptr);

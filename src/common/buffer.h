@@ -5,11 +5,20 @@
 // The layout written by the Writer methods is little-endian and
 // self-describing only to the extent callers make it so; the terasort
 // and coding modules define explicit wire formats on top of this.
+//
+// Shared payloads: Share() turns a buffer's bytes into one read-only
+// block that several Buffers hold at once (a multicast root and all
+// its recipients). Reads of a shared buffer happen in place. Any
+// mutation — write_*, reserve, resize, mutable_span, non-const data()
+// and take() — first gives that holder a private copy, so no holder
+// ever observes another's writes. An owned buffer never allocates or
+// copies for the shared case.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -33,34 +42,50 @@ class Buffer {
   Buffer(const Buffer&) = delete;
   Buffer& operator=(const Buffer&) = delete;
 
-  // Explicit deep copy.
+  // Explicit deep copy (always owned, even of a shared buffer).
   Buffer Clone() const {
-    Buffer b(bytes_);
+    Buffer b(bytes());
     b.cursor_ = cursor_;
     return b;
   }
 
-  std::size_t size() const { return bytes_.size(); }
-  bool empty() const { return bytes_.empty(); }
-  const std::uint8_t* data() const { return bytes_.data(); }
-  std::uint8_t* data() { return bytes_.data(); }
-  std::span<const std::uint8_t> span() const { return bytes_; }
-  std::span<std::uint8_t> mutable_span() { return bytes_; }
+  // Makes this buffer's bytes a shared, read-only payload (once) and
+  // returns one more holder of it, reading from the start. This
+  // buffer keeps its cursor.
+  Buffer Share() {
+    if (!shared_) {
+      shared_ = std::make_shared<const std::vector<std::uint8_t>>(
+          std::move(bytes_));
+      bytes_ = {};
+    }
+    Buffer holder;
+    holder.shared_ = shared_;
+    return holder;
+  }
 
-  void reserve(std::size_t n) { bytes_.reserve(n); }
+  std::size_t size() const { return bytes().size(); }
+  bool empty() const { return bytes().empty(); }
+  const std::uint8_t* data() const { return bytes().data(); }
+  std::uint8_t* data() { return own().data(); }
+  std::span<const std::uint8_t> span() const { return bytes(); }
+  std::span<std::uint8_t> mutable_span() { return own(); }
+
+  void reserve(std::size_t n) { own().reserve(n); }
   void clear() {
+    shared_.reset();
     bytes_.clear();
     cursor_ = 0;
   }
-  void resize(std::size_t n) { bytes_.resize(n); }
+  void resize(std::size_t n) { own().resize(n); }
 
   // ---- Writing (appends at the end) ----
 
   void write_bytes(std::span<const std::uint8_t> src) {
-    bytes_.insert(bytes_.end(), src.begin(), src.end());
+    std::vector<std::uint8_t>& bytes = own();
+    bytes.insert(bytes.end(), src.begin(), src.end());
   }
 
-  void write_u8(std::uint8_t v) { bytes_.push_back(v); }
+  void write_u8(std::uint8_t v) { own().push_back(v); }
 
   void write_u32(std::uint32_t v) { write_le(v); }
   void write_u64(std::uint64_t v) { write_le(v); }
@@ -85,11 +110,11 @@ class Buffer {
 
   // ---- Reading (consumes from the cursor) ----
 
-  std::size_t remaining() const { return bytes_.size() - cursor_; }
+  std::size_t remaining() const { return size() - cursor_; }
   std::size_t cursor() const { return cursor_; }
   void rewind() { cursor_ = 0; }
   void seek(std::size_t pos) {
-    CTS_CHECK_LE(pos, bytes_.size());
+    CTS_CHECK_LE(pos, size());
     cursor_ = pos;
   }
 
@@ -97,7 +122,7 @@ class Buffer {
     CTS_CHECK_MSG(dst.size() <= remaining(),
                   "buffer underrun: want " << dst.size() << " have "
                                            << remaining());
-    std::memcpy(dst.data(), bytes_.data() + cursor_, dst.size());
+    std::memcpy(dst.data(), bytes().data() + cursor_, dst.size());
     cursor_ += dst.size();
   }
 
@@ -105,14 +130,14 @@ class Buffer {
   // mutation of the buffer.
   std::span<const std::uint8_t> read_view(std::size_t n) {
     CTS_CHECK_LE(n, remaining());
-    std::span<const std::uint8_t> v(bytes_.data() + cursor_, n);
+    std::span<const std::uint8_t> v(bytes().data() + cursor_, n);
     cursor_ += n;
     return v;
   }
 
   std::uint8_t read_u8() {
     CTS_CHECK_GE(remaining(), std::size_t{1});
-    return bytes_[cursor_++];
+    return bytes()[cursor_++];
   }
 
   std::uint32_t read_u32() { return read_le<std::uint32_t>(); }
@@ -133,59 +158,83 @@ class Buffer {
   std::string read_string() {
     const std::size_t n = read_u64();
     CTS_CHECK_LE(n, remaining());
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + cursor_), n);
+    std::string s(reinterpret_cast<const char*>(bytes().data() + cursor_),
+                  n);
     cursor_ += n;
     return s;
   }
   std::vector<std::uint8_t> read_blob() {
     const std::size_t n = read_u64();
     CTS_CHECK_LE(n, remaining());
-    std::vector<std::uint8_t> b(bytes_.begin() + static_cast<long>(cursor_),
-                                bytes_.begin() +
-                                    static_cast<long>(cursor_ + n));
+    const std::uint8_t* first = bytes().data() + cursor_;
+    std::vector<std::uint8_t> b(first, first + n);
     cursor_ += n;
     return b;
   }
 
-  // Steals the underlying byte vector (resets the buffer).
+  // Steals the underlying byte vector (resets the buffer). A shared
+  // buffer hands over a copy; the other holders keep theirs.
   std::vector<std::uint8_t> take() {
     cursor_ = 0;
-    return std::move(bytes_);
+    return std::move(own());
   }
 
-  bool operator==(const Buffer& other) const { return bytes_ == other.bytes_; }
+  bool operator==(const Buffer& other) const {
+    return bytes() == other.bytes();
+  }
 
  private:
+  // The bytes this buffer reads: its own, or the shared payload.
+  const std::vector<std::uint8_t>& bytes() const {
+    return shared_ ? *shared_ : bytes_;
+  }
+
+  // The bytes this buffer may write, copied out of a shared payload
+  // first.
+  std::vector<std::uint8_t>& own() {
+    if (shared_) {
+      bytes_ = *shared_;
+      shared_.reset();
+    }
+    return bytes_;
+  }
+
   template <typename T>
   void write_le(T v) {
+    std::vector<std::uint8_t>& bytes = own();
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
     }
   }
 
   template <typename T>
   T read_le() {
     CTS_CHECK_GE(remaining(), sizeof(T));
+    const std::uint8_t* at = bytes().data() + cursor_;
     T v = 0;
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<T>(bytes_[cursor_ + i]) << (8 * i);
+      v |= static_cast<T>(at[i]) << (8 * i);
     }
     cursor_ += sizeof(T);
     return v;
   }
 
   std::vector<std::uint8_t> bytes_;
+  // Non-null while this buffer holds a shared payload (bytes_ is then
+  // empty).
+  std::shared_ptr<const std::vector<std::uint8_t>> shared_;
   std::size_t cursor_ = 0;
 };
 
-// Thread-local free list of payload byte vectors for the shuffle hot
-// path. At K~100 every message sent from a buffer the caller keeps
-// allocates a payload copy (Comm's copying send/isend/bcast) that the
+// Thread-local free list of payload byte vectors for copying sends.
+// At K~100 every message sent from a buffer the caller keeps
+// allocates a payload copy (Comm's copying send/isend) that the
 // receiver frees right after consuming it; recycling the backing
 // vectors removes that churn. The pool is per-thread and lock-free: a
 // node thread both sends (acquire) and receives (release) in roughly
 // equal measure during a shuffle, so the pools balance without
-// cross-thread traffic.
+// cross-thread traffic. Multicast no longer copies through the arena:
+// Comm::bcast shares one payload with every recipient.
 class BufferArena {
  public:
   // The calling thread's arena.

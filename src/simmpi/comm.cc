@@ -22,9 +22,9 @@ int Comm::rank_of_global(NodeId node) const {
 }
 
 Buffer Comm::ArenaCopy(std::span<const std::uint8_t> payload) {
-  // Copies come from the thread-local arena; consumers on the shuffle
-  // hot path hand the backing store back (see coded_terasort), so
-  // steady-state shuffles stop allocating.
+  // Copies come from the thread-local arena; a consumer that hands the
+  // backing store back (BufferArena::release) lets steady-state
+  // copying sends stop allocating.
   Buffer copy(BufferArena::Local().acquire(payload.size()));
   copy.write_bytes(payload);
   return copy;
@@ -144,20 +144,17 @@ void Comm::bcast(int root_rank, Buffer& payload) {
     }
     world_->stats().record_multicast(payload.size(), size() - 1,
                                      my_global(), recipients);
-    for (int m = 0; m < size(); ++m) {
-      if (m == rank_) continue;
-      deliver(m, kTagBcast, ArenaCopy(payload.span()));
-    }
+    bcast_put(payload);
   } else {
     payload = world_->mailbox(my_global())
                   .receive(id_, global(root_rank), kTagBcast);
   }
 }
 
-void Comm::bcast_put(const Buffer& payload) {
+void Comm::bcast_put(Buffer& payload) {
   for (int m = 0; m < size(); ++m) {
     if (m == rank_) continue;
-    deliver(m, kTagBcast, ArenaCopy(payload.span()));
+    deliver(m, kTagBcast, payload.Share());
   }
 }
 

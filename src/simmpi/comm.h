@@ -7,7 +7,7 @@
 //                            per (source, tag, communicator))
 //   MPI_Bcast             -> Comm::bcast (application-layer multicast:
 //                            the root transmits once, accounting-wise,
-//                            and every other member receives a copy)
+//                            and every member holds one shared payload)
 //   MPI_Barrier           -> Comm::barrier
 //   MPI_Comm_split        -> Comm::split (collective; color < 0 is
 //                            MPI_UNDEFINED)
@@ -179,16 +179,20 @@ class Comm {
 
   // Application-layer multicast (accounted as one multicast with
   // fan-out size()-1). At the root, `payload` is the data to send; at
-  // other ranks it is overwritten with the received copy.
+  // other ranks it is overwritten with the received payload. Nothing
+  // is copied: the root's buffer becomes one shared, read-only payload
+  // (Buffer::Share) that the root and every recipient hold. A holder
+  // that writes to it gets a private copy first, so no member observes
+  // another's writes and the root keeps MPI's semantics.
   void bcast(int root_rank, Buffer& payload);
 
-  // Root half of a bcast with the accounting split out: delivers
-  // `payload` to every other member WITHOUT recording a multicast.
+  // Root half of a bcast with the accounting split out: shares
+  // `payload` with every other member WITHOUT recording a multicast.
   // Callers must account the transmission themselves — the overlapped
   // multicast round prices a whole round of these through
   // TrafficStats::record_multicast_batch in one call. Receivers pair
   // it with ibcast_recv as usual.
-  void bcast_put(const Buffer& payload);
+  void bcast_put(Buffer& payload);
 
   // Synchronizes all members (token to rank 0, token back).
   void barrier();

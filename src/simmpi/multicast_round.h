@@ -18,7 +18,9 @@ namespace cts::simmpi {
 // Runs the round for the calling node. `groups` holds the group
 // communicators this node belongs to, keyed by node mask; outgoing[g]
 // is the packet it broadcasts in group g. Returns the packets
-// received, keyed by (group, sender node).
+// received, keyed by (group, sender node). No packet is copied: each
+// outgoing[g] becomes one shared, read-only payload that the root and
+// its recipients hold (Comm::bcast).
 //
 // Serial (overlapped = false): groups in ascending-mask order — which
 // is colex order for fixed-size subsets, i.e. the paper's Fig. 9(b)

@@ -10,6 +10,7 @@
 #include "keyvalue/recordio.h"
 #include "keyvalue/teragen.h"
 #include "terasort/terasort.h"
+#include "tests/run_digest.h"
 
 namespace cts {
 namespace {
@@ -190,6 +191,74 @@ TEST(CodedTeraSort, StagesRecorded) {
     ASSERT_TRUE(result.wall_seconds.count(s)) << s;
   }
   EXPECT_FALSE(result.wall_seconds.count(stage::kPack));
+}
+
+// Pins every counter and every output byte of the live coded engine
+// across (K, r), both CodeGen/shuffle pairings, all three
+// partitioners, every key distribution and two input sizes (plus the
+// empty input once per (K, r)). The digests were taken from the engine
+// that mapped each file into per-partition record vectors, packed the
+// kept ones during Encode, copied every multicast payload once per
+// recipient and decoded through DecodePacket and MergeSegments; a
+// rewrite of Map, Encode, Shuffle or Decode must reproduce them bit for
+// bit. The two pairings differ in CodeGen traffic (one split per group
+// against one batched bcast), so each has its own digest.
+TEST(CodedTeraSort, GoldenDigestAcrossTheGrid) {
+  struct Golden {
+    int K;
+    int r;
+    std::uint64_t barrier_digest;     // kBarrier + kCommSplit
+    std::uint64_t overlapped_digest;  // kOverlapped + kBatched
+  };
+  const Golden grid[] = {
+      {2, 1, 0xc99044fc7e96c0a3ULL, 0x6d0b023fa2feca4dULL},
+      {3, 1, 0x71daa070dd046b60ULL, 0xc16b6cc0efcfbb25ULL},
+      {3, 2, 0x25bd6206941d9287ULL, 0xc253c0fa2e104723ULL},
+      {4, 1, 0x586920bbf3046c30ULL, 0xea5a7f7f5b208ba5ULL},
+      {4, 2, 0x23957369c7c197a8ULL, 0x44a33fa72f9d5b8dULL},
+      {4, 3, 0x8d5946e9ba073ca8ULL, 0x8757ce858bcfc167ULL},
+      {4, 4, 0x1e11a64978016732ULL, 0xf749ec4bdc198a41ULL},
+      {5, 2, 0xb91011980154cee0ULL, 0x6735bbd2bd3959e0ULL},
+      {6, 3, 0xee490cbf34f41dcaULL, 0x819e5ff4b09c0bb8ULL},
+      {7, 3, 0xc56b9f264ea167f4ULL, 0x3ade178f96b7c993ULL},
+  };
+  for (const Golden& g : grid) {
+    for (const bool overlapped : {false, true}) {
+      std::uint64_t h = 0xcbf29ce484222325ULL;
+      const auto fold = [&h](std::uint64_t v) {
+        h = (h ^ v) * 0x100000001b3ULL;
+      };
+      SortConfig config;
+      config.num_nodes = g.K;
+      config.redundancy = g.r;
+      if (overlapped) {
+        config.shuffle_sync = ShuffleSync::kOverlapped;
+        config.codegen_mode = CodeGenMode::kBatched;
+      } else {
+        config.num_records = 0;
+        fold(RunDigest(RunCodedTeraSort(config)));
+      }
+      for (const PartitionerKind partitioner :
+           {PartitionerKind::kRange, PartitionerKind::kSampled,
+            PartitionerKind::kDistributedSampled}) {
+        for (const KeyDistribution dist :
+             {KeyDistribution::kUniform, KeyDistribution::kSorted,
+              KeyDistribution::kReverseSorted, KeyDistribution::kSkewed,
+              KeyDistribution::kFewDistinct, KeyDistribution::kBalanced}) {
+          for (const std::uint64_t records : {5, 3000}) {
+            config.partitioner = partitioner;
+            config.distribution = dist;
+            config.num_records = records;
+            fold(RunDigest(RunCodedTeraSort(config)));
+          }
+        }
+      }
+      EXPECT_EQ(h, overlapped ? g.overlapped_digest : g.barrier_digest)
+          << "K = " << g.K << ", r = " << g.r
+          << (overlapped ? " overlapped" : " barrier") << " got 0x"
+          << std::hex << h;
+    }
+  }
 }
 
 // ---- Degenerate and edge configurations ----

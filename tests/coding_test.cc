@@ -2,7 +2,13 @@
 // including the paper's worked examples (Figs. 4-7).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <cstdlib>
+#include <cstring>
 #include <map>
+#include <new>
 #include <numeric>
 #include <set>
 
@@ -11,9 +17,15 @@
 #include "coding/segments.h"
 #include "common/check.h"
 #include "common/random.h"
+#include "keyvalue/recordio.h"
 
 namespace cts {
 namespace {
+
+// Heap allocations made by this process, counted by the replacement
+// operator new at the end of this file, so a test can assert a call
+// allocates nothing.
+std::atomic<std::size_t> g_heap_allocations{0};
 
 TEST(Placement, PaperFig4Example) {
   // K=4, r=2 (paper Fig. 4): 6 files; F{2,3} on nodes 2 and 3 (1-based)
@@ -391,5 +403,359 @@ TEST(Codec, EmptyIvsProduceEmptyPackets) {
   }
 }
 
+// ---- The in-place kernels against the packet front-ends ----
+
+// Intermediate values of one placement under the codec's access
+// signature: raw bytes (`records` false) of random lengths, a quarter
+// of them empty, so segments are unequal and padding is forced; or
+// packed record lists (`records` true) of 0 to 4 random records.
+class RandomIvStore {
+ public:
+  RandomIvStore(int K, int r, std::uint64_t seed, bool records) {
+    const Placement p = Placement::Create(K, r);
+    std::uint64_t s = seed;
+    for (FileId f = 0; f < p.num_files(); ++f) {
+      const NodeMask mask = p.file_nodes(f);
+      for (NodeId t = 0; t < K; ++t) {
+        if (Contains(mask, t)) continue;
+        std::vector<std::uint8_t> bytes;
+        if (records) {
+          const std::size_t n = SplitMix64(s) % 5;
+          Buffer packed;
+          for (std::uint8_t& b : AppendPackedSlots(packed, n)) {
+            b = static_cast<std::uint8_t>(SplitMix64(s));
+          }
+          bytes = packed.take();
+        } else {
+          const std::uint64_t draw = SplitMix64(s);
+          bytes.resize(draw % 4 == 0 ? 0 : (draw >> 8) % 70);
+          for (std::uint8_t& b : bytes) {
+            b = static_cast<std::uint8_t>(SplitMix64(s));
+          }
+        }
+        store_[{t, mask}] = std::move(bytes);
+      }
+    }
+  }
+
+  IvAccess access() const {
+    return [this](NodeId t, NodeMask file) -> std::span<const std::uint8_t> {
+      return store_.at({t, file});
+    };
+  }
+
+  std::vector<std::uint8_t>& value(NodeId t, NodeMask file) {
+    return store_.at({t, file});
+  }
+
+ private:
+  std::map<std::pair<NodeId, NodeMask>, std::vector<std::uint8_t>> store_;
+};
+
+void ExpectSameStats(const CodecStats& a, const CodecStats& b) {
+  EXPECT_EQ(a.packets_encoded, b.packets_encoded);
+  EXPECT_EQ(a.encode_xor_bytes, b.encode_xor_bytes);
+  EXPECT_EQ(a.encode_payload_bytes, b.encode_payload_bytes);
+  EXPECT_EQ(a.packets_decoded, b.packets_decoded);
+  EXPECT_EQ(a.decode_xor_bytes, b.decode_xor_bytes);
+  EXPECT_EQ(a.decoded_bytes, b.decoded_bytes);
+}
+
+// The wire buffers every member of `group` sends, keyed by sender.
+std::map<NodeId, Buffer> EncodeGroup(NodeMask group, const IvAccess& iv,
+                                     CodecStats* stats) {
+  std::map<NodeId, Buffer> wires;
+  for (const NodeId u : MaskToNodes(group)) {
+    EncodeInto(group, u, iv, wires[u], stats);
+  }
+  return wires;
+}
+
+// Node `self`'s r packets of `group`, parsed in place, by sender.
+std::vector<PacketView> PacketsFor(NodeMask group, NodeId self,
+                                   const std::map<NodeId, Buffer>& wires) {
+  std::vector<PacketView> packets;
+  for (const NodeId u : MaskToNodes(WithoutNode(group, self))) {
+    packets.push_back(ParsePacket(wires.at(u).span()));
+  }
+  return packets;
+}
+
+// Every group and member of every (K, r) with K <= 7: the encode
+// kernel's wire bytes are EncodePacket's serialized packet, and the
+// decode kernel, writing the wanted value's first bytes to a separate
+// head, produces what DecodePacket and MergeSegments do, with the same
+// counters.
+TEST(CodecKernels, MatchThePacketFrontEnds) {
+  for (int K = 2; K <= 7; ++K) {
+    for (int r = 1; r < K; ++r) {
+      SCOPED_TRACE(testing::Message() << "K " << K << " r " << r);
+      RandomIvStore store(K, r, /*seed=*/K * 31 + r, /*records=*/false);
+      const IvAccess iv = store.access();
+      const Placement placement = Placement::Create(K, r);
+      for (const NodeMask g : placement.multicast_groups()) {
+        CodecStats kernel_stats;
+        CodecStats packet_stats;
+        const std::map<NodeId, Buffer> wires =
+            EncodeGroup(g, iv, &kernel_stats);
+        std::map<NodeId, CodedPacket> packets;
+        for (const auto& [u, wire] : wires) {
+          packets[u] = EncodePacket(g, u, iv, &packet_stats);
+          Buffer reference;
+          packets[u].serialize(reference);
+          EXPECT_EQ(wire, reference) << "group " << g << " sender " << u;
+        }
+        for (const NodeId k : MaskToNodes(g)) {
+          std::vector<DecodedSegment> segments;
+          for (const NodeId u : MaskToNodes(WithoutNode(g, k))) {
+            segments.push_back(
+                DecodePacket(g, k, u, packets.at(u), iv, &packet_stats));
+          }
+          const std::vector<std::uint8_t> merged = MergeSegments(segments);
+          const std::size_t head_size =
+              std::min<std::size_t>(merged.size(), 8);
+          std::vector<std::uint8_t> head(head_size);
+          std::vector<std::uint8_t> body(merged.size() - head_size);
+          const ValueWindow out{0, head, body};
+          for (const NodeId u : MaskToNodes(WithoutNode(g, k))) {
+            DecodeInto(g, k, u, ParsePacket(wires.at(u).span()), iv, out,
+                       &kernel_stats);
+          }
+          head.insert(head.end(), body.begin(), body.end());
+          EXPECT_EQ(head, merged) << "group " << g << " receiver " << k;
+          EXPECT_EQ(merged, store.value(k, WithoutNode(g, k)));
+        }
+        ExpectSameStats(kernel_stats, packet_stats);
+      }
+    }
+  }
+}
+
+// The live path: one group's packets decode straight into records,
+// equal to the merged value's records, with its count word checked.
+TEST(CodecKernels, DecodeRecordsIntoMatchesTheMergedValue) {
+  for (int K = 2; K <= 7; ++K) {
+    for (int r = 1; r < K; ++r) {
+      SCOPED_TRACE(testing::Message() << "K " << K << " r " << r);
+      RandomIvStore store(K, r, /*seed=*/K * 17 + r, /*records=*/true);
+      const IvAccess iv = store.access();
+      const Placement placement = Placement::Create(K, r);
+      for (const NodeMask g : placement.multicast_groups()) {
+        const std::map<NodeId, Buffer> wires = EncodeGroup(g, iv, nullptr);
+        for (const NodeId k : MaskToNodes(g)) {
+          const std::vector<PacketView> packets = PacketsFor(g, k, wires);
+          const std::size_t n = GroupRecordCount(g, k, packets);
+          std::vector<Record> records(n);
+          CodecStats kernel_stats;
+          DecodeRecordsInto(g, k, packets, iv, records, &kernel_stats);
+
+          CodecStats packet_stats;
+          std::vector<DecodedSegment> segments;
+          for (const NodeId u : MaskToNodes(WithoutNode(g, k))) {
+            Buffer wire = wires.at(u).Clone();
+            segments.push_back(DecodePacket(g, k, u,
+                                            CodedPacket::deserialize(wire),
+                                            iv, &packet_stats));
+          }
+          Buffer merged(MergeSegments(segments));
+          EXPECT_EQ(records, UnpackRecords(merged));
+          ExpectSameStats(kernel_stats, packet_stats);
+        }
+      }
+    }
+  }
+}
+
+// A destination with guard bytes on both sides, to show that a kernel
+// which throws wrote nothing outside the span it was given.
+class GuardedRecords {
+ public:
+  explicit GuardedRecords(std::size_t n) : all_(n + 2) {
+    std::memset(all_.data(), kGuard, all_.size() * sizeof(Record));
+  }
+  std::span<Record> span() {
+    return std::span(all_).subspan(1, all_.size() - 2);
+  }
+  bool guards_intact() const {
+    for (const Record* rec : {&all_.front(), &all_.back()}) {
+      const auto* bytes = reinterpret_cast<const std::uint8_t*>(rec);
+      for (std::size_t i = 0; i < sizeof(Record); ++i) {
+        if (bytes[i] != kGuard) return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  static constexpr std::uint8_t kGuard = 0xa5;
+  std::vector<Record> all_;
+};
+
+// Runs `call`, which must throw a CheckError whose message names
+// `what`, so each malformed case pins the check that rejects it.
+template <typename Fn>
+void ExpectCheckError(Fn&& call, const std::string& what) {
+  try {
+    call();
+    ADD_FAILURE() << "no CheckError; expected one naming '" << what << "'";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+// Overwrites the little-endian u64 at byte `at` of a wire buffer.
+void PokeU64(Buffer& wire, std::size_t at, std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    wire.mutable_span()[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+// Every malformed packet or group is a CheckError, and the kernels
+// write nothing outside their destination. Group {0, 1, 2} at r = 2:
+// node 1 wants I^1_{0,2}; each packet's header holds the lengths of
+// the sender's two targets (u32 count, then u64 lengths at bytes 4
+// and 12), then the u64 payload size at byte 20 and the payload.
+TEST(CodecKernels, MalformedPacketsThrowWithoutStrayWrites) {
+  const NodeMask group = NodesToMask({0, 1, 2});
+  RandomIvStore store(3, 2, /*seed=*/5, /*records=*/true);
+  // One record wanted by node 1, four by node 2 and none by node 0:
+  // the payloads carry padding past node 1's segments.
+  const auto pack = [](std::size_t n, std::uint8_t fill) {
+    Buffer packed;
+    for (std::uint8_t& b : AppendPackedSlots(packed, n)) b = fill;
+    return packed.take();
+  };
+  store.value(1, NodesToMask({0, 2})) = pack(1, 0x11);
+  store.value(2, NodesToMask({0, 1})) = pack(4, 0x22);
+  store.value(0, NodesToMask({1, 2})) = pack(0, 0);
+  const IvAccess iv = store.access();
+  const std::map<NodeId, Buffer> wires = EncodeGroup(group, iv, nullptr);
+  const NodeId self = 1;
+  const std::size_t n =
+      GroupRecordCount(group, self, PacketsFor(group, self, wires));
+  ASSERT_EQ(n, 1u);
+
+  // Runs the whole group through DecodeRecordsInto with the packet
+  // from `sender` replaced by `bad` (or, with `sized`, into a
+  // destination of that many records) and expects the check `what`.
+  const auto decode_with = [&](NodeId sender, const Buffer& bad,
+                               const std::string& what,
+                               std::size_t sized = 0) {
+    std::map<NodeId, Buffer> copy;
+    for (const auto& [u, wire] : wires) copy[u] = wire.Clone();
+    copy[sender] = bad.Clone();
+    GuardedRecords out(sized > 0 ? sized : n);
+    ExpectCheckError(
+        [&] {
+          DecodeRecordsInto(group, self, PacketsFor(group, self, copy), iv,
+                            out.span());
+        },
+        what);
+    EXPECT_TRUE(out.guards_intact());
+  };
+  const Buffer& good = wires.at(0);
+
+  // A truncated header, a count the bytes cannot hold, and a payload
+  // size past the end: ParsePacket bounds each before use.
+  for (const std::size_t cut : {2, 10, 21, 100}) {
+    const Buffer truncated(std::vector<std::uint8_t>(
+        good.span().begin(), good.span().begin() + cut));
+    ExpectCheckError([&] { ParsePacket(truncated.span()); },
+                     "truncated packet");
+  }
+  {
+    Buffer huge_count = good.Clone();
+    for (std::size_t i = 0; i < 4; ++i) huge_count.mutable_span()[i] = 0xff;
+    ExpectCheckError([&] { ParsePacket(huge_count.span()); },
+                     "4294967295 lengths but only");
+  }
+  // count != r.
+  {
+    Buffer one_length;
+    one_length.write_u32(1);
+    one_length.write_u64(108);
+    one_length.write_u64(0);
+    decode_with(0, one_length, "packet.count ==");
+  }
+  // A payload shorter than the wanted segment: the payload size says
+  // less than node 1's half of its 108-byte value.
+  {
+    Buffer short_payload = good.Clone();
+    PokeU64(short_payload, 20, 10);
+    decode_with(0, short_payload, "10-byte payload for a 54-byte segment");
+  }
+  // The header's length of I^2_{0,1} disagrees with node 1's own copy.
+  {
+    Buffer mismatch = good.Clone();
+    PokeU64(mismatch, 12, 408 + 100);
+    decode_with(0, mismatch, "side-information length mismatch");
+  }
+  // A flipped byte past node 1's segment leaves a nonzero residue.
+  {
+    Buffer residue = good.Clone();
+    residue.mutable_span()[residue.size() - 1] ^= 0x40;
+    decode_with(0, residue, "nonzero padding residue");
+  }
+  // The two packets disagree on L = |I^1_{0,2}|, which node 0's header
+  // lists first (its targets are 1 and 2): the header pass rejects it
+  // before anything is sized by it.
+  {
+    Buffer other_length = good.Clone();
+    PokeU64(other_length, 4, 208);
+    decode_with(0, other_length, "disagree on the wanted length");
+  }
+  // A count word that disagrees with the value's length.
+  {
+    std::vector<std::uint8_t>& wanted = store.value(1, NodesToMask({0, 2}));
+    wanted[0] = 2;  // claims two records in a one-record value
+    const std::map<NodeId, Buffer> lying = EncodeGroup(group, iv, nullptr);
+    wanted[0] = 1;
+    decode_with(0, lying.at(0), "counts 2 records in 1 slots");
+  }
+  // A destination of the wrong size.
+  decode_with(0, good, "records.size() == n", n + 1);
+}
+
+// The decode kernels run on the live path once per packet and group:
+// neither allocates.
+TEST(CodecKernels, DecodeMakesNoHeapAllocation) {
+  const int K = 6;
+  const int r = 3;
+  RandomIvStore store(K, r, /*seed=*/3, /*records=*/true);
+  const IvAccess iv = store.access();
+  const NodeMask group = NodesToMask({0, 2, 3, 5});
+  const std::map<NodeId, Buffer> wires = EncodeGroup(group, iv, nullptr);
+  const NodeId self = 3;
+  const std::vector<PacketView> packets = PacketsFor(group, self, wires);
+  std::vector<Record> records(GroupRecordCount(group, self, packets));
+  std::array<std::uint8_t, 8> head{};
+  const ValueWindow out{
+      0, head,
+      {reinterpret_cast<std::uint8_t*>(records.data()),
+       records.size() * kRecordBytes}};
+  CodecStats stats;
+
+  const std::size_t before = g_heap_allocations.load();
+  (void)ParsePacket(wires.at(0).span());
+  (void)GroupRecordCount(group, self, packets);
+  DecodeInto(group, self, 0, packets[0], iv, out, &stats);
+  DecodeRecordsInto(group, self, packets, iv, records, &stats);
+  EXPECT_EQ(g_heap_allocations.load(), before) << "a decode kernel allocated";
+  EXPECT_EQ(stats.packets_decoded, 1u + packets.size());
+}
+
 }  // namespace
 }  // namespace cts
+
+// All three out of line, so the compiler does not pair an inlined
+// malloc() with an inlined free() and warn about a mismatch.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  cts::g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}

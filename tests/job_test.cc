@@ -291,12 +291,17 @@ TEST(Cli, BadShapesAndTyposExitTwo) {
     EXPECT_EQ(status(ctsort, std::string(args) + " --records=2000"), 2)
         << "ctsort " << args;
   }
-  for (const char* args : {"--records=0", "--records=0 --backend=priced"}) {
+  // An empty numeric value is a bad number, not an absent flag.
+  for (const char* args :
+       {"--records=0", "--records=0 --backend=priced", "--records=",
+        "--nodes= --records=2000", "--seed= --records=2000",
+        "--redundancy= --records=2000"}) {
     EXPECT_EQ(status(ctsort, args), 2) << "ctsort " << args;
   }
   for (const char* args :
        {"--records=0", "--quantile=2", "--quantile=-0.5", "--quantile=nan",
-        "--algos=terasort,coded --redundancies=0"}) {
+        "--algos=terasort,coded --redundancies=0", "--records=",
+        "--quantile=", "--slo="}) {
     EXPECT_EQ(status(ctplan, std::string(args) + " --nodes=4"), 2)
         << "ctplan " << args;
   }

@@ -10,6 +10,8 @@
 //  * ShuffleSync::kOverlapped moves byte-identical per-stage traffic
 //    to the barrier schedule — the TrafficStats::set_stage audit
 //    pinned as a regression test.
+//  * Live CodedTeraSort at K = 24 shares every multicast payload among
+//    its root and recipients and still sorts and validates.
 
 #include <algorithm>
 #include <cstdint>
@@ -20,6 +22,8 @@
 #include "codedterasort/coded_terasort.h"
 #include "gtest/gtest.h"
 #include "keyvalue/recordio.h"
+#include "keyvalue/teragen.h"
+#include "keyvalue/teravalidate.h"
 #include "terasort/terasort.h"
 
 namespace cts {
@@ -61,6 +65,30 @@ TEST(ScaleOut, TeraSortBarrierScheduleAlsoRunsAtK100) {
   const AlgorithmResult result = RunTeraSort(config);
   EXPECT_EQ(result.total_output_records(), config.num_records);
   ExpectGloballySorted(result);
+}
+
+// Live CodedTeraSort at K = 24, r = 3: each node is in C(23, 3) = 1,771
+// groups, so every shuffle payload is shared by its root and three
+// recipients across threads, under both schedules. RunCodedTeraSort
+// itself checks record conservation and that no message is pending.
+TEST(ScaleOut, CodedTeraSortSharesPayloadsAtK24) {
+  for (const ShuffleSync sync :
+       {ShuffleSync::kBarrier, ShuffleSync::kOverlapped}) {
+    SortConfig config;
+    config.num_nodes = 24;
+    config.redundancy = 3;
+    config.num_records = 50000;
+    config.codegen_mode = CodeGenMode::kBatched;
+    config.shuffle_sync = sync;
+    const AlgorithmResult result = RunCodedTeraSort(config);
+    const ValidationReport report = ValidatePartitions(
+        result.partitions,
+        ChecksumOfInput(TeraGen(config.seed, config.distribution),
+                        config.num_records));
+    EXPECT_TRUE(report.valid) << report.error;
+    EXPECT_EQ(result.traffic.at(stage::kShuffle).mcast_msgs,
+              Binomial(24, 4) * 4);
+  }
 }
 
 // Many nodes x many keys hammering one TrafficStats and one Mailbox:

@@ -2,16 +2,22 @@
 // communicator splits, and traffic accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <cstdint>
 #include <map>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "combinatorics/subsets.h"
 #include "common/check.h"
 #include "simmpi/comm.h"
 #include "simmpi/eventlog.h"
 #include "simmpi/mailbox.h"
+#include "simmpi/multicast_round.h"
 #include "simmpi/world.h"
 
 namespace cts::simmpi {
@@ -279,6 +285,169 @@ TEST(Comm, BcastDeliversToAll) {
     payload.rewind();
     EXPECT_EQ(payload.read_u64(), 777u);
   });
+}
+
+// FNV-1a over what a run leaves in the transport, minus the thread
+// race: the "Shuffle" counters and per-node traffic, each sender's
+// transmissions in its program order, and each performing thread's
+// captured events in its program order.
+std::uint64_t TransportDigest(const World& world) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto add = [&h](std::uint64_t v) { h = (h ^ v) * 0x100000001b3ULL; };
+  const ChannelCounters c = world.stats().stage("Shuffle");
+  for (const std::uint64_t v :
+       {c.unicast_msgs, c.unicast_bytes, c.mcast_msgs, c.mcast_bytes,
+        c.mcast_recipient_bytes, c.comm_creations}) {
+    add(v);
+  }
+  for (const NodeTraffic& t : world.stats().per_node("Shuffle")) {
+    add(t.tx_bytes);
+    add(t.rx_bytes);
+  }
+  auto log = world.stats().transmission_log("Shuffle");
+  std::stable_sort(log.begin(), log.end(), [](const auto& a, const auto& b) {
+    return a.src != b.src ? a.src < b.src : a.seq < b.seq;
+  });
+  for (const auto& t : log) {
+    add(static_cast<std::uint64_t>(t.src));
+    for (const NodeId d : t.dsts) add(static_cast<std::uint64_t>(d));
+    add(t.bytes);
+  }
+  std::map<NodeId, std::vector<TransportEvent>> by_performer;
+  for (const TransportEvent& ev : world.transport_log()) {
+    by_performer[ev.performer].push_back(ev);
+  }
+  for (const auto& [performer, events] : by_performer) {
+    add(static_cast<std::uint64_t>(performer));
+    for (const TransportEvent& ev : events) {
+      for (const std::uint64_t v :
+           {static_cast<std::uint64_t>(ev.kind),
+            static_cast<std::uint64_t>(ev.dst),
+            static_cast<std::uint64_t>(ev.src),
+            static_cast<std::uint64_t>(ev.comm),
+            static_cast<std::uint64_t>(ev.tag), ev.index, ev.bytes}) {
+        add(v);
+      }
+    }
+  }
+  return h;
+}
+
+// The bytes multicast by `sender`, a different length per (sender, tag).
+Buffer PayloadOf(NodeId sender, std::uint64_t tag) {
+  Buffer b;
+  for (std::uint64_t i = 0; i < 40 + 7 * static_cast<std::uint64_t>(sender) + tag;
+       ++i) {
+    b.write_u8(static_cast<std::uint8_t>(31 * sender + 3 * tag + i));
+  }
+  return b;
+}
+
+std::uintptr_t AddressOf(const Buffer& b) {
+  return reinterpret_cast<std::uintptr_t>(b.data());
+}
+
+// A blocking bcast rooted at node 1, then a multicast round over every
+// 3-node group under each schedule. Every holder of a payload — the
+// root included — reads it in place from one allocation; the root's
+// payload stays readable and unchanged; a holder that writes
+// (write_u8, mutable_span, take) gets a private copy that no other
+// holder sees. The transport's accounting, per-sender order and
+// captured events are pinned to the values of the copying multicast
+// this replaced.
+TEST(Comm, BcastSharesOnePayload) {
+  constexpr int K = 4;
+  const std::vector<NodeMask> masks = AllSubsets(K, 3);
+  for (const bool overlapped : {false, true}) {
+    SCOPED_TRACE(overlapped ? "overlapped" : "serial");
+    TransportRecorder::RequestCapture(true);
+    World world(K);
+    TransportRecorder::RequestCapture(false);
+    world.stats().set_stage("Shuffle");
+    const Buffer expected = PayloadOf(1, 0);
+    std::array<std::uintptr_t, K> bcast_at{};
+    // (group, sender) -> where each member holds that packet.
+    std::map<std::pair<NodeMask, NodeId>, std::array<std::uintptr_t, K>>
+        round_at;
+    for (const NodeMask g : masks) {
+      for (const NodeId u : MaskToNodes(g)) round_at[{g, u}] = {};
+    }
+    RunNodes(world, [&](NodeId n) {
+      Comm c = Comm::World(world, n);
+      Buffer payload;
+      if (n == 1) payload = expected.Clone();
+      c.bcast(1, payload);
+      bcast_at[static_cast<std::size_t>(n)] = AddressOf(payload);
+      EXPECT_EQ(payload, expected);
+      c.barrier();
+      if (n == 0) payload.write_u8(0xee);
+      if (n == 2) payload.mutable_span()[0] ^= 0xff;
+      if (n == 3) {
+        std::vector<std::uint8_t> mine = payload.take();
+        mine[1] ^= 0xff;
+        EXPECT_TRUE(payload.empty());
+      }
+      c.barrier();
+      if (n == 1) {
+        // The root wrote nothing: it still reads the shared bytes.
+        EXPECT_EQ(payload, expected);
+        EXPECT_EQ(AddressOf(payload), bcast_at[1]);
+        payload.rewind();
+        EXPECT_EQ(payload.read_u8(), expected.span()[0]);
+      } else if (n == 0) {
+        EXPECT_EQ(payload.size(), expected.size() + 1);
+        EXPECT_TRUE(std::equal(expected.span().begin(), expected.span().end(),
+                               payload.span().begin()));
+      } else if (n == 2) {
+        EXPECT_NE(AddressOf(payload), bcast_at[1]);
+        EXPECT_EQ(payload.span()[0], expected.span()[0] ^ 0xff);
+      }
+
+      std::map<NodeMask, Comm> groups = c.create_groups(masks);
+      std::map<NodeMask, Buffer> outgoing;
+      for (const auto& [g, gc] : groups) outgoing[g] = PayloadOf(n, g);
+      std::map<std::pair<NodeMask, NodeId>, Buffer> incoming =
+          MulticastRound(groups, outgoing, overlapped);
+      for (const auto& [g, b] : outgoing) {
+        EXPECT_EQ(b, PayloadOf(n, g));  // the root's payload is intact
+        round_at.at({g, n})[static_cast<std::size_t>(n)] = AddressOf(b);
+      }
+      for (const auto& [key, b] : incoming) {
+        EXPECT_EQ(b, PayloadOf(key.second, key.first));
+        round_at.at(key)[static_cast<std::size_t>(n)] = AddressOf(b);
+      }
+      c.barrier();
+      // Node 0 writes to every packet it received; the others, root
+      // included, still read the original bytes.
+      if (n == 0) {
+        for (auto& [key, b] : incoming) b.mutable_span()[0] ^= 0x5a;
+      }
+      c.barrier();
+      for (const auto& [g, b] : outgoing) EXPECT_EQ(b, PayloadOf(n, g));
+      if (n != 0) {
+        for (const auto& [key, b] : incoming) {
+          EXPECT_EQ(b, PayloadOf(key.second, key.first));
+        }
+      }
+      c.barrier();  // every holder stays alive until all have checked
+    });
+    EXPECT_EQ(world.pending_messages(), 0u);
+    for (int n = 0; n < K; ++n) EXPECT_EQ(bcast_at[n], bcast_at[1]) << n;
+    for (const auto& [key, at] : round_at) {
+      for (const NodeId m : MaskToNodes(key.first)) {
+        EXPECT_EQ(at[static_cast<std::size_t>(m)],
+                  at[static_cast<std::size_t>(key.second)])
+            << "group " << key.first << " sender " << key.second
+            << " holder " << m;
+      }
+    }
+    const ChannelCounters shuffle = world.stats().stage("Shuffle");
+    EXPECT_EQ(shuffle.mcast_msgs, 2u + masks.size() * 3);
+    EXPECT_EQ(shuffle.unicast_msgs, 0u);
+    EXPECT_EQ(TransportDigest(world),
+              overlapped ? 0xca0ffa21c2eb8d03ULL : 0xc500e2cb5dd88799ULL)
+        << std::hex << "got 0x" << TransportDigest(world);
+  }
 }
 
 TEST(Comm, BcastOnSingletonCommIsNoop) {

@@ -41,14 +41,16 @@ class Flags {
   }
 
   std::string Get(const std::string& key, const std::string& fallback) {
-    consumed_.insert(key);
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
+    const std::string* given = Find(key);
+    return given == nullptr ? fallback : *given;
   }
 
+  // Numeric flags: an absent flag takes the fallback, but a value given
+  // empty (--records=) is as bad a number as any other typo.
   std::uint64_t GetU64(const std::string& key, std::uint64_t fallback) {
-    const std::string v = Get(key, "");
-    if (v.empty()) return fallback;
+    const std::string* given = Find(key);
+    if (given == nullptr) return fallback;
+    const std::string& v = *given;
     errno = 0;
     char* end = nullptr;
     const std::uint64_t parsed = std::strtoull(v.c_str(), &end, 10);
@@ -62,8 +64,9 @@ class Flags {
   }
 
   double GetDouble(const std::string& key, double fallback) {
-    const std::string v = Get(key, "");
-    if (v.empty()) return fallback;
+    const std::string* given = Find(key);
+    if (given == nullptr) return fallback;
+    const std::string& v = *given;
     char* end = nullptr;
     const double parsed = std::strtod(v.c_str(), &end);
     if (end == v.c_str() || *end != '\0') {
@@ -108,6 +111,13 @@ class Flags {
   }
 
  private:
+  // The flag's value, or nullptr when it was not passed.
+  const std::string* Find(const std::string& key) {
+    consumed_.insert(key);
+    const auto it = values_.find(key);
+    return it == values_.end() ? nullptr : &it->second;
+  }
+
   inline static std::string program_ = "tool";
   std::map<std::string, std::string> values_;
   std::set<std::string> consumed_;
