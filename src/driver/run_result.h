@@ -186,10 +186,10 @@ struct AlgorithmResult {
   // Registry deltas attributed to this execution: for every metric the
   // run touched, Snapshot-after minus Snapshot-before, captured by
   // RunCache::Execute around the thread harness. Values that are
-  // timing-dependent in the live process (stripe-lock contention,
-  // arena hit counts) are *frozen* here, so every consumer replaying
-  // this cached result — timelines, ledger entries, priced cells —
-  // sees the same numbers bit for bit.
+  // timing-dependent in the live process (arena hit counts) are
+  // *frozen* here, so every consumer replaying this cached result —
+  // timelines, ledger entries, priced cells — sees the same numbers
+  // bit for bit.
   std::map<std::string, double> run_metrics;
 
   std::uint64_t total_output_records() const {

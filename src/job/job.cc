@@ -115,10 +115,10 @@ std::shared_ptr<AlgorithmResult> RunCache::Execute(
   auto& registry = obs::MetricRegistry::Global();
   registry.counter("job/cache_misses").add();
   // Freeze this execution's registry deltas into the cached result.
-  // Some of them (stripe try_lock contention, arena hits) depend on
-  // thread interleaving, so the only reproducible view is the one
-  // capture made here: every later consumer of the cached run reads
-  // run_metrics, never the live registry.
+  // Some of them (arena hits) depend on thread interleaving, so the
+  // only reproducible view is the one captured here: every later
+  // consumer of the cached run reads run_metrics, never the live
+  // registry.
   const std::map<std::string, double> before = registry.Snapshot();
   auto run = std::make_shared<AlgorithmResult>(info.run(config));
   for (const auto& [name, value] : registry.Snapshot()) {

@@ -118,7 +118,6 @@ MatrixResults RunMatrix(const JobMatrix& matrix, RunCache& cache) {
         spec.config = algo.config;
         spec.backend = matrix.backend;
         spec.paper_records = matrix.paper_records;
-        spec.schedule = matrix.schedule;
         spec.pricing = matrix.pricing;
         if (scenario.present) spec.scenario = scenario.scenario;
         if (policy.present) {

@@ -65,7 +65,6 @@ struct JobMatrix {
   std::vector<InstanceAxis> instances;
   Backend backend = Backend::kReplay;
   std::uint64_t paper_records = 0;  // see JobSpec::paper_records
-  simnet::Discipline schedule = simnet::Discipline::kSerial;  // kPriced only
   // When set, every cell's dollar fields are filled (JobSpec::pricing);
   // the instance axis overrides the hourly rate per cell.
   std::optional<DollarCost> pricing;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <mutex>
 #include <utility>
 
 #include "cmr/cmr.h"
@@ -14,13 +13,6 @@
 namespace cts::job {
 
 namespace {
-
-std::mutex registry_mu;
-
-std::map<std::string, AlgorithmInfo>& RegistryLocked() {
-  static std::map<std::string, AlgorithmInfo> registry;
-  return registry;
-}
 
 // Wraps the generic CMR engine behind the sorting-run interface: the
 // SortConfig maps onto a CmrConfig (K, r, seed, shuffle sync pass
@@ -58,40 +50,38 @@ AlgorithmResult RunCmrAsJob(const SortConfig& config) {
   return result;
 }
 
-void RegisterBuiltinsLocked() {
-  auto& registry = RegistryLocked();
-  const auto put = [&](AlgorithmInfo info) {
-    registry.emplace(info.name, std::move(info));
-  };
-  put({"terasort",
-       "plain TeraSort (paper Section III): Map/Pack/Shuffle/Unpack/"
-       "Reduce, serial unicast shuffle",
-       {"nodes", "records", "seed", "dist", "partitioner", "shuffle-sync",
-        "inject-delay"},
-       /*priced=*/true, /*sorts=*/true,
-       [](const SortConfig& c) { return RunTeraSort(c); }});
-  put({"coded",
-       "CodedTeraSort (paper Section IV): r-replicated Map, XOR-coded "
-       "multicast shuffle",
-       {"nodes", "redundancy", "records", "seed", "dist", "partitioner",
-        "codegen", "shuffle-sync", "inject-delay"},
-       /*priced=*/true, /*sorts=*/true,
-       [](const SortConfig& c) { return RunCodedTeraSort(c); }});
-  put({"cmr",
-       "generic Coded MapReduce engine (paper Section II) running the "
-       "bundled WordCount app; r > 1 switches to the coded shuffle",
-       {"nodes", "redundancy", "records", "seed", "shuffle-sync",
-        "inject-delay"},
-       /*priced=*/false, /*sorts=*/false, RunCmrAsJob});
-}
-
-std::map<std::string, AlgorithmInfo>& Registry() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    std::lock_guard lock(registry_mu);
-    RegisterBuiltinsLocked();
-  });
-  return RegistryLocked();
+// The three engines, built once on first use (a function-local static,
+// not per-TU static initializers: the library is a static archive, and
+// a binary that references only the registry must still see all three).
+const std::map<std::string, AlgorithmInfo>& Registry() {
+  static const std::map<std::string, AlgorithmInfo> registry = [] {
+    std::map<std::string, AlgorithmInfo> r;
+    const auto put = [&r](AlgorithmInfo info) {
+      r.emplace(info.name, std::move(info));
+    };
+    put({"terasort",
+         "plain TeraSort (paper Section III): Map/Pack/Shuffle/Unpack/"
+         "Reduce, serial unicast shuffle",
+         {"nodes", "records", "seed", "dist", "partitioner", "shuffle-sync",
+          "inject-delay"},
+         /*priced=*/true, /*sorts=*/true,
+         [](const SortConfig& c) { return RunTeraSort(c); }});
+    put({"coded",
+         "CodedTeraSort (paper Section IV): r-replicated Map, XOR-coded "
+         "multicast shuffle",
+         {"nodes", "redundancy", "records", "seed", "dist", "partitioner",
+          "codegen", "shuffle-sync", "inject-delay"},
+         /*priced=*/true, /*sorts=*/true,
+         [](const SortConfig& c) { return RunCodedTeraSort(c); }});
+    put({"cmr",
+         "generic Coded MapReduce engine (paper Section II) running the "
+         "bundled WordCount app; r > 1 switches to the coded shuffle",
+         {"nodes", "redundancy", "records", "seed", "shuffle-sync",
+          "inject-delay"},
+         /*priced=*/false, /*sorts=*/false, RunCmrAsJob});
+    return r;
+  }();
+  return registry;
 }
 
 std::size_t EditDistance(const std::string& a, const std::string& b) {
@@ -139,29 +129,15 @@ int CmrRecordsPerFile(const SortConfig& config) {
   return static_cast<int>(std::clamp<std::uint64_t>(per_file, 1, 100000));
 }
 
-void Register(AlgorithmInfo info) {
-  CTS_CHECK_MSG(!info.name.empty(), "algorithm name must be non-empty");
-  CTS_CHECK_MSG(static_cast<bool>(info.run),
-                "algorithm '" << info.name << "' has no run function");
-  auto& registry = Registry();
-  std::lock_guard lock(registry_mu);
-  const bool inserted = registry.emplace(info.name, std::move(info)).second;
-  CTS_CHECK_MSG(inserted, "algorithm already registered");
-}
-
 const AlgorithmInfo* Find(const std::string& name) {
-  auto& registry = Registry();
-  std::lock_guard lock(registry_mu);
+  const auto& registry = Registry();
   const auto it = registry.find(name);
   return it == registry.end() ? nullptr : &it->second;
 }
 
 std::vector<std::string> Names() {
-  auto& registry = Registry();
-  std::lock_guard lock(registry_mu);
   std::vector<std::string> names;
-  names.reserve(registry.size());
-  for (const auto& [name, info] : registry) names.push_back(name);
+  for (const auto& [name, info] : Registry()) names.push_back(name);
   return names;
 }
 

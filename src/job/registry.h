@@ -6,15 +6,12 @@
 // unrelated entry points (RunTeraSort / RunCodedTeraSort / RunCmr).
 // The registry puts them behind one name-indexed interface so the Job
 // API (job/job.h), ctsort and the bench matrix can iterate algorithms
-// programmatically — `--algo=each`, sweeps over registry names, and
-// later ROADMAP items (placement search, K≈100 sharding) all go
-// through here instead of hand-wiring per-algorithm branches.
+// programmatically — `--algo=each`, sweeps over registry names,
+// ctplan and ctcheck all go through here instead of hand-wiring
+// per-algorithm branches.
 //
-// The built-in algorithms register themselves on first registry
-// access (a lazy central registration, deliberately not per-TU static
-// initializers: the library is a static archive, and a binary that
-// references only the registry must still see all three).
-// Tests and future engines can Register() additional entries.
+// The registry is a fixed table of the three engines, built once on
+// first use; adding an engine means adding its entry in registry.cc.
 #pragma once
 
 #include <functional>
@@ -43,10 +40,6 @@ struct AlgorithmInfo {
   // Executes one measured run.
   std::function<AlgorithmResult(const SortConfig&)> run;
 };
-
-// Registers an algorithm. The name must be new — replacing a
-// registered algorithm would silently change what every sweep means.
-void Register(AlgorithmInfo info);
 
 // nullptr when `name` is not registered.
 const AlgorithmInfo* Find(const std::string& name);

@@ -9,13 +9,13 @@
 // reads the same flat name -> value map without knowing who produced
 // it.
 //
-// Concurrency: the registry itself is lock-striped like
-// simmpi::TrafficStats (the name -> handle map is sharded by name
-// hash, each stripe with its own mutex), and the handles are lock-free
-// — counters and histogram buckets are relaxed atomics, gauges a
-// single atomic double. Registration (the striped map lookup) is the
-// only mutex-taking operation; hot paths resolve their handles once
-// and then mutate through them. Metrics are always on — there is no
+// Concurrency: the registry itself is lock-striped (the name ->
+// handle map is sharded by name hash, each stripe with its own
+// mutex), and the handles are lock-free — counters and histogram
+// buckets are relaxed atomics, gauges a single atomic double.
+// Registration (the striped map lookup) is the only mutex-taking
+// operation; hot paths resolve their handles once and then mutate
+// through them. Metrics are always on — there is no
 // compiled-out build — so every handle operation is deliberately a
 // handful of relaxed atomic instructions, cheap enough for the
 // transport hot path (the bench_micro trend gate enforces this).
@@ -288,9 +288,8 @@ class MetricRegistry {
     }
   };
 
-  // Stripe count mirrors TrafficStats: enough that concurrent
-  // registrations rarely collide, small enough that Snapshot stays a
-  // trivial sweep.
+  // Stripe count: enough that concurrent registrations rarely
+  // collide, small enough that Snapshot stays a trivial sweep.
   static constexpr std::size_t kStripes = 16;
 
   struct Stripe {

@@ -75,10 +75,9 @@ Timeline BuildLiveTimeline(const AlgorithmResult& result) {
   }
 
   // End-of-run tick: values frozen into the cached result by
-  // RunCache::Execute (run_metrics deltas). These are the quantities
-  // that would *not* be reproducible if read live — arena hit counts
-  // and stripe try_lock contention depend on thread interleaving —
-  // so the timeline only ever sees the captured copy.
+  // RunCache::Execute (run_metrics deltas). Arena hit counts depend on
+  // thread interleaving, so they would *not* be reproducible if read
+  // live; the timeline only ever sees the captured copy.
   const auto metric = [&](const char* name) -> double {
     auto it = result.run_metrics.find(name);
     return it == result.run_metrics.end() ? 0 : it->second;
@@ -90,8 +89,6 @@ Timeline BuildLiveTimeline(const AlgorithmResult& result) {
   if (hits + misses > 0) {
     tl.Sample("live/arena_hit_rate", end_tick, hits / (hits + misses));
   }
-  tl.Sample("live/stripe_contention", end_tick,
-            metric("simmpi/stripe_lock_contention"));
 
   return tl;
 }

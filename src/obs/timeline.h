@@ -219,7 +219,6 @@ class Timeline {
 //   live/shuffle_bytes/bytes  cumulative shuffle bytes per round tick
 //   live/shuffle_round_bytes/bytes  bytes moved in each round
 //   live/arena_hit_rate       arena hits/(hits+misses) at run end
-//   live/stripe_contention    frozen try_lock contention count at run end
 Timeline BuildLiveTimeline(const AlgorithmResult& result);
 
 }  // namespace cts::obs

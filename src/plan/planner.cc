@@ -81,6 +81,11 @@ PlanResult RunPlan(const PlanAxes& axes, const PlanQuery& query,
     return fail("quantile " + FormatDouble(query.quantile) +
                 " is outside [0, 1]");
   }
+  if (!(axes.cost.cross_rack_usd_per_gb >= 0)) {
+    return fail("egress-usd-per-gb = " +
+                FormatDouble(axes.cost.cross_rack_usd_per_gb) +
+                ": the cross-rack rate must be >= 0");
+  }
   if (algorithms.empty()) return fail("plan needs at least one algorithm");
   if (redundancies.empty()) return fail("plan needs a redundancy axis");
   for (const int r : redundancies) {
@@ -170,7 +175,7 @@ PlanResult RunPlan(const PlanAxes& axes, const PlanQuery& query,
       matrix.policies.push_back({spec_label(policy_spec), *policy});
     }
     for (const InstanceProfile& instance : instances) {
-      if (instance.speed <= 0 || instance.usd_per_hour < 0) {
+      if (!(instance.speed > 0) || !(instance.usd_per_hour >= 0)) {
         return fail("instance '" + instance.name +
                     "' needs speed > 0 and a non-negative rate");
       }

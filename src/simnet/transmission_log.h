@@ -20,9 +20,9 @@ namespace cts::simnet {
 // application-layer multicast lists all receivers of the single
 // logical transmission.
 //
-// `seq` is the global arrival index within the stage: drawn from an
-// atomic counter at the instant a send reaches the transport, it
-// equals the entry's position in the stage's log. It is arrival order,
+// `seq` is the global arrival index within the stage: assigned under
+// TrafficStats' lock at the instant a send reaches the transport, it
+// is the entry's position in the stage's log. It is arrival order,
 // not schedule order: node threads race to the transport, so the same
 // spec can log a different interleaving of senders on every execution,
 // barrier-synchronous runs included (a blocking send returns as soon

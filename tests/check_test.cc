@@ -188,6 +188,31 @@ TEST(AnalyzeTransport, LiveTeraSortRunCertifies) {
   EXPECT_EQ(rep.matches, rep.hb_edges);  // every match redeems a send
 }
 
+TEST(AnalyzeTransport, LiveCodedRunCertifiesAtK20) {
+  // Twenty node threads record into one TransportRecorder at once:
+  // the overlapped multicast round puts every sender on the transport
+  // together. The snapshot must still be one linearization, stamped
+  // 0 … n−1 in order, and certify.
+  simmpi::TransportRecorder::RequestCapture(true);
+  job::RunCache cache;
+  SortConfig config;
+  config.num_nodes = 20;
+  config.redundancy = 2;
+  config.num_records = 24000;
+  config.codegen_mode = CodeGenMode::kBatched;
+  config.shuffle_sync = ShuffleSync::kOverlapped;
+  const auto run = cache.Get("coded", config);
+  const TransportLog& events = run->transport_events;
+  ASSERT_FALSE(events.empty());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    ASSERT_EQ(events[i].stamp, i);
+  }
+  const RaceReport rep = AnalyzeTransport(events, config.num_nodes);
+  EXPECT_TRUE(rep.certified()) << Summarize(rep);
+  EXPECT_GT(rep.sends, 0u);
+  EXPECT_EQ(rep.matches, rep.hb_edges);
+}
+
 // ---- Ordering exploration ----
 
 simscen::Topology UnitRack(int num_nodes) {

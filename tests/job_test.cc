@@ -298,16 +298,27 @@ TEST(Cli, BadShapesAndTyposExitTwo) {
         "--redundancy= --records=2000"}) {
     EXPECT_EQ(status(ctsort, args), 2) << "ctsort " << args;
   }
+  // Every double flag and --instances field must be a whole, finite
+  // number, and an egress rate must not be negative.
   for (const char* args :
        {"--records=0", "--quantile=2", "--quantile=-0.5", "--quantile=nan",
         "--algos=terasort,coded --redundancies=0", "--records=",
-        "--quantile=", "--slo="}) {
+        "--quantile=", "--slo=", "--slo=nan", "--slo=inf", "--slo=1e999",
+        "--max-usd=nan", "--egress-usd-per-gb=-1",
+        "--egress-usd-per-gb=inf", "--instances=m3.large:1x:0.133",
+        "--instances=m3.large:nan:0.133", "--instances=m3.large:1:inf",
+        "--instances=m3.large:1e999:0.133"}) {
     EXPECT_EQ(status(ctplan, std::string(args) + " --nodes=4"), 2)
         << "ctplan " << args;
   }
+  // So must every --outages field, and its node must exist at each K.
   for (const char* args :
        {"--nodes=0", "--redundancies=0", "--nodes=4 --redundancies=5",
-        "--algos=coded --nodes=65", "--algos=terasrt"}) {
+        "--algos=coded --nodes=65", "--algos=terasrt",
+        "--outages=0:0.25:inf", "--outages=0:nan:0.25",
+        "--outages=0x:0.25:0.25", "--outages=0:0.25x:0.25",
+        "--outages=99999999999:0.25:0.25", "--nodes=4 --outages=99:0.25:0.25",
+        "--nodes=8,4 --outages=4:0.25:0.25"}) {
     EXPECT_EQ(status(ctcheck, std::string(args) + " --quiet"), 2)
         << "ctcheck " << args;
   }

@@ -431,6 +431,18 @@ TEST_F(CtstatArtifacts, MalformedOrMismatchedExitTwo) {
   EXPECT_EQ(GateAlone(" \n\n"), 2);
   EXPECT_EQ(Gate(kBase, ""), 2);
   EXPECT_EQ(Gate("", kBase), 2);
+  // A threshold that is not a finite, non-negative number must not
+  // wave a 5x regression through.
+  const char* old_json = R"({"bench":"demo","a/total_s":1.0})";
+  const char* new_json = R"({"bench":"demo","a/total_s":5.0})";
+  EXPECT_EQ(Gate(old_json, new_json), 1);
+  for (const char* threshold :
+       {"nan", "inf", "-inf", "1e999", "-0.1", "0.15x", ""}) {
+    EXPECT_EQ(Gate(old_json, new_json,
+                   std::string("--threshold=") + threshold),
+              2)
+        << "--threshold=" << threshold;
+  }
 }
 
 // `ctstat --re-emit` must reproduce a well-formed ledger byte for

@@ -230,6 +230,9 @@ TEST(PlannerTest, RejectsBadAxes) {
   axes = PlanAxes{};
   axes.instances = {{"free-lunch", -1.0, 0.1}};
   EXPECT_FALSE(RunPlan(axes, PlanQuery{}, cache).error.empty());
+  axes.instances = {{"nan-speed", std::numeric_limits<double>::quiet_NaN(),
+                     0.1}};
+  EXPECT_FALSE(RunPlan(axes, PlanQuery{}, cache).error.empty());
 
   axes = PlanAxes{};
   axes.node_counts = {4};
@@ -274,6 +277,18 @@ TEST(PlannerTest, RejectsBadAxes) {
     EXPECT_NE(RunPlan(axes, query, cache).error.find("outside [0, 1]"),
               std::string::npos)
         << q;
+  }
+
+  // Negative (or NaN) egress would price a cross-rack transfer as a
+  // rebate.
+  for (const double rate :
+       {-1.0, -1e-9, std::numeric_limits<double>::quiet_NaN()}) {
+    axes = PlanAxes{};
+    axes.cost.cross_rack_usd_per_gb = rate;
+    EXPECT_NE(RunPlan(axes, PlanQuery{}, cache).error.find(
+                  "egress-usd-per-gb"),
+              std::string::npos)
+        << rate;
   }
 
   // A job with no records has nothing to price.

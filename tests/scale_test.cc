@@ -2,11 +2,10 @@
 // K = 32 mask cap.
 //
 //  * Plain TeraSort executes end-to-end at K = 100 (mask-free split,
-//    sharded TrafficStats, arena-backed shuffle payloads) and leaks no
-//    mailbox state.
-//  * The sharded transport keeps exact counters and a valid merged
-//    transmission log under many nodes x many keys of contention
-//    (runs under the TSan CI job).
+//    arena-backed shuffle payloads) and leaks no mailbox state.
+//  * The transport keeps exact counters and a valid transmission log
+//    under many nodes x many keys of contention (runs under the TSan
+//    CI job).
 //  * ShuffleSync::kOverlapped moves byte-identical per-stage traffic
 //    to the barrier schedule — the TrafficStats::set_stage audit
 //    pinned as a regression test.

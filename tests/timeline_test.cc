@@ -110,7 +110,6 @@ TEST(Timeline, LiveSeriesReproduceBitwise) {
   EXPECT_EQ(first.timeline.Digest(), second.timeline.Digest());
   EXPECT_TRUE(first.timeline.series().count("live/stage_bytes/bytes"));
   EXPECT_TRUE(first.timeline.series().count("live/shuffle_bytes/bytes"));
-  EXPECT_TRUE(first.timeline.series().count("live/stripe_contention"));
 }
 
 // The DES series are a pure function of (run, scenario): replaying on

@@ -31,6 +31,7 @@
 //   --quiet                    suppress the text table
 #include <cstdint>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,14 +56,16 @@ check::OutageSpec ParseOutage(const std::string& spec) {
   if (parts.size() != 3) {
     Flags::Fail("outage expects NODE:STARTFRAC:DURFRAC: '" + spec + "'");
   }
-  check::OutageSpec o;
-  try {
-    o.node = std::stoi(parts[0]);
-    o.start_frac = std::stod(parts[1]);
-    o.dur_frac = std::stod(parts[2]);
-  } catch (const std::exception&) {
-    Flags::Fail("bad outage numbers in '" + spec + "'");
+  const std::optional<int> node = tools::ParseInt(parts[0]);
+  const std::optional<double> start = tools::ParseDouble(parts[1]);
+  const std::optional<double> dur = tools::ParseDouble(parts[2]);
+  if (!node || !start || !dur) {
+    Flags::Fail("bad number in --outages=" + spec);
   }
+  check::OutageSpec o;
+  o.node = *node;
+  o.start_frac = *start;
+  o.dur_frac = *dur;
   if (o.node < 0 || o.start_frac < 0 || o.dur_frac <= 0) {
     Flags::Fail("outage '" + spec +
                 "' needs node >= 0, start >= 0, duration > 0");
@@ -89,6 +92,12 @@ int main(int argc, char** argv) {
   check::CheckOptions copts;
   for (const std::string& spec : Split(flags.Get("outages", "0:0.25:0.25"))) {
     copts.outages.push_back(ParseOutage(spec));
+    for (const int k : nodes) {
+      if (copts.outages.back().node >= k) {
+        Flags::Fail("--outages=" + spec + " names a node that does not " +
+                    "exist at K = " + std::to_string(k));
+      }
+    }
   }
   copts.ordering_budget = flags.GetU64("budget", 150);
   const std::uint64_t min_orderings = flags.GetU64("min-orderings", 0);

@@ -39,6 +39,7 @@
 //   --quiet                    suppress the text table
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -64,12 +65,13 @@ plan::InstanceProfile ParseInstance(const std::string& spec) {
                 "'");
   }
   p.name = parts[0];
-  try {
-    if (parts.size() >= 2) p.speed = std::stod(parts[1]);
-    if (parts.size() >= 3) p.usd_per_hour = std::stod(parts[2]);
-  } catch (const std::exception&) {
-    Flags::Fail("bad instance numbers in '" + spec + "'");
-  }
+  const auto number = [&spec](const std::string& field) {
+    const std::optional<double> v = tools::ParseDouble(field);
+    if (!v) Flags::Fail("bad number '" + field + "' in --instances=" + spec);
+    return *v;
+  };
+  if (parts.size() >= 2) p.speed = number(parts[1]);
+  if (parts.size() >= 3) p.usd_per_hour = number(parts[2]);
   if (p.speed <= 0 || p.usd_per_hour < 0) {
     Flags::Fail("instance '" + spec +
                 "' needs speed > 0 and a non-negative rate");

@@ -239,6 +239,7 @@ int main(int argc, char** argv) {
   const bool check = flags.GetBool("check");
   const std::string suffix = flags.Get("suffix", "total_s");
   const double threshold = flags.GetDouble("threshold", 0.15);
+  if (threshold < 0) Flags::Fail("--threshold must be non-negative");
   const bool re_emit = flags.GetBool("re-emit");
   const std::string csv = flags.Get("csv", "");
   const std::string json = flags.Get("json", "");

@@ -7,19 +7,45 @@
 #pragma once
 
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <initializer_list>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
-#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
 namespace cts::tools {
+
+// A whole-string decimal number that is finite and inside double's
+// range: "1x", "nan", "inf" and "1e999" are all nullopt.
+inline std::optional<double> ParseDouble(const std::string& v) {
+  errno = 0;
+  char* end = nullptr;
+  const double parsed = std::strtod(v.c_str(), &end);
+  if (end == v.c_str() || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(parsed)) {
+    return std::nullopt;
+  }
+  return parsed;
+}
+
+// A whole-string base-10 int inside int's range ("4x", "+4" and " 4"
+// are nullopt).
+inline std::optional<int> ParseInt(const std::string& v) {
+  int parsed = 0;
+  const char* const end = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), end, parsed);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return parsed;
+}
 
 class Flags {
  public:
@@ -66,13 +92,9 @@ class Flags {
   double GetDouble(const std::string& key, double fallback) {
     const std::string* given = Find(key);
     if (given == nullptr) return fallback;
-    const std::string& v = *given;
-    char* end = nullptr;
-    const double parsed = std::strtod(v.c_str(), &end);
-    if (end == v.c_str() || *end != '\0') {
-      Fail("bad number '" + v + "' in --" + key);
-    }
-    return parsed;
+    const std::optional<double> parsed = ParseDouble(*given);
+    if (!parsed) Fail("bad number '" + *given + "' in --" + key);
+    return *parsed;
   }
 
   // An enumerated flag: the value must name one of `choices`; anything
@@ -137,14 +159,11 @@ inline std::vector<std::string> Split(const std::string& s, char sep = ',') {
 inline std::vector<int> ParseIntList(const std::string& s, const char* what) {
   std::vector<int> out;
   for (const std::string& f : Split(s)) {
-    try {
-      std::size_t pos = 0;
-      const int v = std::stoi(f, &pos);
-      if (pos != f.size() || v < 0) throw std::invalid_argument(f);
-      out.push_back(v);
-    } catch (const std::exception&) {
+    const std::optional<int> v = ParseInt(f);
+    if (!v || *v < 0) {
       Flags::Fail(std::string("bad ") + what + " entry '" + f + "'");
     }
+    out.push_back(*v);
   }
   return out;
 }

@@ -14,10 +14,10 @@ break that promise. Rules:
              iteration order is implementation-defined, and sooner or
              later somebody iterates. std::map/std::set are ordered.
   mutex      a naked std::mutex in src/simmpi (the transport hot
-             path): locks there must be striped (LockStripe) or carry
-             a `repo-lint: allow(mutex): <reason>` annotation within
-             the two lines above the declaration explaining why this
-             one is not a scalability hazard.
+             path): every lock there must carry a
+             `repo-lint: allow(mutex): <reason>` annotation within the
+             two lines above the declaration saying why it is not a
+             scalability hazard.
   benchkey   string keys fed to bench::JsonReport::add(...) or to the
              obs::MetricRegistry (counter/gauge/histogram) must be
              schema-clean: [A-Za-z0-9_/.:+%-]+, not the reserved
@@ -97,10 +97,9 @@ def lint_lines(relpath, lines):
         if in_simmpi and MUTEX_RE.search(line) \
                 and not allowed(lines, i, "mutex"):
             yield (i + 1, "mutex",
-                   "naked std::mutex in src/simmpi: stripe it "
-                   "(LockStripe) or annotate "
-                   "`repo-lint: allow(mutex): <reason>` within the two "
-                   "lines above")
+                   "naked std::mutex in src/simmpi: annotate "
+                   "`repo-lint: allow(mutex): <why it is not a "
+                   "scalability hazard>` within the two lines above")
         for m in ADD_KEY_RE.finditer(line):
             key = m.group(1)
             if (not KEY_OK_RE.fullmatch(key) or key in RESERVED_KEYS) \
