@@ -23,18 +23,18 @@
 // Set CTS_UNIFORM=1 to use the uniform stream anyway.
 #pragma once
 
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "analytics/report.h"
+#include "common/numparse.h"
 #include "common/table.h"
 #include "driver/run_result.h"
 #include "obs/ledger.h"
@@ -257,23 +257,22 @@ inline std::string CheckBenchJsonSchema(
 // The paper's workload: 12 GB = 120 M 100-byte records.
 inline constexpr std::uint64_t kPaperRecords = 120'000'000;
 
-// Reads a whole base-10 uint64 knob; an unset or empty variable keeps
-// `fallback`. Anything else — a sign, an exponent, trailing text, a
-// value past 2^64 - 1 or below `min` — prints the variable and exits 2.
+// Reads a whole base-10 uint64 knob (ParseU64); an unset or empty
+// variable keeps `fallback`. Anything else — a sign, a space, an
+// exponent, trailing text, a value past 2^64 - 1 or below `min` —
+// prints the variable and exits 2.
 inline std::uint64_t EnvU64(const char* name, std::uint64_t fallback,
                             std::uint64_t min = 0) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
-  const char* end = v + std::strlen(v);
-  std::uint64_t value = 0;
-  const auto [last, ec] = std::from_chars(v, end, value);
-  if (ec != std::errc() || last != end || value < min) {
+  const std::optional<std::uint64_t> value = ParseU64(v);
+  if (!value || *value < min) {
     std::cerr << name << "=" << v << ": expected a whole number";
     if (min > 0) std::cerr << " >= " << min;
     std::cerr << "\n";
     std::exit(2);
   }
-  return value;
+  return *value;
 }
 
 inline SortConfig BenchConfig(int K, int r, std::uint64_t default_records) {

@@ -35,22 +35,7 @@ void CodedTeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
   const Placement placement = Placement::Create(K, r);
   const auto ranges = placement.SplitRecords(config.num_records);
   const TeraGen gen(config.seed, config.distribution);
-
-  // kDistributedSampled replaces the coordinator's partition file with
-  // Hadoop-style collective sampling (collective on the world comm).
-  std::unique_ptr<Partitioner> partitioner;
-  if (config.partitioner == PartitionerKind::kDistributedSampled) {
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> local;
-    for (const FileId f : placement.files_on_node(self)) {
-      const auto fi = static_cast<std::size_t>(f);
-      local.emplace_back(ranges.offset[fi], ranges.count[fi]);
-    }
-    partitioner = std::make_unique<SampledPartitioner>(
-        BuildDistributedSampledPartitioner(comm, gen, local,
-                                           config.sample_size));
-  } else {
-    partitioner = MakePartitioner(config);
-  }
+  const std::unique_ptr<Partitioner> partitioner = MakePartitioner(config);
 
   StageRunner stages(comm, recorder, &config.injected_delays);
   NodeWork work;
@@ -220,23 +205,7 @@ AlgorithmResult RunCodedTeraSort(const SortConfig& config) {
     CodedTeraSortNode(comm, rec, config);
   });
 
-  AlgorithmResult result;
-  result.config = config;
-  result.algorithm = "CodedTeraSort";
-  result.partitions = recorder.take_partitions();
-  result.work = recorder.work();
-  result.wall_seconds = recorder.wall_max();
-  result.stage_order = recorder.stage_order();
-  result.compute_events = recorder.compute_events();
-  for (const auto& name : world.stats().stage_names()) {
-    result.traffic[name] = world.stats().stage(name);
-  }
-  result.shuffle_node_traffic = world.stats().per_node(stage::kShuffle);
-  result.shuffle_log = world.stats().transmission_log(stage::kShuffle);
-  result.transport_events = world.transport_log();
-  CTS_CHECK_EQ(result.total_output_records(), config.num_records);
-  CTS_CHECK_EQ(world.pending_messages(), std::size_t{0});
-  return result;
+  return CollectSortResult(config, "CodedTeraSort", world, recorder);
 }
 
 }  // namespace cts

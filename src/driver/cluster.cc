@@ -2,6 +2,7 @@
 
 #include <exception>
 #include <thread>
+#include <utility>
 
 #include "common/buffer.h"
 #include "obs/metrics.h"
@@ -71,6 +72,29 @@ void RunOnCluster(simmpi::World& world, RunRecorder& recorder,
     if (e) std::rethrow_exception(e);
   }
   PublishTrafficMetrics(world.stats());
+}
+
+AlgorithmResult CollectSortResult(const SortConfig& config,
+                                  std::string algorithm,
+                                  simmpi::World& world,
+                                  RunRecorder& recorder) {
+  AlgorithmResult result;
+  result.config = config;
+  result.algorithm = std::move(algorithm);
+  result.partitions = recorder.take_partitions();
+  result.work = recorder.work();
+  result.wall_seconds = recorder.wall_max();
+  result.stage_order = recorder.stage_order();
+  result.compute_events = recorder.compute_events();
+  for (const auto& name : world.stats().stage_names()) {
+    result.traffic[name] = world.stats().stage(name);
+  }
+  result.shuffle_node_traffic = world.stats().per_node(stage::kShuffle);
+  result.shuffle_log = world.stats().transmission_log(stage::kShuffle);
+  result.transport_events = world.transport_log();
+  CTS_CHECK_EQ(result.total_output_records(), config.num_records);
+  CTS_CHECK_EQ(world.pending_messages(), std::size_t{0});
+  return result;
 }
 
 }  // namespace cts

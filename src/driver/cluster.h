@@ -33,14 +33,6 @@ class RunRecorder {
       : partitions_(static_cast<std::size_t>(num_nodes)),
         work_(static_cast<std::size_t>(num_nodes)) {}
 
-  void record_wall(const std::string& stage, NodeId node, double seconds) {
-    std::lock_guard lock(mu_);
-    auto& per_node = wall_[stage];
-    per_node.resize(std::max(per_node.size(),
-                             static_cast<std::size_t>(node) + 1));
-    per_node[static_cast<std::size_t>(node)] = seconds;
-  }
-
   // Records one stage boundary on one node ([start, end) on the node's
   // local run clock). The first node to enter a stage also fixes the
   // stage's position in stage_order() — stages are barrier-delimited,
@@ -80,16 +72,10 @@ class RunRecorder {
     work_[static_cast<std::size_t>(node)] = work;
   }
 
-  // Max-over-nodes wall seconds per stage.
+  // Max-over-nodes wall seconds per stage, folded from the events.
   std::map<std::string, double> wall_max() const {
     std::lock_guard lock(mu_);
-    std::map<std::string, double> out;
-    for (const auto& [stage, per_node] : wall_) {
-      double mx = 0;
-      for (double s : per_node) mx = std::max(mx, s);
-      out[stage] = mx;
-    }
-    return out;
+    return StageWalls(events_);
   }
 
   std::vector<std::vector<Record>> take_partitions() {
@@ -104,7 +90,6 @@ class RunRecorder {
 
  private:
   mutable std::mutex mu_;
-  std::map<std::string, std::vector<double>> wall_;
   std::vector<std::vector<Record>> partitions_;
   std::vector<NodeWork> work_;
   std::set<std::string> seen_stages_;
@@ -121,13 +106,20 @@ using NodeProgram =
 void RunOnCluster(simmpi::World& world, RunRecorder& recorder,
                   const NodeProgram& program);
 
+// Packs a finished sort run into an AlgorithmResult: the recorder's
+// partitions, work, walls, stage order and events, and the world's
+// per-stage traffic, shuffle traffic, shuffle log and transport events.
+// Checks that every input record came out and that no message or
+// posted receive is left in the world.
+AlgorithmResult CollectSortResult(const SortConfig& config,
+                                  std::string algorithm,
+                                  simmpi::World& world,
+                                  RunRecorder& recorder);
+
 // Scoped timer for one stage body on one node: on destruction it
-// records BOTH RunRecorder entries — the wall time and the
-// ComputeEvent boundary — which are meaningless apart (the scenario
-// engine replays events, the tables print walls, and a stage recorded
-// in one but not the other would silently diverge the two views).
-// Owning the pairing here keeps the node programs unable to forget
-// half of it.
+// records the stage's ComputeEvent, from which RunRecorder::wall_max
+// also derives the stage's wall time, so the scenario engine's events
+// and the tables' walls cannot disagree.
 class StageTimer {
  public:
   // `run_clock_start` anchors the event on the node's local run clock
@@ -141,9 +133,7 @@ class StageTimer {
   StageTimer& operator=(const StageTimer&) = delete;
 
   ~StageTimer() {
-    const double seconds = watch_.elapsed();
-    recorder_.record_wall(stage_, node_, seconds);
-    recorder_.record_event(stage_, node_, start_, start_ + seconds);
+    recorder_.record_event(stage_, node_, start_, start_ + watch_.elapsed());
   }
 
  private:

@@ -3,35 +3,20 @@
 // In the paper the coordinator creates the key partitions and ships
 // them to the workers. Here the partitioner is a deterministic function
 // of the SortConfig, so every node constructs an identical copy with no
-// communication (tests additionally verify the serialize/ship path).
+// communication.
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "driver/run_result.h"
 #include "keyvalue/partitioner.h"
-#include "keyvalue/teragen.h"
-#include "simmpi/comm.h"
 
 namespace cts {
 
 // Builds the configured partitioner with num_nodes partitions. For
 // kSampled, samples `config.sample_size` evenly spaced records of the
 // input stream (a deterministic stand-in for the coordinator's random
-// input sample). kDistributedSampled cannot be built here — it needs
-// the communicator; node programs call
-// BuildDistributedSampledPartitioner instead.
+// input sample).
 std::unique_ptr<Partitioner> MakePartitioner(const SortConfig& config);
-
-// Hadoop-style distributed sampling: every node samples keys from its
-// own record ranges, the samples are allgathered, and every node
-// derives identical splitters from the combined sample. Collective on
-// `comm`. `local_ranges` are (offset, count) record ranges this node
-// stores; `samples` is the per-node sample budget.
-SampledPartitioner BuildDistributedSampledPartitioner(
-    simmpi::Comm& comm, const TeraGen& gen,
-    const std::vector<std::pair<std::uint64_t, std::uint64_t>>& local_ranges,
-    std::uint64_t samples);
 
 }  // namespace cts

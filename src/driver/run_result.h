@@ -7,6 +7,7 @@
 // per-stage wall times of the actual execution.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -38,9 +39,6 @@ enum class PartitionerKind {
   kRange,    // analytic equal ranges (paper workload: uniform keys)
   kSampled,  // splitter keys from a deterministic input sample,
              // computed identically on every node (coordinator-style)
-  kDistributedSampled,  // Hadoop-style: nodes sample their own files
-                        // and allgather the samples before the Map
-                        // stage (exercises the collective substrate)
 };
 
 // How CodedTeraSort materializes its C(K, r+1) multicast groups
@@ -140,6 +138,18 @@ struct ComputeEvent {
 // All compute events of one run, ordered by (node, start).
 using ComputeLog = std::vector<ComputeEvent>;
 
+// Per-stage wall seconds of a run: for each stage, the max over its
+// events of end - start (the stage completes when its slowest node
+// does).
+inline std::map<std::string, double> StageWalls(const ComputeLog& log) {
+  std::map<std::string, double> walls;
+  for (const ComputeEvent& e : log) {
+    double& wall = walls[e.stage];
+    wall = std::max(wall, e.seconds());
+  }
+  return walls;
+}
+
 // Everything one run produces.
 struct AlgorithmResult {
   SortConfig config;
@@ -171,8 +181,7 @@ struct AlgorithmResult {
   // the disabled-branch test).
   simmpi::TransportLog transport_events;
 
-  // Per-stage wall seconds: max over nodes of that node's stage time
-  // (the stage completes when its slowest node does).
+  // Per-stage wall seconds: StageWalls(compute_events).
   std::map<std::string, double> wall_seconds;
 
   // Stage names in first-execution order (each once). Unlike the maps

@@ -53,8 +53,8 @@ enum class Backend {
   // breakdown is byte-identical to kPriced wherever both can run;
   // unlike kPriced, K is bounded by 64-bit placement arithmetic
   // (K ~ 1000) rather than by live execution. Specs the synthesizer
-  // cannot honor (CMR, kDistributedSampled, binomial overflow) come
-  // back as JobResult::error, never a process abort.
+  // cannot honor (CMR, binomial overflow) come back as
+  // JobResult::error, never a process abort.
   kSimulated,
 };
 

@@ -1,11 +1,10 @@
 #include "job/parse.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
+#include <optional>
 #include <vector>
 
+#include "common/numparse.h"
 #include "mitigate/policy.h"
 
 namespace cts::job {
@@ -31,35 +30,12 @@ std::vector<std::string> SplitColons(const std::string& s) {
   }
 }
 
-// Rejects non-finite input: "nan"/"inf" would sail through one-sided
-// range checks (NaN compares false to everything) and poison the
-// replay with non-finite factors — and casting NaN to int is UB.
-bool ParseNumber(const std::string& s, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return !s.empty() && end != nullptr && *end == '\0' &&
-         std::isfinite(*out);
-}
-
-// The field must be a whole non-negative number (node ids, rack
-// sizes): 1.9 must not silently become 1. Range-checked BEFORE the
-// cast — double-to-int conversion outside int's range is undefined.
-bool ParseWhole(const std::string& s, int* out) {
-  double v = 0;
-  if (!ParseNumber(s, &v)) return false;
-  if (v < 0 || v > 2147483647.0) return false;
-  *out = static_cast<int>(v);
-  return static_cast<double>(*out) == v;
-}
-
-// Full-range uint64 fields (straggler seeds).
-bool ParseU64(const std::string& s, std::uint64_t* out) {
-  if (s.empty() || s[0] == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0' || errno == ERANGE) return false;
-  *out = v;
+// Stores a field parsed by common/numparse.h in *out; false when it did
+// not parse.
+template <typename T>
+bool Assign(const std::optional<T>& parsed, T* out) {
+  if (!parsed) return false;
+  *out = *parsed;
   return true;
 }
 
@@ -100,9 +76,11 @@ std::optional<simscen::Topology> ParseTopology(const std::string& spec,
   double down_factor = 0;
   const bool ok =
       (fields.size() == 2 || fields.size() == 4) &&
-      ParseWhole(fields[0], &per_rack) && ParseNumber(fields[1], &factor) &&
-      (fields.size() == 2 || (ParseNumber(fields[2], &up_factor) &&
-                              ParseNumber(fields[3], &down_factor)));
+      Assign(ParseInt(fields[0]), &per_rack) &&
+      Assign(ParseDouble(fields[1]), &factor) &&
+      (fields.size() == 2 ||
+       (Assign(ParseDouble(fields[2]), &up_factor) &&
+        Assign(ParseDouble(fields[3]), &down_factor)));
   if (!ok) {
     SetError(error,
              "topology expects R:F[:U:D][:aware] (nodes-per-rack : core "
@@ -136,24 +114,22 @@ std::optional<simscen::StragglerModel> ParseStraggler(const std::string& spec,
   if (spec.empty() || spec == "none") return m;
   const auto fields = SplitColons(spec);
   const std::string& kind = fields[0];
-  int node = 0;
   if (kind == "slow" && fields.size() == 3) {
     m.kind = simscen::StragglerKind::kSlowNode;
-    if (!ParseWhole(fields[1], &node) ||
-        !ParseNumber(fields[2], &m.slowdown)) {
+    if (!Assign(ParseInt(fields[1]), &m.node) ||
+        !Assign(ParseDouble(fields[2]), &m.slowdown)) {
       SetError(error, "straggler slow expects slow:NODE:FACTOR");
       return std::nullopt;
     }
-    m.node = node;
     if (m.slowdown < 1.0) {
       SetError(error, "straggler slowdown must be >= 1");
       return std::nullopt;
     }
   } else if (kind == "exp" && (fields.size() == 3 || fields.size() == 4)) {
     m.kind = simscen::StragglerKind::kShiftedExp;
-    if (!ParseNumber(fields[1], &m.shift) ||
-        !ParseNumber(fields[2], &m.mean) ||
-        (fields.size() == 4 && !ParseU64(fields[3], &m.seed))) {
+    if (!Assign(ParseDouble(fields[1]), &m.shift) ||
+        !Assign(ParseDouble(fields[2]), &m.mean) ||
+        (fields.size() == 4 && !Assign(ParseU64(fields[3]), &m.seed))) {
       SetError(error, "straggler exp expects exp:SHIFT:MEAN[:SEED]");
       return std::nullopt;
     }
@@ -164,13 +140,12 @@ std::optional<simscen::StragglerModel> ParseStraggler(const std::string& spec,
   } else if (kind == "failstop" &&
              (fields.size() == 3 || fields.size() == 4)) {
     m.kind = simscen::StragglerKind::kFailStop;
-    if (!ParseNumber(fields[1], &m.fail_at) ||
-        !ParseNumber(fields[2], &m.recovery) ||
-        (fields.size() == 4 && !ParseWhole(fields[3], &node))) {
+    if (!Assign(ParseDouble(fields[1]), &m.fail_at) ||
+        !Assign(ParseDouble(fields[2]), &m.recovery) ||
+        (fields.size() == 4 && !Assign(ParseInt(fields[3]), &m.node))) {
       SetError(error, "straggler failstop expects failstop:T:REC[:NODE]");
       return std::nullopt;
     }
-    if (fields.size() == 4) m.node = node;
     if (m.fail_at < 0 || m.recovery < 0) {
       SetError(error, "straggler failstop times must be >= 0");
       return std::nullopt;
@@ -197,14 +172,12 @@ std::optional<InjectedDelay> ParseInjectDelay(const std::string& spec,
                                               std::string* error) {
   const auto fields = SplitColons(spec);
   InjectedDelay d;
-  int node = 0;
-  if (fields.size() != 3 || !ParseWhole(fields[1], &node) ||
-      !ParseNumber(fields[2], &d.seconds)) {
+  if (fields.size() != 3 || !Assign(ParseInt(fields[1]), &d.node) ||
+      !Assign(ParseDouble(fields[2]), &d.seconds)) {
     SetError(error, "inject-delay expects STAGE:NODE:SECONDS");
     return std::nullopt;
   }
   d.stage = fields[0];
-  d.node = node;
   // StageRunner matches the stage by exact name; a typo would silently
   // inject nothing and invalidate the experiment.
   const std::vector<std::string> known = {

@@ -43,10 +43,7 @@ AlgorithmResult RunCmrAsJob(const SortConfig& config) {
   result.transport_events = run.transport_events;
   result.stage_order = run.stage_order;
   result.compute_events = run.compute_events;
-  for (const ComputeEvent& e : run.compute_events) {
-    double& wall = result.wall_seconds[e.stage];
-    wall = std::max(wall, e.seconds());
-  }
+  result.wall_seconds = StageWalls(run.compute_events);
   return result;
 }
 

@@ -6,33 +6,6 @@
 
 namespace cts {
 
-namespace {
-
-// Wire tags distinguishing partitioner kinds in Deserialize().
-constexpr std::uint8_t kTagRange = 1;
-constexpr std::uint8_t kTagSampled = 2;
-
-}  // namespace
-
-std::unique_ptr<Partitioner> Partitioner::Deserialize(Buffer& in) {
-  const std::uint8_t tag = in.read_u8();
-  switch (tag) {
-    case kTagRange: {
-      const int k = in.read_i32();
-      return std::make_unique<RangePartitioner>(k);
-    }
-    case kTagSampled: {
-      const auto n = static_cast<std::size_t>(in.read_u64());
-      std::vector<Key> splitters(n);
-      for (auto& s : splitters) in.read_bytes(std::span<std::uint8_t>(s));
-      return std::make_unique<SampledPartitioner>(std::move(splitters));
-    }
-    default:
-      CTS_CHECK_MSG(false, "unknown partitioner tag " << int{tag});
-      return nullptr;
-  }
-}
-
 RangePartitioner::RangePartitioner(int num_partitions) : k_(num_partitions) {
   CTS_CHECK_GE(k_, 1);
 }
@@ -54,11 +27,6 @@ std::uint64_t RangePartitioner::boundary(PartitionId p) const {
       static_cast<unsigned __int128>(p) << 64;
   const auto k = static_cast<unsigned __int128>(k_);
   return static_cast<std::uint64_t>((numer + k - 1) / k);
-}
-
-void RangePartitioner::serialize(Buffer& out) const {
-  out.write_u8(kTagRange);
-  out.write_i32(k_);
 }
 
 SampledPartitioner::SampledPartitioner(std::vector<Key> splitters)
@@ -94,14 +62,6 @@ PartitionId SampledPartitioner::partition(const Key& key) const {
   const auto it = std::upper_bound(splitters_.begin(), splitters_.end(),
                                    key, KeyLess);
   return static_cast<PartitionId>(it - splitters_.begin());
-}
-
-void SampledPartitioner::serialize(Buffer& out) const {
-  out.write_u8(kTagSampled);
-  out.write_u64(splitters_.size());
-  for (const Key& s : splitters_) {
-    out.write_bytes(std::span<const std::uint8_t>(s));
-  }
 }
 
 }  // namespace cts

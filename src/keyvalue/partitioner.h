@@ -12,16 +12,14 @@
 //    distributions still yield balanced reducers.
 //
 // Partition lookup must be identical on every node, so partitioners are
-// value types that the coordinator constructs once and serializes into
-// each node's configuration.
+// value types that every node builds from the same configuration
+// (driver/partition_util.h).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "common/buffer.h"
 #include "common/types.h"
 #include "keyvalue/record.h"
 
@@ -34,13 +32,6 @@ class Partitioner {
 
   virtual PartitionId partition(const Key& key) const = 0;
   virtual int num_partitions() const = 0;
-
-  // Wire round-trip so the coordinator can ship one partitioner to all
-  // nodes (mirrors Hadoop distributing the partition file).
-  virtual void serialize(Buffer& out) const = 0;
-
-  // Factory from a buffer written by any serialize() implementation.
-  static std::unique_ptr<Partitioner> Deserialize(Buffer& in);
 };
 
 // Equal 2^64-prefix ranges: partition(key) = floor(prefix(key) * K / 2^64).
@@ -50,7 +41,6 @@ class RangePartitioner final : public Partitioner {
 
   PartitionId partition(const Key& key) const override;
   int num_partitions() const override { return k_; }
-  void serialize(Buffer& out) const override;
 
   // Smallest key prefix belonging to partition p (inclusive lower
   // boundary); boundary(0) == 0.
@@ -77,7 +67,6 @@ class SampledPartitioner final : public Partitioner {
   int num_partitions() const override {
     return static_cast<int>(splitters_.size()) + 1;
   }
-  void serialize(Buffer& out) const override;
 
   const std::vector<Key>& splitters() const { return splitters_; }
 

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <optional>
+#include <string_view>
 
 #include "common/check.h"
+#include "common/numparse.h"
 
 namespace cts::mitigate {
 
@@ -162,18 +164,16 @@ std::optional<MitigationPolicy> ParsePolicy(const std::string& spec) {
   if (spec == "coded") return MitigationPolicy::CodedMap();
   if (spec == "spec") return MitigationPolicy::Speculative();
   if (spec.rfind("spec:", 0) == 0) {
-    const std::string rest = spec.substr(5);
+    const std::string_view rest = std::string_view(spec).substr(5);
     const std::size_t colon = rest.find(':');
-    if (colon == std::string::npos) return std::nullopt;
-    char* end = nullptr;
-    const double quantile = std::strtod(rest.c_str(), &end);
-    if (end != rest.c_str() + colon) return std::nullopt;
-    const std::string trig = rest.substr(colon + 1);
-    end = nullptr;
-    const double trigger = std::strtod(trig.c_str(), &end);
-    if (trig.empty() || end == nullptr || *end != '\0') return std::nullopt;
-    if (quantile <= 0 || quantile > 1 || trigger < 1) return std::nullopt;
-    return MitigationPolicy::Speculative(quantile, trigger);
+    if (colon == std::string_view::npos) return std::nullopt;
+    const std::optional<double> quantile = ParseDouble(rest.substr(0, colon));
+    const std::optional<double> trigger = ParseDouble(rest.substr(colon + 1));
+    if (!quantile || !trigger || *quantile <= 0 || *quantile > 1 ||
+        *trigger < 1) {
+      return std::nullopt;
+    }
+    return MitigationPolicy::Speculative(*quantile, *trigger);
   }
   return std::nullopt;
 }

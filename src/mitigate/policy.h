@@ -67,7 +67,8 @@ const char* PolicyName(PolicyKind kind);
 
 // Parses the ctsort/bench flag syntax:
 //   none | spec[:QUANTILE:TRIGGER] | coded
-// Returns nullopt on malformed input.
+// QUANTILE in (0, 1] and TRIGGER >= 1 are numbers as ParseDouble reads
+// them (finite decimals). Returns nullopt on malformed input.
 std::optional<MitigationPolicy> ParsePolicy(const std::string& spec);
 
 // One barrier-delimited compute stage as a policy sees it.

@@ -170,6 +170,8 @@ class Scanner {
       if (!digits()) return Fail("bad exponent", error);
     }
     char* end = nullptr;
+    // repo-lint: allow(numparse): the scan above admits only the JSON
+    // number grammar, and strtod converts exactly what it admitted.
     *out = std::strtod(s_.c_str() + start, &end);
     if (end != s_.c_str() + i_) return Fail("bad number", error);
     if (!std::isfinite(*out)) return Fail("number out of range", error);
@@ -385,6 +387,8 @@ bool ParseEntry(const std::string& line, LedgerEntry* out,
               std::string v;
               if (!sc.ParseString(&v, error)) return false;
               char* end = nullptr;
+              // repo-lint: allow(numparse): values are C hex floats
+              // (HexFloat's "%a"), which strtod reads back exactly.
               const double d = std::strtod(v.c_str(), &end);
               if (end == v.c_str() || *end != '\0') {
                 return sc.Fail("unparsable value for '" + k + "'", error);

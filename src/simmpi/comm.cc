@@ -110,25 +110,6 @@ Buffer Comm::wait(Request& req) {
   return std::move(req.payload_);
 }
 
-std::vector<Buffer> Comm::waitall(std::vector<Request>& reqs) {
-  std::vector<Buffer> out;
-  out.reserve(reqs.size());
-  for (Request& req : reqs) out.push_back(wait(req));
-  return out;
-}
-
-bool Comm::test(Request& req) {
-  CTS_CHECK_MSG(!req.null(), "test on a null request");
-  if (req.done_) return true;
-  auto got =
-      req.mailbox_->try_claim(req.comm_, req.src_, req.tag_, req.ticket_);
-  if (!got.has_value()) return false;
-  req.payload_ = std::move(*got);
-  req.mailbox_->retire_recv();
-  req.done_ = true;
-  return true;
-}
-
 void Comm::bcast(int root_rank, Buffer& payload) {
   CTS_CHECK_GE(root_rank, 0);
   CTS_CHECK_LT(root_rank, size());
@@ -172,68 +153,6 @@ void Comm::barrier() {
     deliver(0, kTagBarrier, ArenaCopy(token.span()));
     (void)world_->mailbox(my_global()).receive(id_, global(0), kTagBarrier);
   }
-}
-
-std::vector<Buffer> Comm::gather(int root_rank, const Buffer& payload) {
-  CTS_CHECK_GE(root_rank, 0);
-  CTS_CHECK_LT(root_rank, size());
-  std::vector<Buffer> out;
-  if (rank_ == root_rank) {
-    out.resize(static_cast<std::size_t>(size()));
-    out[static_cast<std::size_t>(rank_)] = payload.Clone();
-    for (int m = 0; m < size(); ++m) {
-      if (m == rank_) continue;
-      out[static_cast<std::size_t>(m)] =
-          world_->mailbox(my_global()).receive(id_, global(m), kTagGather);
-    }
-  } else {
-    deliver(root_rank, kTagGather, ArenaCopy(payload.span()));
-  }
-  return out;
-}
-
-Buffer Comm::sendrecv(int peer_rank, Tag tag, const Buffer& payload) {
-  send(peer_rank, tag, payload);
-  return recv(peer_rank, tag);
-}
-
-std::vector<Buffer> Comm::allgather(const Buffer& payload) {
-  // Naive exchange: every member unicasts to every other member. With
-  // eager-buffered sends this is deadlock-free regardless of pacing.
-  std::vector<Buffer> out(static_cast<std::size_t>(size()));
-  out[static_cast<std::size_t>(rank_)] = payload.Clone();
-  for (int m = 0; m < size(); ++m) {
-    if (m == rank_) continue;
-    send(m, kTagAllgatherUser, payload);
-  }
-  for (int m = 0; m < size(); ++m) {
-    if (m == rank_) continue;
-    out[static_cast<std::size_t>(m)] = recv(m, kTagAllgatherUser);
-  }
-  return out;
-}
-
-Buffer Comm::scatter(int root_rank, std::vector<Buffer> parts) {
-  CTS_CHECK_GE(root_rank, 0);
-  CTS_CHECK_LT(root_rank, size());
-  if (rank_ == root_rank) {
-    CTS_CHECK_EQ(static_cast<int>(parts.size()), size());
-    for (int m = 0; m < size(); ++m) {
-      if (m == rank_) continue;
-      send(m, kTagScatterUser, parts[static_cast<std::size_t>(m)]);
-    }
-    return std::move(parts[static_cast<std::size_t>(rank_)]);
-  }
-  CTS_CHECK_MSG(parts.empty(), "non-root scatter callers pass no parts");
-  return recv(root_rank, kTagScatterUser);
-}
-
-std::uint64_t Comm::allreduce_sum(std::uint64_t value) {
-  Buffer mine;
-  mine.write_u64(value);
-  std::uint64_t total = 0;
-  for (Buffer& b : allgather(mine)) total += b.read_u64();
-  return total;
 }
 
 std::map<NodeMask, Comm> Comm::create_groups(

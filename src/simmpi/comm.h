@@ -11,19 +11,17 @@
 //   MPI_Barrier           -> Comm::barrier
 //   MPI_Comm_split        -> Comm::split (collective; color < 0 is
 //                            MPI_UNDEFINED)
-//   MPI_Gather             -> Comm::gather (control-plane, unaccounted)
-//   MPI_Isend / MPI_Irecv  -> Comm::isend / Comm::irecv (nonblocking,
-//                            returning a Request; complete with
-//                            wait / waitall / test)
+//   MPI_Isend / MPI_Irecv -> Comm::isend / Comm::irecv (nonblocking,
+//                            returning a Request; complete with wait)
 //
 // Traffic accounting: send() records a unicast and bcast() records a
 // multicast with its fan-out into World::stats() under the current
 // stage label. Nonblocking sends account at INITIATION (isend is
 // eager-buffered, so initiation is when the bytes hit the wire) —
 // overlapped and barrier-synchronous schedules therefore measure
-// byte-identical loads. Control-plane traffic (barrier tokens, gather
-// of results/timings) is deliberately NOT accounted — the paper's
-// tables measure shuffle payloads, not MPI control overhead.
+// byte-identical loads. Control-plane traffic (barrier tokens) is
+// deliberately NOT accounted — the paper's tables measure shuffle
+// payloads, not MPI control overhead.
 #pragma once
 
 #include <cstdint>
@@ -43,16 +41,16 @@ namespace cts::simmpi {
 // Handle for one nonblocking operation (MPI_Request). Move-only; owned
 // by the node thread that initiated it. Send requests are born
 // complete (sends are eager-buffered); receive requests complete when
-// wait() or a successful test() matches the message. A posted receive
-// that is never completed is counted by Mailbox::pending() — and hence
-// World::pending_messages() — so abandoned requests fail the shutdown
-// hygiene checks instead of vanishing silently.
+// wait() matches the message. A posted receive that is never completed
+// is counted by Mailbox::pending() — and hence World::pending_messages()
+// — so abandoned requests fail the shutdown hygiene checks instead of
+// vanishing silently.
 class Request {
  public:
   Request() = default;
   // Moves reset the source to a null handle so a moved-from Request
   // cannot double-claim its ticket or double-retire the posted-recv
-  // counter (wait/test on it throw instead).
+  // counter (wait on it throws instead).
   Request(Request&& o) noexcept { *this = std::move(o); }
   Request& operator=(Request&& o) noexcept {
     if (this != &o) {
@@ -151,7 +149,7 @@ class Comm {
   // Posts a receive for (src_rank, tag) on this communicator. FIFO
   // matching per (source, tag, comm) is preserved: two irecvs posted
   // for the same key complete in posting order with the messages in
-  // sending order. Complete with wait / waitall / test.
+  // sending order. Complete with wait.
   Request irecv(int src_rank, Tag tag);
 
   // Posts the receive side of a bcast rooted at `root_rank` (the
@@ -165,15 +163,6 @@ class Comm {
   // once. Static (like MPI_Wait, completion needs no communicator);
   // callable through any Comm instance.
   static Buffer wait(Request& req);
-
-  // Waits on every request, in order; returns the messages in request
-  // order (empty Buffers for sends).
-  static std::vector<Buffer> waitall(std::vector<Request>& reqs);
-
-  // Nonblocking completion probe: returns true iff the request is
-  // complete (matching it if the message has arrived), after which
-  // wait() returns without blocking.
-  static bool test(Request& req);
 
   // ---- Collectives ----
 
@@ -196,29 +185,6 @@ class Comm {
 
   // Synchronizes all members (token to rank 0, token back).
   void barrier();
-
-  // Collects every member's payload at `root_rank`, in rank order.
-  // Returns the full vector at the root, an empty vector elsewhere.
-  // Control-plane: not accounted.
-  std::vector<Buffer> gather(int root_rank, const Buffer& payload);
-
-  // Simultaneous exchange with `peer_rank` (both sides call with the
-  // same tag). Safe against head-of-line deadlock because sends are
-  // eager-buffered, like MPI_Sendrecv. Accounted as unicast.
-  Buffer sendrecv(int peer_rank, Tag tag, const Buffer& payload);
-
-  // Every member ends with every member's payload, in rank order
-  // (MPI_Allgather). Data-plane: accounted as unicasts.
-  std::vector<Buffer> allgather(const Buffer& payload);
-
-  // Root distributes parts[i] to rank i and returns its own part;
-  // non-roots pass an empty vector and receive theirs (MPI_Scatter).
-  // Data-plane: accounted as unicasts.
-  Buffer scatter(int root_rank, std::vector<Buffer> parts);
-
-  // Global sum of one u64 per member, known to all (MPI_Allreduce with
-  // MPI_SUM). Accounted as unicasts of 8-byte payloads.
-  std::uint64_t allreduce_sum(std::uint64_t value);
 
   // Collective split. Members calling with the same color >= 0 form a
   // new communicator ordered by (key, node id); color < 0 opts out and
@@ -248,11 +214,6 @@ class Comm {
 
   static constexpr Tag kTagBcast = -1;
   static constexpr Tag kTagBarrier = -2;
-  static constexpr Tag kTagGather = -3;
-  // Accounted collectives use high user-space tags so they never
-  // collide with algorithm point-to-point tags (small non-negative).
-  static constexpr Tag kTagAllgatherUser = 0x7fff0001;
-  static constexpr Tag kTagScatterUser = 0x7fff0002;
 
   class World* world_;
   CommId id_;

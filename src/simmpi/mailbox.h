@@ -12,11 +12,10 @@
 // next free slot in the key's match sequence, and the ticket claims
 // the message with the same arrival index. Two irecvs posted for one
 // key therefore complete with the first and second message sent on
-// that key no matter which is waited first. try_claim (a non-waiting
-// probe) backs Comm::test.
+// that key no matter which is waited first.
 //
 // Posted-receive tracking: every posted irecv increments a counter
-// that only its completing wait/test decrements, so a receive that is
+// that only its completing wait decrements, so a receive that is
 // posted but never matched shows up in pending() — and hence in
 // World::pending_messages() — at shutdown, exactly like a leaked
 // message would.
@@ -27,7 +26,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <tuple>
 
 #include "common/buffer.h"
@@ -60,7 +58,7 @@ class Mailbox {
   }
 
   // Reserves the next match slot of the key (the posting half of an
-  // irecv). The returned ticket is redeemed with claim / try_claim.
+  // irecv). The returned ticket is redeemed with claim.
   std::uint64_t post(CommId comm, NodeId src, Tag tag) {
     std::lock_guard lock(mu_);
     posted_recvs_.fetch_add(1, std::memory_order_relaxed);
@@ -84,22 +82,6 @@ class Mailbox {
     return payload;
   }
 
-  // Non-waiting claim: removes and returns the ticket's message if it
-  // has already arrived, nullopt otherwise.
-  std::optional<Buffer> try_claim(CommId comm, NodeId src, Tag tag,
-                                  std::uint64_t ticket) {
-    std::lock_guard lock(mu_);
-    const Key key{comm, src, tag};
-    const auto it = keys_.find(key);
-    if (it == keys_.end() || !it->second.msgs.contains(ticket)) {
-      return std::nullopt;
-    }
-    Buffer payload = take(key, ticket);
-    record(TransportEventKind::kMatch, owner_, src, comm, tag, ticket,
-           payload.size());
-    return payload;
-  }
-
   // Blocking receive: reserve the key's next match slot and claim it.
   Buffer receive(CommId comm, NodeId src, Tag tag) {
     std::uint64_t ticket;
@@ -111,7 +93,7 @@ class Mailbox {
     return claim(comm, src, tag, ticket);
   }
 
-  // Retires a posted receive once its wait/test completed it. An
+  // Retires a posted receive once its wait completed it. An
   // abandoned request is deliberately never retired so leak checks
   // see it.
   void retire_recv() {

@@ -59,12 +59,6 @@ std::uint64_t FileOfRecord(std::uint64_t i, std::uint64_t total,
 SynthesisResult CheckedPartitioner(const SortConfig& config,
                                    std::unique_ptr<Partitioner>* out) {
   if (config.num_nodes < 1) return Err("num_nodes must be >= 1");
-  if (config.partitioner == PartitionerKind::kDistributedSampled) {
-    return Err(
-        "kDistributedSampled derives its splitters from a live "
-        "collective; the simulated backend supports kRange and "
-        "kSampled");
-  }
   *out = MakePartitioner(config);
   CTS_CHECK_EQ((*out)->num_partitions(), config.num_nodes);
   return SynthesisResult{};

@@ -59,10 +59,9 @@ struct SynthesisResult {
 
 // Synthesizes the run for a registry algorithm name ("terasort" or
 // "coded"). Structured errors (no abort): unknown/unpriceable
-// algorithm (e.g. "cmr"), PartitionerKind::kDistributedSampled (its
-// splitters depend on the live collective), redundancy out of range,
-// 64-bit binomial/counter overflow or an oversized binomial table at
-// extreme (K, r).
+// algorithm (e.g. "cmr"), redundancy out of range, 64-bit
+// binomial/counter overflow or an oversized binomial table at extreme
+// (K, r).
 SynthesisResult SynthesizeRun(const std::string& algorithm,
                               const SortConfig& config);
 

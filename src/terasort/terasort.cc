@@ -31,19 +31,7 @@ void TeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
       SplitRange(config.num_records, static_cast<std::uint64_t>(K),
                  static_cast<std::uint64_t>(self));
   const TeraGen gen(config.seed, config.distribution);
-
-  // kDistributedSampled replaces the coordinator's partition file with
-  // Hadoop-style collective sampling (collective on the world comm).
-  std::unique_ptr<Partitioner> partitioner;
-  if (config.partitioner == PartitionerKind::kDistributedSampled) {
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> local{
-        {my_range.offset, my_range.count}};
-    partitioner = std::make_unique<SampledPartitioner>(
-        BuildDistributedSampledPartitioner(comm, gen, local,
-                                           config.sample_size));
-  } else {
-    partitioner = MakePartitioner(config);
-  }
+  const std::unique_ptr<Partitioner> partitioner = MakePartitioner(config);
 
   StageRunner stages(comm, recorder, &config.injected_delays);
   NodeWork work;
@@ -186,23 +174,9 @@ AlgorithmResult RunTeraSort(const SortConfig& config) {
     TeraSortNode(comm, rec, config);
   });
 
-  AlgorithmResult result;
-  result.config = config;
+  AlgorithmResult result =
+      CollectSortResult(config, "TeraSort", world, recorder);
   result.config.redundancy = 1;
-  result.algorithm = "TeraSort";
-  result.partitions = recorder.take_partitions();
-  result.work = recorder.work();
-  result.wall_seconds = recorder.wall_max();
-  result.stage_order = recorder.stage_order();
-  result.compute_events = recorder.compute_events();
-  for (const auto& name : world.stats().stage_names()) {
-    result.traffic[name] = world.stats().stage(name);
-  }
-  result.shuffle_node_traffic = world.stats().per_node(stage::kShuffle);
-  result.shuffle_log = world.stats().transmission_log(stage::kShuffle);
-  result.transport_events = world.transport_log();
-  CTS_CHECK_EQ(result.total_output_records(), config.num_records);
-  CTS_CHECK_EQ(world.pending_messages(), std::size_t{0});
   return result;
 }
 

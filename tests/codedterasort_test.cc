@@ -194,14 +194,13 @@ TEST(CodedTeraSort, StagesRecorded) {
 }
 
 // Pins every counter and every output byte of the live coded engine
-// across (K, r), both CodeGen/shuffle pairings, all three
-// partitioners, every key distribution and two input sizes (plus the
-// empty input once per (K, r)). The digests were taken from the engine
-// that mapped each file into per-partition record vectors, packed the
-// kept ones during Encode, copied every multicast payload once per
-// recipient and decoded through DecodePacket and MergeSegments; a
-// rewrite of Map, Encode, Shuffle or Decode must reproduce them bit for
-// bit. The two pairings differ in CodeGen traffic (one split per group
+// across (K, r), both CodeGen/shuffle pairings, both partitioners,
+// every key distribution and two input sizes (plus the empty input
+// once per (K, r)). The digests were taken from the engine that mapped
+// each file into per-partition record vectors, packed the kept ones
+// during Encode, copied every multicast payload once per recipient and
+// decoded through DecodePacket and MergeSegments; a rewrite of Map,
+// Encode, Shuffle or Decode must reproduce them bit for bit. The two pairings differ in CodeGen traffic (one split per group
 // against one batched bcast), so each has its own digest.
 TEST(CodedTeraSort, GoldenDigestAcrossTheGrid) {
   struct Golden {
@@ -211,16 +210,16 @@ TEST(CodedTeraSort, GoldenDigestAcrossTheGrid) {
     std::uint64_t overlapped_digest;  // kOverlapped + kBatched
   };
   const Golden grid[] = {
-      {2, 1, 0xc99044fc7e96c0a3ULL, 0x6d0b023fa2feca4dULL},
-      {3, 1, 0x71daa070dd046b60ULL, 0xc16b6cc0efcfbb25ULL},
-      {3, 2, 0x25bd6206941d9287ULL, 0xc253c0fa2e104723ULL},
-      {4, 1, 0x586920bbf3046c30ULL, 0xea5a7f7f5b208ba5ULL},
-      {4, 2, 0x23957369c7c197a8ULL, 0x44a33fa72f9d5b8dULL},
-      {4, 3, 0x8d5946e9ba073ca8ULL, 0x8757ce858bcfc167ULL},
-      {4, 4, 0x1e11a64978016732ULL, 0xf749ec4bdc198a41ULL},
-      {5, 2, 0xb91011980154cee0ULL, 0x6735bbd2bd3959e0ULL},
-      {6, 3, 0xee490cbf34f41dcaULL, 0x819e5ff4b09c0bb8ULL},
-      {7, 3, 0xc56b9f264ea167f4ULL, 0x3ade178f96b7c993ULL},
+      {2, 1, 0x3c5f6df91931396cULL, 0x29e6967240509c1aULL},
+      {3, 1, 0x0229fa048a64eaccULL, 0xd7f568e90c49bf95ULL},
+      {3, 2, 0xbb2b6bd23637f2a6ULL, 0x45d4403d8e1f7b7eULL},
+      {4, 1, 0x73b86987b6dcbcdaULL, 0x56f5eb93db6bb70fULL},
+      {4, 2, 0xe6fa2949b42de8e9ULL, 0xd6c5f990d4ea67e4ULL},
+      {4, 3, 0x9960b6541a610874ULL, 0x4e36c354b8f29283ULL},
+      {4, 4, 0xec011ce5e93d3670ULL, 0xa117437b7d55b4dfULL},
+      {5, 2, 0xe88c5cf6af360e8dULL, 0x55e42233861fc351ULL},
+      {6, 3, 0xd762b4641833bf07ULL, 0x50711bd14254c2c5ULL},
+      {7, 3, 0x81917796af9f5fccULL, 0xe9a1aa9422b683d3ULL},
   };
   for (const Golden& g : grid) {
     for (const bool overlapped : {false, true}) {
@@ -239,8 +238,7 @@ TEST(CodedTeraSort, GoldenDigestAcrossTheGrid) {
         fold(RunDigest(RunCodedTeraSort(config)));
       }
       for (const PartitionerKind partitioner :
-           {PartitionerKind::kRange, PartitionerKind::kSampled,
-            PartitionerKind::kDistributedSampled}) {
+           {PartitionerKind::kRange, PartitionerKind::kSampled}) {
         for (const KeyDistribution dist :
              {KeyDistribution::kUniform, KeyDistribution::kSorted,
               KeyDistribution::kReverseSorted, KeyDistribution::kSkewed,

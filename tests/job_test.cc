@@ -287,19 +287,25 @@ TEST(Cli, BadShapesAndTyposExitTwo) {
        {"--nodes=0", "--redundancy=0", "--nodes=4 --redundancy=5",
         "--algo=coded --nodes=65 --redundancy=2", "--nodes=0 --scenario",
         "--partitioner=sampeld", "--codegen=batchd", "--dist=unifrom",
-        "--schedule=paralel-full"}) {
+        "--schedule=paralel-full", "--mitigate=spec:nan:1.5",
+        "--mitigate=spec:0.5:nan", "--mitigate=spec:0.5:inf",
+        "--scenario --straggler=slow:0:0x2", "--scenario --topology=' 2:2'",
+        "--inject-delay='Map:0: 0.01'"}) {
     EXPECT_EQ(status(ctsort, std::string(args) + " --records=2000"), 2)
         << "ctsort " << args;
   }
-  // An empty numeric value is a bad number, not an absent flag.
+  // An empty numeric value is a bad number, not an absent flag, and a
+  // number takes no leading space or '+'.
   for (const char* args :
        {"--records=0", "--records=0 --backend=priced", "--records=",
         "--nodes= --records=2000", "--seed= --records=2000",
-        "--redundancy= --records=2000"}) {
+        "--redundancy= --records=2000", "--records=' 4000'",
+        "--records=+4000"}) {
     EXPECT_EQ(status(ctsort, args), 2) << "ctsort " << args;
   }
-  // Every double flag and --instances field must be a whole, finite
-  // number, and an egress rate must not be negative.
+  // Every double flag, --instances field and --policies number must be
+  // a whole, finite decimal (no hex), and an egress rate must not be
+  // negative.
   for (const char* args :
        {"--records=0", "--quantile=2", "--quantile=-0.5", "--quantile=nan",
         "--algos=terasort,coded --redundancies=0", "--records=",
@@ -307,7 +313,8 @@ TEST(Cli, BadShapesAndTyposExitTwo) {
         "--max-usd=nan", "--egress-usd-per-gb=-1",
         "--egress-usd-per-gb=inf", "--instances=m3.large:1x:0.133",
         "--instances=m3.large:nan:0.133", "--instances=m3.large:1:inf",
-        "--instances=m3.large:1e999:0.133"}) {
+        "--instances=m3.large:1e999:0.133", "--policies=spec:nan:1.5",
+        "--slo=0x10", "--instances=m3:0x1:0.1"}) {
     EXPECT_EQ(status(ctplan, std::string(args) + " --nodes=4"), 2)
         << "ctplan " << args;
   }
@@ -640,6 +647,15 @@ TEST(Parse, StragglerSpecs) {
   EXPECT_FALSE(ParseStraggler("slow:0:inf", 8, &error).has_value());
   EXPECT_FALSE(ParseStraggler("slow:nan:4", 8, &error).has_value());
   EXPECT_FALSE(ParseStraggler("exp:nan:0.5", 8, &error).has_value());
+  // Every field is a plain decimal: no hex, no leading space or '+'.
+  EXPECT_FALSE(ParseStraggler("slow:0:0x2", 8, &error).has_value());
+  EXPECT_FALSE(ParseTopology(" 2:2", 8, &error).has_value());
+  EXPECT_FALSE(ParseInjectDelay("Map:0: 0.01", 8, &error).has_value());
+  // ...but an exponent is fine, as %g prints it.
+  const auto tiny = ParseStraggler("failstop:1e-05:1.5e+2:1", 8, &error);
+  ASSERT_TRUE(tiny.has_value()) << error;
+  EXPECT_DOUBLE_EQ(tiny->fail_at, 1e-05);
+  EXPECT_DOUBLE_EQ(tiny->recovery, 150.0);
 }
 
 TEST(Parse, TopologyAndScenario) {

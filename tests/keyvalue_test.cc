@@ -364,28 +364,6 @@ TEST(SampledPartitioner, FromSampleBalancesSkewedData) {
   }
 }
 
-TEST(Partitioner, SerializeRoundTripRange) {
-  const RangePartitioner part(9);
-  Buffer b;
-  part.serialize(b);
-  const auto restored = Partitioner::Deserialize(b);
-  EXPECT_EQ(restored->num_partitions(), 9);
-  for (std::uint64_t x : {0ULL, 123ULL << 40, ~0ULL}) {
-    EXPECT_EQ(restored->partition(MakeKey(x)), part.partition(MakeKey(x)));
-  }
-}
-
-TEST(Partitioner, SerializeRoundTripSampled) {
-  const SampledPartitioner part({MakeKey(10), MakeKey(20), MakeKey(30)});
-  Buffer b;
-  part.serialize(b);
-  const auto restored = Partitioner::Deserialize(b);
-  EXPECT_EQ(restored->num_partitions(), 4);
-  for (std::uint64_t x : {5ULL, 10ULL, 15ULL, 25ULL, 35ULL}) {
-    EXPECT_EQ(restored->partition(MakeKey(x)), part.partition(MakeKey(x)));
-  }
-}
-
 TEST(RecordIO, PackUnpackRoundTrip) {
   const TeraGen gen(5);
   const auto recs = gen.generate(0, 257);

@@ -55,6 +55,11 @@ TEST(ParsePolicy, RejectsMalformedSpecs) {
   EXPECT_FALSE(ParsePolicy("spec:0.5:0.5").has_value());   // trigger < 1
   EXPECT_FALSE(ParsePolicy("spec:0.5:abc").has_value());
   EXPECT_FALSE(ParsePolicy("coded:3").has_value());
+  // Non-finite numbers are malformed: NaN passes every one-sided range
+  // check, and an infinite trigger never fires.
+  EXPECT_FALSE(ParsePolicy("spec:nan:1.5").has_value());
+  EXPECT_FALSE(ParsePolicy("spec:0.5:nan").has_value());
+  EXPECT_FALSE(ParsePolicy("spec:0.5:inf").has_value());
 }
 
 TEST(ParsePolicy, NamesRoundTrip) {

@@ -19,14 +19,8 @@
 namespace cts {
 namespace {
 
-struct RandomConfig {
-  SortConfig sort;
-  bool compare_with_plain;  // partitioner identical across algorithms?
-};
-
-RandomConfig Draw(Xoshiro256& rng) {
-  RandomConfig rc;
-  SortConfig& c = rc.sort;
+SortConfig Draw(Xoshiro256& rng) {
+  SortConfig c;
   c.num_nodes = 2 + static_cast<int>(rng.below(7));           // 2..8
   c.redundancy = 1 + static_cast<int>(
                          rng.below(static_cast<std::uint64_t>(c.num_nodes)));
@@ -40,24 +34,12 @@ RandomConfig Draw(Xoshiro256& rng) {
     case 4: c.distribution = KeyDistribution::kFewDistinct; break;
     default: c.distribution = KeyDistribution::kBalanced; break;
   }
-  switch (rng.below(3)) {
-    case 0:
-      c.partitioner = PartitionerKind::kRange;
-      rc.compare_with_plain = true;
-      break;
-    case 1:
-      c.partitioner = PartitionerKind::kSampled;
-      c.sample_size = 1 + rng.below(500);
-      rc.compare_with_plain = true;
-      break;
-    default:
-      // Distributed sampling derives different splitters for different
-      // placements, so partition contents differ between algorithms
-      // (the flattened output must still agree).
-      c.partitioner = PartitionerKind::kDistributedSampled;
-      c.sample_size = 1 + rng.below(500);
-      rc.compare_with_plain = false;
-      break;
+  // Range one draw in three, sampled otherwise.
+  if (rng.below(3) == 0) {
+    c.partitioner = PartitionerKind::kRange;
+  } else {
+    c.partitioner = PartitionerKind::kSampled;
+    c.sample_size = 1 + rng.below(500);
   }
   c.codegen_mode =
       rng.below(2) == 0 ? CodeGenMode::kCommSplit : CodeGenMode::kBatched;
@@ -65,23 +47,14 @@ RandomConfig Draw(Xoshiro256& rng) {
   // every invariant below must hold identically for it.
   c.shuffle_sync =
       rng.below(2) == 0 ? ShuffleSync::kBarrier : ShuffleSync::kOverlapped;
-  return rc;
-}
-
-std::vector<Record> Flatten(const AlgorithmResult& r) {
-  std::vector<Record> all;
-  for (const auto& p : r.partitions) {
-    all.insert(all.end(), p.begin(), p.end());
-  }
-  return all;
+  return c;
 }
 
 class RandomSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(RandomSweep, AllInvariantsHold) {
   Xoshiro256 rng(0xC0DED + static_cast<std::uint64_t>(GetParam()));
-  const RandomConfig rc = Draw(rng);
-  const SortConfig& config = rc.sort;
+  const SortConfig config = Draw(rng);
   SCOPED_TRACE(::testing::Message()
                << "K=" << config.num_nodes << " r=" << config.redundancy
                << " records=" << config.num_records
@@ -108,12 +81,8 @@ TEST_P(RandomSweep, AllInvariantsHold) {
       ValidatePartitions(plain.partitions, expected);
   EXPECT_TRUE(plain_report.valid) << plain_report.error;
 
-  // 3. Algorithm agreement.
-  if (rc.compare_with_plain) {
-    EXPECT_EQ(coded.partitions, plain.partitions);
-  } else {
-    EXPECT_EQ(Flatten(coded), Flatten(plain));
-  }
+  // 3. Algorithm agreement: both build the same partitioner.
+  EXPECT_EQ(coded.partitions, plain.partitions);
 
   // 4. Combinatorial traffic identities.
   const int K = config.num_nodes;

@@ -186,7 +186,7 @@ ExchangeRecord RunExchange(bool move) {
       // so arrival indices do not depend on how fast this node drains.
       std::vector<Request> recvs;
       for (int i = 0; i < 4; ++i) recvs.push_back(c.irecv(0, 7));
-      for (Buffer& b : Comm::waitall(recvs)) take(std::move(b));
+      for (Request& req : recvs) take(Comm::wait(req));
       return;
     }
     Request self_recv = c.irecv(0, 9);
@@ -474,26 +474,6 @@ TEST(Comm, BarrierSynchronizes) {
   EXPECT_FALSE(violated.load());
 }
 
-TEST(Comm, GatherCollectsInRankOrder) {
-  constexpr int K = 4;
-  World world(K);
-  RunNodes(world, [&](NodeId n) {
-    Comm c = Comm::World(world, n);
-    Buffer mine;
-    mine.write_i32(n * n);
-    const auto all = c.gather(1, mine);
-    if (n == 1) {
-      ASSERT_EQ(all.size(), 4u);
-      for (int i = 0; i < K; ++i) {
-        Buffer copy = all[static_cast<std::size_t>(i)].Clone();
-        EXPECT_EQ(copy.read_i32(), i * i);
-      }
-    } else {
-      EXPECT_TRUE(all.empty());
-    }
-  });
-}
-
 TEST(Comm, SplitFormsColorGroups) {
   constexpr int K = 6;
   World world(K);
@@ -610,16 +590,13 @@ TEST(Traffic, BcastRecordsOneMulticastWithFanout) {
   EXPECT_EQ(s.transmitted_bytes(), 600u);
 }
 
-TEST(Traffic, BarrierAndGatherAreUnaccounted) {
+TEST(Traffic, BarrierIsUnaccounted) {
   constexpr int K = 4;
   World world(K);
   world.stats().set_stage("ControlOnly");
   RunNodes(world, [&](NodeId n) {
     Comm c = Comm::World(world, n);
     c.barrier();
-    Buffer b;
-    b.resize(100);
-    (void)c.gather(0, b);
     c.barrier();
   });
   const auto s = world.stats().stage("ControlOnly");

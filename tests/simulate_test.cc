@@ -396,14 +396,6 @@ TEST(SimulatedBackend, OverflowAndUnsupportedSpecsReturnErrors) {
   spec.config = SortConfig{};
   EXPECT_FALSE(job::RunJob(spec).error.empty());
 
-  // Distributed sampling needs the live collective.
-  spec.algorithm = "terasort";
-  spec.config = SortConfig{};
-  spec.config.partitioner = PartitionerKind::kDistributedSampled;
-  const job::JobResult sampled = job::RunJob(spec);
-  EXPECT_NE(sampled.error.find("kDistributedSampled"), std::string::npos)
-      << sampled.error;
-
   // Redundancy outside 1 <= r <= K.
   spec.algorithm = "coded";
   spec.config = SortConfig{};

@@ -37,6 +37,7 @@
 
 #include "bench/bench_common.h"
 #include "check/check.h"
+#include "common/numparse.h"
 #include "common/stopwatch.h"
 #include "common/table.h"
 #include "job/job.h"
@@ -56,9 +57,9 @@ check::OutageSpec ParseOutage(const std::string& spec) {
   if (parts.size() != 3) {
     Flags::Fail("outage expects NODE:STARTFRAC:DURFRAC: '" + spec + "'");
   }
-  const std::optional<int> node = tools::ParseInt(parts[0]);
-  const std::optional<double> start = tools::ParseDouble(parts[1]);
-  const std::optional<double> dur = tools::ParseDouble(parts[2]);
+  const std::optional<int> node = ParseInt(parts[0]);
+  const std::optional<double> start = ParseDouble(parts[1]);
+  const std::optional<double> dur = ParseDouble(parts[2]);
   if (!node || !start || !dur) {
     Flags::Fail("bad number in --outages=" + spec);
   }

@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "common/numparse.h"
 #include "common/stopwatch.h"
 #include "common/table.h"
 #include "job/job.h"
@@ -66,7 +67,7 @@ plan::InstanceProfile ParseInstance(const std::string& spec) {
   }
   p.name = parts[0];
   const auto number = [&spec](const std::string& field) {
-    const std::optional<double> v = tools::ParseDouble(field);
+    const std::optional<double> v = ParseDouble(field);
     if (!v) Flags::Fail("bad number '" + field + "' in --instances=" + spec);
     return *v;
   };

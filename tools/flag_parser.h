@@ -3,12 +3,10 @@
 // silently run the wrong experiment — and every tool gets the same
 // surface: bare flags are booleans, `--key=value` everything else,
 // CheckAllConsumed() after parsing; list-valued flags go through the
-// helpers below the class.
+// helpers below the class. Every number is read with the parsers of
+// common/numparse.h.
 #pragma once
 
-#include <cerrno>
-#include <charconv>
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <initializer_list>
@@ -18,34 +16,12 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <system_error>
 #include <utility>
 #include <vector>
 
+#include "common/numparse.h"
+
 namespace cts::tools {
-
-// A whole-string decimal number that is finite and inside double's
-// range: "1x", "nan", "inf" and "1e999" are all nullopt.
-inline std::optional<double> ParseDouble(const std::string& v) {
-  errno = 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0' || errno == ERANGE ||
-      !std::isfinite(parsed)) {
-    return std::nullopt;
-  }
-  return parsed;
-}
-
-// A whole-string base-10 int inside int's range ("4x", "+4" and " 4"
-// are nullopt).
-inline std::optional<int> ParseInt(const std::string& v) {
-  int parsed = 0;
-  const char* const end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, parsed);
-  if (ec != std::errc() || ptr != end) return std::nullopt;
-  return parsed;
-}
 
 class Flags {
  public:
@@ -76,17 +52,9 @@ class Flags {
   std::uint64_t GetU64(const std::string& key, std::uint64_t fallback) {
     const std::string* given = Find(key);
     if (given == nullptr) return fallback;
-    const std::string& v = *given;
-    errno = 0;
-    char* end = nullptr;
-    const std::uint64_t parsed = std::strtoull(v.c_str(), &end, 10);
-    // strtoull silently clamps overflow to 2^64-1 (ERANGE) and accepts
-    // a leading '-' by wrapping; both would run a wildly different
-    // experiment than the flag says.
-    if (end == v.c_str() || *end != '\0' || errno == ERANGE || v[0] == '-') {
-      Fail("bad number '" + v + "' in --" + key);
-    }
-    return parsed;
+    const std::optional<std::uint64_t> parsed = ParseU64(*given);
+    if (!parsed) Fail("bad number '" + *given + "' in --" + key);
+    return *parsed;
   }
 
   double GetDouble(const std::string& key, double fallback) {

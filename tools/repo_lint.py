@@ -32,6 +32,12 @@ break that promise. Rules:
              subsystem, then one or two [A-Za-z0-9_.+-]+ segments
              (src/obs/timeline.h; tools/trace_check.py enforces the
              same grammar on exported counter tracks).
+  numparse   strtod/strtof/strtol/strtoll/strtoul/strtoull, std::sto*
+             and atoi/atof/atol calls in src/ and tools/ outside
+             src/common/numparse.h: every number read from text goes
+             through that header's ParseDouble/ParseInt/ParseU64, so
+             one grammar (no leading space or '+', no hex, finite
+             doubles) holds for every flag, spec field and knob.
 
 Any rule is suppressed for a line by `repo-lint: allow(<rule>)` on the
 line itself or within the two lines above it.
@@ -60,6 +66,10 @@ KEY_OK_RE = re.compile(r"[A-Za-z0-9_/.:+%-]+\Z")
 RESERVED_KEYS = {"bench", "metrics", "timeline"}
 SAMPLE_KEY_RE = re.compile(r"(?:\.|->)(?:Sample|Series)\(\s*\"([^\"]*)\"")
 TIMELINE_KEY_RE = re.compile(r"[a-z][a-z0-9_]*(/[A-Za-z0-9_.+-]+){1,2}\Z")
+NUMPARSE_RE = re.compile(
+    r"(?:\bstrto(?:d|f|l|ll|ul|ull|ld)|\bato(?:i|f|l|ll)"
+    r"|\bstd::sto(?:i|l|ll|ul|ull|f|d|ld))\s*\(")
+NUMPARSE_HOME = "src/common/numparse.h"
 
 
 def allowed(lines, i, rule):
@@ -76,6 +86,8 @@ def lint_lines(relpath, lines):
     path = relpath.replace("\\", "/")
     in_src = path.startswith("src/")
     in_simmpi = path.startswith("src/simmpi/")
+    numparse_scope = (in_src or path.startswith("tools/")) \
+        and path != NUMPARSE_HOME
     for i, line in enumerate(lines):
         # Comments still count for key rules (they would be copied),
         # but pure comment lines are a poor place to flag rand: strip
@@ -100,6 +112,11 @@ def lint_lines(relpath, lines):
                    "naked std::mutex in src/simmpi: annotate "
                    "`repo-lint: allow(mutex): <why it is not a "
                    "scalability hazard>` within the two lines above")
+        if numparse_scope and NUMPARSE_RE.search(line) \
+                and not allowed(lines, i, "numparse"):
+            yield (i + 1, "numparse",
+                   "C/std number parser outside %s; use its "
+                   "ParseDouble/ParseInt/ParseU64" % NUMPARSE_HOME)
         for m in ADD_KEY_RE.finditer(line):
             key = m.group(1)
             if (not KEY_OK_RE.fullmatch(key) or key in RESERVED_KEYS) \
@@ -207,6 +224,14 @@ def self_test():
     ok &= expect("timelinekey-allow", "src/x.cc",
                  "// repo-lint: allow(timelinekey)\n"
                  'tl.Sample("LEGACY", t, v);', [])
+    ok &= expect("numparse", "tools/x.cpp",
+                 "const double v = std::strtod(s.c_str(), &end);",
+                 ["numparse"])
+    ok &= expect("numparse-allow", "src/x.cc",
+                 "// repo-lint: allow(numparse): grammar checked above\n"
+                 "const double v = std::strtod(p, &end);", [])
+    ok &= expect("numparse-outside-scope-ok", "bench/x.cpp",
+                 "const auto n = std::stoull(text);", [])
     ok &= expect("allow-suppresses", "src/x.cc",
                  "// repo-lint: allow(rand)\nint x = rand();", [])
     ok &= expect("allow-wrong-rule", "src/x.cc",
