@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the primitive operations the
 // cost model prices: hashing, serialization, sorting, the XOR codec,
-// subset combinatorics and the transport, plus the run synthesizer
-// and the scenario DES.
+// subset combinatorics and the transport, plus the run synthesizer,
+// the scenario DES and one planner cell (Job API replay).
 // These measure *this* host; the table benches use the EC2-calibrated
 // constants instead.
 #include <benchmark/benchmark.h>
@@ -15,9 +15,11 @@
 #include "combinatorics/subsets.h"
 #include "common/random.h"
 #include "driver/partition_util.h"
+#include "job/job.h"
 #include "keyvalue/partitioner.h"
 #include "keyvalue/recordio.h"
 #include "keyvalue/teragen.h"
+#include "mitigate/policy.h"
 #include "simmpi/comm.h"
 #include "simmpi/world.h"
 #include "simscen/engine.h"
@@ -281,6 +283,51 @@ void BM_ReplayScenario(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReplayScenario)->Arg(0)->Arg(1);
+
+// One planner cell: RunJob kReplay of coded K = 4, r = 2 off a warm
+// RunCache, full duplex with node 1 failing mid-shuffle under the
+// speculative policy. Everything a JobMatrix cell pays besides the
+// replay shows up here — the run lookup, the result assembly and,
+// with Arg 1, the flight recorder (the live series plus the DES
+// probe); Arg 0 passes no timeline.
+void BM_ReplayJob(benchmark::State& state) {
+  job::JobSpec spec;
+  spec.algorithm = "coded";
+  spec.config.num_nodes = 4;
+  spec.config.redundancy = 2;
+  spec.config.num_records = 20000;
+  spec.backend = job::Backend::kReplay;
+  job::RunCache cache;
+  const auto run = cache.GetScenarioRun(spec.algorithm, spec.config,
+                                        /*paper_records=*/0,
+                                        /*from_events=*/false);
+  simscen::Scenario scenario = simscen::Scenario::Baseline(4);
+  scenario.discipline = simnet::Discipline::kParallelFullDuplex;
+  const simscen::ScenarioOutcome baseline =
+      simscen::ReplayScenario(*run, scenario);
+  const auto shuffle = std::find_if(
+      baseline.spans.begin(), baseline.spans.end(),
+      [](const simscen::StageSpan& s) { return s.name == stage::kShuffle; });
+  if (shuffle == baseline.spans.end()) {
+    state.SkipWithError("the coded replay has no Shuffle stage");
+    return;
+  }
+  scenario.cluster.straggler.kind = simscen::StragglerKind::kFailStop;
+  scenario.cluster.straggler.node = 1;
+  scenario.cluster.straggler.fail_at =
+      shuffle->start + 0.25 * shuffle->seconds();
+  scenario.cluster.straggler.recovery = 0.25 * shuffle->seconds();
+  scenario.mitigation = mitigate::MitigationPolicy::Speculative();
+  spec.scenario = scenario;
+  const bool timeline = state.range(0) != 0;
+  for (auto _ : state) {
+    obs::Timeline tl;
+    benchmark::DoNotOptimize(
+        job::RunJob(spec, cache, timeline ? &tl : nullptr));
+    benchmark::DoNotOptimize(tl);
+  }
+}
+BENCHMARK(BM_ReplayJob)->Arg(0)->Arg(1);
 
 void BM_TransportPingPong(benchmark::State& state) {
   const auto bytes = static_cast<std::size_t>(state.range(0));

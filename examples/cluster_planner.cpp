@@ -9,23 +9,44 @@
 //   $ ./build/examples/cluster_planner [K] [GB] [Mbps] [node-mem-GB]
 //
 // Defaults: K=16, 12 GB, 100 Mbps, 7.5 GB (the paper's m3.large).
-#include <cstdlib>
+// K must be at least 2 with C(K, K/2) within 64 bits, and every size
+// finite and positive; anything else exits 2.
+#include <cmath>
+#include <cstdint>
 #include <iostream>
 
 #include "analytics/cost_model.h"
 #include "analytics/loads.h"
 #include "analytics/time_model.h"
 #include "combinatorics/subsets.h"
+#include "common/numparse.h"
 #include "common/table.h"
 #include "common/units.h"
+#include "examples/args.h"
 
 int main(int argc, char** argv) {
   using namespace cts;
 
-  const int K = argc > 1 ? std::atoi(argv[1]) : 16;
-  const double gigabytes = argc > 2 ? std::atof(argv[2]) : 12.0;
-  const double mbps = argc > 3 ? std::atof(argv[3]) : 100.0;
-  const double node_mem_gb = argc > 4 ? std::atof(argv[4]) : 7.5;
+  const char* const usage = "cluster_planner [K] [GB] [Mbps] [node-mem-GB]";
+  const int K = examples::Positional(argc, argv, 1, 16, ParseInt, usage);
+  const double gigabytes =
+      examples::Positional(argc, argv, 2, 12.0, ParseDouble, usage);
+  const double mbps =
+      examples::Positional(argc, argv, 3, 100.0, ParseDouble, usage);
+  const double node_mem_gb =
+      examples::Positional(argc, argv, 4, 7.5, ParseDouble, usage);
+  // The widest binomial the r sweep below prices is C(K, K/2).
+  std::uint64_t widest = 0;
+  if (K < 2 || !BinomialOr(K, K / 2, &widest)) {
+    examples::ExitUsage(usage, "K must be >= 2 with C(K, K/2) < 2^64");
+  }
+  for (const double size : {gigabytes * kGB, mbps * kMbps, node_mem_gb * kGB}) {
+    if (!(size > 0) || !std::isfinite(size)) {
+      examples::ExitUsage(usage,
+                          "GB, Mbps and node-mem-GB must be > 0 and "
+                          "finite in bytes");
+    }
+  }
 
   CostModel model;
   model.link_bytes_per_sec = mbps * kMbps;

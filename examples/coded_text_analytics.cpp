@@ -5,15 +5,19 @@
 //
 //   $ ./build/examples/coded_text_analytics [K] [r]
 //
-// Defaults: K=6, r=3.
-#include <cstdlib>
+// Defaults: K=6, r=3. A shape the engine cannot run (r outside
+// [1, K], K > 64) exits 2.
 #include <iostream>
 #include <sstream>
+#include <string>
 
 #include "analytics/loads.h"
 #include "cmr/cmr.h"
+#include "common/numparse.h"
 #include "common/table.h"
 #include "common/units.h"
+#include "examples/args.h"
+#include "job/registry.h"
 
 namespace {
 
@@ -62,8 +66,17 @@ void RunApp(const cts::cmr::CmrApp& app, int K, int r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int K = argc > 1 ? std::atoi(argv[1]) : 6;
-  const int r = argc > 2 ? std::atoi(argv[2]) : 3;
+  const char* const usage = "coded_text_analytics [K] [r]";
+  const int K = cts::examples::Positional(argc, argv, 1, 6, cts::ParseInt,
+                                          usage);
+  const int r = cts::examples::Positional(argc, argv, 2, 3, cts::ParseInt,
+                                          usage);
+  cts::SortConfig shape;
+  shape.num_nodes = K;
+  shape.redundancy = r;
+  const std::string bounds =
+      cts::job::BoundsError(*cts::job::Find("cmr"), shape);
+  if (!bounds.empty()) cts::examples::ExitUsage(usage, bounds);
 
   std::cout << "Coded MapReduce text analytics on K=" << K
             << " simulated nodes, r=" << r << "\n\n";

@@ -6,14 +6,19 @@
 //
 // Defaults: K=10, r=4, 500000 records. This is the experiment of the
 // paper's Section V in miniature — run it with different r to watch
-// the shuffle shrink and the Map/CodeGen overheads grow.
-#include <cstdlib>
+// the shuffle shrink and the Map/CodeGen overheads grow. A shape the
+// engines cannot run (r outside [1, K], K > 64, no records) exits 2.
+#include <cstdint>
 #include <iostream>
+#include <string>
 
 #include "analytics/report.h"
 #include "codedterasort/coded_terasort.h"
+#include "common/numparse.h"
 #include "common/table.h"
 #include "common/units.h"
+#include "examples/args.h"
+#include "job/registry.h"
 #include "terasort/terasort.h"
 
 namespace {
@@ -46,11 +51,17 @@ void PrintTraffic(const cts::AlgorithmResult& result) {
 int main(int argc, char** argv) {
   using namespace cts;
 
+  const char* const usage = "terasort_comparison [K] [r] [records]";
   SortConfig config;
-  config.num_nodes = argc > 1 ? std::atoi(argv[1]) : 10;
-  config.redundancy = argc > 2 ? std::atoi(argv[2]) : 4;
-  config.num_records =
-      argc > 3 ? static_cast<std::uint64_t>(std::atoll(argv[3])) : 500000;
+  config.num_nodes = examples::Positional(argc, argv, 1, 10, ParseInt, usage);
+  config.redundancy = examples::Positional(argc, argv, 2, 4, ParseInt, usage);
+  config.num_records = examples::Positional(
+      argc, argv, 3, std::uint64_t{500000}, ParseU64, usage);
+  if (config.num_records == 0) {
+    examples::ExitUsage(usage, "records must be >= 1");
+  }
+  const std::string bounds = job::BoundsError(*job::Find("coded"), config);
+  if (!bounds.empty()) examples::ExitUsage(usage, bounds);
 
   std::cout << "K=" << config.num_nodes << ", r=" << config.redundancy
             << ", " << config.num_records << " records ("

@@ -101,18 +101,20 @@ std::string RunCache::Key(const std::string& algorithm,
   return key;
 }
 
-std::shared_ptr<AlgorithmResult> RunCache::Find(
-    const std::string& key) const {
-  const auto it = runs_.find(key);
-  return it == runs_.end() ? nullptr : it->second;
-}
-
-std::shared_ptr<AlgorithmResult> RunCache::Execute(
-    const std::string& key, const std::string& algorithm,
-    const SortConfig& config) {
+RunCache::Entry& RunCache::Fetch(const std::string& key,
+                                 const std::string& algorithm,
+                                 const SortConfig& config, bool count_hit) {
+  auto& registry = obs::MetricRegistry::Global();
+  if (const auto it = entries_.find(key); it != entries_.end()) {
+    if (count_hit) {
+      static obs::Counter& hits = registry.counter("job/cache_hits");
+      ++hits_;
+      hits.add();
+    }
+    return it->second;
+  }
   const AlgorithmInfo& info = FindOrDie(algorithm);
   ++executions_;
-  auto& registry = obs::MetricRegistry::Global();
   registry.counter("job/cache_misses").add();
   // Freeze this execution's registry deltas into the cached result.
   // Some of them (arena hits) depend on thread interleaving, so the
@@ -126,67 +128,63 @@ std::shared_ptr<AlgorithmResult> RunCache::Execute(
     const double delta = it == before.end() ? value : value - it->second;
     if (delta != 0) run->run_metrics[name] = delta;
   }
-  runs_.emplace(key, run);
-  return run;
+  Entry& entry = entries_[key];
+  entry.run = std::move(run);
+  return entry;
 }
 
 std::shared_ptr<const AlgorithmResult> RunCache::Get(
     const std::string& algorithm, const SortConfig& config) {
-  const std::string key = Key(algorithm, config);
-  if (auto run = Find(key)) {
-    ++hits_;
-    obs::MetricRegistry::Global().counter("job/cache_hits").add();
-    return run;
-  }
-  return Execute(key, algorithm, config);
+  return Fetch(Key(algorithm, config), algorithm, config, /*count_hit=*/true)
+      .run;
 }
 
 void RunCache::ReleasePartitions(const std::string& algorithm,
                                  const SortConfig& config) {
-  const auto it = runs_.find(Key(algorithm, config));
-  if (it == runs_.end()) return;
-  if (!it->second->partitions.empty()) {
+  const auto it = entries_.find(Key(algorithm, config));
+  if (it == entries_.end()) return;
+  AlgorithmResult& run = *it->second.run;
+  if (!run.partitions.empty()) {
     obs::MetricRegistry::Global().counter("job/cache_partition_releases")
         .add();
   }
-  it->second->partitions.clear();
-  it->second->partitions.shrink_to_fit();
+  run.partitions.clear();
+  run.partitions.shrink_to_fit();
 }
 
 std::shared_ptr<const simscen::ScenarioRun> RunCache::GetScenarioRun(
     const std::string& algorithm, const SortConfig& config,
     std::uint64_t paper_records, bool from_events) {
-  const AlgorithmInfo& info = FindOrDie(algorithm);
-  if (!info.priced) from_events = true;  // nothing to price
+  if (!FindOrDie(algorithm).priced) from_events = true;  // nothing to price
+  Entry& entry =
+      Fetch(Key(algorithm, config), algorithm, config, /*count_hit=*/false);
+  return ScenarioRunOf(entry, config, paper_records, from_events);
+}
+
+const std::shared_ptr<const simscen::ScenarioRun>& RunCache::ScenarioRunOf(
+    Entry& entry, const SortConfig& config, std::uint64_t paper_records,
+    bool from_events) {
   const std::uint64_t reported =
       from_events ? 0
                   : (paper_records == 0 ? config.num_records : paper_records);
-  const std::string key = Key(algorithm, config) +
-                          (from_events ? "|events"
-                                       : "|paper=" + std::to_string(reported));
-  if (const auto it = scenario_runs_.find(key); it != scenario_runs_.end()) {
-    return it->second;
-  }
-  // Internal fetch: RunJob has already gone through Get() for this
-  // cell, so counting another hit here would double-book (hits() must
-  // stay "Get() calls a caller saved").
-  std::shared_ptr<const AlgorithmResult> run = Find(Key(algorithm, config));
-  if (run == nullptr) run = Execute(Key(algorithm, config), algorithm, config);
-  std::shared_ptr<const simscen::ScenarioRun> built;
+  std::shared_ptr<const simscen::ScenarioRun>& built =
+      entry.scenario_runs[{from_events, reported}];
+  if (built != nullptr) return built;
+  const AlgorithmResult& run = *entry.run;
   if (from_events) {
     built = std::make_shared<simscen::ScenarioRun>(
         simscen::BuildScenarioRunFromEvents(
-            run->algorithm, run->config.num_nodes, run->stage_order,
-            run->compute_events, run->shuffle_log, run->config.redundancy));
+            run.algorithm, run.config.num_nodes, run.stage_order,
+            run.compute_events, run.shuffle_log, run.config.redundancy));
   } else {
     built = std::make_shared<simscen::ScenarioRun>(simscen::BuildScenarioRun(
-        *run, CostModel{}, PaperScale(config.num_records, reported)));
+        run, CostModel{}, PaperScale(config.num_records, reported)));
   }
-  scenario_runs_.emplace(key, built);
   return built;
 }
 
-JobResult RunJob(const JobSpec& spec, RunCache& cache) {
+JobResult RunJob(const JobSpec& spec, RunCache& cache,
+                 obs::Timeline* timeline) {
   const AlgorithmInfo& info = FindOrDie(spec.algorithm);
   JobResult result;
   result.spec = spec;
@@ -232,7 +230,9 @@ JobResult RunJob(const JobSpec& spec, RunCache& cache) {
         SimulateRun(*result.execution, CostModel{}, scale, spec.schedule);
     result.priced = true;
     result.makespan = result.breakdown.total();
-    result.timeline = obs::BuildLiveTimeline(*result.execution);
+    if (timeline != nullptr) {
+      timeline->Merge(obs::BuildLiveTimeline(*result.execution));
+    }
     FillDollars(spec, result);
     return result;
   }
@@ -245,12 +245,19 @@ JobResult RunJob(const JobSpec& spec, RunCache& cache) {
     return result;
   }
 
-  result.execution = cache.Get(spec.algorithm, spec.config);
+  // One key per cell: the entry holds both the run and the replay
+  // inputs derived from it.
+  RunCache::Entry& entry =
+      cache.Fetch(RunCache::Key(spec.algorithm, spec.config), spec.algorithm,
+                  spec.config, /*count_hit=*/true);
+  result.execution = entry.run;
   result.algorithm = result.execution->algorithm;
   // The live flight-recorder series, derived purely from the cached
   // execution — a cache hit reproduces them bit for bit. Scenario
   // replays below append their DES series to the same timeline.
-  result.timeline = obs::BuildLiveTimeline(*result.execution);
+  if (timeline != nullptr) {
+    timeline->Merge(obs::BuildLiveTimeline(*result.execution));
+  }
 
   switch (spec.backend) {
     case Backend::kLive:
@@ -269,26 +276,27 @@ JobResult RunJob(const JobSpec& spec, RunCache& cache) {
       // kLive with a scenario: replay the measured stage boundaries
       // under it (executed scale) — the live-mitigation path.
       if (spec.backend == Backend::kLive && spec.scenario.has_value()) {
-        const auto run = cache.GetScenarioRun(spec.algorithm, spec.config,
+        const auto& run = cache.ScenarioRunOf(entry, spec.config,
                                               /*paper_records=*/0,
                                               /*from_events=*/true);
         result.outcome =
-            simscen::ReplayScenario(*run, *spec.scenario, &result.timeline);
+            simscen::ReplayScenario(*run, *spec.scenario, timeline);
         result.breakdown = result.outcome->breakdown();
         FillMitigationStats(*result.outcome, result);
       }
       break;
     }
     case Backend::kReplay: {
-      const auto run = cache.GetScenarioRun(spec.algorithm, spec.config,
+      const auto& run = cache.ScenarioRunOf(entry, spec.config,
                                             spec.paper_records,
                                             /*from_events=*/!info.priced);
-      const simscen::Scenario scenario =
-          spec.scenario.has_value()
-              ? *spec.scenario
-              : simscen::Scenario::Baseline(spec.config.num_nodes);
-      result.outcome =
-          simscen::ReplayScenario(*run, scenario, &result.timeline);
+      std::optional<simscen::Scenario> baseline;
+      if (!spec.scenario.has_value()) {
+        baseline = simscen::Scenario::Baseline(spec.config.num_nodes);
+      }
+      const simscen::Scenario& scenario =
+          spec.scenario.has_value() ? *spec.scenario : *baseline;
+      result.outcome = simscen::ReplayScenario(*run, scenario, timeline);
       result.breakdown = result.outcome->breakdown();
       result.priced = info.priced;
       FillMitigationStats(*result.outcome, result);

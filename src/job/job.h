@@ -9,7 +9,10 @@
 // and derives the requested view from it, returning a unified
 // JobResult: the measured execution, a StageBreakdown, the scenario
 // outcome, and redundancy/waste stats, flattenable into the bench
-// JSON schema (bench/bench_common.h) via metrics().
+// JSON schema (bench/bench_common.h) via metrics(). The flight
+// recorder (obs::Timeline) is opt-in: RunJob records its series only
+// into a timeline the caller passes, so sweeps that read none pay for
+// none.
 //
 // The RunCache is the reason this API exists beyond tidiness: the
 // live execution is the only expensive step, and it depends only on
@@ -23,6 +26,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "analytics/cost_model.h"
 #include "analytics/report.h"
@@ -118,13 +122,6 @@ struct JobResult {
   double usd = 0;
   double cross_rack_bytes = 0;
 
-  // The flight-recorder series of this cell: the live series derived
-  // from the (cached) execution's deterministic counters, plus — when
-  // a scenario replay ran — the DES series sampled along scenario
-  // time. Bitwise reproducible: rerunning the same spec through the
-  // same cache yields an identical timeline (timeline_test pins it).
-  obs::Timeline timeline;
-
   // Flat "<prefix>/<metric>" map in the bench JSON schema: one key per
   // non-zero stage plus total_s, and the mitigation stats when a
   // scenario ran.
@@ -162,7 +159,7 @@ class RunCache {
 
   // Live thread-harness executions performed (== distinct keys seen).
   int executions() const { return executions_; }
-  // Get() calls served from the cache.
+  // Run lookups (Get() and RunJob) served from the cache.
   int hits() const { return hits_; }
 
   // The memoization key: every SortConfig field an engine reads.
@@ -170,28 +167,50 @@ class RunCache {
                          const SortConfig& config);
 
  private:
-  // The cached run for `key`, or null — no hit/miss accounting.
-  // GetScenarioRun uses this for its internal fetch so hits() counts
-  // exactly the Get() calls a caller saved: hits == cells - distinct
-  // keys in a matrix sweep, which job_test pins.
-  std::shared_ptr<AlgorithmResult> Find(const std::string& key) const;
-  // Executes and caches the run for `key` (counts one execution).
-  std::shared_ptr<AlgorithmResult> Execute(const std::string& key,
-                                           const std::string& algorithm,
-                                           const SortConfig& config);
+  // RunJob builds a cell's key once and reaches both the run and its
+  // replay input through the one entry.
+  friend JobResult RunJob(const JobSpec&, RunCache&, obs::Timeline*);
 
-  // Held non-const so ReleasePartitions can drop the sorted data;
-  // handed out as shared_ptr<const ...> only.
-  std::map<std::string, std::shared_ptr<AlgorithmResult>> runs_;
-  std::map<std::string, std::shared_ptr<const simscen::ScenarioRun>>
-      scenario_runs_;
+  // One cached execution plus the replay inputs derived from it, keyed
+  // by (from_events, reported records).
+  struct Entry {
+    // Held non-const so ReleasePartitions can drop the sorted data;
+    // handed out as shared_ptr<const ...> only.
+    std::shared_ptr<AlgorithmResult> run;
+    std::map<std::pair<bool, std::uint64_t>,
+             std::shared_ptr<const simscen::ScenarioRun>>
+        scenario_runs;
+  };
+
+  // The entry for `key`, executing its run on a miss. `count_hit` is
+  // false for GetScenarioRun's internal fetch, so hits() counts
+  // exactly the run lookups a caller saved: hits == cells - distinct
+  // keys in a matrix sweep, which job_test pins.
+  Entry& Fetch(const std::string& key, const std::string& algorithm,
+               const SortConfig& config, bool count_hit);
+  // GetScenarioRun's memo on an already fetched entry; an unpriced
+  // algorithm's caller passes from_events = true.
+  const std::shared_ptr<const simscen::ScenarioRun>& ScenarioRunOf(
+      Entry& entry, const SortConfig& config, std::uint64_t paper_records,
+      bool from_events);
+
+  std::map<std::string, Entry> entries_;
   int executions_ = 0;
   int hits_ = 0;
 };
 
-// Evaluates one cell. The overload without a cache executes the run
-// itself (every call pays the live execution).
+// Evaluates one cell. With a `timeline`, RunJob appends the cell's
+// flight-recorder series to it: the live series derived from the
+// (cached) execution's deterministic counters, on every backend, then
+// — when a scenario replay runs (kReplay, kLive with a scenario) —
+// the DES series sampled along scenario time. Bitwise reproducible:
+// the same spec through the same cache records identical series
+// (timeline_test pins it). Without one, nothing is recorded and the
+// replay runs unprobed; every other JobResult field is bit-identical
+// either way. An error result records nothing.
+JobResult RunJob(const JobSpec& spec, RunCache& cache,
+                 obs::Timeline* timeline = nullptr);
+// Executes the run itself: every call pays the live execution.
 JobResult RunJob(const JobSpec& spec);
-JobResult RunJob(const JobSpec& spec, RunCache& cache);
 
 }  // namespace cts::job

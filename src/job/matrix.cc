@@ -109,10 +109,12 @@ MatrixResults RunMatrix(const JobMatrix& matrix, RunCache& cache) {
   index_axis(3, matrix.algos);
   results.cells_.reserve(instances.size() * scenarios.size() *
                          policies.size() * matrix.algos.size());
+  std::vector<bool> released(matrix.algos.size(), false);
   for (const InstanceCell& instance : instances) {
     for (const ScenarioCell& scenario : scenarios) {
       for (const PolicyCell& policy : policies) {
-        for (const AlgoAxis& algo : matrix.algos) {
+        for (std::size_t a = 0; a < matrix.algos.size(); ++a) {
+        const AlgoAxis& algo = matrix.algos[a];
         JobSpec spec;
         spec.algorithm = algo.algorithm;
         spec.config = algo.config;
@@ -148,26 +150,37 @@ MatrixResults RunMatrix(const JobMatrix& matrix, RunCache& cache) {
         const int before = cache.executions();
         results.cells_.push_back({algo.label, scenario.label, policy.label,
                                   instance.label, RunJob(spec, cache)});
-        // Cells executed vs replayed: a cell that did not grow the
-        // cache's execution count was served entirely from memoized
-        // state (the run and/or its derived ScenarioRun).
-        auto& registry = obs::MetricRegistry::Global();
-        if (cache.executions() > before) {
-          registry.counter("job/matrix_cells_executed").add();
-        } else {
-          registry.counter("job/matrix_cells_replayed").add();
-        }
+        const bool executed = cache.executions() > before;
         // No matrix view reads the sorted output — cells consume
         // counters, logs and events only — so drop each execution's
         // partitions (the dominant memory) rather than pinning every
-        // dataset in the cache for the whole sweep. Callers that need
-        // the sorted records run RunJob directly.
-        cache.ReleasePartitions(algo.algorithm, algo.config);
+        // dataset in the cache for the whole sweep. Only an entry's
+        // first cell and a cell that executed can leave any behind.
+        // Callers that need the sorted records run RunJob directly.
+        if (executed || !released[a]) {
+          cache.ReleasePartitions(algo.algorithm, algo.config);
+          released[a] = true;
+        }
         }
       }
     }
   }
   results.executions_ = cache.executions() - executions_before;
+  // Cells executed vs replayed: a cell executes at most its own run,
+  // so the sweep's executions are its executed cells, and every other
+  // cell was served entirely from memoized state (the run and/or its
+  // derived ScenarioRun). Counted once per sweep; a counter that
+  // stays zero is not registered.
+  auto& registry = obs::MetricRegistry::Global();
+  const int replayed = results.replays() - results.executions_;
+  if (results.executions_ > 0) {
+    registry.counter("job/matrix_cells_executed")
+        .add(static_cast<std::uint64_t>(results.executions_));
+  }
+  if (replayed > 0) {
+    registry.counter("job/matrix_cells_replayed")
+        .add(static_cast<std::uint64_t>(replayed));
+  }
   return results;
 }
 

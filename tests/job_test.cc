@@ -14,6 +14,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -262,21 +263,45 @@ TEST(Job, RunJobRejectsOutOfRangeShapes) {
   EXPECT_GT(result.makespan, 0.0);
 }
 
-// The built ctsort / ctcheck / ctplan / bench_paper (CMake sets
-// CTSORT_BIN, CTCHECK_BIN, CTPLAN_BIN and BENCH_PAPER_BIN) exit 2 with
-// a message on an out-of-range shape, an impossible axis, a mistyped
-// enumerated flag, a missing or unknown preset, or a CTS_* knob that
-// is not a whole base-10 number, instead of aborting or running the
-// default.
+// Runs `command` through the shell and returns its stdout and stderr;
+// *status gets pclose's status (0 on a clean exit, -1 when popen
+// fails).
+std::string Capture(const std::string& command, int* status) {
+  std::string out;
+  FILE* pipe = popen((command + " 2>&1").c_str(), "r");
+  if (pipe == nullptr) {
+    *status = -1;
+    return out;
+  }
+  char buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, pipe)) > 0;) {
+    out.append(buf, n);
+  }
+  *status = pclose(pipe);
+  return out;
+}
+
+// The built ctsort / ctcheck / ctplan / bench_paper and the
+// terasort_comparison / coded_text_analytics / cluster_planner
+// examples (CMake sets CTSORT_BIN, CTCHECK_BIN, CTPLAN_BIN,
+// BENCH_PAPER_BIN, TERASORT_COMPARISON_BIN, CODED_TEXT_ANALYTICS_BIN
+// and CLUSTER_PLANNER_BIN) exit 2 with a message on an out-of-range
+// shape, an impossible axis, a mistyped enumerated flag, a missing or
+// unknown preset, a CTS_* knob or an example argument that is not a
+// whole base-10 number, instead of aborting or running the default.
 TEST(Cli, BadShapesAndTyposExitTwo) {
   const char* ctsort = std::getenv("CTSORT_BIN");
   const char* ctcheck = std::getenv("CTCHECK_BIN");
   const char* ctplan = std::getenv("CTPLAN_BIN");
   const char* bench_paper = std::getenv("BENCH_PAPER_BIN");
+  const char* terasort_comparison = std::getenv("TERASORT_COMPARISON_BIN");
+  const char* coded_text_analytics = std::getenv("CODED_TEXT_ANALYTICS_BIN");
+  const char* cluster_planner = std::getenv("CLUSTER_PLANNER_BIN");
   if (ctsort == nullptr || ctcheck == nullptr || ctplan == nullptr ||
-      bench_paper == nullptr) {
-    GTEST_SKIP() << "CTSORT_BIN/CTCHECK_BIN/CTPLAN_BIN/BENCH_PAPER_BIN not "
-                    "set (run through ctest)";
+      bench_paper == nullptr || terasort_comparison == nullptr ||
+      coded_text_analytics == nullptr || cluster_planner == nullptr) {
+    GTEST_SKIP() << "the tool and example *_BIN variables are not set "
+                    "(run through ctest)";
   }
   const auto status = [](const char* bin, const std::string& args) {
     const int s = std::system(
@@ -290,7 +315,7 @@ TEST(Cli, BadShapesAndTyposExitTwo) {
         "--schedule=paralel-full", "--mitigate=spec:nan:1.5",
         "--mitigate=spec:0.5:nan", "--mitigate=spec:0.5:inf",
         "--scenario --straggler=slow:0:0x2", "--scenario --topology=' 2:2'",
-        "--inject-delay='Map:0: 0.01'"}) {
+        "--inject-delay='Map:0: 0.01'", "--shuffle-sync=bogus"}) {
     EXPECT_EQ(status(ctsort, std::string(args) + " --records=2000"), 2)
         << "ctsort " << args;
   }
@@ -342,6 +367,37 @@ TEST(Cli, BadShapesAndTyposExitTwo) {
   for (const char* args : {"", "tabel1", "table1 --bogus"}) {
     EXPECT_EQ(status(bench_paper, args), 2) << "bench_paper " << args;
   }
+  // Example positionals: a non-number, trailing junk, a shape the
+  // engine cannot run, or a size that is not positive.
+  for (const auto& [bin, args] :
+       std::vector<std::pair<const char*, const char*>>{
+           {terasort_comparison, "abc"},
+           {terasort_comparison, "4 2 12x"},
+           {coded_text_analytics, "x"},
+           {coded_text_analytics, "6 0"},
+           {cluster_planner, "-3"},
+           {cluster_planner, "16 x"},
+           {cluster_planner, "100"}}) {
+    EXPECT_EQ(status(bin, args), 2) << bin << " " << args;
+  }
+}
+
+// --shuffle-sync=overlapped runs the nonblocking shuffle (the one
+// ctbench's coded-k4-r3-skewed workload measures), and its sorted
+// output passes TeraValidate.
+TEST(Cli, OverlappedShuffleSorts) {
+  const char* ctsort = std::getenv("CTSORT_BIN");
+  if (ctsort == nullptr) {
+    GTEST_SKIP() << "CTSORT_BIN not set (run through ctest)";
+  }
+  int status = -1;
+  const std::string out =
+      Capture(std::string(ctsort) +
+                  " --algo=coded --nodes=4 --redundancy=3 --dist=skewed"
+                  " --shuffle-sync=overlapped --records=4000",
+              &status);
+  ASSERT_EQ(status, 0) << out;
+  EXPECT_NE(out.find("teravalidate: OK"), std::string::npos) << out;
 }
 
 // bench_paper's four fast presets at 20 000 records print the flat JSON
@@ -463,19 +519,14 @@ TEST(Cli, ReplayTableMatchesScenarioShuffle) {
   if (ctsort == nullptr) {
     GTEST_SKIP() << "CTSORT_BIN not set (run through ctest)";
   }
-  const std::string command =
-      std::string(ctsort) +
-      " --algo=coded --nodes=12 --redundancy=3 --records=12000"
-      " --dist=balanced --paper-records=120000000 --no-verify"
-      " --discipline=full --order=per-sender --scenario 2>&1";
-  FILE* pipe = popen(command.c_str(), "r");
-  ASSERT_NE(pipe, nullptr);
-  std::string out;
-  char buf[4096];
-  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, pipe)) > 0;) {
-    out.append(buf, n);
-  }
-  ASSERT_EQ(pclose(pipe), 0) << out;
+  int status = -1;
+  const std::string out =
+      Capture(std::string(ctsort) +
+                  " --algo=coded --nodes=12 --redundancy=3 --records=12000"
+                  " --dist=balanced --paper-records=120000000 --no-verify"
+                  " --discipline=full --order=per-sender --scenario",
+              &status);
+  ASSERT_EQ(status, 0) << out;
   // Cell `index` of the CodedTeraSort row in the table titled `title`
   // (cell 0 is the empty text before the first bar).
   const auto cell = [&out](const std::string& title, int index) {

@@ -7,12 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "job/job.h"
+#include "obs/metrics.h"
+#include "obs/timeline.h"
 
 namespace cts::plan {
 namespace {
@@ -151,6 +154,72 @@ TEST(PlannerTest, MeetsOnlyAndMaxUsdFilterRows) {
 
   // The whole triple of queries ran off one execution.
   EXPECT_EQ(cache.executions(), 1);
+}
+
+// A K ∈ {4, 6} grid with every straggler kind, under the full-duplex
+// discipline and per-sender order: the one order whose replay does not
+// read the racy shuffle-log sequence, so the CSV reproduces across
+// processes. The CSV digest and the sweep's registry deltas pin the
+// whole plan path — run lookup, ScenarioRun memo, partition release,
+// DES replay and mitigation — bit for bit.
+TEST(PlannerTest, SweepIsPinned) {
+  PlanAxes axes;
+  axes.algorithms = {"terasort", "coded"};
+  axes.redundancies = {2, 3};
+  axes.node_counts = {4, 6};
+  axes.topologies = {"", "2:2", "2:2:1:1:aware"};
+  axes.stragglers = {"none", "slow:1:3", "exp:1:0.5:7", "failstop:60:40:1"};
+  axes.policies = {"none", "spec", "coded"};
+  axes.instances = {{"m3.large", 1.0, 0.133}, {"c3.xlarge", 1.9, 0.21}};
+  axes.records = 40000;
+  axes.seed = 5;
+  axes.paper_records = 120000000;
+  axes.discipline = "full";
+  axes.order = "per-sender";
+
+  const char* const kCounters[] = {"job/cache_hits",
+                                   "job/cache_misses",
+                                   "job/cache_partition_releases",
+                                   "job/matrix_cells_executed",
+                                   "job/matrix_cells_replayed",
+                                   "simscen/flows_started",
+                                   "simscen/flows_requeued",
+                                   "simscen/maxmin_recomputations"};
+  auto& registry = obs::MetricRegistry::Global();
+  std::vector<std::uint64_t> before;
+  for (const char* name : kCounters) {
+    before.push_back(registry.counter(name).value());
+  }
+  job::RunCache cache;
+  const PlanResult result = RunPlan(axes, PlanQuery{}, cache);
+  ASSERT_TRUE(result.error.empty()) << result.error;
+  std::map<std::string, std::uint64_t> deltas;
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    deltas[kCounters[i]] = registry.counter(kCounters[i]).value() - before[i];
+  }
+
+  std::ostringstream csv;
+  WriteCsv(result, csv);
+  const std::string text = csv.str();
+  EXPECT_EQ(result.cells, 432);
+  EXPECT_EQ(result.executions, 6);
+  EXPECT_EQ(result.rows.size(), 108u);
+  EXPECT_EQ(text.size(), 11360u);
+  const std::uint64_t digest =
+      obs::FnvMix(obs::kFnvOffset, text.data(), text.size());
+  EXPECT_EQ(digest, 0x97b4b7ef205be062ULL)
+      << std::hex << "0x" << digest << std::dec << "\n"
+      << text;
+  const std::map<std::string, std::uint64_t> pinned = {
+      {"job/cache_hits", 426},
+      {"job/cache_misses", 6},
+      {"job/cache_partition_releases", 6},
+      {"job/matrix_cells_executed", 6},
+      {"job/matrix_cells_replayed", 426},
+      {"simscen/flows_started", 12975},
+      {"simscen/flows_requeued", 159},
+      {"simscen/maxmin_recomputations", 14472}};
+  EXPECT_EQ(deltas, pinned);
 }
 
 TEST(PlannerTest, CsvAndMetricsCarryEveryRow) {

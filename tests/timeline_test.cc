@@ -4,7 +4,9 @@
 // the DES series sampled along scenario time — must reproduce bit for
 // bit across reruns and across host threads. The Chrome-trace counter
 // export must round-trip through ValidateTrace.
+#include <cstdint>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -12,6 +14,8 @@
 
 #include "common/random.h"
 #include "job/job.h"
+#include "job/registry.h"
+#include "mitigate/policy.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
@@ -92,8 +96,8 @@ TEST(Timeline, MergeConcatenatesSeries) {
   EXPECT_EQ(a.Validate(), "");
 }
 
-// The ctest invariant the ISSUE names: the same JobSpec evaluated
-// twice through the same cache yields a bitwise-identical timeline.
+// The same JobSpec evaluated twice through the same cache records a
+// bitwise-identical timeline.
 TEST(Timeline, LiveSeriesReproduceBitwise) {
   job::JobSpec spec;
   spec.algorithm = "terasort";
@@ -101,15 +105,16 @@ TEST(Timeline, LiveSeriesReproduceBitwise) {
   spec.backend = job::Backend::kLive;
 
   job::RunCache cache;
-  const job::JobResult first = job::RunJob(spec, cache);
-  const job::JobResult second = job::RunJob(spec, cache);
+  Timeline first, second;
+  job::RunJob(spec, cache, &first);
+  job::RunJob(spec, cache, &second);
 
-  ASSERT_FALSE(first.timeline.empty());
-  EXPECT_EQ(first.timeline.Validate(), "");
-  EXPECT_TRUE(first.timeline == second.timeline);
-  EXPECT_EQ(first.timeline.Digest(), second.timeline.Digest());
-  EXPECT_TRUE(first.timeline.series().count("live/stage_bytes/bytes"));
-  EXPECT_TRUE(first.timeline.series().count("live/shuffle_bytes/bytes"));
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(first.Validate(), "");
+  EXPECT_TRUE(first == second);
+  EXPECT_EQ(first.Digest(), second.Digest());
+  EXPECT_TRUE(first.series().count("live/stage_bytes/bytes"));
+  EXPECT_TRUE(first.series().count("live/shuffle_bytes/bytes"));
 }
 
 // The DES series are a pure function of (run, scenario): replaying on
@@ -158,13 +163,126 @@ TEST(Timeline, ReplayJobEmbedsBothSubsystems) {
   spec.backend = job::Backend::kReplay;
 
   job::RunCache cache;
-  const job::JobResult first = job::RunJob(spec, cache);
-  const job::JobResult second = job::RunJob(spec, cache);
+  Timeline first, second;
+  job::RunJob(spec, cache, &first);
+  job::RunJob(spec, cache, &second);
 
-  EXPECT_EQ(first.timeline.Validate(), "");
-  EXPECT_TRUE(first.timeline.series().count("live/stage_bytes/bytes"));
-  EXPECT_TRUE(first.timeline.series().count("des/inflight_flows"));
-  EXPECT_TRUE(first.timeline == second.timeline);
+  EXPECT_EQ(first.Validate(), "");
+  EXPECT_TRUE(first.series().count("live/stage_bytes/bytes"));
+  EXPECT_TRUE(first.series().count("des/inflight_flows"));
+  EXPECT_TRUE(first == second);
+}
+
+std::uint64_t Bits(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, 8);
+  return bits;
+}
+
+// Every JobResult number a cell reports, as bit patterns, so two
+// results compare bit for bit (0.0 vs -0.0 and NaNs included).
+std::vector<std::uint64_t> ResultBits(const job::JobResult& r) {
+  std::vector<std::uint64_t> out = {
+      Bits(r.makespan),     Bits(r.wasted_seconds), Bits(r.node_hours),
+      Bits(r.usd_compute),  Bits(r.usd_egress),     Bits(r.usd),
+      Bits(r.cross_rack_bytes),
+      static_cast<std::uint64_t>(r.speculative_copies),
+      static_cast<std::uint64_t>(r.abandoned_nodes)};
+  for (const StageTime& s : r.breakdown.stages) out.push_back(Bits(s.seconds));
+  if (!r.outcome.has_value()) return out;
+  out.push_back(Bits(r.outcome->makespan));
+  for (const simscen::StageSpan& span : r.outcome->spans) {
+    for (const double v : {span.start, span.end, span.unmitigated_end,
+                           span.wasted_seconds, span.trigger_at}) {
+      out.push_back(Bits(v));
+    }
+    for (const double v : span.node_end) out.push_back(Bits(v));
+    out.push_back(static_cast<std::uint64_t>(span.speculative_copies));
+    out.push_back(static_cast<std::uint64_t>(span.abandoned_nodes));
+  }
+  for (const auto& flow : r.outcome->shuffle_flows) {
+    out.push_back(Bits(flow.start));
+    out.push_back(Bits(flow.end));
+  }
+  return out;
+}
+
+// The flight recorder is opt-in. Without a timeline RunJob records
+// nothing and replays unprobed; with one it records the live series of
+// the execution, then the DES series of the replay on the backends
+// that replay, and every reported number stays bit-identical.
+TEST(Timeline, RunJobRecordsOnlyIntoACallersTimeline) {
+  simscen::Scenario scenario = simscen::Scenario::Baseline(4);
+  scenario.topology = simscen::Topology::Oversubscribed(4, 2, 2.0);
+  scenario.discipline = simnet::Discipline::kParallelFullDuplex;
+  scenario.cluster.straggler.kind = simscen::StragglerKind::kSlowNode;
+  scenario.cluster.straggler.node = 1;
+  scenario.cluster.straggler.slowdown = 3.0;
+  scenario.mitigation = mitigate::MitigationPolicy::Speculative();
+
+  struct Case {
+    const char* algorithm;
+    job::Backend backend;
+    bool with_scenario;
+  };
+  const Case cases[] = {
+      {"terasort", job::Backend::kLive, false},
+      {"coded", job::Backend::kPriced, false},
+      {"coded", job::Backend::kReplay, true},
+      {"cmr", job::Backend::kReplay, false},
+      {"terasort", job::Backend::kLive, true},
+      {"coded", job::Backend::kSimulated, false},
+  };
+  job::RunCache cache;
+  for (const Case& c : cases) {
+    const std::string name =
+        std::string(c.algorithm) + "/" + job::BackendName(c.backend) +
+        (c.with_scenario ? "+scenario" : "");
+    job::JobSpec spec;
+    spec.algorithm = c.algorithm;
+    spec.config = SmallConfig(/*r=*/2);
+    spec.backend = c.backend;
+    spec.paper_records = 1000000;
+    spec.pricing = DollarCost{};
+    if (c.with_scenario) spec.scenario = scenario;
+
+    const job::JobResult plain = job::RunJob(spec, cache);
+    Timeline recorded;
+    const job::JobResult probed = job::RunJob(spec, cache, &recorded);
+    ASSERT_EQ(plain.error, "") << name;
+    ASSERT_EQ(probed.error, "") << name;
+    EXPECT_EQ(ResultBits(plain), ResultBits(probed)) << name;
+
+    // The composition RunJob records: the live series of the
+    // execution, then the DES series of the replay it priced.
+    Timeline expected = BuildLiveTimeline(*probed.execution);
+    const bool replays = c.backend == job::Backend::kReplay ||
+                         (c.backend == job::Backend::kLive && c.with_scenario);
+    if (replays) {
+      const bool from_events = c.backend == job::Backend::kLive ||
+                               !job::Find(c.algorithm)->priced;
+      const auto run = cache.GetScenarioRun(
+          c.algorithm, spec.config, spec.paper_records, from_events);
+      simscen::ReplayScenario(
+          *run,
+          c.with_scenario ? scenario : simscen::Scenario::Baseline(4),
+          &expected);
+      EXPECT_TRUE(recorded.series().count("des/inflight_flows")) << name;
+    }
+    ASSERT_FALSE(recorded.empty()) << name;
+    EXPECT_EQ(recorded.Validate(), "") << name;
+    EXPECT_TRUE(recorded == expected) << name;
+  }
+  EXPECT_EQ(cache.executions(), 3);  // terasort, coded r=2, cmr
+
+  // An error result records nothing.
+  job::JobSpec bad;
+  bad.algorithm = "coded";
+  bad.config = SmallConfig(/*r=*/9);
+  bad.backend = job::Backend::kReplay;
+  Timeline untouched;
+  EXPECT_NE(job::RunJob(bad, cache, &untouched).error, "");
+  EXPECT_TRUE(untouched.empty());
 }
 
 // ---- Golden DES series ----

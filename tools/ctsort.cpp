@@ -35,6 +35,10 @@
 //   --dist=uniform|sorted|reverse|skewed|fewdistinct|balanced [uniform]
 //   --partitioner=range|sampled       key partitioner        [range]
 //   --codegen=split|batched           group creation mode    [split]
+//   --shuffle-sync=barrier|overlapped shuffle synchronization: the
+//                                     paper's barrier and ordered
+//                                     blocking sends, or nonblocking
+//                                     sends posted up front [barrier]
 //   --schedule=serial|parallel-full|parallel-half            [serial]
 //                                     closed-form shuffle pricing of
 //                                     the projection (parallel forms
@@ -215,13 +219,14 @@ void Report(const AlgorithmResult& result, bool verify) {
   std::cout << "\n";
 }
 
-// --ledger: one run-ledger entry per evaluated algorithm view. The
+// --ledger: one run-ledger entry per evaluated algorithm view, with
+// the digests of the timeline RunJob recorded for it. The
 // fingerprint hashes the RunCache key plus the evaluation axes, so
 // the same cell fingerprints identically across invocations (and
 // tools): appending two builds' runs to one ledger makes
 // `ctstat --check` a regression gate over this exact spec.
 void RecordLedger(const std::string& path, const std::string& run_name,
-                  const job::JobResult& result,
+                  const job::JobResult& result, const obs::Timeline& timeline,
                   const std::map<std::string, std::string>& extra_axes) {
   if (path.empty()) return;
   obs::LedgerEntry entry;
@@ -245,7 +250,7 @@ void RecordLedger(const std::string& path, const std::string& run_name,
   }
   entry.fingerprint = obs::HexDigest(obs::Fingerprint64(identity));
   entry.values = result.metrics(run_name);
-  obs::DigestTimeline(result.timeline, entry);
+  obs::DigestTimeline(timeline, entry);
   if (!obs::AppendEntry(path, entry)) {
     std::cerr << "ctsort: cannot append to ledger " << path << "\n";
     std::exit(1);
@@ -300,6 +305,10 @@ int main(int argc, char** argv) {
   config.codegen_mode = flags.GetChoice<CodeGenMode>(
       "codegen", "split",
       {{"split", CodeGenMode::kCommSplit}, {"batched", CodeGenMode::kBatched}});
+  config.shuffle_sync = flags.GetChoice<ShuffleSync>(
+      "shuffle-sync", "barrier",
+      {{"barrier", ShuffleSync::kBarrier},
+       {"overlapped", ShuffleSync::kOverlapped}});
   const std::vector<std::string> algos =
       ResolveAlgos(flags.Get("algo", "both"));
   const simnet::Discipline schedule = flags.GetChoice<simnet::Discipline>(
@@ -419,7 +428,8 @@ int main(int argc, char** argv) {
       spec.backend = job::Backend::kSimulated;
       spec.paper_records = paper_records;
       spec.schedule = schedule;
-      const job::JobResult sim = job::RunJob(spec, cache);
+      obs::Timeline timeline;
+      const job::JobResult sim = job::RunJob(spec, cache, &timeline);
       if (!sim.error.empty()) {
         std::cout << "--- " << name << " ---\nsimulated: skipped — "
                   << sim.error << "\n\n";
@@ -428,9 +438,9 @@ int main(int argc, char** argv) {
       rows.push_back(sim.breakdown);
       if (json.enabled()) {
         json.add_all(sim.metrics(name));
-        json.add_timeline(name, sim.timeline);
+        json.add_timeline(name, timeline);
       }
-      RecordLedger(ledger_path, name, sim, ledger_axes);
+      RecordLedger(ledger_path, name, sim, timeline, ledger_axes);
     }
     if (!rows.empty()) {
       BreakdownTable("synthesized EC2-calibrated projection at " +
@@ -448,6 +458,7 @@ int main(int argc, char** argv) {
   struct AlgoRun {
     std::string name;  // registry name
     job::JobResult live;
+    obs::Timeline timeline;  // the live series, for --json/--ledger/--trace
   };
   std::vector<AlgoRun> runs;
   for (const std::string& name : algos) {
@@ -455,10 +466,12 @@ int main(int argc, char** argv) {
     spec.algorithm = name;
     spec.config = config;
     spec.backend = job::Backend::kLive;
-    runs.push_back({name, job::RunJob(spec, cache)});
-    if (!runs.back().live.error.empty()) Flags::Fail(runs.back().live.error);
+    AlgoRun& run = runs.emplace_back();
+    run.name = name;
+    run.live = job::RunJob(spec, cache, &run.timeline);
+    if (!run.live.error.empty()) Flags::Fail(run.live.error);
     const job::AlgorithmInfo* info = job::Find(name);
-    Report(*runs.back().live.execution, verify && info->sorts);
+    Report(*run.live.execution, verify && info->sorts);
     // The sections below only need counters, logs and events; drop the
     // sorted data so --algo=each doesn't hold every dataset through
     // the reporting phase.
@@ -475,14 +488,15 @@ int main(int argc, char** argv) {
     spec.backend = job::Backend::kPriced;
     spec.paper_records = paper_records;
     spec.schedule = schedule;
-    const job::JobResult priced = job::RunJob(spec, cache);
+    obs::Timeline timeline;
+    const job::JobResult priced = job::RunJob(spec, cache, &timeline);
     rows.push_back(priced.breakdown);
     if (!scenario.has_value()) {
       if (json.enabled()) {
         json.add_all(priced.metrics(run.name));
-        json.add_timeline(run.name, priced.timeline);
+        json.add_timeline(run.name, timeline);
       }
-      RecordLedger(ledger_path, run.name, priced, ledger_axes);
+      RecordLedger(ledger_path, run.name, priced, timeline, ledger_axes);
     }
   }
   if (!rows.empty()) {
@@ -500,9 +514,10 @@ int main(int argc, char** argv) {
       if (!job::Find(run.name)->priced) {
         if (json.enabled()) {
           json.add_all(run.live.metrics(run.name));
-          json.add_timeline(run.name, run.live.timeline);
+          json.add_timeline(run.name, run.timeline);
         }
-        RecordLedger(ledger_path, run.name, run.live, ledger_axes);
+        RecordLedger(ledger_path, run.name, run.live, run.timeline,
+                     ledger_axes);
       }
     }
   }
@@ -552,7 +567,8 @@ int main(int argc, char** argv) {
       spec.backend = job::Backend::kReplay;
       spec.paper_records = paper_records;
       spec.scenario = scenario;
-      const job::JobResult replayed = job::RunJob(spec, cache);
+      obs::Timeline timeline;
+      const job::JobResult replayed = job::RunJob(spec, cache, &timeline);
       if (replayed.priced) {
         scenario_rows.push_back(replayed.breakdown);
         spans.add_row({replayed.algorithm,
@@ -562,9 +578,9 @@ int main(int argc, char** argv) {
       }
       if (json.enabled()) {
         json.add_all(replayed.metrics(run.name));
-        json.add_timeline(run.name, replayed.timeline);
+        json.add_timeline(run.name, timeline);
       }
-      RecordLedger(ledger_path, run.name, replayed, ledger_axes);
+      RecordLedger(ledger_path, run.name, replayed, timeline, ledger_axes);
     }
     std::cout << '\n';
     const std::string knobs = "topology=" +
@@ -636,8 +652,7 @@ int main(int argc, char** argv) {
       const int counter_tid = config.num_nodes + 1;
       if (!priced_trace) {
         trace.Merge(obs::BuildLiveTrace(exec, pid, run.name));
-        obs::AppendTimelineCounters(run.live.timeline, trace, pid,
-                                    counter_tid);
+        obs::AppendTimelineCounters(run.timeline, trace, pid, counter_tid);
       } else {
         if (!job::Find(run.name)->priced) {
           std::cout << "trace: skipping " << run.name

@@ -33,11 +33,12 @@ break that promise. Rules:
              (src/obs/timeline.h; tools/trace_check.py enforces the
              same grammar on exported counter tracks).
   numparse   strtod/strtof/strtol/strtoll/strtoul/strtoull, std::sto*
-             and atoi/atof/atol calls in src/ and tools/ outside
-             src/common/numparse.h: every number read from text goes
-             through that header's ParseDouble/ParseInt/ParseU64, so
-             one grammar (no leading space or '+', no hex, finite
-             doubles) holds for every flag, spec field and knob.
+             and atoi/atof/atol calls in src/, tools/ and examples/
+             outside src/common/numparse.h: every number read from
+             text goes through that header's ParseDouble/ParseInt/
+             ParseU64, so one grammar (no leading space or '+', no
+             hex, finite doubles) holds for every flag, spec field,
+             knob and example argument.
 
 Any rule is suppressed for a line by `repo-lint: allow(<rule>)` on the
 line itself or within the two lines above it.
@@ -86,7 +87,7 @@ def lint_lines(relpath, lines):
     path = relpath.replace("\\", "/")
     in_src = path.startswith("src/")
     in_simmpi = path.startswith("src/simmpi/")
-    numparse_scope = (in_src or path.startswith("tools/")) \
+    numparse_scope = (in_src or path.startswith(("tools/", "examples/"))) \
         and path != NUMPARSE_HOME
     for i, line in enumerate(lines):
         # Comments still count for key rules (they would be copied),
@@ -142,7 +143,7 @@ def lint_lines(relpath, lines):
 
 
 def iter_files(root):
-    for top in ("src", "bench", "tools"):
+    for top in ("src", "bench", "tools", "examples"):
         base = root / top
         if not base.is_dir():
             continue
@@ -230,6 +231,9 @@ def self_test():
     ok &= expect("numparse-allow", "src/x.cc",
                  "// repo-lint: allow(numparse): grammar checked above\n"
                  "const double v = std::strtod(p, &end);", [])
+    ok &= expect("numparse-examples", "examples/x.cpp",
+                 "const int k = argc > 1 ? std::atoi(argv[1]) : 16;",
+                 ["numparse"])
     ok &= expect("numparse-outside-scope-ok", "bench/x.cpp",
                  "const auto n = std::stoull(text);", [])
     ok &= expect("allow-suppresses", "src/x.cc",
