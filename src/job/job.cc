@@ -158,29 +158,30 @@ std::shared_ptr<const simscen::ScenarioRun> RunCache::GetScenarioRun(
   if (!FindOrDie(algorithm).priced) from_events = true;  // nothing to price
   Entry& entry =
       Fetch(Key(algorithm, config), algorithm, config, /*count_hit=*/false);
-  return ScenarioRunOf(entry, config, paper_records, from_events);
+  return ScenarioRunOf(entry, config, paper_records, from_events).run;
 }
 
-const std::shared_ptr<const simscen::ScenarioRun>& RunCache::ScenarioRunOf(
-    Entry& entry, const SortConfig& config, std::uint64_t paper_records,
-    bool from_events) {
+RunCache::Replay& RunCache::ScenarioRunOf(Entry& entry,
+                                          const SortConfig& config,
+                                          std::uint64_t paper_records,
+                                          bool from_events) {
   const std::uint64_t reported =
       from_events ? 0
                   : (paper_records == 0 ? config.num_records : paper_records);
-  std::shared_ptr<const simscen::ScenarioRun>& built =
-      entry.scenario_runs[{from_events, reported}];
-  if (built != nullptr) return built;
+  Replay& replay = entry.scenario_runs[{from_events, reported}];
+  if (replay.run != nullptr) return replay;
   const AlgorithmResult& run = *entry.run;
   if (from_events) {
-    built = std::make_shared<simscen::ScenarioRun>(
+    replay.run = std::make_shared<simscen::ScenarioRun>(
         simscen::BuildScenarioRunFromEvents(
             run.algorithm, run.config.num_nodes, run.stage_order,
             run.compute_events, run.shuffle_log, run.config.redundancy));
   } else {
-    built = std::make_shared<simscen::ScenarioRun>(simscen::BuildScenarioRun(
-        run, CostModel{}, PaperScale(config.num_records, reported)));
+    replay.run = std::make_shared<simscen::ScenarioRun>(
+        simscen::BuildScenarioRun(run, CostModel{},
+                                  PaperScale(config.num_records, reported)));
   }
-  return built;
+  return replay;
 }
 
 JobResult RunJob(const JobSpec& spec, RunCache& cache,
@@ -276,27 +277,27 @@ JobResult RunJob(const JobSpec& spec, RunCache& cache,
       // kLive with a scenario: replay the measured stage boundaries
       // under it (executed scale) — the live-mitigation path.
       if (spec.backend == Backend::kLive && spec.scenario.has_value()) {
-        const auto& run = cache.ScenarioRunOf(entry, spec.config,
-                                              /*paper_records=*/0,
-                                              /*from_events=*/true);
-        result.outcome =
-            simscen::ReplayScenario(*run, *spec.scenario, timeline);
+        RunCache::Replay& replay = cache.ScenarioRunOf(
+            entry, spec.config, /*paper_records=*/0, /*from_events=*/true);
+        result.outcome = simscen::ReplayScenario(
+            *replay.run, *spec.scenario, timeline, &replay.network);
         result.breakdown = result.outcome->breakdown();
         FillMitigationStats(*result.outcome, result);
       }
       break;
     }
     case Backend::kReplay: {
-      const auto& run = cache.ScenarioRunOf(entry, spec.config,
-                                            spec.paper_records,
-                                            /*from_events=*/!info.priced);
+      RunCache::Replay& replay = cache.ScenarioRunOf(
+          entry, spec.config, spec.paper_records,
+          /*from_events=*/!info.priced);
       std::optional<simscen::Scenario> baseline;
       if (!spec.scenario.has_value()) {
         baseline = simscen::Scenario::Baseline(spec.config.num_nodes);
       }
       const simscen::Scenario& scenario =
           spec.scenario.has_value() ? *spec.scenario : *baseline;
-      result.outcome = simscen::ReplayScenario(*run, scenario, timeline);
+      result.outcome = simscen::ReplayScenario(*replay.run, scenario,
+                                               timeline, &replay.network);
       result.breakdown = result.outcome->breakdown();
       result.priced = info.priced;
       FillMitigationStats(*result.outcome, result);

@@ -131,7 +131,11 @@ struct JobResult {
 // Memoizes the expensive thread-harness execution per
 // (algorithm, SortConfig) key, plus the paper-scale ScenarioRun
 // derived from it, so N scenarios × M policies replay one measured
-// run. Not thread-safe; share one per sweep.
+// run. Beside each ScenarioRun it keeps that run's
+// simscen::NetworkMemo, which RunJob passes to every replay of it:
+// cells that differ only in stragglers, policies or instances share
+// one outage-free Shuffle replay per (topology, discipline, order).
+// Not thread-safe; share one per sweep.
 class RunCache {
  public:
   // The cached run for (algorithm, config), executing it on miss.
@@ -171,15 +175,19 @@ class RunCache {
   // replay input through the one entry.
   friend JobResult RunJob(const JobSpec&, RunCache&, obs::Timeline*);
 
+  // One replay input and the network stages already replayed from it;
+  // sharing the slot keeps a memo from outliving or mixing runs.
+  struct Replay {
+    std::shared_ptr<const simscen::ScenarioRun> run;
+    simscen::NetworkMemo network;
+  };
   // One cached execution plus the replay inputs derived from it, keyed
   // by (from_events, reported records).
   struct Entry {
     // Held non-const so ReleasePartitions can drop the sorted data;
     // handed out as shared_ptr<const ...> only.
     std::shared_ptr<AlgorithmResult> run;
-    std::map<std::pair<bool, std::uint64_t>,
-             std::shared_ptr<const simscen::ScenarioRun>>
-        scenario_runs;
+    std::map<std::pair<bool, std::uint64_t>, Replay> scenario_runs;
   };
 
   // The entry for `key`, executing its run on a miss. `count_hit` is
@@ -190,9 +198,8 @@ class RunCache {
                const SortConfig& config, bool count_hit);
   // GetScenarioRun's memo on an already fetched entry; an unpriced
   // algorithm's caller passes from_events = true.
-  const std::shared_ptr<const simscen::ScenarioRun>& ScenarioRunOf(
-      Entry& entry, const SortConfig& config, std::uint64_t paper_records,
-      bool from_events);
+  Replay& ScenarioRunOf(Entry& entry, const SortConfig& config,
+                        std::uint64_t paper_records, bool from_events);
 
   std::map<std::string, Entry> entries_;
   int executions_ = 0;
@@ -206,8 +213,10 @@ class RunCache {
 // the DES series sampled along scenario time. Bitwise reproducible:
 // the same spec through the same cache records identical series
 // (timeline_test pins it). Without one, nothing is recorded and the
-// replay runs unprobed; every other JobResult field is bit-identical
-// either way. An error result records nothing.
+// replay runs unprobed, serving an outage-free Shuffle from the
+// cache's network memo when an earlier cell replayed the same network
+// input; every other JobResult field is bit-identical either way. An
+// error result records nothing.
 JobResult RunJob(const JobSpec& spec, RunCache& cache,
                  obs::Timeline* timeline = nullptr);
 // Executes the run itself: every call pays the live execution.

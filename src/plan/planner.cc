@@ -17,7 +17,7 @@ namespace cts::plan {
 
 namespace {
 
-// Axis entries are user input (CLI flag lists); a repeated spec must
+// Axis entries are user input (CLI flag lists); a repeated entry must
 // not abort deep inside RunMatrix's duplicate-label check.
 template <typename T>
 std::vector<T> Dedupe(const std::vector<T>& in) {
@@ -27,6 +27,15 @@ std::vector<T> Dedupe(const std::vector<T>& in) {
     if (seen.insert(v).second) out.push_back(v);
   }
   return out;
+}
+
+// A straggler or policy axis deduped on its label: an empty spec means
+// "none" and is labelled so, like ParseTopologyList's "flat".
+std::vector<std::string> DedupeSpecs(std::vector<std::string> specs) {
+  for (std::string& spec : specs) {
+    if (spec.empty()) spec = "none";
+  }
+  return Dedupe(specs);
 }
 
 std::string FormatDouble(double v) {
@@ -68,9 +77,23 @@ PlanResult RunPlan(const PlanAxes& axes, const PlanQuery& query,
   const std::vector<int> redundancies = Dedupe(axes.redundancies);
   const std::vector<int> node_counts = Dedupe(axes.node_counts);
   std::vector<std::string> topologies = Dedupe(axes.topologies);
-  std::vector<std::string> stragglers = Dedupe(axes.stragglers);
-  std::vector<std::string> policies = Dedupe(axes.policies);
-  std::vector<InstanceProfile> instances = axes.instances;
+  std::vector<std::string> stragglers = DedupeSpecs(axes.stragglers);
+  std::vector<std::string> policies = DedupeSpecs(axes.policies);
+  // The instance axis is labelled by name: a repeated entry collapses,
+  // and one name with two prices is ambiguous.
+  std::vector<InstanceProfile> instances;
+  for (const InstanceProfile& instance : axes.instances) {
+    const auto same_name = std::find_if(
+        instances.begin(), instances.end(),
+        [&](const InstanceProfile& i) { return i.name == instance.name; });
+    if (same_name == instances.end()) {
+      instances.push_back(instance);
+    } else if (same_name->speed != instance.speed ||
+               same_name->usd_per_hour != instance.usd_per_hour) {
+      return fail("instance '" + instance.name +
+                  "' is listed twice with different speeds or rates");
+    }
+  }
   if (query.sort_key != "usd" && query.sort_key != "makespan" &&
       query.sort_key != "egress") {
     return fail("unknown sort key '" + query.sort_key +
@@ -107,9 +130,6 @@ PlanResult RunPlan(const PlanAxes& axes, const PlanQuery& query,
 
   const auto topo_label = [](const std::string& spec) {
     return spec.empty() ? std::string("flat") : spec;
-  };
-  const auto spec_label = [](const std::string& spec) {
-    return spec.empty() ? std::string("none") : spec;
   };
 
   // One JobMatrix per K: the replay engine checks a scenario's
@@ -157,7 +177,7 @@ PlanResult RunPlan(const PlanAxes& axes, const PlanQuery& query,
             job::ParseStraggler(straggler_spec, num_nodes, &parse_error);
         if (!straggler.has_value()) return fail(parse_error);
         job::ScenarioAxis axis;
-        axis.label = topo_label(topo_spec) + "|" + spec_label(straggler_spec);
+        axis.label = topo_label(topo_spec) + "|" + straggler_spec;
         axis.scenario = simscen::Scenario::Baseline(num_nodes);
         axis.scenario.topology = *topology;
         axis.scenario.cluster.straggler = *straggler;
@@ -172,7 +192,7 @@ PlanResult RunPlan(const PlanAxes& axes, const PlanQuery& query,
         return fail("unknown mitigation '" + policy_spec +
                     "' (none | spec[:QUANTILE:TRIGGER] | coded)");
       }
-      matrix.policies.push_back({spec_label(policy_spec), *policy});
+      matrix.policies.push_back({policy_spec, *policy});
     }
     for (const InstanceProfile& instance : instances) {
       if (!(instance.speed > 0) || !(instance.usd_per_hour >= 0)) {
@@ -208,14 +228,14 @@ PlanResult RunPlan(const PlanAxes& axes, const PlanQuery& query,
             row.redundancy = algo.config.redundancy;
             row.num_nodes = num_nodes;
             row.topology = topo_label(topo_spec);
-            row.policy = spec_label(policy_spec);
+            row.policy = policy_spec;
             row.instance = instance.name;
             std::vector<double> makespans;
             double cross_rack_bytes = 0;
             for (const std::string& straggler_spec : stragglers) {
               const job::JobResult& cell = results.at(
                   algo.label,
-                  row.topology + "|" + spec_label(straggler_spec),
+                  row.topology + "|" + straggler_spec,
                   row.policy, instance.name);
               makespans.push_back(cell.makespan);
               cross_rack_bytes = cell.cross_rack_bytes;

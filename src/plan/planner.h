@@ -47,7 +47,9 @@ struct InstanceProfile {
 // "none" | "spec[:Q:T]" | "coded"), parsed per K so one axes object
 // spans several cluster sizes. An empty axis collapses to its
 // default: single rack, no straggler, no mitigation, the calibrated
-// m3.large.
+// m3.large. Entries that share a label collapse to one (an empty
+// straggler or policy spec is "none"); an instance name listed with
+// two different speeds or rates fails the plan.
 struct PlanAxes {
   std::vector<std::string> algorithms = {"terasort", "coded"};
   // Each r >= 1; an r >= K is skipped at that K (no C(K, r) placement),

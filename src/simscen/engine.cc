@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 #include "common/check.h"
+#include "obs/metrics.h"
 
 namespace cts::simscen {
 
@@ -139,7 +141,7 @@ ScenarioRun BuildScenarioRunFromEvents(
 
 ScenarioOutcome ReplayScenario(const ScenarioRun& run,
                                const Scenario& scenario,
-                               obs::Timeline* timeline) {
+                               obs::Timeline* timeline, NetworkMemo* memo) {
   CTS_CHECK_GE(run.num_nodes, 1);
   CTS_CHECK_EQ(scenario.topology.num_nodes, run.num_nodes);
   CTS_CHECK_GT(run.shuffle_correction, 0.0);
@@ -180,26 +182,61 @@ ScenarioOutcome ReplayScenario(const ScenarioRun& run,
         outage.end = (strag.fail_at + strag.recovery - now) /
                      run.shuffle_correction;
       }
-      NetReplayStats net_stats;
-      // The probe maps replay-clock samples onto the scenario
-      // timeline: the stage starts at `now` and one replay second is
-      // shuffle_correction scenario seconds.
-      TimelineProbe probe;
-      probe.timeline = timeline;
-      probe.t0 = now;
-      probe.scale = run.shuffle_correction;
-      const double net = NetMakespan(run.shuffle_log, scenario.topology,
-                                     scenario.discipline, scenario.order,
-                                     outage, &net_stats, nullptr, probe) *
-                         run.shuffle_correction;
+      // Without an outage the replay reads only the log and the
+      // scenario's network, so a memoized replay of that input stands
+      // in for the DES (a probed replay always runs it).
+      const bool memoizable =
+          memo != nullptr && timeline == nullptr && !outage.active();
+      const NetworkMemo::Entry* replay = nullptr;
+      if (memoizable) {
+        for (const NetworkMemo::Entry& e : memo->entries) {
+          if (e.topology == scenario.topology &&
+              e.discipline == scenario.discipline &&
+              e.order == scenario.order) {
+            replay = &e;
+            break;
+          }
+        }
+      }
+      NetworkMemo::Entry simulated;
+      if (replay != nullptr) {
+        static obs::Counter& hits = obs::MetricRegistry::Global().counter(
+            "simscen/network_memo_hits");
+        hits.add();
+      } else {
+        NetReplayStats net_stats;
+        // The probe maps replay-clock samples onto the scenario
+        // timeline: the stage starts at `now` and one replay second
+        // is shuffle_correction scenario seconds.
+        TimelineProbe probe;
+        probe.timeline = timeline;
+        probe.t0 = now;
+        probe.scale = run.shuffle_correction;
+        simulated.makespan =
+            NetMakespan(run.shuffle_log, scenario.topology,
+                        scenario.discipline, scenario.order, outage,
+                        &net_stats, nullptr, probe);
+        simulated.flow_start = std::move(net_stats.flow_start);
+        simulated.flow_end = std::move(net_stats.flow_end);
+        if (memoizable) {
+          simulated.topology = scenario.topology;
+          simulated.discipline = scenario.discipline;
+          simulated.order = scenario.order;
+          memo->entries.push_back(std::move(simulated));
+          replay = &memo->entries.back();
+        } else {
+          replay = &simulated;
+        }
+      }
+      const double net = replay->makespan * run.shuffle_correction;
       // Per-flow wire times in scenario seconds, for the tracer. Only
       // the first network stage fills them (runs have one Shuffle).
-      if (out.shuffle_flows.empty() && !net_stats.flow_end.empty()) {
-        out.shuffle_flows.reserve(net_stats.flow_end.size());
-        for (std::size_t i = 0; i < net_stats.flow_end.size(); ++i) {
+      if (out.shuffle_flows.empty() && !replay->flow_end.empty()) {
+        out.shuffle_flows.reserve(replay->flow_end.size());
+        for (std::size_t i = 0; i < replay->flow_end.size(); ++i) {
           ScenarioOutcome::FlowSpan f;
-          f.start = now + net_stats.flow_start[i] * run.shuffle_correction;
-          f.end = now + net_stats.flow_end[i] * run.shuffle_correction;
+          f.start = now + replay->flow_start[i] * run.shuffle_correction;
+          f.end = now + replay->flow_end[i] * run.shuffle_correction;
           out.shuffle_flows.push_back(f);
         }
       }

@@ -149,14 +149,43 @@ ScenarioRun BuildScenarioRunFromEvents(
     const std::vector<std::string>& stage_order, const ComputeLog& events,
     simnet::TransmissionLog shuffle_log, int redundancy = 1);
 
+// The outage-free network stages already replayed from one
+// ScenarioRun. Everything NetMakespan reads besides the run's shuffle
+// log is in an entry's key, so a replay that finds its key reuses the
+// DES's numbers instead of re-running it. A memo belongs to exactly
+// one ScenarioRun (job::RunCache keeps each beside its run); passing
+// it with another run prices that run with the wrong log.
+struct NetworkMemo {
+  struct Entry {
+    Topology topology;
+    simnet::Discipline discipline = simnet::Discipline::kSerial;
+    simnet::ReplayOrder order = simnet::ReplayOrder::kLogOrder;
+    double makespan = 0;  // replay clock (before shuffle_correction)
+    std::vector<double> flow_start;  // NetReplayStats::flow_start
+    std::vector<double> flow_end;    // NetReplayStats::flow_end
+  };
+  // Searched linearly: a sweep holds a few network inputs per run.
+  std::vector<Entry> entries;
+};
+
 // Replays `run` under `scenario`. When `timeline` is non-null the
 // network stages run with a TimelineProbe attached: the DES series
 // (des/inflight_flows, des/requeue_depth, des/link_utilization) land
 // in the timeline in scenario seconds, aligned with the outcome's
 // stage spans. The replay itself is unchanged — the probe only reads.
+//
+// With a `memo` and no timeline, a network stage whose fail-stop
+// window is not active (LinkOutage::active()) takes its replay-clock
+// makespan and flow times from the memo when it holds the scenario's
+// (topology, discipline, order), adding 1 to simscen/network_memo_hits
+// and skipping NetMakespan, and otherwise runs the DES and stores the
+// result. Every outcome is bit-identical to a replay without a memo;
+// the simscen/* DES counters count only the replays actually
+// simulated.
 ScenarioOutcome ReplayScenario(const ScenarioRun& run,
                                const Scenario& scenario,
-                               obs::Timeline* timeline = nullptr);
+                               obs::Timeline* timeline = nullptr,
+                               NetworkMemo* memo = nullptr);
 
 // Convenience: build + replay a sorting run at paper scale.
 ScenarioOutcome ReplayScenario(const AlgorithmResult& result,

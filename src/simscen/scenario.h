@@ -118,6 +118,10 @@ struct Topology {
   // degenerate-replay equalities are pinned against that model.
   bool rack_aware_multicast = false;
 
+  // Field by field: every field the flow DES reads is compared, so
+  // equal topologies replay a log identically (simscen::NetworkMemo).
+  bool operator==(const Topology&) const = default;
+
   static Topology SingleRack(int num_nodes);
 
   // `factor`:1 oversubscription: the core pipe carries

@@ -329,8 +329,8 @@ TEST(Cli, BadShapesAndTyposExitTwo) {
     EXPECT_EQ(status(ctsort, args), 2) << "ctsort " << args;
   }
   // Every double flag, --instances field and --policies number must be
-  // a whole, finite decimal (no hex), and an egress rate must not be
-  // negative.
+  // a whole, finite decimal (no hex), an egress rate must not be
+  // negative, and one instance name must not carry two prices.
   for (const char* args :
        {"--records=0", "--quantile=2", "--quantile=-0.5", "--quantile=nan",
         "--algos=terasort,coded --redundancies=0", "--records=",
@@ -339,7 +339,8 @@ TEST(Cli, BadShapesAndTyposExitTwo) {
         "--egress-usd-per-gb=inf", "--instances=m3.large:1x:0.133",
         "--instances=m3.large:nan:0.133", "--instances=m3.large:1:inf",
         "--instances=m3.large:1e999:0.133", "--policies=spec:nan:1.5",
-        "--slo=0x10", "--instances=m3:0x1:0.1"}) {
+        "--slo=0x10", "--instances=m3:0x1:0.1",
+        "--instances=m3.large:1:0.133,m3.large:2:0.3"}) {
     EXPECT_EQ(status(ctplan, std::string(args) + " --nodes=4"), 2)
         << "ctplan " << args;
   }

@@ -156,12 +156,46 @@ TEST(PlannerTest, MeetsOnlyAndMaxUsdFilterRows) {
   EXPECT_EQ(cache.executions(), 1);
 }
 
+// Axis entries that share a label are one entry: an empty straggler or
+// policy spec is "none", and an instance listed twice at one price is
+// that instance. The doubled axes price exactly the single ones.
+TEST(PlannerTest, EntriesSharingALabelCollapse) {
+  PlanAxes single;
+  single.algorithms = {"terasort", "coded"};
+  single.redundancies = {2};
+  single.node_counts = {4};
+  single.stragglers = {"none", "slow:1:3"};
+  single.policies = {"none", "spec"};
+  single.instances = {{"m3.large", 1.0, 0.133}};
+  single.records = 8000;
+  PlanAxes doubled = single;
+  doubled.stragglers = {"", "none", "slow:1:3", "slow:1:3"};
+  doubled.policies = {"", "none", "spec", ""};
+  doubled.instances = {{"m3.large", 1.0, 0.133}, {"m3.large", 1.0, 0.133}};
+
+  job::RunCache cache;
+  const PlanResult a = RunPlan(single, PlanQuery{}, cache);
+  const PlanResult b = RunPlan(doubled, PlanQuery{}, cache);
+  ASSERT_TRUE(a.error.empty()) << a.error;
+  ASSERT_TRUE(b.error.empty()) << b.error;
+  EXPECT_EQ(a.cells, 2 * 2 * 2);
+  EXPECT_EQ(b.cells, a.cells);
+  ASSERT_EQ(a.rows.size(), 4u);
+  for (const PlanRow& row : b.rows) EXPECT_EQ(row.scenarios, 2);
+  std::ostringstream csv_a;
+  std::ostringstream csv_b;
+  WriteCsv(a, csv_a);
+  WriteCsv(b, csv_b);
+  EXPECT_EQ(csv_b.str(), csv_a.str());
+  EXPECT_EQ(cache.executions(), 2);
+}
+
 // A K ∈ {4, 6} grid with every straggler kind, under the full-duplex
 // discipline and per-sender order: the one order whose replay does not
 // read the racy shuffle-log sequence, so the CSV reproduces across
 // processes. The CSV digest and the sweep's registry deltas pin the
-// whole plan path — run lookup, ScenarioRun memo, partition release,
-// DES replay and mitigation — bit for bit.
+// whole plan path — run lookup, ScenarioRun memo, network memo,
+// partition release, DES replay and mitigation — bit for bit.
 TEST(PlannerTest, SweepIsPinned) {
   PlanAxes axes;
   axes.algorithms = {"terasort", "coded"};
@@ -184,7 +218,8 @@ TEST(PlannerTest, SweepIsPinned) {
                                    "job/matrix_cells_replayed",
                                    "simscen/flows_started",
                                    "simscen/flows_requeued",
-                                   "simscen/maxmin_recomputations"};
+                                   "simscen/maxmin_recomputations",
+                                   "simscen/network_memo_hits"};
   auto& registry = obs::MetricRegistry::Global();
   std::vector<std::uint64_t> before;
   for (const char* name : kCounters) {
@@ -216,10 +251,38 @@ TEST(PlannerTest, SweepIsPinned) {
       {"job/cache_partition_releases", 6},
       {"job/matrix_cells_executed", 6},
       {"job/matrix_cells_replayed", 426},
-      {"simscen/flows_started", 12975},
+      {"simscen/flows_started", 3897},
       {"simscen/flows_requeued", 159},
-      {"simscen/maxmin_recomputations", 14472}};
+      {"simscen/maxmin_recomputations", 4272},
+      {"simscen/network_memo_hits", 306}};
   EXPECT_EQ(deltas, pinned);
+
+  // Every cell either hit the network memo or ran the DES. A DES
+  // replay admits each log entry once, plus once more per requeued
+  // flow, so the admissions count the replays run per log entry; each
+  // of the six runs ran the same number (its first replay per
+  // topology, then every fail-stop cell, whose outage is active).
+  std::uint64_t log_entries = 0;
+  for (const int num_nodes : axes.node_counts) {
+    for (const int r : {1, 2, 3}) {
+      SortConfig config;
+      config.num_nodes = num_nodes;
+      config.redundancy = r;
+      config.num_records = axes.records;
+      config.seed = axes.seed;
+      log_entries +=
+          cache.Get(r == 1 ? "terasort" : "coded", config)->shuffle_log.size();
+    }
+  }
+  ASSERT_GT(log_entries, 0u);
+  const std::uint64_t admissions =
+      deltas["simscen/flows_started"] - deltas["simscen/flows_requeued"];
+  EXPECT_EQ(admissions % log_entries, 0u);
+  const std::uint64_t des_replays = 6 * (admissions / log_entries);
+  EXPECT_EQ(des_replays, 6u * (3 + 18));
+  EXPECT_EQ(deltas["simscen/network_memo_hits"] + des_replays,
+            static_cast<std::uint64_t>(result.cells));
+  EXPECT_EQ(cache.executions(), 6);  // the lookups above were all hits
 }
 
 TEST(PlannerTest, CsvAndMetricsCarryEveryRow) {
@@ -302,6 +365,10 @@ TEST(PlannerTest, RejectsBadAxes) {
   axes.instances = {{"nan-speed", std::numeric_limits<double>::quiet_NaN(),
                      0.1}};
   EXPECT_FALSE(RunPlan(axes, PlanQuery{}, cache).error.empty());
+  // One instance label with two prices: which one would the row carry?
+  axes.instances = {{"m3.large", 1.0, 0.133}, {"m3.large", 2.0, 0.3}};
+  EXPECT_NE(RunPlan(axes, PlanQuery{}, cache).error.find("'m3.large'"),
+            std::string::npos);
 
   axes = PlanAxes{};
   axes.node_counts = {4};

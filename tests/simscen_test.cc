@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -15,6 +17,9 @@
 #include "cmr/cmr.h"
 #include "codedterasort/coded_terasort.h"
 #include "driver/cluster.h"
+#include "mitigate/policy.h"
+#include "obs/metrics.h"
+#include "obs/timeline.h"
 #include "simnet/transmission_log.h"
 #include "simscen/engine.h"
 #include "simscen/netsim.h"
@@ -1116,6 +1121,163 @@ TEST(ReplayScenario, OversubscribedCoreFlipsTheWinner) {
 
   // Congestion must hurt TeraSort (bigger cross-rack footprint) more.
   EXPECT_GT(ts_slow / ts_fast, cts_slow / cts_fast);
+}
+
+// ---- Network memo ----
+
+// Every field of an outcome as bits, so -0.0 and 0.0 (or two NaNs)
+// cannot pass for one another.
+std::vector<std::uint64_t> OutcomeBits(const ScenarioOutcome& o) {
+  std::vector<std::uint64_t> bits;
+  const auto add = [&bits](double v) {
+    bits.push_back(std::bit_cast<std::uint64_t>(v));
+  };
+  bits.push_back(o.spans.size());
+  for (const StageSpan& s : o.spans) {
+    add(s.start);
+    add(s.end);
+    bits.push_back(s.node_end.size());
+    for (const double t : s.node_end) add(t);
+    add(s.unmitigated_end);
+    add(s.wasted_seconds);
+    bits.push_back(static_cast<std::uint64_t>(s.speculative_copies));
+    bits.push_back(static_cast<std::uint64_t>(s.abandoned_nodes));
+    add(s.trigger_at);
+  }
+  add(o.makespan);
+  add(o.wasted_seconds);
+  bits.push_back(o.shuffle_flows.size());
+  for (const ScenarioOutcome::FlowSpan& f : o.shuffle_flows) {
+    add(f.start);
+    add(f.end);
+  }
+  return bits;
+}
+
+TEST(NetworkMemo, ReplaysAreBitIdenticalWithAndWithoutTheMemo) {
+  const CostModel model;
+  const RunScale scale = PaperScale(6000, 600000);
+  const std::vector<ScenarioRun> runs = {
+      BuildScenarioRun(SmallCoded(), model, scale),
+      BuildScenarioRun(SmallTeraSort(), model, scale)};
+  Topology aware = Topology::RackOversubscribed(6, 3, 1.0, 2.0, 2.0);
+  aware.rack_aware_multicast = true;
+  const std::vector<Topology> topologies = {
+      Topology::SingleRack(6), Topology::Oversubscribed(6, 2, 4.0), aware};
+  const std::vector<mitigate::MitigationPolicy> policies = {
+      mitigate::MitigationPolicy::None(),
+      mitigate::MitigationPolicy::Speculative(),
+      mitigate::MitigationPolicy::CodedMap()};
+  obs::Counter& hits =
+      obs::MetricRegistry::Global().counter("simscen/network_memo_hits");
+
+  for (const ScenarioRun& run : runs) {
+    NetworkMemo memo;
+    const std::uint64_t hits_before = hits.value();
+    std::uint64_t outage_free = 0;
+    for (const Topology& topology : topologies) {
+      for (const Discipline d : kAllDisciplines) {
+        for (const ReplayOrder o : kAllOrders) {
+          Scenario base = DegenerateScenario(6, d, o);
+          base.topology = topology;
+          // The fail-stop windows sit around this network's Shuffle.
+          const ScenarioOutcome plain = ReplayScenario(run, base);
+          const auto shuffle = std::find_if(
+              plain.spans.begin(), plain.spans.end(),
+              [](const StageSpan& s) { return s.name == stage::kShuffle; });
+          ASSERT_NE(shuffle, plain.spans.end());
+          const double s0 = shuffle->start;
+          const double len = shuffle->seconds();
+          ASSERT_GT(s0, 0);
+          ASSERT_GT(len, 0);
+
+          const auto fail_stop = [](double at, double recovery) {
+            StragglerModel m;
+            m.kind = StragglerKind::kFailStop;
+            m.node = 1;
+            m.fail_at = at;
+            m.recovery = recovery;
+            return m;
+          };
+          StragglerModel slow;
+          slow.kind = StragglerKind::kSlowNode;
+          slow.node = 1;
+          slow.slowdown = 3.0;
+          StragglerModel shifted_exp;
+          shifted_exp.kind = StragglerKind::kShiftedExp;
+          shifted_exp.seed = 7;
+          // {model, outage-free}: a fail-stop over the Map has ended
+          // when the Shuffle starts; one inside the Shuffle or after it
+          // leaves the stage an active outage.
+          const std::pair<StragglerModel, bool> stragglers[] = {
+              {StragglerModel{}, true},
+              {slow, true},
+              {shifted_exp, true},
+              {fail_stop(0.25 * s0, 0.25 * s0), true},
+              {fail_stop(s0 + 0.25 * len, 0.25 * len), false},
+              {fail_stop(s0 + 2 * len, len), false}};
+
+          for (const auto& [straggler, no_outage] : stragglers) {
+            for (const mitigate::MitigationPolicy& policy : policies) {
+              Scenario s = base;
+              s.cluster.straggler = straggler;
+              s.mitigation = policy;
+              const ScenarioOutcome fresh = ReplayScenario(run, s);
+              const ScenarioOutcome memoized =
+                  ReplayScenario(run, s, nullptr, &memo);
+              EXPECT_EQ(OutcomeBits(memoized), OutcomeBits(fresh))
+                  << run.algorithm << " d=" << static_cast<int>(d)
+                  << " o=" << static_cast<int>(o)
+                  << " straggler=" << static_cast<int>(straggler.kind)
+                  << " fail_at=" << straggler.fail_at
+                  << " policy=" << mitigate::PolicyName(policy.kind);
+              outage_free += no_outage ? 1 : 0;
+            }
+          }
+        }
+      }
+    }
+    // One entry per outage-free network input; every other
+    // outage-free replay was served from it.
+    const std::size_t inputs = topologies.size() * 3 * 2;
+    EXPECT_EQ(memo.entries.size(), inputs);
+    EXPECT_EQ(outage_free, inputs * 4 * policies.size());
+    EXPECT_EQ(hits.value() - hits_before, outage_free - inputs);
+  }
+}
+
+TEST(NetworkMemo, ATimelineRunsTheDesAndLeavesTheMemoAlone) {
+  const ScenarioRun run =
+      BuildScenarioRun(SmallCoded(), CostModel{}, PaperScale(6000, 600000));
+  Scenario s = DegenerateScenario(6, Discipline::kParallelFullDuplex,
+                                  ReplayOrder::kPerSender);
+  NetworkMemo memo;
+  (void)ReplayScenario(run, s, nullptr, &memo);
+  ASSERT_EQ(memo.entries.size(), 1u);
+
+  auto& registry = obs::MetricRegistry::Global();
+  obs::Counter& hits = registry.counter("simscen/network_memo_hits");
+  obs::Counter& started = registry.counter("simscen/flows_started");
+  obs::Timeline alone;
+  const ScenarioOutcome a = ReplayScenario(run, s, &alone);
+  const std::uint64_t hits_before = hits.value();
+  const std::uint64_t started_before = started.value();
+  obs::Timeline with_memo;
+  const ScenarioOutcome b = ReplayScenario(run, s, &with_memo, &memo);
+  EXPECT_FALSE(alone.empty());
+  EXPECT_TRUE(with_memo == alone);
+  EXPECT_EQ(OutcomeBits(b), OutcomeBits(a));
+  EXPECT_EQ(hits.value(), hits_before);
+  // The probed replay ran the DES (it admits every flow) and stored
+  // nothing.
+  EXPECT_EQ(started.value() - started_before, run.shuffle_log.size());
+  EXPECT_EQ(memo.entries.size(), 1u);
+
+  // Without the timeline the same cell is a hit, and the DES is idle.
+  const ScenarioOutcome c = ReplayScenario(run, s, nullptr, &memo);
+  EXPECT_EQ(OutcomeBits(c), OutcomeBits(a));
+  EXPECT_EQ(hits.value(), hits_before + 1);
+  EXPECT_EQ(started.value() - started_before, run.shuffle_log.size());
 }
 
 // ---- Ordering-hook seam ----
