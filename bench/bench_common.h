@@ -1,8 +1,7 @@
-// Shared support for the bench harnesses (bench_paper's presets,
-// bench_scenarios, bench_mitigation, bench_ext_async) and the tools'
-// JSON and ledger output.
+// Shared support for bench_paper's presets and the tools' JSON and
+// ledger output.
 //
-// Each bench reruns the paper's experiment at a reduced scale
+// Each preset reruns the paper's experiment at a reduced scale
 // (default 1/100: 1.2 M records standing for the paper's 12 GB =
 // 120 M records), prices the measured counters with the calibrated
 // CostModel, and prints the paper's numbers next to the reproduced
@@ -10,12 +9,12 @@
 //
 // Environment knobs, each a whole base-10 number (anything else exits
 // 2 with the variable named):
-//   CTS_RECORDS  — executed record count (default per bench; >= 1)
+//   CTS_RECORDS  — executed record count (default per preset; >= 1)
 //   CTS_SEED     — workload seed (default 2017)
 //   CTS_TRIALS   — repeated trials of the paper tables (default 1)
 //   CTS_UNIFORM  — nonzero selects the uniform key stream
 //
-// The benches default to the kBalanced key stream: at 1/100 scale a
+// The presets default to the kBalanced key stream: at 1/100 scale a
 // uniform stream's per-value Poisson noise inflates zero-padding in
 // ways that vanish at paper scale (387 records per intermediate value
 // at 12 GB/K=20/r=5, but only ~4 at our scale). The balanced stream has
@@ -43,7 +42,7 @@
 
 namespace cts::bench {
 
-// Machine-readable bench output: every bench binary accepts
+// Machine-readable bench output: every bench_paper preset accepts
 //   --json            write BENCH_<name>.json in the working directory
 //   --json=<path>     write to an explicit path
 //   --ledger[=path]   append one run-ledger entry (obs/ledger.h) to
@@ -111,8 +110,7 @@ class JsonReport {
   // flat keys under the artifact's nested "timeline" block —
   // <prefix>/<key>/samples, .../final (the last sampled value) and
   // .../digest (the series' FNV digest XOR-folded to 32 bits, exactly
-  // representable as a JSON number) — and, when a ledger is being
-  // written, its full 64-bit digest in the entry's timeline map.
+  // representable as a JSON number).
   void add_timeline(const std::string& prefix, const obs::Timeline& tl) {
     for (const auto& [key, samples] : tl.series()) {
       const std::string base = prefix.empty() ? key : prefix + "/" + key;
@@ -123,22 +121,8 @@ class JsonReport {
           samples.empty() ? 0.0 : samples.back().value;
       timeline_[base + "/digest"] = static_cast<double>(
           (digest >> 32) ^ (digest & 0xffffffffULL));
-      ledger_timeline_[base] = obs::HexDigest(digest);
     }
   }
-
-  // Ledger identity: axes are the filterable spec coordinates of this
-  // invocation; the fingerprint defaults to the FNV hash of
-  // bench/run/axes and may be pinned explicitly (ctsort hashes the
-  // RunCache key instead, so equal cells fingerprint equal across
-  // tools).
-  void set_axis(const std::string& key, const std::string& value) {
-    axes_[key] = value;
-  }
-  void set_run(const std::string& run) { run_ = run; }
-  void set_fingerprint(const std::string& fp) { fingerprint_ = fp; }
-  bool ledger_enabled() const { return !ledger_path_.empty(); }
-  const std::string& ledger_path() const { return ledger_path_; }
 
   // Writes the artifacts. Returns true if the JSON file was written
   // (no-op without --json); the ledger entry appends independently
@@ -196,25 +180,20 @@ class JsonReport {
   }
 
  private:
+  // One entry per invocation: run = the bench name, no axes, and the
+  // fingerprint is the FNV hash of "<bench>|<bench>".
   void WriteLedger(const std::map<std::string, double>& snapshot) const {
     if (ledger_path_.empty()) return;
     obs::LedgerEntry entry;
     entry.bench = bench_name_;
-    entry.run = run_.empty() ? bench_name_ : run_;
+    entry.run = bench_name_;
     entry.code_version = obs::CodeVersion();
-    entry.axes = axes_;
     entry.values = metrics_;
     for (const auto& [key, value] : snapshot) {
       entry.values["metrics/" + key] = value;
     }
-    entry.timeline = ledger_timeline_;
-    if (!fingerprint_.empty()) {
-      entry.fingerprint = fingerprint_;
-    } else {
-      std::string identity = bench_name_ + "|" + entry.run;
-      for (const auto& [k, v] : axes_) identity += "|" + k + "=" + v;
-      entry.fingerprint = obs::HexDigest(obs::Fingerprint64(identity));
-    }
+    entry.fingerprint =
+        obs::HexDigest(obs::Fingerprint64(bench_name_ + "|" + bench_name_));
     if (!obs::AppendEntry(ledger_path_, entry)) {
       std::cerr << bench_name_ << ": cannot append to ledger "
                 << ledger_path_ << "\n";
@@ -227,12 +206,8 @@ class JsonReport {
   std::string bench_name_;
   std::string path_;
   std::string ledger_path_;
-  std::string run_;
-  std::string fingerprint_;
-  std::map<std::string, std::string> axes_;
   std::map<std::string, double> metrics_;  // sorted, deterministic
   std::map<std::string, double> timeline_;
-  std::map<std::string, std::string> ledger_timeline_;
 };
 
 // Validates the flat bench-JSON schema JsonReport emits, so the CI

@@ -9,15 +9,24 @@
 // bench/bench_common.h.
 //
 // Every preset that sorts executes each of its runs once through one
-// priced JobMatrix (Priced below): the real algorithm runs at reduced
-// scale and its measured byte/message counters are priced by the
-// EC2-calibrated cost model at the paper's 12 GB. Ablations re-price
-// those same executions under variant models or counters.
+// JobMatrix. The paper results price them (Priced below): the real
+// algorithm runs at reduced scale and its measured byte/message
+// counters are priced by the EC2-calibrated cost model at the paper's
+// 12 GB. Ablations and ext_async re-price those same executions under
+// variant models, counters or network disciplines; ext_async also
+// replays their shuffle logs through job::RunJob on the cache that
+// executed them. The scenario and mitigation sweeps replay their runs
+// under a scenario axis instead (ReplaySweep). The sweeps and
+// ext_async embed CTS_CHECK invariants (byte identity, strict replay
+// ordering, the regimes each sweep must expose), so a clean exit is
+// itself evidence.
 #include <cmath>
 #include <cstdint>
 #include <iostream>
+#include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analytics/cost_model.h"
@@ -27,8 +36,12 @@
 #include "bench/bench_common.h"
 #include "cmr/cmr.h"
 #include "combinatorics/subsets.h"
+#include "common/check.h"
 #include "common/table.h"
 #include "job/matrix.h"
+#include "job/parse.h"
+#include "mitigate/policy.h"
+#include "simscen/netsim.h"
 
 namespace {
 
@@ -92,15 +105,22 @@ void PrintComparison(const std::vector<PaperRow>& paper,
   t.render(std::cout);
 }
 
-// Executes each cell once and prices it at the paper's 12 GB with the
-// calibrated CostModel. Each execution's sorted output is released
-// after pricing; its counters stay on `execution` for re-pricing.
-job::MatrixResults Priced(std::vector<job::AlgoAxis> algos) {
+// Executes each cell once on `cache` and prices it at the paper's
+// 12 GB with the calibrated CostModel. Each execution's sorted output
+// is released after pricing; its counters stay on `execution` for
+// re-pricing.
+job::MatrixResults Priced(std::vector<job::AlgoAxis> algos,
+                          job::RunCache& cache) {
   job::JobMatrix matrix;
   matrix.algos = std::move(algos);
   matrix.backend = job::Backend::kPriced;
   matrix.paper_records = kPaperRecords;
-  return job::RunMatrix(matrix);
+  return job::RunMatrix(matrix, cache);
+}
+
+job::MatrixResults Priced(std::vector<job::AlgoAxis> algos) {
+  job::RunCache cache;
+  return Priced(std::move(algos), cache);
 }
 
 // Prints the preset's heading and run banner, and returns the
@@ -685,6 +705,512 @@ void ExtScalableCodegen(JsonReport& json) {
   json.write();
 }
 
+// Extension: asynchronous execution (paper Section VI, third future
+// direction — "explore the impact of coding in an asynchronous setting
+// with parallel communications").
+//
+// The same measured runs are priced under three network schedules:
+//
+//   serial         — the paper's setup: one sender at a time on a
+//                    shared medium (what Tables I-III report);
+//   parallel, half duplex — every node communicates concurrently, but
+//                    a node's 100 Mbps cap covers tx + rx together;
+//   parallel, full duplex — tx and rx each get the full link.
+//
+// The punchline the extension quantifies: coding slashes *transmitted*
+// bytes but every receiver still takes delivery of its full demand, so
+// once links run in parallel the bottleneck shifts from the shared
+// medium to per-node RECEIVE occupancy — which coding does not reduce.
+// Coded TeraSort's advantage is a shared-/oversubscribed-network
+// phenomenon, and asynchronous execution shrinks it.
+//
+// Beyond the closed forms, the engine EXECUTES asynchronously:
+// ShuffleSync::kOverlapped rebuilds the shuffle hot paths on
+// nonblocking isend/irecv (TeraSort posts all transfers up front,
+// CodedTeraSort fires every multicast of the round before draining,
+// CMR streams a file's values as soon as the file is mapped). Each
+// sort runs once per shuffle synchronization (cells "<label>" and
+// "<label>_overlapped"), and the flow DES (simscen::NetMakespan)
+// replays both logs: the gap between the barrier-synchronous log and
+// the overlapped log under the same parallel discipline is the cost of
+// the paper's sender-serial ordering — closable by the engine, not
+// just priced.
+void ExtAsync(JsonReport& json) {
+  const int K = 16;
+  const SortConfig base = Start(
+      "Extension: parallel (asynchronous) shuffling (K=" +
+          std::to_string(K) + ")",
+      K, 600'000);
+
+  SortConfig overlapped = base;
+  overlapped.shuffle_sync = ShuffleSync::kOverlapped;
+  std::vector<job::AlgoAxis> algos = CodedSweep(base, {3, 5});
+  for (job::AlgoAxis& axis : CodedSweep(overlapped, {3, 5})) {
+    axis.label += "_overlapped";
+    algos.push_back(std::move(axis));
+  }
+  job::RunCache cache;
+  const job::MatrixResults results = Priced(std::move(algos), cache);
+
+  // Row name and cell label of each barrier run.
+  const std::pair<std::string, std::string> runs[] = {
+      {"TeraSort", "terasort"},
+      {"CodedTeraSort r=3", "coded_r3"},
+      {"CodedTeraSort r=5", "coded_r5"},
+  };
+  const struct {
+    const char* name;
+    const char* json_key;
+    simnet::Discipline schedule;
+  } schedules[] = {
+      {"serial (paper)", "serial", simnet::Discipline::kSerial},
+      {"parallel half-duplex", "parallel_half",
+       simnet::Discipline::kParallelHalfDuplex},
+      {"parallel full-duplex", "parallel_full",
+       simnet::Discipline::kParallelFullDuplex},
+  };
+  const CostModel model;
+  const RunScale scale = PaperScale(base.num_records, kPaperRecords);
+  for (const auto& s : schedules) {
+    std::vector<StageBreakdown> rows;
+    for (const auto& [name, label] : runs) {
+      // The matrix priced the serial schedule; the parallel ones
+      // re-price the same execution.
+      const job::JobResult& run = results.at(label);
+      rows.push_back(s.schedule == simnet::Discipline::kSerial
+                         ? run.breakdown
+                         : SimulateRun(*run.execution, model, scale,
+                                       s.schedule));
+      rows.back().algorithm = name;
+      json.add(std::string(s.json_key) + "/" + label + "_total_s",
+               rows.back().total());
+    }
+    BreakdownTable(s.name, rows).render(std::cout);
+    std::cout << '\n';
+  }
+
+  // ---- Measured overlapped execution ----
+  // The transmission logs record the true initiation orders, and the
+  // discrete-event replay prices both. Closed forms assume perfect
+  // overlap; the replay shows what each initiation order actually
+  // achieves on a parallel network. Barrier logs replay in recorded
+  // (global) log order; overlapped logs replay per-sender, which is
+  // their deterministic asynchronous semantics.
+  //
+  // Paper-scale Shuffle seconds of the cell's log: the Shuffle stage of
+  // a kReplay job on the cached run under the baseline scenario.
+  const auto replay_shuffle = [&](const std::string& label,
+                                  simnet::Discipline discipline,
+                                  simnet::ReplayOrder order) {
+    job::JobSpec spec = results.at(label).spec;
+    spec.backend = job::Backend::kReplay;
+    spec.scenario = simscen::Scenario::Baseline(K);
+    spec.scenario->discipline = discipline;
+    spec.scenario->order = order;
+    return job::RunJob(spec, cache).breakdown.shuffle();
+  };
+  {
+    TextTable table(
+        "shuffle makespan from transmission-log replay (simscen::NetMakespan; "
+        "seconds at paper scale; 'overlapped' rows replay the nonblocking "
+        "engine's logs)");
+    table.set_header(
+        {"algorithm", "serial", "parallel half-dup", "parallel full-dup"});
+    for (const auto& [name, label] : runs) {
+      for (const bool over : {false, true}) {
+        const std::string cell = over ? label + "_overlapped" : label;
+        const auto order = over ? simnet::ReplayOrder::kPerSender
+                                : simnet::ReplayOrder::kLogOrder;
+        table.add_row(
+            {name + (over ? " overlapped" : " barrier"),
+             TextTable::Num(replay_shuffle(cell, simnet::Discipline::kSerial,
+                                           simnet::ReplayOrder::kLogOrder)),
+             TextTable::Num(replay_shuffle(
+                 cell, simnet::Discipline::kParallelHalfDuplex, order)),
+             TextTable::Num(replay_shuffle(
+                 cell, simnet::Discipline::kParallelFullDuplex, order))});
+      }
+    }
+    table.render(std::cout);
+    std::cout << '\n';
+  }
+
+  // The engine claims, enforced: at K=16, r>1, the overlapped
+  // initiation order replayed on parallel links lands strictly below
+  // the paper's serial schedule, while moving byte-identical traffic.
+  CTS_CHECK_LT(replay_shuffle("coded_r3_overlapped",
+                              simnet::Discipline::kParallelFullDuplex,
+                              simnet::ReplayOrder::kPerSender),
+               replay_shuffle("coded_r3", simnet::Discipline::kSerial,
+                              simnet::ReplayOrder::kLogOrder));
+  CTS_CHECK_EQ(results.at("coded_r3")
+                   .execution->traffic.at(stage::kShuffle)
+                   .transmitted_bytes(),
+               results.at("coded_r3_overlapped")
+                   .execution->traffic.at(stage::kShuffle)
+                   .transmitted_bytes());
+
+  // ---- Generic CMR engine: pipelined map/shuffle overlap ----
+  // K=16, r=2 Grep: the uncoded engine streams each file's values as
+  // soon as the file is mapped; the coded engine posts the round's
+  // multicasts before draining. Loads are byte-identical to the
+  // barrier runs — overlap changes WHEN bytes move, never how many.
+  // The registry's "cmr" entry runs WordCount, so this section calls
+  // the engine directly, as fig2 does.
+  {
+    const int r = 2;
+    const auto app = cmr::MakeGrepApp("e", /*records_per_file=*/200);
+    cmr::CmrConfig cc;
+    cc.num_nodes = K;
+    cc.redundancy = r;
+    cc.seed = EnvU64("CTS_SEED", 2017);
+
+    // The paper testbed's links, from the constants CostModel uses.
+    const simscen::Topology rack = simscen::Topology::SingleRack(K);
+
+    TextTable table(
+        "CMR Grep K=16 r=2: barrier vs overlapped shuffle "
+        "(simscen::NetMakespan replay seconds at executed scale)");
+    table.set_header({"mode", "payload load L", "serial replay",
+                      "overlap full-dup replay", "vs serial"});
+    for (const cmr::ShuffleMode mode :
+         {cmr::ShuffleMode::kUncoded, cmr::ShuffleMode::kCoded}) {
+      cc.mode = mode;
+      cc.sync = ShuffleSync::kBarrier;
+      const cmr::CmrResult barrier = cmr::RunCmr(*app, cc);
+      cc.sync = ShuffleSync::kOverlapped;
+      const cmr::CmrResult over = cmr::RunCmr(*app, cc);
+
+      // Byte-identity: the overlap moves exactly the same traffic.
+      CTS_CHECK_EQ(barrier.shuffled_payload_bytes,
+                   over.shuffled_payload_bytes);
+      CTS_CHECK_EQ(barrier.total_iv_bytes, over.total_iv_bytes);
+      CTS_CHECK_EQ(barrier.traffic.at(stage::kShuffle).transmitted_bytes(),
+                   over.traffic.at(stage::kShuffle).transmitted_bytes());
+
+      const double serial = simscen::NetMakespan(
+          barrier.shuffle_log, rack, simnet::Discipline::kSerial);
+      const double parallel = simscen::NetMakespan(
+          over.shuffle_log, rack, simnet::Discipline::kParallelFullDuplex,
+          simnet::ReplayOrder::kPerSender);
+      CTS_CHECK_LT(parallel, serial);  // K=16, r>1: strictly below
+      table.add_row(
+          {mode == cmr::ShuffleMode::kCoded ? "coded" : "uncoded",
+           TextTable::Num(barrier.measured_payload_load(), 4) + " == " +
+               TextTable::Num(over.measured_payload_load(), 4),
+           TextTable::Num(serial, 4), TextTable::Num(parallel, 4),
+           TextTable::Num(serial / parallel, 2) + "x"});
+    }
+    table.render(std::cout);
+    std::cout << '\n';
+  }
+
+  std::cout << "Under parallel schedules TeraSort's shuffle already drops\n"
+               "~K-fold, while coded receivers still must take delivery of\n"
+               "their full partitions — the coding speedup narrows toward\n"
+               "(and below) 1. Coding pays when the network is serialized\n"
+               "or oversubscribed, exactly the regime the paper evaluates.\n"
+               "The overlapped rows show the engine can now realize the\n"
+               "parallel schedules the closed forms only assumed.\n";
+  json.write();
+}
+
+// The replay sweeps below: TeraSort and CodedTeraSort at r = 3 and 5 on
+// `base` (cells "terasort", "coded_r3", "coded_r5"), reported at the
+// paper's 12 GB; each preset adds its scenario (and policy) axes.
+job::JobMatrix ReplaySweep(const SortConfig& base) {
+  job::JobMatrix matrix;
+  matrix.algos = CodedSweep(base, {3, 5});
+  matrix.backend = job::Backend::kReplay;
+  matrix.paper_records = kPaperRecords;
+  return matrix;
+}
+
+// The sweeps' network: a parallel full-duplex fabric with per-sender
+// initiation (the asynchronous setting of paper Section VI) on a
+// homogeneous single rack.
+simscen::Scenario Fabric(int K) {
+  simscen::Scenario scenario = simscen::Scenario::Baseline(K);
+  scenario.discipline = simnet::Discipline::kParallelFullDuplex;
+  scenario.order = simnet::ReplayOrder::kPerSender;
+  return scenario;
+}
+
+// Evaluates a replay sweep: one execution per algorithm, every cell a
+// replay of it.
+job::MatrixResults Replayed(const job::JobMatrix& matrix) {
+  job::MatrixResults results = job::RunMatrix(matrix);
+  CTS_CHECK_EQ(results.executions(), static_cast<int>(matrix.algos.size()));
+  return results;
+}
+
+// Scenario sweep: straggler intensity × core oversubscription × r.
+//
+// The paper evaluates a homogeneous cluster behind a serial shared
+// medium — the regime where Coded TeraSort shines. This preset replays
+// the SAME measured runs (compute records + transmission logs) through
+// the scenario engine (src/simscen) across the two axes that flip the
+// tradeoff:
+//
+//   * a straggling node stretches the redundant r× Map phase and
+//     erodes the coding gain (TeraSort wins under strong stragglers);
+//   * an oversubscribed core starves cross-rack shuffle traffic and
+//     restores it (CodedTeraSort moves ~r× fewer bytes through the
+//     core and wins when it is scarce).
+//
+// 3 algorithm cells × 16 scenario cells: 48 replayed cells off 3
+// executions, on the sweeps' fabric with 2 nodes per rack once the
+// core is oversubscribed.
+void Scenarios(JsonReport& json) {
+  const int K = 8;
+  const int kNodesPerRack = 2;
+  const SortConfig base = Start(
+      "Scenario sweep: straggler x oversubscription x r (K=" +
+          std::to_string(K) + ", " + std::to_string(kNodesPerRack) +
+          " nodes/rack)",
+      K, 120'000);
+
+  job::JobMatrix matrix = ReplaySweep(base);
+  const std::vector<double> slowdowns = {1.0, 2.0, 4.0, 8.0};
+  const std::vector<double> oversubs = {0.0, 4.0, 16.0, 64.0};  // 0 = no racks
+  const auto cell_label = [](double slowdown, double oversub) {
+    return "slow" + TextTable::Num(slowdown, 0) + "_over" +
+           TextTable::Num(oversub, 0);
+  };
+  for (const double slowdown : slowdowns) {
+    for (const double oversub : oversubs) {
+      simscen::Scenario scenario = Fabric(K);
+      if (slowdown > 1.0) {
+        scenario.cluster.straggler.kind = simscen::StragglerKind::kSlowNode;
+        scenario.cluster.straggler.node = 0;
+        scenario.cluster.straggler.slowdown = slowdown;
+      }
+      if (oversub > 0.0) {
+        scenario.topology =
+            simscen::Topology::Oversubscribed(K, kNodesPerRack, oversub);
+      }
+      matrix.scenarios.push_back({cell_label(slowdown, oversub), scenario});
+    }
+  }
+  const job::MatrixResults results = Replayed(matrix);
+
+  TextTable table(
+      "paper-scale makespan (s): parallel full-duplex fabric, "
+      "per-sender initiation");
+  table.set_header({"slowdown", "oversub", "TeraSort", "Coded r=3",
+                    "Coded r=5", "winner"});
+  int terasort_wins = 0;
+  int coded_wins = 0;
+  for (const double slowdown : slowdowns) {
+    for (const double oversub : oversubs) {
+      const std::string cell = cell_label(slowdown, oversub);
+      std::vector<double> totals;
+      std::size_t best = 0;
+      for (std::size_t i = 0; i < matrix.algos.size(); ++i) {
+        const double t = results.at(matrix.algos[i].label, cell).makespan;
+        totals.push_back(t);
+        json.add(cell + "/" + matrix.algos[i].label + "_total_s", t);
+        if (t < totals[best]) best = i;
+      }
+      if (best == 0) {
+        ++terasort_wins;
+      } else {
+        ++coded_wins;
+      }
+      json.add(cell + "/coded_wins", best == 0 ? 0.0 : 1.0);
+      table.add_row({TextTable::Num(slowdown, 0), TextTable::Num(oversub, 0),
+                     TextTable::Num(totals[0]), TextTable::Num(totals[1]),
+                     TextTable::Num(totals[2]),
+                     best == 0 ? "TeraSort" : "Coded r=" +
+                         std::string(best == 1 ? "3" : "5")});
+    }
+  }
+  table.render(std::cout);
+
+  json.add("regimes/terasort_wins", terasort_wins);
+  json.add("regimes/coded_wins", coded_wins);
+  std::cout << "\nregimes won — TeraSort: " << terasort_wins
+            << ", CodedTeraSort: " << coded_wins << "\n";
+  std::cout
+      << "On the fast fabric the r× Map (plus a straggler stretching it\n"
+         "r× further) hands the win to TeraSort; once the core is\n"
+         "oversubscribed the coded shuffle's ~r×-smaller cross-rack\n"
+         "footprint dominates and Coded TeraSort takes it back —\n"
+         "the paper's tradeoff, now priced per scenario.\n";
+  CTS_CHECK_GT(terasort_wins, 0);
+  CTS_CHECK_GT(coded_wins, 0);
+  json.write();
+}
+
+// Mitigation sweep: straggler scenario × mitigation policy × r.
+//
+// The scenario engine prices stragglers; src/mitigate acts on them.
+// This preset replays the same measured runs under a straggler sweep,
+// pricing all three policies head-to-head on every cell:
+//
+//   none  — the paper's wait-for-the-slowest barrier;
+//   spec  — speculative re-execution (quantile-triggered backups);
+//   coded — [11]-style K-of-N coded Map completion, exploiting the
+//           C(K, r) placement: the Map barrier tolerates r-1
+//           stragglers at zero extra traffic.
+//
+// 3 algorithm cells × 6 straggler scenarios × 3 policies = 54 cells
+// replayed off 3 executions, on the sweeps' fabric (the mitigation
+// story is orthogonal to core contention, which `scenarios` sweeps).
+// Straggler scenarios are built from the same textual specs ctsort
+// accepts (job::ParseStraggler), so a sweep cell and a CLI invocation
+// mean the same experiment.
+//
+// The headline regime: under a fail-stop outage that ends before the
+// post-Map stages need the node, the coded barrier releases the
+// instant K-r+1 nodes finish — beating both no-mitigation (which
+// waits out the outage) and speculation (whose trigger fires too late
+// to beat a short outage). The crossover is also in the sweep: as the
+// outage stretches past the Map, the un-droppable later-stage
+// barriers gate the coded run while speculation re-executes those
+// shares too, and the winner flips.
+void Mitigation(JsonReport& json) {
+  const int K = 8;
+  const SortConfig base = Start(
+      "Mitigation sweep: straggler x policy x r (K=" + std::to_string(K) +
+          ")",
+      K, 120'000);
+
+  job::JobMatrix matrix = ReplaySweep(base);
+  // Straggler axis, described in the shared ctsort spec syntax. The
+  // fail-stop outages grow in length, all striking 2 s into the run
+  // (inside every algorithm's Map, which spans ~11-90 s at paper
+  // scale): the shortest outage ends while the Map is still running —
+  // the node rejoins before any later barrier needs it, so the coded
+  // Map absorbs the failure outright. The sweep then walks the outage
+  // past the Map end, where the un-droppable later-stage barriers
+  // take over and the winner flips.
+  const std::pair<std::string, std::string> stragglers[] = {
+      {"healthy", "none"},
+      {"slow4", "slow:0:4"},
+      {"exp1_05", "exp:1:0.5"},
+      {"fail8", "failstop:2:8:0"},
+      {"fail60", "failstop:2:60:0"},
+      {"fail1200", "failstop:2:1200:0"},
+  };
+  for (const auto& [label, spec] : stragglers) {
+    std::string error;
+    const auto model = job::ParseStraggler(spec, K, &error);
+    CTS_CHECK_MSG(model.has_value(), "bad straggler spec: " << error);
+    simscen::Scenario scenario = Fabric(K);
+    scenario.cluster.straggler = *model;
+    matrix.scenarios.push_back({label, scenario});
+  }
+  for (const auto& policy :
+       {mitigate::MitigationPolicy::None(),
+        mitigate::MitigationPolicy::Speculative(),
+        mitigate::MitigationPolicy::CodedMap()}) {
+    matrix.policies.push_back({mitigate::PolicyName(policy.kind), policy});
+  }
+  const job::MatrixResults results = Replayed(matrix);
+
+  TextTable table(
+      "paper-scale makespan (s) per mitigation policy; waste in "
+      "parentheses (thrown-away compute-seconds)");
+  table.set_header({"straggler", "algorithm", "none", "spec", "coded",
+                    "winner"});
+  // Makespan and waste per (straggler, algorithm) and policy.
+  struct Cell {
+    double total = 0;
+    double wasted = 0;
+  };
+  std::map<std::string, std::map<std::string, std::vector<Cell>>> cells;
+  for (const auto& strag : matrix.scenarios) {
+    for (const auto& algo : matrix.algos) {
+      std::vector<Cell> row;
+      std::vector<std::string> rendered;
+      std::size_t best = 0;
+      for (const auto& policy : matrix.policies) {
+        const job::JobResult& result =
+            results.at(algo.label, strag.label, policy.label);
+        Cell cell{result.makespan, result.wasted_seconds};
+        json.add(strag.label + "/" + algo.label + "/" + policy.label +
+                     "_total_s",
+                 cell.total);
+        json.add(strag.label + "/" + algo.label + "/" + policy.label +
+                     "_wasted_s",
+                 cell.wasted);
+        std::string text = TextTable::Num(cell.total);
+        if (cell.wasted > 0) {
+          text += " (" + TextTable::Num(cell.wasted) + ")";
+        }
+        rendered.push_back(std::move(text));
+        row.push_back(cell);
+      }
+      for (std::size_t p = 0; p < row.size(); ++p) {
+        if (row[p].total < row[best].total) best = p;
+      }
+      table.add_row({strag.label, algo.label, rendered[0], rendered[1],
+                     rendered[2], matrix.policies[best].label});
+      cells[strag.label][algo.label] = row;
+    }
+  }
+  table.render(std::cout);
+
+  // ---- The regimes the sweep must expose ----
+  // (Indices: 0 = none, 1 = spec, 2 = coded.)
+
+  // Healthy cluster: no policy may hurt (equal-split stages mean no
+  // node is late enough to trigger anything).
+  for (const auto& algo : matrix.algos) {
+    const auto& row = cells["healthy"][algo.label];
+    CTS_CHECK_LE(row[1].total, row[0].total * 1.0001);
+    CTS_CHECK_LE(row[2].total, row[0].total * 1.0001);
+  }
+
+  // Short fail-stop outage: the K-of-N coded Map beats BOTH
+  // no-mitigation and speculation on the coded runs — the node is
+  // back before anyone needs it again, so the Map barrier was the
+  // whole cost and the placement absorbs it.
+  int coded_policy_wins = 0;
+  for (const std::string algo : {"coded_r3", "coded_r5"}) {
+    const auto& row = cells["fail8"][algo];
+    if (row[2].total < row[0].total && row[2].total < row[1].total) {
+      ++coded_policy_wins;
+    }
+  }
+  CTS_CHECK_GT(coded_policy_wins, 0);
+  json.add("regimes/coded_policy_wins", coded_policy_wins);
+
+  // Crossover: once the outage outlasts the Map, the un-droppable
+  // later-stage barriers gate the coded policy while speculation
+  // re-executes those shares too — the winner flips within the same
+  // sweep.
+  int spec_policy_wins = 0;
+  for (const std::string algo : {"coded_r3", "coded_r5"}) {
+    const auto& row = cells["fail1200"][algo];
+    if (row[1].total < row[2].total) ++spec_policy_wins;
+  }
+  CTS_CHECK_GT(spec_policy_wins, 0);
+  json.add("regimes/spec_policy_wins", spec_policy_wins);
+
+  // Plain TeraSort has no replicated inputs: the coded policy must
+  // degenerate to none on every scenario.
+  for (const auto& [scen, algo_rows] : cells) {
+    const auto& row = algo_rows.at("terasort");
+    CTS_CHECK_LE(std::abs(row[2].total - row[0].total),
+                 row[0].total * 1e-9);
+  }
+
+  std::cout << "\ncoded-policy wins (short outages, coded runs): "
+            << coded_policy_wins
+            << "; speculation wins (fail1200 crossover): "
+            << spec_policy_wins << "\n";
+  std::cout
+      << "A short outage is absorbed by the r-replicated placement —\n"
+         "the Map barrier releases at K-r+1 completions and the node\n"
+         "is back before the next stage needs it. Stretch the outage\n"
+         "past the Map and the later (unreplicated) barriers dominate:\n"
+         "speculative re-execution, which also re-runs those shares,\n"
+         "takes the win — the crossover this sweep prices.\n";
+  json.write();
+}
+
 struct Preset {
   std::string_view name;
   void (*run)(JsonReport&);
@@ -702,6 +1228,9 @@ constexpr Preset kPresets[] = {
     {"ablation_codegen", AblationCodegen},
     {"ablation_straggler", AblationStraggler},
     {"ext_scalable_codegen", ExtScalableCodegen},
+    {"ext_async", ExtAsync},
+    {"scenarios", Scenarios},
+    {"mitigation", Mitigation},
 };
 
 }  // namespace

@@ -212,11 +212,6 @@ struct DollarCost {
     CTS_CHECK_GE(cross_rack_bytes, 0.0);
     return cross_rack_bytes / 1e9 * cross_rack_usd_per_gb;
   }
-  double total_usd(double makespan_seconds, int num_nodes,
-                   double cross_rack_bytes) const {
-    return compute_usd(makespan_seconds, num_nodes) +
-           egress_usd(cross_rack_bytes);
-  }
 };
 
 }  // namespace cts

@@ -43,14 +43,6 @@ NodeId MinMember(NodeMask mask) {
 
 }  // namespace
 
-double CmrResult::measured_load() const {
-  CTS_CHECK_GT(total_iv_bytes, std::uint64_t{0});
-  const auto it = traffic.find(stage::kShuffle);
-  if (it == traffic.end()) return 0;
-  return static_cast<double>(it->second.transmitted_bytes()) /
-         static_cast<double>(total_iv_bytes);
-}
-
 double CmrResult::measured_payload_load() const {
   CTS_CHECK_GT(total_iv_bytes, std::uint64_t{0});
   return static_cast<double>(shuffled_payload_bytes) /

@@ -110,12 +110,9 @@ struct CmrResult {
   std::vector<std::string> stage_order;
   ComputeLog compute_events;
 
-  // Measured communication load on the wire (includes packet framing):
-  // transmitted bytes / total IV bytes (the paper's L).
-  double measured_load() const;
-
-  // Load on payloads only — matches eq. (2) exactly up to zero-padding
-  // of ragged segments.
+  // Measured communication load on payloads (the paper's L): shuffled
+  // payload bytes / total IV bytes, without packet framing. Matches
+  // eq. (2) exactly up to zero-padding of ragged segments.
   double measured_payload_load() const;
 };
 

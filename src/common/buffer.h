@@ -268,7 +268,6 @@ class BufferArena {
     pool_.push_back(std::move(bytes));
   }
 
-  std::size_t pooled() const { return pool_.size(); }
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
 

@@ -6,8 +6,9 @@
 // algorithm axis costs anything: each distinct (algorithm, SortConfig)
 // executes on the thread harness exactly once, and every scenario ×
 // policy cell replays that one measured run (the RunCache memoization
-// the bench sweeps rely on — bench_scenarios replays 16 scenarios and
-// bench_mitigation 18 scenario×policy cells off 3 executions each).
+// bench_paper's sweeps rely on — its `scenarios` preset replays 16
+// scenarios and `mitigation` 18 scenario×policy cells off 3 executions
+// each).
 #pragma once
 
 #include <array>

@@ -68,7 +68,6 @@ class World {
   // stamp order — empty unless TransportRecorder::RequestCapture(true)
   // was set before construction. Call after the node threads joined.
   TransportLog transport_log() const { return recorder_.Snapshot(); }
-  bool transport_capture_armed() const { return recorder_.armed(); }
 
   // ---- Collective split rendezvous (backs Comm::split) ----
   //

@@ -344,12 +344,4 @@ ScenarioOutcome ReplayScenario(const ScenarioRun& run,
   return out;
 }
 
-ScenarioOutcome ReplayScenario(const AlgorithmResult& result,
-                               const CostModel& model, const RunScale& scale,
-                               const Scenario& scenario,
-                               obs::Timeline* timeline) {
-  return ReplayScenario(BuildScenarioRun(result, model, scale), scenario,
-                        timeline);
-}
-
 }  // namespace cts::simscen

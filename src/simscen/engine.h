@@ -187,10 +187,4 @@ ScenarioOutcome ReplayScenario(const ScenarioRun& run,
                                obs::Timeline* timeline = nullptr,
                                NetworkMemo* memo = nullptr);
 
-// Convenience: build + replay a sorting run at paper scale.
-ScenarioOutcome ReplayScenario(const AlgorithmResult& result,
-                               const CostModel& model, const RunScale& scale,
-                               const Scenario& scenario,
-                               obs::Timeline* timeline = nullptr);
-
 }  // namespace cts::simscen

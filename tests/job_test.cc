@@ -355,6 +355,21 @@ TEST(Cli, BadShapesAndTyposExitTwo) {
     EXPECT_EQ(status(ctcheck, std::string(args) + " --quiet"), 2)
         << "ctcheck " << args;
   }
+  // An empty grid axis would certify zero cells; an empty --outages
+  // only asks for no outage cells.
+  for (const char* args :
+       {"--algos= --nodes=4", "--redundancies= --nodes=4", "--nodes=",
+        "--topologies= --nodes=4", "--disciplines= --nodes=4",
+        "--orders= --nodes=4"}) {
+    EXPECT_EQ(status(ctcheck, std::string(args) + " --records=4000 --quiet"),
+              2)
+        << "ctcheck " << args;
+  }
+  EXPECT_EQ(status(ctcheck,
+                   "--algos=terasort --nodes=4 --records=4000 "
+                   "--topologies=flat --disciplines=full --orders=log "
+                   "--outages= --quiet"),
+            0);
   // Each knob is set through the shell's environment prefix.
   for (const char* env :
        {"CTS_RECORDS=0", "CTS_RECORDS=abc", "CTS_RECORDS=-5",
@@ -401,13 +416,16 @@ TEST(Cli, OverlappedShuffleSorts) {
   EXPECT_NE(out.find("teravalidate: OK"), std::string::npos) << out;
 }
 
-// bench_paper's four fast presets at 20 000 records print the flat JSON
-// values below, which were recorded from the per-result bench binaries
-// the driver replaced (one per preset, same names and knobs). The
-// priced values are a function of the measured counters, so they pin
-// the whole execute-and-price path; EXPECT_DOUBLE_EQ leaves room for
-// last-ulp drift in sums taken in the shuffle log's order, which is a
-// thread race.
+// bench_paper's four fast presets and its two replay sweeps at 20 000
+// records print the flat JSON values below, which were recorded from
+// the per-result bench binaries the driver replaced (one per preset,
+// same names and knobs). The priced values are a function of the
+// measured counters, so they pin the whole execute-and-price path;
+// EXPECT_DOUBLE_EQ leaves room for last-ulp drift in sums taken in the
+// shuffle log's order, which is a thread race. The sweeps replay in
+// per-sender order, which reproduces exactly, so each of their 66 and
+// 110 values is pinned bit for bit through one FNV digest of the
+// sorted "key=%.17g" lines.
 TEST(Cli, PaperPresetsArePinned) {
   const char* bench_paper = std::getenv("BENCH_PAPER_BIN");
   if (bench_paper == nullptr) {
@@ -477,7 +495,17 @@ TEST(Cli, PaperPresetsArePinned) {
         {"s8.0/speedup", 1.2799736595319617},
         {"s8.0/terasort_total_s", 1072.655039789349}}},
   };
-  for (const auto& [preset, values] : pinned) {
+  const std::map<std::string, std::pair<std::size_t, std::string>>
+      digests = {
+          {"scenarios", {66, "5723eee42a8881fb"}},
+          {"mitigation", {110, "9573b2aceb21766a"}},
+      };
+  // Runs `preset` at the pinned knobs and returns its artifact's flat
+  // keys (everything but the registry and timeline blocks), checking
+  // the schema and that `required` are among them.
+  const auto flat_values = [bench_paper](
+                               const std::string& preset,
+                               const std::vector<std::string>& required) {
     const std::string path =
         ::testing::TempDir() + "/bench_paper_" + preset + ".json";
     const int s = std::system(
@@ -485,17 +513,17 @@ TEST(Cli, PaperPresetsArePinned) {
          std::string(bench_paper) + " " + preset + " --json=" + path +
          " > /dev/null 2>&1")
             .c_str());
-    ASSERT_TRUE(WIFEXITED(s) && WEXITSTATUS(s) == 0) << preset;
+    EXPECT_TRUE(WIFEXITED(s) && WEXITSTATUS(s) == 0) << preset;
     std::ifstream in(path);
     std::ostringstream content;
     content << in.rdbuf();
-    std::vector<std::string> required;
-    for (const auto& [key, value] : values) required.push_back(key);
+    std::remove(path.c_str());
     EXPECT_EQ(bench::CheckBenchJsonSchema(content.str(), required), "")
         << preset;
     obs::LedgerEntry entry;
     std::string error;
-    ASSERT_TRUE(obs::ParseBenchJson(content.str(), &entry, &error)) << error;
+    EXPECT_TRUE(obs::ParseBenchJson(content.str(), &entry, &error))
+        << preset << ": " << error;
     EXPECT_EQ(entry.bench, preset);
     std::map<std::string, double> flat;
     for (const auto& [key, value] : entry.values) {
@@ -503,11 +531,29 @@ TEST(Cli, PaperPresetsArePinned) {
         flat[key] = value;
       }
     }
+    return flat;
+  };
+  for (const auto& [preset, values] : pinned) {
+    std::vector<std::string> required;
+    for (const auto& [key, value] : values) required.push_back(key);
+    std::map<std::string, double> flat = flat_values(preset, required);
     EXPECT_EQ(flat.size(), values.size()) << preset;
     for (const auto& [key, value] : values) {
       EXPECT_DOUBLE_EQ(flat[key], value) << preset << " " << key;
     }
-    std::remove(path.c_str());
+  }
+  for (const auto& [preset, pin] : digests) {
+    const std::map<std::string, double> flat = flat_values(preset, {});
+    std::string lines;
+    for (const auto& [key, value] : flat) {
+      char text[32];
+      std::snprintf(text, sizeof text, "%.17g", value);
+      lines += key + "=" + text + "\n";
+    }
+    EXPECT_EQ(flat.size(), pin.first) << preset;
+    EXPECT_EQ(obs::HexDigest(obs::Fingerprint64(lines)), pin.second)
+        << preset << " flat values:\n"
+        << lines;
   }
 }
 
@@ -520,33 +566,40 @@ TEST(Cli, ReplayTableMatchesScenarioShuffle) {
   if (ctsort == nullptr) {
     GTEST_SKIP() << "CTSORT_BIN not set (run through ctest)";
   }
-  int status = -1;
-  const std::string out =
-      Capture(std::string(ctsort) +
-                  " --algo=coded --nodes=12 --redundancy=3 --records=12000"
-                  " --dist=balanced --paper-records=120000000 --no-verify"
-                  " --discipline=full --order=per-sender --scenario",
-              &status);
-  ASSERT_EQ(status, 0) << out;
-  // Cell `index` of the CodedTeraSort row in the table titled `title`
-  // (cell 0 is the empty text before the first bar).
-  const auto cell = [&out](const std::string& title, int index) {
-    std::istringstream in(out.substr(std::min(out.find(title), out.size())));
-    std::string line;
-    while (std::getline(in, line) && line.rfind("| CodedTeraSort |", 0) != 0) {
-    }
-    std::istringstream row(line);
-    std::string text;
-    for (int i = 0; i <= index; ++i) std::getline(row, text, '|');
-    std::string word;
-    std::istringstream(text) >> word;
-    return word;
-  };
-  // | algorithm | discipline | order | seconds | against the
-  // projection's | Algorithm | CodeGen | Map | Pack/Encode | Shuffle |.
-  const std::string replayed = cell("shuffle makespan", 4);
-  ASSERT_FALSE(replayed.empty()) << out;
-  EXPECT_EQ(replayed, cell("scenario projection", 5)) << out;
+  // At the paper's 12 GB, and at executed scale (--paper-records=0),
+  // which the replay table must accept as the projection does.
+  for (const char* paper_records : {"120000000", "0"}) {
+    int status = -1;
+    const std::string out =
+        Capture(std::string(ctsort) +
+                    " --algo=coded --nodes=12 --redundancy=3 --records=12000"
+                    " --dist=balanced --paper-records=" + paper_records +
+                    " --no-verify --discipline=full --order=per-sender"
+                    " --scenario",
+                &status);
+    ASSERT_EQ(status, 0) << out;
+    // Cell `index` of the CodedTeraSort row in the table titled `title`
+    // (cell 0 is the empty text before the first bar).
+    const auto cell = [&out](const std::string& title, int index) {
+      std::istringstream in(
+          out.substr(std::min(out.find(title), out.size())));
+      std::string line;
+      while (std::getline(in, line) &&
+             line.rfind("| CodedTeraSort |", 0) != 0) {
+      }
+      std::istringstream row(line);
+      std::string text;
+      for (int i = 0; i <= index; ++i) std::getline(row, text, '|');
+      std::string word;
+      std::istringstream(text) >> word;
+      return word;
+    };
+    // | algorithm | discipline | order | seconds | against the
+    // projection's | Algorithm | CodeGen | Map | Pack/Encode | Shuffle |.
+    const std::string replayed = cell("shuffle makespan", 4);
+    ASSERT_FALSE(replayed.empty()) << out;
+    EXPECT_EQ(replayed, cell("scenario projection", 5)) << out;
+  }
 }
 
 // The matrix memoizes the live execution per (algorithm, SortConfig)

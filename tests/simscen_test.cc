@@ -932,7 +932,7 @@ TEST(ReplayScenario, DegenerateMatchesAnalyticsBreakdown) {
     const StageBreakdown closed =
         SimulateRun(result, model, scale, Discipline::kSerial);
     const ScenarioOutcome out = ReplayScenario(
-        result, model, scale,
+        BuildScenarioRun(result, model, scale),
         DegenerateScenario(result.config.num_nodes, Discipline::kSerial,
                            ReplayOrder::kLogOrder));
     // Compute stages must agree with the closed-form max-over-nodes.
@@ -963,11 +963,11 @@ TEST(ReplayScenario, DegenerateShuffleIsScaledNetMakespan) {
   const double correction =
       ComputeShuffleScaling(result, model, scale).correction;
   const Topology rack = Topology::SingleRack(result.config.num_nodes);
+  const ScenarioRun run = BuildScenarioRun(result, model, scale);
   for (const Discipline d : kAllDisciplines) {
     for (const ReplayOrder o : kAllOrders) {
       const ScenarioOutcome out = ReplayScenario(
-          result, model, scale,
-          DegenerateScenario(result.config.num_nodes, d, o));
+          run, DegenerateScenario(result.config.num_nodes, d, o));
       const double expect =
           NetMakespan(result.shuffle_log, rack, d, o) * correction;
       EXPECT_NEAR(out.breakdown().stage(stage::kShuffle), expect,
@@ -989,8 +989,9 @@ TEST(ReplayScenario, SlowNodeStretchesMapAndTotal) {
   straggled.cluster.straggler.node = 0;
   straggled.cluster.straggler.slowdown = 4.0;
 
-  const ScenarioOutcome b = ReplayScenario(result, model, scale, base);
-  const ScenarioOutcome s = ReplayScenario(result, model, scale, straggled);
+  const ScenarioRun run = BuildScenarioRun(result, model, scale);
+  const ScenarioOutcome b = ReplayScenario(run, base);
+  const ScenarioOutcome s = ReplayScenario(run, straggled);
   EXPECT_GT(s.makespan, b.makespan);
   // The balanced workload spreads Map evenly, so the slow node
   // dominates and the Map span stretches by ~the full slowdown.
@@ -1105,19 +1106,18 @@ TEST(ReplayScenario, OversubscribedCoreFlipsTheWinner) {
   // footprint wins.
   const CostModel model;
   const RunScale scale = PaperScale(6000, 2400000);
-  const AlgorithmResult ts = SmallTeraSort();
-  const AlgorithmResult cts = SmallCoded();
+  const ScenarioRun ts = BuildScenarioRun(SmallTeraSort(), model, scale);
+  const ScenarioRun cts = BuildScenarioRun(SmallCoded(), model, scale);
 
   Scenario fast = DegenerateScenario(6, Discipline::kParallelFullDuplex,
                                      ReplayOrder::kPerSender);
-  const double ts_fast = ReplayScenario(ts, model, scale, fast).makespan;
-  const double cts_fast = ReplayScenario(cts, model, scale, fast).makespan;
+  const double ts_fast = ReplayScenario(ts, fast).makespan;
+  const double cts_fast = ReplayScenario(cts, fast).makespan;
 
   Scenario congested = fast;
   congested.topology = Topology::Oversubscribed(6, 2, 64.0);
-  const double ts_slow = ReplayScenario(ts, model, scale, congested).makespan;
-  const double cts_slow =
-      ReplayScenario(cts, model, scale, congested).makespan;
+  const double ts_slow = ReplayScenario(ts, congested).makespan;
+  const double cts_slow = ReplayScenario(cts, congested).makespan;
 
   // Congestion must hurt TeraSort (bigger cross-rack footprint) more.
   EXPECT_GT(ts_slow / ts_fast, cts_slow / cts_fast);

@@ -24,11 +24,14 @@
 //   --disciplines=half,full    serial | half | full
 //   --orders=log,per-sender    log | per-sender
 //   --outages=0:0.25:0.25      NODE:STARTFRAC:DURFRAC list; fractions
-//                              of the cell's no-outage makespan
+//                              of the cell's no-outage makespan (empty:
+//                              no outage cells)
 //   --budget=150               ordering-exploration budget per cell
 //   --min-orderings=0          fail outage cells exploring fewer
 //   --json=PATH                bench-schema JSON artifact
 //   --quiet                    suppress the text table
+// Every list but --outages needs at least one entry; an empty one
+// (--algos=) exits 2.
 #include <cstdint>
 #include <iostream>
 #include <optional>
@@ -51,6 +54,15 @@ using namespace cts;
 using cts::tools::Flags;
 using cts::tools::ParseIntList;
 using cts::tools::Split;
+
+// A grid axis given empty (--algos=) would certify zero cells.
+template <typename T>
+std::vector<T> NonEmpty(std::vector<T> axis, const char* flag) {
+  if (axis.empty()) {
+    Flags::Fail(std::string("--") + flag + " needs at least one entry");
+  }
+  return axis;
+}
 
 check::OutageSpec ParseOutage(const std::string& spec) {
   const std::vector<std::string> parts = Split(spec, ':');
@@ -79,16 +91,22 @@ check::OutageSpec ParseOutage(const std::string& spec) {
 int main(int argc, char** argv) {
   Flags flags(argc, argv, "ctcheck");
 
-  const auto algos = Split(flags.Get("algos", "terasort,coded"));
-  const auto redundancies =
-      ParseIntList(flags.Get("redundancies", "2"), "redundancy");
-  const auto nodes = ParseIntList(flags.Get("nodes", "8"), "node count");
+  const auto algos =
+      NonEmpty(Split(flags.Get("algos", "terasort,coded")), "algos");
+  const auto redundancies = NonEmpty(
+      ParseIntList(flags.Get("redundancies", "2"), "redundancy"),
+      "redundancies");
+  const auto nodes =
+      NonEmpty(ParseIntList(flags.Get("nodes", "8"), "node count"), "nodes");
   const std::uint64_t records = flags.GetU64("records", 40000);
   const std::uint64_t seed = flags.GetU64("seed", 2017);
-  const auto topologies =
-      tools::ParseTopologyList(flags.Get("topologies", "flat,4:4"));
-  const auto disciplines = Split(flags.Get("disciplines", "half,full"));
-  const auto orders = Split(flags.Get("orders", "log,per-sender"));
+  const auto topologies = NonEmpty(
+      tools::ParseTopologyList(flags.Get("topologies", "flat,4:4")),
+      "topologies");
+  const auto disciplines =
+      NonEmpty(Split(flags.Get("disciplines", "half,full")), "disciplines");
+  const auto orders =
+      NonEmpty(Split(flags.Get("orders", "log,per-sender")), "orders");
 
   check::CheckOptions copts;
   for (const std::string& spec : Split(flags.Get("outages", "0:0.25:0.25"))) {

@@ -522,14 +522,29 @@ int main(int argc, char** argv) {
     }
   }
 
+  // The baseline cluster under the CLI's --discipline/--order: what the
+  // replay table, the live mitigation and a priced trace without
+  // --scenario replay under.
+  simscen::Scenario baseline = simscen::Scenario::Baseline(config.num_nodes);
+  baseline.discipline = discipline;
+  baseline.order = order;
+  // A kReplay job of `name` under `replay_scenario`, reported at
+  // --paper-records.
+  const auto replay_spec = [&](const std::string& name,
+                               const simscen::Scenario& replay_scenario) {
+    job::JobSpec spec;
+    spec.algorithm = name;
+    spec.config = config;
+    spec.backend = job::Backend::kReplay;
+    spec.paper_records = paper_records;
+    spec.scenario = replay_scenario;
+    return spec;
+  };
+
   // ---- Transmission-log replay (--discipline/--order) ----
-  // The Shuffle stage of the baseline scenario replay: the same call
-  // --scenario makes, so both tables price a log identically.
+  // The Shuffle stage of the baseline scenario replay: the same job
+  // --scenario runs, so both tables price a log identically.
   if (!scenario_spec.discipline.empty() || !scenario_spec.order.empty()) {
-    const RunScale scale = PaperScale(config.num_records, paper_records);
-    simscen::Scenario baseline = simscen::Scenario::Baseline(config.num_nodes);
-    baseline.discipline = discipline;
-    baseline.order = order;
     TextTable replay("shuffle makespan: discrete-event replay of the "
                      "measured log (simscen::NetMakespan)");
     replay.set_header({"Algorithm", "discipline", "order", "seconds"});
@@ -540,11 +555,8 @@ int main(int argc, char** argv) {
            scenario_spec.discipline.empty() ? "serial"
                                             : scenario_spec.discipline,
            scenario_spec.order.empty() ? "log" : scenario_spec.order,
-           TextTable::Num(simscen::ReplayScenario(*run.live.execution,
-                                                  CostModel{}, scale,
-                                                  baseline)
-                              .breakdown()
-                              .shuffle())});
+           TextTable::Num(job::RunJob(replay_spec(run.name, baseline), cache)
+                              .breakdown.shuffle())});
     }
     std::cout << '\n';
     replay.render(std::cout);
@@ -561,14 +573,9 @@ int main(int argc, char** argv) {
     TextTable spans("scenario makespans (paper scale)");
     spans.set_header({"Algorithm", "makespan (s)"});
     for (const AlgoRun& run : runs) {
-      job::JobSpec spec;
-      spec.algorithm = run.name;
-      spec.config = config;
-      spec.backend = job::Backend::kReplay;
-      spec.paper_records = paper_records;
-      spec.scenario = scenario;
       obs::Timeline timeline;
-      const job::JobResult replayed = job::RunJob(spec, cache, &timeline);
+      const job::JobResult replayed =
+          job::RunJob(replay_spec(run.name, *scenario), cache, &timeline);
       if (replayed.priced) {
         scenario_rows.push_back(replayed.breakdown);
         spans.add_row({replayed.algorithm,
@@ -606,7 +613,7 @@ int main(int argc, char** argv) {
   // The live path: the recorded per-node stage boundaries
   // (ComputeEvents, at executed scale — including any --inject-delay
   // straggler that really ran) replayed under the baseline scenario
-  // with and without the policy — the same ReplayScenario + policy
+  // with and without the policy — the same scenario replay and policy
   // arithmetic the synthetic sweeps use.
   if (mitigation->kind != mitigate::PolicyKind::kNone) {
     TextTable t("mitigation on the measured run (executed scale, policy=" +
@@ -614,14 +621,11 @@ int main(int argc, char** argv) {
     t.set_header({"Algorithm", "unmitigated (s)", "mitigated (s)",
                   "wasted (s)", "backups", "abandoned"});
     for (const AlgoRun& run : runs) {
-      simscen::Scenario live = simscen::Scenario::Baseline(config.num_nodes);
-      live.discipline = discipline;
-      live.order = order;
       job::JobSpec spec;
       spec.algorithm = run.name;
       spec.config = config;
       spec.backend = job::Backend::kLive;
-      spec.scenario = live;
+      spec.scenario = baseline;
       const job::JobResult plain = job::RunJob(spec, cache);
       spec.scenario->mitigation = *mitigation;
       const job::JobResult mitigated = job::RunJob(spec, cache);
@@ -662,23 +666,17 @@ int main(int argc, char** argv) {
         // The DES view: the paper-scale replay under the requested
         // scenario, or the baseline cluster with the CLI's network
         // discipline and mitigation policy when --scenario is absent.
-        simscen::Scenario replay_scenario;
-        if (scenario.has_value()) {
-          replay_scenario = *scenario;
-        } else {
-          replay_scenario = simscen::Scenario::Baseline(config.num_nodes);
-          replay_scenario.discipline = discipline;
-          replay_scenario.order = order;
-          replay_scenario.mitigation = *mitigation;
-        }
+        // RunJob records the live series, then the replay's DES series.
+        simscen::Scenario mitigated = baseline;
+        mitigated.mitigation = *mitigation;
+        const job::JobSpec spec =
+            replay_spec(run.name, scenario.value_or(mitigated));
+        obs::Timeline timeline;
+        const job::JobResult replayed = job::RunJob(spec, cache, &timeline);
         const auto scenario_run = cache.GetScenarioRun(
             run.name, config, paper_records, /*from_events=*/false);
-        obs::Timeline timeline = obs::BuildLiveTimeline(exec);
-        const simscen::ScenarioOutcome outcome =
-            simscen::ReplayScenario(*scenario_run, replay_scenario,
-                                    &timeline);
-        trace.Merge(obs::BuildScenarioTrace(*scenario_run, outcome,
-                                            replay_scenario, pid,
+        trace.Merge(obs::BuildScenarioTrace(*scenario_run, *replayed.outcome,
+                                            *spec.scenario, pid,
                                             run.name + " (scenario)"));
         obs::AppendTimelineCounters(timeline, trace, pid, counter_tid);
       }
