@@ -32,9 +32,9 @@
 #include <string>
 #include <vector>
 
-#include "analytics/report.h"
 #include "common/numparse.h"
 #include "common/table.h"
+#include "common/units.h"
 #include "driver/run_result.h"
 #include "obs/ledger.h"
 #include "obs/metrics.h"
@@ -96,14 +96,6 @@ class JsonReport {
   // job::JobResult::metrics).
   void add_all(const std::map<std::string, double>& metrics) {
     for (const auto& [key, value] : metrics) add(key, value);
-  }
-
-  // One metric per stage plus the total, prefixed "<algo>/".
-  void add_breakdown(const std::string& prefix, const StageBreakdown& b) {
-    for (const auto& s : b.stages) {
-      if (s.seconds != 0) add(prefix + "/" + s.name + "_s", s.seconds);
-    }
-    add(prefix + "/total_s", b.total());
   }
 
   // Flight-recorder export: each series of `tl` contributes three

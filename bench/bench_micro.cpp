@@ -258,15 +258,14 @@ void BM_ReplayScenario(benchmark::State& state) {
   run.stages.push_back(
       {"Map", simscen::StageKind::kCompute, {1.0, 1.0, 1.0, 1.0}});
   run.stages.push_back({"Shuffle", simscen::StageKind::kNetwork, {}});
-  std::uint64_t seq = 0;
   for (NodeId src = 0; src < 4; ++src) {
     for (NodeId dst = 0; dst < 4; ++dst) {
-      if (dst != src) run.shuffle_log.push_back({src, {dst}, 1 << 20, seq++});
+      if (dst != src) run.shuffle_log.push_back({src, {dst}, 1 << 20});
     }
   }
   for (NodeId src = 0; src < 4; ++src) {
     run.shuffle_log.push_back(
-        {src, {(src + 1) % 4, (src + 2) % 4, (src + 3) % 4}, 1 << 19, seq++});
+        {src, {(src + 1) % 4, (src + 2) % 4, (src + 3) % 4}, 1 << 19});
   }
   simscen::Scenario scenario = simscen::Scenario::Baseline(4);
   scenario.discipline = simnet::Discipline::kParallelFullDuplex;

@@ -164,12 +164,12 @@ void ReproduceTable(JsonReport& json, const std::string& heading, int K,
 
   const job::MatrixResults results = Priced(CodedSweep(base, rs));
   std::vector<StageBreakdown> repro = {results.at("terasort").breakdown};
-  json.add_breakdown("terasort", repro[0]);
+  json.add_all(results.at("terasort").metrics("terasort"));
   for (const int r : rs) {
     const std::string label = "coded_r" + std::to_string(r);
     repro.push_back(results.at(label).breakdown);
     repro.back().algorithm += " r=" + std::to_string(r);
-    json.add_breakdown(label, repro.back());
+    json.add_all(results.at(label).metrics(label));
     json.add(label + "/speedup", repro[0].total() / repro.back().total());
   }
   BreakdownTable("reproduced", repro).render(std::cout);

@@ -26,10 +26,7 @@ namespace {
 void PrintWallTimes(const cts::AlgorithmResult& result) {
   cts::TextTable table(result.algorithm + ": executed wall times");
   table.set_header({"stage", "wall (max over nodes)"});
-  for (const char* s :
-       {cts::stage::kCodeGen, cts::stage::kMap, cts::stage::kPack,
-        cts::stage::kEncode, cts::stage::kShuffle, cts::stage::kUnpack,
-        cts::stage::kDecode, cts::stage::kReduce}) {
+  for (const char* s : cts::stage::kAll) {
     const auto it = result.wall_seconds.find(s);
     if (it == result.wall_seconds.end()) continue;
     table.add_row({s, cts::HumanSeconds(it->second)});

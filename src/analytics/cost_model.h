@@ -16,13 +16,10 @@
 
 #include <cmath>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "common/check.h"
 #include "common/units.h"
 #include "driver/run_result.h"
-#include "simmpi/traffic.h"
 
 namespace cts {
 
@@ -129,6 +126,8 @@ struct CostModel {
     return static_cast<double>(groups) * per_group;
   }
 
+  // Per-node stage prices. NodeStagePrice (report.h) is the one map
+  // from a stage name to them.
   double map_seconds(const NodeWork& w, const RunScale& scale) const {
     return scale.bytes(w.map_bytes) / hash_bytes_per_sec +
            static_cast<double>(w.map_files) * map_file_overhead_sec;
@@ -159,21 +158,6 @@ struct CostModel {
     const double penalty =
         1.0 + reduce_memory_penalty * static_cast<double>(r - 1);
     return scale.bytes(w.reduce_bytes) / sort_bytes_per_sec * penalty;
-  }
-
-  // Shuffle time from transport counters: the paper's shuffles are
-  // serial (one sender at a time), so the stage time is the sum of all
-  // transmissions over the shared 100 Mbps medium.
-  double shuffle_seconds(const simmpi::ChannelCounters& c,
-                         const RunScale& scale) const {
-    double seconds = unicast_seconds(scale.bytes(c.unicast_bytes));
-    if (c.mcast_msgs > 0) {
-      const double fanout =
-          static_cast<double>(c.mcast_recipient_bytes) /
-          static_cast<double>(c.mcast_bytes);
-      seconds += multicast_seconds(scale.bytes(c.mcast_bytes), fanout);
-    }
-    return seconds;
   }
 };
 

@@ -2,20 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "common/check.h"
 
 namespace cts {
 
 namespace {
-
-// Max over nodes of a per-node cost.
-template <typename Fn>
-double MaxOverNodes(const std::vector<NodeWork>& work, Fn&& cost) {
-  double mx = 0;
-  for (const auto& w : work) mx = std::max(mx, cost(w));
-  return mx;
-}
 
 simmpi::ChannelCounters TrafficFor(const AlgorithmResult& result,
                                    const std::string& stage) {
@@ -83,6 +76,45 @@ ShuffleScaling ComputeShuffleScaling(const AlgorithmResult& result,
   return s;
 }
 
+NodePrice NodeStagePrice(std::string_view name) {
+  if (name == stage::kMap) {
+    return [](const CostModel& m, const NodeWork& w, const RunScale& s, int) {
+      return m.map_seconds(w, s);
+    };
+  }
+  if (name == stage::kPack) {
+    return [](const CostModel& m, const NodeWork& w, const RunScale& s, int) {
+      return m.pack_seconds(w, s);
+    };
+  }
+  if (name == stage::kEncode) {
+    return [](const CostModel& m, const NodeWork& w, const RunScale& s, int) {
+      return m.encode_seconds(w, s);
+    };
+  }
+  if (name == stage::kUnpack) {
+    return [](const CostModel& m, const NodeWork& w, const RunScale& s, int) {
+      return m.unpack_seconds(w, s);
+    };
+  }
+  if (name == stage::kDecode) {
+    return [](const CostModel& m, const NodeWork& w, const RunScale& s, int) {
+      return m.decode_seconds(w, s);
+    };
+  }
+  if (name == stage::kReduce) {
+    return [](const CostModel& m, const NodeWork& w, const RunScale& s,
+              int r) { return m.reduce_seconds(w, s, r); };
+  }
+  return nullptr;
+}
+
+double CodeGenSeconds(const AlgorithmResult& result, const CostModel& model) {
+  return model.codegen_seconds(
+      TrafficFor(result, stage::kCodeGen).comm_creations,
+      result.config.codegen_mode);
+}
+
 namespace {
 
 // Parallel-schedule shuffle pricing: every node's link runs
@@ -104,6 +136,31 @@ double ParallelShuffleSeconds(const AlgorithmResult& result,
   return worst;
 }
 
+// Shuffle: unicast bytes scale with data; multicast wire bytes split
+// into payload (scales with data) and per-packet headers (packet count
+// is combinatorial in (K, r) and does NOT scale — at paper scale
+// headers are negligible, and pricing them scaled would overcharge
+// small executed runs by up to tens of percent).
+double ShuffleSeconds(const AlgorithmResult& result, const CostModel& model,
+                      const RunScale& scale, simnet::Discipline discipline) {
+  const auto sh = TrafficFor(result, stage::kShuffle);
+  const ShuffleScaling s = ComputeShuffleScaling(result, model, scale);
+  switch (discipline) {
+    case simnet::Discipline::kSerial:
+      // The paper's discipline: one transmission at a time, so the
+      // stage time is the sum over the shared medium.
+      return model.unicast_seconds(scale.bytes(sh.unicast_bytes)) +
+             static_cast<double>(sh.mcast_bytes) * s.correction * s.penalty /
+                 model.effective_link_rate();
+    case simnet::Discipline::kParallelFullDuplex:
+    case simnet::Discipline::kParallelHalfDuplex:
+      return ParallelShuffleSeconds(
+          result, model, s.correction, s.penalty,
+          discipline == simnet::Discipline::kParallelFullDuplex);
+  }
+  return 0;
+}
+
 }  // namespace
 
 StageBreakdown SimulateRun(const AlgorithmResult& result,
@@ -112,66 +169,21 @@ StageBreakdown SimulateRun(const AlgorithmResult& result,
   const int r = std::max(result.config.redundancy, 1);
   StageBreakdown out;
   out.algorithm = result.algorithm;
-
-  const auto codegen = TrafficFor(result, stage::kCodeGen);
-  out.stages.push_back(
-      {stage::kCodeGen,
-       model.codegen_seconds(codegen.comm_creations,
-                             result.config.codegen_mode)});
-
-  out.stages.push_back(
-      {stage::kMap, MaxOverNodes(result.work, [&](const NodeWork& w) {
-         return model.map_seconds(w, scale);
-       })});
-  out.stages.push_back(
-      {stage::kPack, MaxOverNodes(result.work, [&](const NodeWork& w) {
-         return model.pack_seconds(w, scale);
-       })});
-  out.stages.push_back(
-      {stage::kEncode, MaxOverNodes(result.work, [&](const NodeWork& w) {
-         return model.encode_seconds(w, scale);
-       })});
-
-  // Shuffle: unicast bytes scale with data; multicast wire bytes split
-  // into payload (scales with data) and per-packet headers (packet
-  // count is combinatorial in (K, r) and does NOT scale — at paper
-  // scale headers are negligible, and pricing them scaled would
-  // overcharge small executed runs by up to tens of percent).
-  {
-    const auto sh = TrafficFor(result, stage::kShuffle);
-    const ShuffleScaling s = ComputeShuffleScaling(result, model, scale);
-
+  out.stages.reserve(std::size(stage::kAll));
+  for (const std::string_view name : stage::kAll) {
     double seconds = 0;
-    switch (discipline) {
-      case simnet::Discipline::kSerial:
-        // The paper's discipline: one transmission at a time, so the
-        // stage time is the sum over the shared medium.
-        seconds = model.unicast_seconds(scale.bytes(sh.unicast_bytes)) +
-                  static_cast<double>(sh.mcast_bytes) * s.correction *
-                      s.penalty / model.effective_link_rate();
-        break;
-      case simnet::Discipline::kParallelFullDuplex:
-      case simnet::Discipline::kParallelHalfDuplex:
-        seconds = ParallelShuffleSeconds(
-            result, model, s.correction, s.penalty,
-            discipline == simnet::Discipline::kParallelFullDuplex);
-        break;
+    if (name == stage::kCodeGen) {
+      seconds = CodeGenSeconds(result, model);
+    } else if (name == stage::kShuffle) {
+      seconds = ShuffleSeconds(result, model, scale, discipline);
+    } else if (const NodePrice price = NodeStagePrice(name)) {
+      // The stage ends when its slowest node does.
+      for (const NodeWork& w : result.work) {
+        seconds = std::max(seconds, price(model, w, scale, r));
+      }
     }
-    out.stages.push_back({stage::kShuffle, seconds});
+    out.stages.push_back({std::string(name), seconds});
   }
-
-  out.stages.push_back(
-      {stage::kUnpack, MaxOverNodes(result.work, [&](const NodeWork& w) {
-         return model.unpack_seconds(w, scale);
-       })});
-  out.stages.push_back(
-      {stage::kDecode, MaxOverNodes(result.work, [&](const NodeWork& w) {
-         return model.decode_seconds(w, scale);
-       })});
-  out.stages.push_back(
-      {stage::kReduce, MaxOverNodes(result.work, [&](const NodeWork& w) {
-         return model.reduce_seconds(w, scale, r);
-       })});
   return out;
 }
 

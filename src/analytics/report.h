@@ -8,6 +8,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analytics/cost_model.h"
@@ -68,6 +69,22 @@ struct ShuffleScaling {
 ShuffleScaling ComputeShuffleScaling(const AlgorithmResult& result,
                                      const CostModel& model,
                                      const RunScale& scale);
+
+// Paper-scale seconds one node spends in one compute stage, from its
+// NodeWork counters (`redundancy` is the run's r, for Reduce).
+using NodePrice = double (*)(const CostModel& model, const NodeWork& work,
+                             const RunScale& scale, int redundancy);
+
+// The one map from stage name to price, shared by SimulateRun and the
+// scenario engine (simscen::BuildScenarioRun): the per-node price of
+// Map, Pack, Encode, Unpack, Decode or Reduce, and nullptr for
+// CodeGen (a collective, CodeGenSeconds), for Shuffle (priced from the
+// traffic, not per node) and for any other name.
+NodePrice NodeStagePrice(std::string_view name);
+
+// CodeGen's collective cost: the run's communicator creations under
+// its CodeGen mode, the same on every node (0 without CodeGen).
+double CodeGenSeconds(const AlgorithmResult& result, const CostModel& model);
 
 // Prices every stage of `result` under `model` at `scale`. Handles both
 // algorithms: stages the run did not execute get zero rows. The shuffle

@@ -22,8 +22,9 @@
 
 namespace cts {
 
-// Canonical stage names. The bench tables print them in this order;
-// stages absent from a run simply report zero.
+// Canonical stage names, and kAll in their canonical order. The bench
+// tables print them in this order; stages absent from a run simply
+// report zero.
 namespace stage {
 inline constexpr const char* kCodeGen = "CodeGen";
 inline constexpr const char* kMap = "Map";
@@ -33,6 +34,8 @@ inline constexpr const char* kShuffle = "Shuffle";
 inline constexpr const char* kUnpack = "Unpack";
 inline constexpr const char* kDecode = "Decode";
 inline constexpr const char* kReduce = "Reduce";
+inline constexpr const char* kAll[] = {kCodeGen, kMap,    kPack,   kEncode,
+                                       kShuffle, kUnpack, kDecode, kReduce};
 }  // namespace stage
 
 enum class PartitionerKind {

@@ -1,6 +1,7 @@
 #include "job/parse.h"
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
 #include <vector>
 
@@ -180,12 +181,13 @@ std::optional<InjectedDelay> ParseInjectDelay(const std::string& spec,
   d.stage = fields[0];
   // StageRunner matches the stage by exact name; a typo would silently
   // inject nothing and invalidate the experiment.
-  const std::vector<std::string> known = {
-      stage::kCodeGen, stage::kMap,    stage::kPack,   stage::kEncode,
-      stage::kShuffle, stage::kUnpack, stage::kDecode, stage::kReduce};
-  if (std::find(known.begin(), known.end(), d.stage) == known.end()) {
+  if (std::find(std::begin(stage::kAll), std::end(stage::kAll), d.stage) ==
+      std::end(stage::kAll)) {
     std::string names;
-    for (const auto& n : known) names += (names.empty() ? "" : "|") + n;
+    for (const char* n : stage::kAll) {
+      if (!names.empty()) names += "|";
+      names += n;
+    }
     SetError(error,
              "inject-delay stage '" + d.stage + "' is not one of " + names);
     return std::nullopt;

@@ -1,5 +1,5 @@
-// MetricRegistry: named counters, gauges and histograms shared by
-// every subsystem that wants to be observable.
+// MetricRegistry: named counters and histograms shared by every
+// subsystem that wants to be observable.
 //
 // The registry is the "new columns are cheap" substrate the ROADMAP's
 // fleet-planner and job-service items ask for: a component registers a
@@ -12,11 +12,10 @@
 // Concurrency: the registry itself is lock-striped (the name ->
 // handle map is sharded by name hash, each stripe with its own
 // mutex), and the handles are lock-free — counters and histogram
-// buckets are relaxed atomics, gauges a single atomic double.
-// Registration (the striped map lookup) is the only mutex-taking
-// operation; hot paths resolve their handles once and then mutate
-// through them. Metrics are always on — there is no
-// compiled-out build — so every handle operation is deliberately a
+// buckets are relaxed atomics. Registration (the striped map lookup)
+// is the only mutex-taking operation; hot paths resolve their handles
+// once and then mutate through them. Metrics are always on — there is
+// no compiled-out build — so every handle operation is deliberately a
 // handful of relaxed atomic instructions, cheap enough for the
 // transport hot path (the bench_micro trend gate enforces this).
 //
@@ -29,13 +28,12 @@
 // must not be mistaken for one.
 //
 // Snapshots flatten to std::map<std::string, double>: counters by
-// value, gauges by last set, histograms expanded to
-// <name>/count, <name>/sum, <name>/max and <name>/p50-p99 bucket
-// upper-bound estimates. The map plugs directly into
-// bench::JsonReport (which embeds it under the artifact's "metrics"
-// key) and the run ledger. The registry is process-wide and
-// cumulative; RunCache freezes each execution's deltas into
-// AlgorithmResult::run_metrics, the per-run view.
+// value, histograms expanded to <name>/count, <name>/sum, <name>/max
+// and <name>/p50-p99 bucket upper-bound estimates. The map plugs
+// directly into bench::JsonReport (which embeds it under the
+// artifact's "metrics" key) and the run ledger. The registry is
+// process-wide and cumulative; RunCache freezes each execution's
+// deltas into AlgorithmResult::run_metrics, the per-run view.
 //
 // Header-only: the registry sits below every subsystem (transport,
 // DES, cache, driver) and needs no translation unit of its own.
@@ -71,18 +69,6 @@ class Counter {
 
  private:
   std::atomic<std::uint64_t> value_{0};
-};
-
-// Last-write-wins instantaneous value (pool depths, configuration
-// echoes, derived ratios).
-class Gauge {
- public:
-  void set(double v) { value_.store(v, std::memory_order_relaxed); }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { set(0); }
-
- private:
-  std::atomic<double> value_{0};
 };
 
 // Power-of-two-bucketed histogram of non-negative samples. record() is
@@ -186,17 +172,14 @@ class MetricRegistry {
   Counter& counter(const std::string& name) {
     return get_or_create(name, Kind::kCounter).counter_or_die(name);
   }
-  Gauge& gauge(const std::string& name) {
-    return get_or_create(name, Kind::kGauge).gauge_or_die(name);
-  }
   Histogram& histogram(const std::string& name) {
     return get_or_create(name, Kind::kHistogram).histogram_or_die(name);
   }
 
   // Flat name -> value view of everything registered. Counters report
-  // their value, gauges their last set, histograms expand to
-  // /count, /sum, /max, /p50, /p99 (skipped entirely while empty so
-  // quiet histograms don't spam snapshots).
+  // their value, histograms expand to /count, /sum, /max, /p50, /p99
+  // (skipped entirely while empty so quiet histograms don't spam
+  // snapshots).
   std::map<std::string, double> Snapshot() const {
     std::map<std::string, double> out;
     for (const Stripe& s : stripes_) {
@@ -205,9 +188,6 @@ class MetricRegistry {
         switch (m->kind) {
           case Kind::kCounter:
             out[name] = static_cast<double>(m->counter.value());
-            break;
-          case Kind::kGauge:
-            out[name] = m->gauge.value();
             break;
           case Kind::kHistogram:
             if (m->histogram.count() == 0) break;
@@ -234,9 +214,6 @@ class MetricRegistry {
           case Kind::kCounter:
             m->counter.reset();
             break;
-          case Kind::kGauge:
-            m->gauge.reset();
-            break;
           case Kind::kHistogram:
             m->histogram.reset();
             break;
@@ -255,22 +232,17 @@ class MetricRegistry {
   }
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram };
+  enum class Kind { kCounter, kHistogram };
 
   struct Metric {
     explicit Metric(Kind k) : kind(k) {}
     const Kind kind;
     Counter counter;
-    Gauge gauge;
     Histogram histogram;
 
     Counter& counter_or_die(const std::string& name) {
       check_kind(Kind::kCounter, name);
       return counter;
-    }
-    Gauge& gauge_or_die(const std::string& name) {
-      check_kind(Kind::kGauge, name);
-      return gauge;
     }
     Histogram& histogram_or_die(const std::string& name) {
       check_kind(Kind::kHistogram, name);

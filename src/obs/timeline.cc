@@ -4,11 +4,6 @@
 
 #include "obs/timeline.h"
 
-#include <algorithm>
-#include <cstdint>
-#include <utility>
-#include <vector>
-
 #include "driver/run_result.h"
 
 namespace cts::obs {
@@ -39,18 +34,11 @@ Timeline BuildLiveTimeline(const AlgorithmResult& result) {
     stage_msgs.push_back({static_cast<double>(s + 1), cum_msgs});
   }
 
-  // Shuffle-round ticks: the transmission log in seq order, one round
-  // per K transmissions (every sender fires once per round under both
-  // sync modes). Cumulative bytes in flight plus the per-round burst.
-  if (!result.shuffle_log.empty() && result.config.num_nodes > 0) {
-    // Only (seq, bytes) matter: sort those, not copies of the log.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> log;
-    log.reserve(result.shuffle_log.size());
-    for (const simnet::Transmission& t : result.shuffle_log) {
-      log.emplace_back(t.seq, t.bytes);
-    }
-    std::sort(log.begin(), log.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
+  // Shuffle-round ticks: the transmission log in order, one round per
+  // K transmissions (every sender fires once per round under both sync
+  // modes). Cumulative bytes in flight plus the per-round burst.
+  const simnet::TransmissionLog& log = result.shuffle_log;
+  if (!log.empty() && result.config.num_nodes > 0) {
     const std::size_t per_round =
         static_cast<std::size_t>(result.config.num_nodes);
     auto& shuffle_bytes = tl.Series("live/shuffle_bytes/bytes");
@@ -60,8 +48,8 @@ Timeline BuildLiveTimeline(const AlgorithmResult& result) {
     std::size_t round = 0;
     shuffle_bytes.push_back({0, 0});
     for (std::size_t i = 0; i < log.size(); ++i) {
-      cum += static_cast<double>(log[i].second);
-      round_bytes += static_cast<double>(log[i].second);
+      cum += static_cast<double>(log[i].bytes);
+      round_bytes += static_cast<double>(log[i].bytes);
       const bool round_end =
           (i + 1) % per_round == 0 || i + 1 == log.size();
       if (round_end) {

@@ -336,25 +336,28 @@ std::string ValidateTrace(const Trace& trace) {
 
 namespace {
 
-// Lays one sender's transmissions out inside [window_start,
-// window_end] proportionally to bytes (evenly when the sender moved
-// zero bytes), emitting a shuffle slice and per-receiver flow arrows
-// for each. Slice boundaries are computed from cumulative byte
-// fractions, so consecutive slices share boundaries exactly and the
-// last is clamped to the window end — nesting inside the sender's
-// Shuffle span is exact, not approximate.
+// Lays one sender's transmissions (`entries`, positions in `log`, in
+// log order) out inside [window_start, window_end] proportionally to
+// bytes (evenly when the sender moved zero bytes), emitting a shuffle
+// slice and per-receiver flow arrows for each. Slice boundaries are
+// computed from cumulative byte fractions, so consecutive slices share
+// boundaries exactly and the last is clamped to the window end —
+// nesting inside the sender's Shuffle span is exact, not approximate.
 void LayOutSenderSlices(Trace& trace, int pid, NodeId sender,
-                        const std::vector<const simnet::Transmission*>& txs,
+                        const simnet::TransmissionLog& log,
+                        const std::vector<std::size_t>& entries,
                         double window_start, double window_end) {
-  if (txs.empty()) return;
+  if (entries.empty()) return;
   double total = 0;
-  for (const auto* t : txs) total += static_cast<double>(t->bytes);
+  for (const std::size_t e : entries) {
+    total += static_cast<double>(log[e].bytes);
+  }
   const double width = std::max(0.0, window_end - window_start);
-  const double count = static_cast<double>(txs.size());
+  const double count = static_cast<double>(entries.size());
   double cum = 0;
   double prev_frac = 0;
-  for (std::size_t i = 0; i < txs.size(); ++i) {
-    const simnet::Transmission& t = *txs[i];
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const simnet::Transmission& t = log[entries[i]];
     cum += static_cast<double>(t.bytes);
     const double frac =
         total > 0 ? cum / total : static_cast<double>(i + 1) / count;
@@ -366,7 +369,7 @@ void LayOutSenderSlices(Trace& trace, int pid, NodeId sender,
         pid, sender, t.is_multicast() ? "mcast" : "tx", cat::kShuffle,
         start, end,
         {{"bytes", static_cast<double>(t.bytes)},
-         {"seq", static_cast<double>(t.seq)},
+         {"seq", static_cast<double>(entries[i])},
          {"receivers", static_cast<double>(t.dsts.size())}});
     for (const NodeId d : t.dsts) {
       trace.add_flow(pid, sender, d, start, end);
@@ -413,24 +416,20 @@ Trace BuildLiveTrace(const AlgorithmResult& result, int pid,
     glob_end = 1;
   }
 
-  std::vector<std::vector<const simnet::Transmission*>> per_sender(
+  // Each sender's entries in log order, which within one sender is
+  // program order.
+  std::vector<std::vector<std::size_t>> per_sender(
       static_cast<std::size_t>(K));
-  for (const auto& t : result.shuffle_log) {
-    CTS_CHECK_GE(t.src, 0);
-    CTS_CHECK_LT(t.src, K);
-    per_sender[static_cast<std::size_t>(t.src)].push_back(&t);
+  for (std::size_t i = 0; i < result.shuffle_log.size(); ++i) {
+    const NodeId src = result.shuffle_log[i].src;
+    CTS_CHECK_GE(src, 0);
+    CTS_CHECK_LT(src, K);
+    per_sender[static_cast<std::size_t>(src)].push_back(i);
   }
   for (int s = 0; s < K; ++s) {
-    auto& txs = per_sender[static_cast<std::size_t>(s)];
-    // Within one sender, seq order is program order.
-    std::stable_sort(txs.begin(), txs.end(),
-                     [](const simnet::Transmission* a,
-                        const simnet::Transmission* b) {
-                       return a->seq < b->seq;
-                     });
     const std::size_t si = static_cast<std::size_t>(s);
     const bool has_window = win_start[si] <= win_end[si];
-    LayOutSenderSlices(trace, pid, s, txs,
+    LayOutSenderSlices(trace, pid, s, result.shuffle_log, per_sender[si],
                        has_window ? win_start[si] : glob_start,
                        has_window ? win_end[si] : glob_end);
   }
@@ -501,7 +500,7 @@ Trace BuildScenarioTrace(const simscen::ScenarioRun& run,
         pid, t.src, t.is_multicast() ? "mcast" : "tx", cat::kShuffle,
         f.start, f.end,
         {{"bytes", static_cast<double>(t.bytes)},
-         {"seq", static_cast<double>(t.seq)},
+         {"seq", static_cast<double>(i)},
          {"receivers", static_cast<double>(t.dsts.size())}});
     for (const NodeId d : t.dsts) {
       trace.add_flow(pid, t.src, d, f.start, f.end);

@@ -5,7 +5,7 @@
 //
 //   * BuildLiveTrace   — a live thread-per-node run: one track per
 //     node carrying the measured ComputeEvent spans, with the merged
-//     seq-ordered transmission log laid out as "tx"/"mcast" slices
+//     transmission log laid out as "tx"/"mcast" slices
 //     inside each sender's Shuffle span (proportional to bytes, so
 //     the slice widths visualize the sender's byte mix) and a flow
 //     arrow from every transmission to each receiver's track.

@@ -122,12 +122,6 @@ PlanResult RunPlan(const PlanAxes& axes, const PlanQuery& query,
   if (policies.empty()) policies.push_back("none");
   if (instances.empty()) instances.push_back(InstanceProfile{});
 
-  std::string parse_error;
-  const auto discipline = job::ParseDiscipline(axes.discipline, &parse_error);
-  if (!discipline.has_value()) return fail(parse_error);
-  const auto order = job::ParseOrder(axes.order, &parse_error);
-  if (!order.has_value()) return fail(parse_error);
-
   const auto topo_label = [](const std::string& spec) {
     return spec.empty() ? std::string("flat") : spec;
   };
@@ -169,21 +163,18 @@ PlanResult RunPlan(const PlanAxes& axes, const PlanQuery& query,
     }
 
     for (const std::string& topo_spec : topologies) {
-      const auto topology =
-          job::ParseTopology(topo_spec, num_nodes, &parse_error);
-      if (!topology.has_value()) return fail(parse_error);
       for (const std::string& straggler_spec : stragglers) {
-        const auto straggler =
-            job::ParseStraggler(straggler_spec, num_nodes, &parse_error);
-        if (!straggler.has_value()) return fail(parse_error);
-        job::ScenarioAxis axis;
-        axis.label = topo_label(topo_spec) + "|" + straggler_spec;
-        axis.scenario = simscen::Scenario::Baseline(num_nodes);
-        axis.scenario.topology = *topology;
-        axis.scenario.cluster.straggler = *straggler;
-        axis.scenario.discipline = *discipline;
-        axis.scenario.order = *order;
-        matrix.scenarios.push_back(std::move(axis));
+        job::ScenarioSpec scenario_spec;
+        scenario_spec.topology = topo_spec;
+        scenario_spec.straggler = straggler_spec;
+        scenario_spec.discipline = axes.discipline;
+        scenario_spec.order = axes.order;
+        std::string parse_error;
+        const auto scenario =
+            job::ParseScenario(scenario_spec, num_nodes, &parse_error);
+        if (!scenario.has_value()) return fail(parse_error);
+        matrix.scenarios.push_back(
+            {topo_label(topo_spec) + "|" + straggler_spec, *scenario});
       }
     }
     for (const std::string& policy_spec : policies) {

@@ -123,8 +123,8 @@ void Comm::bcast(int root_rank, Buffer& payload) {
     for (int m = 0; m < size(); ++m) {
       if (m != rank_) recipients.push_back(global(m));
     }
-    world_->stats().record_multicast(payload.size(), size() - 1,
-                                     my_global(), recipients);
+    world_->stats().record_multicast(payload.size(), my_global(),
+                                     recipients);
     bcast_put(payload);
   } else {
     payload = world_->mailbox(my_global())

@@ -118,8 +118,8 @@ class Comm {
   // the caller's buffer is left empty. The span and const Buffer&
   // overloads copy the payload into an arena-backed buffer and then
   // take the same path, for callers that keep or reuse their buffer.
-  // Either way the accounting, the log's seq and the captured transport
-  // events are the same.
+  // Either way the accounting, the log entry and the captured
+  // transport events are the same.
   void send(int dst_rank, Tag tag, Buffer&& payload);
   void send(int dst_rank, Tag tag, std::span<const std::uint8_t> payload) {
     send(dst_rank, tag, ArenaCopy(payload));

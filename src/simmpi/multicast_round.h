@@ -31,7 +31,7 @@ namespace cts::simmpi {
 // waiting for a turn, then drains — the whole round is in flight at
 // once. The overlapped path accounts its whole round of sends in ONE
 // TrafficStats::record_multicast_batch call (same counters and
-// per-sender seq order as per-bcast accounting; one lock instead of
+// per-sender log order as per-bcast accounting; one lock instead of
 // C(K-1, r) per node).
 inline std::map<std::pair<NodeMask, NodeId>, Buffer> MulticastRound(
     std::map<NodeMask, Comm>& groups, std::map<NodeMask, Buffer>& outgoing,

@@ -11,12 +11,11 @@
 // sufficient and race-free between barriers.
 //
 // One mutex guards every stage. A record bumps the current stage's
-// counters and appends its transmission to the stage's log with seq =
-// the entry's position, so the log is stored in seq order and meets
-// the simnet contract by construction: seqs unique per stage,
-// contiguous from 0, and within one sender seq order IS program order
-// (a node thread records its sends in sequence). Per-node tx/rx bytes
-// are folded from that log when read, not kept a second time.
+// counters and appends its transmission to the stage's log, so the
+// log meets the simnet contract by construction: within one sender,
+// log order IS program order (a node thread records its sends in
+// sequence). Per-node tx/rx bytes are folded from that log when read,
+// not kept a second time.
 //
 // set_stage contract vs. overlapped shuffles (audited): set_stage must
 // be called only between stage barriers (all nodes quiescent). The
@@ -83,7 +82,7 @@ struct ChannelCounters {
 // single lock acquisition.
 struct MulticastEvent {
   std::uint64_t bytes = 0;
-  NodeId src = -1;
+  NodeId src = 0;
   std::vector<NodeId> recipients;  // ascending node order
 };
 
@@ -105,48 +104,30 @@ class TrafficStats {
     current_->named = true;
   }
 
-  void record_unicast(std::uint64_t bytes, NodeId src = -1,
-                      NodeId dst = -1) {
+  void record_unicast(std::uint64_t bytes, NodeId src, NodeId dst) {
     std::lock_guard lock(mu_);
     Stage& s = *current_;
     ++s.counters.unicast_msgs;
     s.counters.unicast_bytes += bytes;
-    if (src >= 0 && dst >= 0) {
-      s.log.push_back({src, {dst}, bytes, s.log.size()});
-    }
+    s.log.push_back({src, {dst}, bytes});
   }
 
-  void record_multicast(std::uint64_t bytes, int receivers,
-                        NodeId src = -1,
-                        const std::vector<NodeId>& recipients = {}) {
+  // One multicast with fan-out recipients.size().
+  void record_multicast(std::uint64_t bytes, NodeId src,
+                        const std::vector<NodeId>& recipients) {
     std::lock_guard lock(mu_);
-    Stage& s = *current_;
-    ++s.counters.mcast_msgs;
-    s.counters.mcast_bytes += bytes;
-    s.counters.mcast_recipient_bytes +=
-        bytes * static_cast<std::uint64_t>(receivers);
-    if (src >= 0 && !recipients.empty()) {
-      s.log.push_back({src, recipients, bytes, s.log.size()});
-    }
+    AppendMulticast(*current_, bytes, src, recipients);
   }
 
-  // Batched accounting for one sender's multicast round, with each
-  // event's fan-out = recipients.size(). Equivalent to calling
-  // record_multicast once per event, but with a single lock
+  // Batched accounting for one sender's multicast round. Equivalent to
+  // calling record_multicast once per event, but with a single lock
   // acquisition, so the round's entries land contiguously in the
   // sender's program order.
   void record_multicast_batch(const std::vector<MulticastEvent>& events) {
     if (events.empty()) return;
     std::lock_guard lock(mu_);
-    Stage& s = *current_;
     for (const MulticastEvent& e : events) {
-      ++s.counters.mcast_msgs;
-      s.counters.mcast_bytes += e.bytes;
-      s.counters.mcast_recipient_bytes +=
-          e.bytes * static_cast<std::uint64_t>(e.recipients.size());
-      if (e.src >= 0 && !e.recipients.empty()) {
-        s.log.push_back({e.src, e.recipients, e.bytes, s.log.size()});
-      }
+      AppendMulticast(*current_, e.bytes, e.src, e.recipients);
     }
   }
 
@@ -205,8 +186,8 @@ class TrafficStats {
     return out;
   }
 
-  // Ordered transmissions of one stage (initiation order), for
-  // discrete-event replay by simscen::NetMakespan.
+  // One stage's transmissions in arrival order, for discrete-event
+  // replay by simscen::NetMakespan.
   simnet::TransmissionLog transmission_log(const std::string& stage) const {
     std::lock_guard lock(mu_);
     const auto it = stages_.find(stage);
@@ -232,6 +213,15 @@ class TrafficStats {
              counters.mcast_msgs == 0 && counters.comm_creations == 0;
     }
   };
+
+  static void AppendMulticast(Stage& s, std::uint64_t bytes, NodeId src,
+                              const std::vector<NodeId>& recipients) {
+    ++s.counters.mcast_msgs;
+    s.counters.mcast_bytes += bytes;
+    s.counters.mcast_recipient_bytes +=
+        bytes * static_cast<std::uint64_t>(recipients.size());
+    s.log.push_back({src, recipients, bytes});
+  }
 
   const int num_nodes_;
   // One lock for every record. Live walls at coded K = 32 and 48

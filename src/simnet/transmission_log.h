@@ -19,28 +19,26 @@ namespace cts::simnet {
 // One transmission: a unicast has a single destination; an
 // application-layer multicast lists all receivers of the single
 // logical transmission.
-//
-// `seq` is the global arrival index within the stage: assigned under
-// TrafficStats' lock at the instant a send reaches the transport, it
-// is the entry's position in the stage's log. It is arrival order,
-// not schedule order: node threads race to the transport, so the same
-// spec can log a different interleaving of senders on every execution,
-// barrier-synchronous runs included (a blocking send returns as soon
-// as the payload is queued, and a node starts its own sends the moment
-// the message it waits for arrives). Only within one sender is seq
-// order program order (a node thread initiates its sends
-// sequentially), which is what the per-sender replay order relies
-// on. Seqs are unique within a stage; logs of DIFFERENT stages must not
-// be mixed, their seqs restart at 0.
 struct Transmission {
   NodeId src = 0;
   std::vector<NodeId> dsts;
   std::uint64_t bytes = 0;
-  std::uint64_t seq = 0;
 
   bool is_multicast() const { return dsts.size() > 1; }
 };
 
+// One stage's transmissions; an entry's position is its order. The
+// transport appends each entry under TrafficStats' lock at the instant
+// its send reaches the transport, so the order is arrival order, not
+// schedule order: node threads race to the transport, and the same
+// spec can log a different interleaving of senders on every execution,
+// barrier-synchronous runs included (a blocking send returns as soon
+// as the payload is queued, and a node starts its own sends the moment
+// the message it waits for arrives). Only within one sender is log
+// order program order (a node thread initiates its sends
+// sequentially), which is what the per-sender replay order relies on.
+// Each stage has its own log; logs of different stages must not be
+// mixed.
 using TransmissionLog = std::vector<Transmission>;
 
 // Network discipline a log is replayed under.
@@ -59,7 +57,7 @@ enum class ReplayOrder {
   // interleaving the run happened to record.
   kLogOrder,
   // Per-sender program order: a sender's own transmissions start in
-  // seq order, while independent senders start whenever their links
+  // log order, while independent senders start whenever their links
   // are free; simultaneous starts go to the lower sender id first.
   // This prices a fully asynchronous initiation of the same traffic,
   // and is deterministic, because per-sender order is program order.

@@ -1,6 +1,7 @@
 #include "simscen/engine.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <utility>
 
@@ -24,17 +25,6 @@ double EndWithOutage(double start, double dur, double fail_at,
   return end + recovery;                            // crossed the outage
 }
 
-std::vector<double> PerNode(const AlgorithmResult& result,
-                            double (CostModel::*price)(const NodeWork&,
-                                                       const RunScale&)
-                                const,
-                            const CostModel& model, const RunScale& scale) {
-  std::vector<double> out;
-  out.reserve(result.work.size());
-  for (const auto& w : result.work) out.push_back((model.*price)(w, scale));
-  return out;
-}
-
 }  // namespace
 
 StageBreakdown ScenarioOutcome::breakdown() const {
@@ -55,15 +45,12 @@ ScenarioRun BuildScenarioRun(const AlgorithmResult& result,
   run.shuffle_correction = ComputeShuffleScaling(result, model, scale).correction;
 
   // Engines populate stage_order; results built by hand (tests) fall
-  // back to the canonical sequence, skipping stages with no work.
+  // back to the canonical sequence.
   std::vector<std::string> order = result.stage_order;
   if (order.empty()) {
-    order = {stage::kCodeGen, stage::kMap,    stage::kPack,
-             stage::kEncode,  stage::kShuffle, stage::kUnpack,
-             stage::kDecode,  stage::kReduce};
+    order.assign(std::begin(stage::kAll), std::end(stage::kAll));
   }
 
-  const int r = std::max(result.config.redundancy, 1);
   for (const std::string& name : order) {
     ScenarioRun::Stage st;
     st.name = name;
@@ -71,36 +58,15 @@ ScenarioRun BuildScenarioRun(const AlgorithmResult& result,
       st.kind = StageKind::kNetwork;
     } else if (name == stage::kCodeGen) {
       st.kind = StageKind::kCollective;
-      const auto it = result.traffic.find(stage::kCodeGen);
-      const double sec =
-          it == result.traffic.end()
-              ? 0.0
-              : model.codegen_seconds(it->second.comm_creations,
-                                      result.config.codegen_mode);
-      st.node_seconds.assign(static_cast<std::size_t>(run.num_nodes), sec);
-    } else {
-      st.kind = StageKind::kCompute;
-      if (name == stage::kMap) {
-        st.node_seconds = PerNode(result, &CostModel::map_seconds, model, scale);
-      } else if (name == stage::kPack) {
-        st.node_seconds = PerNode(result, &CostModel::pack_seconds, model, scale);
-      } else if (name == stage::kEncode) {
-        st.node_seconds =
-            PerNode(result, &CostModel::encode_seconds, model, scale);
-      } else if (name == stage::kUnpack) {
-        st.node_seconds =
-            PerNode(result, &CostModel::unpack_seconds, model, scale);
-      } else if (name == stage::kDecode) {
-        st.node_seconds =
-            PerNode(result, &CostModel::decode_seconds, model, scale);
-      } else if (name == stage::kReduce) {
-        st.node_seconds.reserve(result.work.size());
-        for (const auto& w : result.work) {
-          st.node_seconds.push_back(model.reduce_seconds(w, scale, r));
-        }
+      st.node_seconds.assign(static_cast<std::size_t>(run.num_nodes),
+                             CodeGenSeconds(result, model));
+    } else if (const NodePrice price = NodeStagePrice(name)) {
+      st.node_seconds.reserve(result.work.size());
+      for (const NodeWork& w : result.work) {
+        st.node_seconds.push_back(price(model, w, scale, run.redundancy));
       }
-      // Unknown stage names replay as zero-cost barriers.
     }
+    // Unknown stage names replay as zero-cost compute barriers.
     run.stages.push_back(std::move(st));
   }
   return run;

@@ -128,9 +128,9 @@ struct ScenarioOutcome {
 };
 
 // Builds a paper-scale ScenarioRun from a sorting run: compute stages
-// priced per node by the calibrated CostModel, CodeGen as a
-// collective, Shuffle from the transmission log with the analytics
-// scaling correction.
+// priced per node by NodeStagePrice, CodeGen as a collective
+// (CodeGenSeconds), Shuffle from the transmission log with the
+// analytics scaling correction.
 ScenarioRun BuildScenarioRun(const AlgorithmResult& result,
                              const CostModel& model, const RunScale& scale);
 

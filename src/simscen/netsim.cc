@@ -33,9 +33,9 @@ struct DesState {
 };
 
 // One replay's flight-recorder ticks: fixed steps of the replay clock,
-// derived from the log itself (serialized duration / 256 by default)
-// — a pure function of the inputs, so two replays tick identically.
-// The three series are resolved once; a tick is three appends.
+// derived from the log itself (serialized duration / 256) — a pure
+// function of the inputs, so two replays tick identically. The three
+// series are resolved once; a tick is three appends.
 class ProbeTicks {
  public:
   ProbeTicks(const TimelineProbe& probe, const simnet::TransmissionLog& log,
@@ -46,8 +46,7 @@ class ProbeTicks {
     for (const auto& t : log) {
       span_bytes += static_cast<double>(t.bytes) * topo.multicast_penalty(t);
     }
-    dt_ = probe.interval > 0 ? probe.interval
-                             : span_bytes / topo.access_bytes_per_sec / 256.0;
+    dt_ = span_bytes / topo.access_bytes_per_sec / 256.0;
     if (dt_ > 0) {
       inflight_ = &probe.timeline->Series("des/inflight_flows");
       requeue_depth_ = &probe.timeline->Series("des/requeue_depth");
@@ -250,17 +249,12 @@ class FlowSim {
         }
       }
     } else {
-      // Per-sender FIFO in seq order (a sender's seq order is its
+      // Per-sender FIFO in log order (a sender's log order is its
       // program order).
       sender_queue_.resize(static_cast<std::size_t>(n));
       for (std::size_t i = 0; i < flows_.size(); ++i) {
         sender_queue_[static_cast<std::size_t>(flows_[i].t->src)]
             .push_back(i);
-      }
-      for (auto& q : sender_queue_) {
-        std::sort(q.begin(), q.end(), [&](std::size_t a, std::size_t b) {
-          return log_[a].seq < log_[b].seq;
-        });
       }
       sender_head_.assign(static_cast<std::size_t>(n), 0);
     }

@@ -154,19 +154,37 @@ TEST(CostModel, ScaleDividesByteTermsOnly) {
   EXPECT_NEAR(hundredth - file_term, (full - file_term) * 100.0, 1e-9);
 }
 
-TEST(CostModel, ShuffleSecondsUsesFanoutFromCounters) {
+// Each compute stage name resolves to its own CostModel price; CodeGen,
+// Shuffle and unknown names have no per-node price.
+TEST(Report, NodeStagePriceMapsEachComputeStage) {
   const CostModel model;
-  simmpi::ChannelCounters c;
-  c.mcast_msgs = 10;
-  c.mcast_bytes = 1'000'000;
-  c.mcast_recipient_bytes = 3'000'000;  // fanout 3
-  const double t = model.shuffle_seconds(c, RunScale{1.0});
-  EXPECT_NEAR(t, model.multicast_seconds(1e6, 3.0), 1e-12);
-  // Unicast-only counters take the plain path.
-  simmpi::ChannelCounters u;
-  u.unicast_bytes = 1'000'000;
-  EXPECT_NEAR(model.shuffle_seconds(u, RunScale{1.0}),
-              model.unicast_seconds(1e6), 1e-12);
+  const RunScale scale{0.5};
+  NodeWork w;
+  w.map_bytes = 1'000'000;
+  w.map_files = 3;
+  w.pack_bytes = 2'000'000;
+  w.unpack_bytes = 3'000'000;
+  w.codec.encode_xor_bytes = 4'000'000;
+  w.codec.packets_encoded = 5;
+  w.codec.decoded_bytes = 6'000'000;
+  w.codec.packets_decoded = 7;
+  w.reduce_bytes = 8'000'000;
+  const std::pair<const char*, double> want[] = {
+      {stage::kMap, model.map_seconds(w, scale)},
+      {stage::kPack, model.pack_seconds(w, scale)},
+      {stage::kEncode, model.encode_seconds(w, scale)},
+      {stage::kUnpack, model.unpack_seconds(w, scale)},
+      {stage::kDecode, model.decode_seconds(w, scale)},
+      {stage::kReduce, model.reduce_seconds(w, scale, /*r=*/3)},
+  };
+  for (const auto& [name, seconds] : want) {
+    const NodePrice price = NodeStagePrice(name);
+    ASSERT_NE(price, nullptr) << name;
+    EXPECT_EQ(price(model, w, scale, 3), seconds) << name;
+  }
+  EXPECT_EQ(NodeStagePrice(stage::kCodeGen), nullptr);
+  EXPECT_EQ(NodeStagePrice(stage::kShuffle), nullptr);
+  EXPECT_EQ(NodeStagePrice("Sort"), nullptr);
 }
 
 TEST(Report, PaperScaleFraction) {

@@ -224,9 +224,9 @@ simscen::Topology UnitRack(int num_nodes) {
 
 TEST(ExploreOrderings, ThreeWayTieCertifies) {
   simnet::TransmissionLog log;
-  log.push_back({0, {1}, 500, 0});
-  log.push_back({2, {3}, 500, 1});
-  log.push_back({4, {5}, 500, 2});
+  log.push_back({0, {1}, 500});
+  log.push_back({2, {3}, 500});
+  log.push_back({4, {5}, 500});
   const ExploreReport rep = ExploreOrderings(
       log, UnitRack(6), simnet::Discipline::kParallelFullDuplex,
       simnet::ReplayOrder::kLogOrder, {}, {});
@@ -243,8 +243,8 @@ TEST(ExploreOrderings, ThreeWayTieCertifies) {
 
 TEST(ExploreOrderings, OutageRequeueCertifiesUnderAnyTiming) {
   simnet::TransmissionLog log;
-  log.push_back({0, {1}, 1000, 0});
-  log.push_back({1, {2}, 1000, 1});
+  log.push_back({0, {1}, 1000});
+  log.push_back({1, {2}, 1000});
   simscen::LinkOutage outage;
   outage.node = 1;
   outage.start = 200;
@@ -259,8 +259,8 @@ TEST(ExploreOrderings, OutageRequeueCertifiesUnderAnyTiming) {
 
 TEST(ExploreOrderings, SerialDisciplineCertifiesTrivially) {
   simnet::TransmissionLog log;
-  log.push_back({0, {1}, 100, 0});
-  log.push_back({2, {3}, 100, 1});
+  log.push_back({0, {1}, 100});
+  log.push_back({2, {3}, 100});
   const ExploreReport rep = ExploreOrderings(
       log, UnitRack(4), simnet::Discipline::kSerial,
       simnet::ReplayOrder::kLogOrder, {}, {});

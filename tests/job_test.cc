@@ -567,8 +567,10 @@ TEST(Cli, ReplayTableMatchesScenarioShuffle) {
     GTEST_SKIP() << "CTSORT_BIN not set (run through ctest)";
   }
   // At the paper's 12 GB, and at executed scale (--paper-records=0),
-  // which the replay table must accept as the projection does.
-  for (const char* paper_records : {"120000000", "0"}) {
+  // which the replay table must accept as the projection does, and
+  // which the projection's title names as the executed 1.20 MB.
+  for (const auto& [paper_records, scale] :
+       {std::pair{"120000000", "12.00 GB"}, std::pair{"0", "1.20 MB"}}) {
     int status = -1;
     const std::string out =
         Capture(std::string(ctsort) +
@@ -599,7 +601,23 @@ TEST(Cli, ReplayTableMatchesScenarioShuffle) {
     const std::string replayed = cell("shuffle makespan", 4);
     ASSERT_FALSE(replayed.empty()) << out;
     EXPECT_EQ(replayed, cell("scenario projection", 5)) << out;
+    EXPECT_NE(out.find(std::string("EC2-calibrated projection at ") + scale +
+                       " (100 Mbps)"),
+              std::string::npos)
+        << out;
   }
+  // The synthesized projection titles its scale the same way.
+  int status = -1;
+  const std::string out = Capture(
+      std::string(ctsort) +
+          " --algo=coded --backend=simulated --nodes=12 --redundancy=3"
+          " --records=12000 --paper-records=0",
+      &status);
+  ASSERT_EQ(status, 0) << out;
+  EXPECT_NE(out.find("synthesized EC2-calibrated projection at 1.20 MB "
+                     "(100 Mbps)"),
+            std::string::npos)
+      << out;
 }
 
 // The matrix memoizes the live execution per (algorithm, SortConfig)

@@ -34,7 +34,7 @@ SortConfig SmallConfig(int K, int r) {
   return config;
 }
 
-TEST(MetricRegistry, CountersGaugesHistograms) {
+TEST(MetricRegistry, CountersAndHistograms) {
   MetricRegistry reg;
   Counter& c = reg.counter("t/events");
   c.add();
@@ -42,11 +42,6 @@ TEST(MetricRegistry, CountersGaugesHistograms) {
   EXPECT_EQ(c.value(), 42u);
   // The same name resolves to the same handle.
   EXPECT_EQ(&reg.counter("t/events"), &c);
-
-  Gauge& g = reg.gauge("t/depth");
-  g.set(3.5);
-  g.set(2.0);
-  EXPECT_DOUBLE_EQ(g.value(), 2.0);
 
   Histogram& h = reg.histogram("t/latency");
   h.record(1.0);
@@ -78,20 +73,18 @@ TEST(MetricRegistry, SnapshotExpandsAndResetKeepsHandles) {
   MetricRegistry reg;
   Counter& c = reg.counter("t/count");
   c.add(7);
-  reg.gauge("t/gauge").set(1.25);
   reg.histogram("t/quiet");             // never recorded: not in snapshot
   reg.histogram("t/hist").record(10.0);
 
   const auto snap = reg.Snapshot();
   EXPECT_DOUBLE_EQ(snap.at("t/count"), 7.0);
-  EXPECT_DOUBLE_EQ(snap.at("t/gauge"), 1.25);
   EXPECT_DOUBLE_EQ(snap.at("t/hist/count"), 1.0);
   EXPECT_DOUBLE_EQ(snap.at("t/hist/sum"), 10.0);
   EXPECT_DOUBLE_EQ(snap.at("t/hist/max"), 10.0);
   EXPECT_TRUE(snap.count("t/hist/p50"));
   EXPECT_TRUE(snap.count("t/hist/p99"));
   EXPECT_FALSE(snap.count("t/quiet/count"));
-  EXPECT_EQ(reg.size(), 4u);
+  EXPECT_EQ(reg.size(), 3u);
 
   // Reset zeroes values but never invalidates handles.
   reg.Reset();
@@ -122,8 +115,8 @@ TEST(MetricRegistry, ConcurrentCountersAreExact) {
 // applied: identical maps regardless of the order names were
 // registered in (the stripes are hash-sharded maps) and regardless of
 // thread interleaving. The workload is chosen to commute exactly —
-// counter adds are integers, histogram samples are powers of two (so
-// double sums are exact in any order), and each thread owns its gauge.
+// counter adds are integers and histogram samples are powers of two
+// (so double sums are exact in any order).
 TEST(MetricRegistry, SnapshotIsDeterministicAcrossOrdersAndThreads) {
   constexpr int kThreads = 8;
   constexpr int kOps = 3600;  // multiple of the 12 counter names
@@ -140,12 +133,10 @@ TEST(MetricRegistry, SnapshotIsDeterministicAcrossOrdersAndThreads) {
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&reg, &names, t] {
-        Gauge& own = reg.gauge("det/gauge_" + std::to_string(t));
         Histogram& h = reg.histogram("det/hist");
         for (int i = 0; i < kOps; ++i) {
           reg.counter(names[(t + i) % names.size()]).add(1 + t);
           h.record(static_cast<double>(1 << (i % 8)));
-          own.set(static_cast<double>(t) + 0.5);
         }
       });
     }
@@ -179,9 +170,6 @@ TEST(MetricRegistry, SnapshotIsDeterministicAcrossOrdersAndThreads) {
   EXPECT_EQ(snap_a.at("det/hist/count"), 1.0 * kThreads * kOps);
   EXPECT_EQ(snap_a.at("det/hist/sum"), kThreads * (kOps / 8.0) * 255);
   EXPECT_EQ(snap_a.at("det/hist/max"), 128.0);
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(snap_a.at("det/gauge_" + std::to_string(t)), t + 0.5);
-  }
 }
 
 TEST(Trace, ValidateCatchesOverlapsAndBadFlows) {

@@ -15,8 +15,9 @@ namespace cts {
 // Hashes every NodeWork field (CodecStats included), the per-stage
 // traffic, the per-node shuffle traffic, the stage sequence, each
 // node's compute-event stages, the shuffle log in per-sender order
-// (the global seq order is arrival order at the transport, which
-// threads race for) and each partition's checksum.
+// (the log's own order is arrival order at the transport, which
+// threads race for; within one sender it is program order) and each
+// partition's checksum.
 inline std::uint64_t RunDigest(const AlgorithmResult& run) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   const auto byte = [&h](std::uint8_t b) {
@@ -62,9 +63,8 @@ inline std::uint64_t RunDigest(const AlgorithmResult& run) {
     add(static_cast<std::uint64_t>(ev.node));
   }
   simnet::TransmissionLog log = run.shuffle_log;
-  std::stable_sort(log.begin(), log.end(), [](const auto& a, const auto& b) {
-    return a.src != b.src ? a.src < b.src : a.seq < b.seq;
-  });
+  std::stable_sort(log.begin(), log.end(),
+                   [](const auto& a, const auto& b) { return a.src < b.src; });
   add(log.size());
   for (const simnet::Transmission& t : log) {
     add(static_cast<std::uint64_t>(t.src));

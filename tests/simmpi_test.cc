@@ -147,9 +147,8 @@ struct ExchangeRecord {
   std::vector<std::vector<std::uint8_t>> received;  // by receiving node
   ChannelCounters counters;
   std::vector<NodeTraffic> per_node;
-  std::vector<std::tuple<NodeId, std::vector<NodeId>, std::uint64_t,
-                         std::uint64_t>>
-      log;  // (src, dsts, bytes, seq)
+  std::vector<std::tuple<NodeId, std::vector<NodeId>, std::uint64_t>>
+      log;  // (src, dsts, bytes)
   // Per performing thread, its events in program order (stamps drop
   // out: they interleave the threads).
   std::map<NodeId, std::vector<std::tuple<int, NodeId, NodeId, CommId, Tag,
@@ -218,7 +217,7 @@ ExchangeRecord RunExchange(bool move) {
   out.counters = world.stats().stage("Shuffle");
   out.per_node = world.stats().per_node("Shuffle");
   for (const auto& t : world.stats().transmission_log("Shuffle")) {
-    out.log.emplace_back(t.src, t.dsts, t.bytes, t.seq);
+    out.log.emplace_back(t.src, t.dsts, t.bytes);
   }
   for (const TransportEvent& ev : world.transport_log()) {
     out.events[ev.performer].emplace_back(static_cast<int>(ev.kind), ev.dst,
@@ -246,7 +245,8 @@ TEST(Comm, MovingSendMatchesCopyingSend) {
   EXPECT_EQ(moved.log, copied.log);
   ASSERT_EQ(moved.log.size(), 8u);
   for (std::size_t i = 0; i < moved.log.size(); ++i) {
-    EXPECT_EQ(std::get<3>(moved.log[i]), i);  // sender program order
+    // Sender program order: send i carries payload(i), 10 i + 3 bytes.
+    EXPECT_EQ(std::get<2>(moved.log[i]), 10 * i + 3) << i;
   }
   EXPECT_EQ(moved.events, copied.events);
   EXPECT_EQ(moved.events.at(0).size(), 11u);  // 9 sends, 1 post, 1 match
@@ -305,9 +305,8 @@ std::uint64_t TransportDigest(const World& world) {
     add(t.rx_bytes);
   }
   auto log = world.stats().transmission_log("Shuffle");
-  std::stable_sort(log.begin(), log.end(), [](const auto& a, const auto& b) {
-    return a.src != b.src ? a.src < b.src : a.seq < b.seq;
-  });
+  std::stable_sort(log.begin(), log.end(),
+                   [](const auto& a, const auto& b) { return a.src < b.src; });
   for (const auto& t : log) {
     add(static_cast<std::uint64_t>(t.src));
     for (const NodeId d : t.dsts) add(static_cast<std::uint64_t>(d));
@@ -649,7 +648,7 @@ TEST(Traffic, StagesAccumulateIndependently) {
 TEST(Traffic, ResetClearsEverything) {
   World world(2);
   world.stats().set_stage("X");
-  world.stats().record_unicast(5);
+  world.stats().record_unicast(5, 0, 1);
   world.stats().reset();
   EXPECT_EQ(world.stats().total().unicast_bytes, 0u);
   EXPECT_TRUE(world.stats().stage_names().empty());

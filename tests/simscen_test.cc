@@ -146,9 +146,9 @@ void ExpectBetweenLinkBoundAndSerial(const TransmissionLog& log,
 TEST(NetMakespan, HandComputedSchedules) {
   constexpr Discipline kHalf = Discipline::kParallelHalfDuplex;
   constexpr Discipline kFull = Discipline::kParallelFullDuplex;
-  const TransmissionLog disjoint{{0, {1}, 10, 0}, {2, {3}, 30, 1}};
+  const TransmissionLog disjoint{{0, {1}, 10}, {2, {3}, 30}};
   // 0->1 and 1->0 use opposite directions of both nodes' links.
-  const TransmissionLog opposing{{0, {1}, 10, 0}, {1, {0}, 10, 1}};
+  const TransmissionLog opposing{{0, {1}, 10}, {1, {0}, 10}};
   // Log order on a unit-rate rack: durations equal byte counts.
   const struct {
     const char* name;
@@ -157,19 +157,19 @@ TEST(NetMakespan, HandComputedSchedules) {
     double makespan;
   } cases[] = {
       {"the serial medium sums",
-       {{0, {1}, 10, 0}, {1, {0}, 20, 1}, {0, {2}, 5, 2}},
+       {{0, {1}, 10}, {1, {0}, 20}, {0, {2}, 5}},
        Discipline::kSerial, 35},
       {"disjoint links overlap (full)", disjoint, kFull, 30},
       {"disjoint links overlap (half)", disjoint, kHalf, 30},
-      {"a shared sender serializes", {{0, {1}, 10, 0}, {0, {2}, 10, 1}},
+      {"a shared sender serializes", {{0, {1}, 10}, {0, {2}, 10}},
        kFull, 20},
-      {"a shared receiver serializes", {{0, {2}, 10, 0}, {1, {2}, 10, 1}},
+      {"a shared receiver serializes", {{0, {2}, 10}, {1, {2}, 10}},
        kFull, 20},
       {"full duplex overlaps opposing directions", opposing, kFull, 10},
       {"half duplex serializes opposing directions", opposing, kHalf, 20},
       // The multicast holds receiver 2's downlink, so 3->2 waits.
       {"a multicast holds every receiver",
-       {{0, {1, 2}, 10, 0}, {3, {2}, 10, 1}}, kFull, 20},
+       {{0, {1, 2}, 10}, {3, {2}, 10}}, kFull, 20},
   };
   for (const auto& c : cases) {
     EXPECT_DOUBLE_EQ(NetMakespan(c.log, UnitRack(4), c.discipline),
@@ -192,7 +192,7 @@ TEST(NetMakespan, SingleSenderIsTheSumUnderEveryDiscipline) {
   // All traffic leaves node 0: its uplink serializes everything, so
   // the shared medium and per-node links coincide under both orders.
   const TransmissionLog log{
-      {0, {1}, 10, 0}, {0, {2}, 20, 1}, {0, {3}, 5, 2}, {0, {1}, 15, 3}};
+      {0, {1}, 10}, {0, {2}, 20}, {0, {3}, 5}, {0, {1}, 15}};
   for (const Discipline d : kAllDisciplines) {
     for (const ReplayOrder o : kAllOrders) {
       EXPECT_DOUBLE_EQ(NetMakespan(log, UnitRack(4), d, o), 50.0);
@@ -209,8 +209,8 @@ TEST(NetMakespan, MulticastPenaltyIsOnePlusCoeffLog2Fanout) {
     topo.multicast_log_coeff = coeff;
     for (const Discipline d : kAllDisciplines) {
       for (const ReplayOrder o : kAllOrders) {
-        EXPECT_DOUBLE_EQ(NetMakespan({{0, {1}, 100, 0}}, topo, d, o), 1.0);
-        EXPECT_DOUBLE_EQ(NetMakespan({{0, {1, 2, 3, 4}, 100, 0}}, topo, d, o),
+        EXPECT_DOUBLE_EQ(NetMakespan({{0, {1}, 100}}, topo, d, o), 1.0);
+        EXPECT_DOUBLE_EQ(NetMakespan({{0, {1, 2, 3, 4}, 100}}, topo, d, o),
                          1.0 + coeff * 2.0);
       }
     }
@@ -220,7 +220,7 @@ TEST(NetMakespan, MulticastPenaltyIsOnePlusCoeffLog2Fanout) {
 TEST(NetMakespan, RejectsOutOfRangeNodes) {
   for (const Discipline d :
        {Discipline::kParallelHalfDuplex, Discipline::kParallelFullDuplex}) {
-    EXPECT_THROW(NetMakespan({{0, {5}, 10, 0}}, UnitRack(3), d), CheckError);
+    EXPECT_THROW(NetMakespan({{0, {5}, 10}}, UnitRack(3), d), CheckError);
   }
 }
 
@@ -228,7 +228,7 @@ TEST(NetMakespan, LaterEntryMustWaitForBlockedPredecessorsLink) {
   // Per-link FIFO in log order, not eager admission: B (0->2) is
   // blocked on 0's uplink until A finishes, and E (3->2), although
   // its links are idle at t=0, must not overtake B on 2's downlink.
-  const TransmissionLog log{{0, {1}, 10, 0}, {0, {2}, 10, 1}, {3, {2}, 10, 2}};
+  const TransmissionLog log{{0, {1}, 10}, {0, {2}, 10}, {3, {2}, 10}};
   const Topology topo = UnitRack(4);
   // A [0,10], B [10,20], E [20,30].
   EXPECT_DOUBLE_EQ(NetMakespan(log, topo, Discipline::kParallelFullDuplex,
@@ -248,7 +248,7 @@ TEST(NetMakespan, MulticastReleasesReceiversBeforeSenderTail) {
   // time (t=20).
   Topology topo = UnitRack(3);
   topo.multicast_log_coeff = 1.0;  // penalty = 1 + log2(2) = 2
-  const TransmissionLog log{{0, {1, 2}, 10, 0}, {1, {2}, 10, 1}};
+  const TransmissionLog log{{0, {1, 2}, 10}, {1, {2}, 10}};
   // mcast tx [0,20]; unicast [10,20].
   EXPECT_DOUBLE_EQ(NetMakespan(log, topo, Discipline::kParallelFullDuplex,
                                ReplayOrder::kLogOrder),
@@ -265,13 +265,13 @@ TEST(NetMakespan, SyntheticReplaysArePinned) {
     TransmissionLog log;
     double makespan[3][2];  // [kAllDisciplines][kAllOrders]
   } pins[] = {
-      {{{0, {1}, 10, 0}, {0, {2}, 20, 1}, {1, {2}, 5, 2}, {2, {0}, 7, 3},
-        {3, {1}, 9, 4}, {1, {3}, 11, 5}},
+      {{{0, {1}, 10}, {0, {2}, 20}, {1, {2}, 5}, {2, {0}, 7},
+        {3, {1}, 9}, {1, {3}, 11}},
        {{5.2210526315789475e-06, 5.2210526315789475e-06},
         {4.631578947368421e-06, 3.8736842105263157e-06},
         {3.8736842105263157e-06, 2.5263157894736844e-06}}},
-      {{{0, {1, 2, 3}, 12, 0}, {1, {0, 2}, 8, 1}, {3, {0, 1}, 10, 2},
-        {2, {3}, 6, 3}},
+      {{{0, {1, 2, 3}, 12}, {1, {0, 2}, 8}, {3, {0, 1}, 10},
+        {2, {3}, 6}},
        {{4.0291584002331994e-06, 4.0291584002331994e-06},
         {4.0291584002331994e-06, 3.5238952423384622e-06},
         {2.7957894736842102e-06, 2.7957894736842102e-06}}},
@@ -288,12 +288,12 @@ TEST(NetMakespan, SyntheticReplaysArePinned) {
   }
 }
 
-// Real shuffle logs of both syncs. A sender's seq order is its program
+// Real shuffle logs of both syncs. A sender's log order is its program
 // order, so a per-sender replay depends on the spec alone and is
 // pinned. The serial sum adds in arrival order, which moves its last
 // ulp, so it is pinned to 1e-12 and checked against the analytics
 // closed form. A log-order replay depends on the arrival race
-// (simnet::Transmission::seq), so it is only bounded.
+// (simnet::TransmissionLog), so it is only bounded.
 TEST(NetMakespan, RealLogReplaysArePinned) {
   const CostModel model;
   const struct {
@@ -442,7 +442,6 @@ simnet::TransmissionLog RandomLog(Xoshiro256& rng, int n) {
       t.dsts.push_back(t.src == 0 ? 1 : 0);
     }
     t.bytes = 1 + rng.below(1000);
-    t.seq = static_cast<std::uint64_t>(i);
     log.push_back(std::move(t));
   }
   return log;
@@ -646,17 +645,17 @@ constexpr double kInfRate = std::numeric_limits<double>::infinity();
 TEST(RackPipes, UplinkIsSharedByFlowsLeavingTheRack) {
   const Topology topo = TwoRackPipes(/*up=*/0.5, /*down=*/kInfRate);
   // One 10 B crossing flow: capped by rack 0's 0.5 B/s uplink.
-  EXPECT_DOUBLE_EQ(NetMakespan({{0, {2}, 10, 0}}, topo,
+  EXPECT_DOUBLE_EQ(NetMakespan({{0, {2}, 10}}, topo,
                                Discipline::kParallelFullDuplex,
                                ReplayOrder::kLogOrder),
                    20.0);
   // Two concurrent flows out of rack 0 share its uplink: 0.25 each.
-  EXPECT_DOUBLE_EQ(NetMakespan({{0, {2}, 10, 0}, {1, {3}, 10, 1}}, topo,
+  EXPECT_DOUBLE_EQ(NetMakespan({{0, {2}, 10}, {1, {3}, 10}}, topo,
                                Discipline::kParallelFullDuplex,
                                ReplayOrder::kLogOrder),
                    40.0);
   // Opposite directions use different uplinks: no sharing.
-  EXPECT_DOUBLE_EQ(NetMakespan({{0, {2}, 10, 0}, {3, {1}, 10, 1}}, topo,
+  EXPECT_DOUBLE_EQ(NetMakespan({{0, {2}, 10}, {3, {1}, 10}}, topo,
                                Discipline::kParallelFullDuplex,
                                ReplayOrder::kLogOrder),
                    20.0);
@@ -665,12 +664,12 @@ TEST(RackPipes, UplinkIsSharedByFlowsLeavingTheRack) {
 TEST(RackPipes, DownlinkIsSharedByFlowsEnteringTheRack) {
   const Topology topo = TwoRackPipes(/*up=*/kInfRate, /*down=*/0.5);
   // Both flows enter rack 1: its downlink is the shared bottleneck.
-  EXPECT_DOUBLE_EQ(NetMakespan({{0, {2}, 10, 0}, {1, {3}, 10, 1}}, topo,
+  EXPECT_DOUBLE_EQ(NetMakespan({{0, {2}, 10}, {1, {3}, 10}}, topo,
                                Discipline::kParallelFullDuplex,
                                ReplayOrder::kLogOrder),
                    40.0);
   // Opposite directions enter different racks: no sharing.
-  EXPECT_DOUBLE_EQ(NetMakespan({{0, {2}, 10, 0}, {3, {1}, 10, 1}}, topo,
+  EXPECT_DOUBLE_EQ(NetMakespan({{0, {2}, 10}, {3, {1}, 10}}, topo,
                                Discipline::kParallelFullDuplex,
                                ReplayOrder::kLogOrder),
                    20.0);
@@ -680,7 +679,7 @@ TEST(RackPipes, RackAwareMulticastPutsOneCopyOnTheDownlink) {
   // A fanout-2 multicast into rack 1: the rack-oblivious sender pushes
   // two copies through the 0.5 B/s downlink (effective 0.25 B/s); with
   // rack-aware multicast the rack switch replicates, one copy, 0.5.
-  const TransmissionLog log{{0, {2, 3}, 10, 0}};
+  const TransmissionLog log{{0, {2, 3}, 10}};
   Topology topo = TwoRackPipes(/*up=*/kInfRate, /*down=*/0.5);
   for (const Discipline d : kAllDisciplines) {
     EXPECT_DOUBLE_EQ(
@@ -696,10 +695,10 @@ TEST(RackPipes, RackAwareMulticastPutsOneCopyOnTheDownlink) {
 TEST(RackPipes, CrossRackBytesCountsCopiesEnteringOtherRacks) {
   Topology topo = TwoRackPipes(kInfRate, kInfRate);
   const TransmissionLog log{
-      {0, {1}, 10, 0},        // rack-local: free
-      {0, {2}, 100, 1},       // one copy across
-      {0, {2, 3}, 1000, 2},   // two copies across (per receiver)
-      {2, {0, 3}, 10000, 3},  // one across (dst 3 is rack-local)
+      {0, {1}, 10},        // rack-local: free
+      {0, {2}, 100},       // one copy across
+      {0, {2, 3}, 1000},   // two copies across (per receiver)
+      {2, {0, 3}, 10000},  // one across (dst 3 is rack-local)
   };
   EXPECT_DOUBLE_EQ(CrossRackBytes(log, topo), 100 + 2000 + 10000);
   // Rack-aware multicast ships one copy per destination rack.
@@ -715,7 +714,7 @@ TEST(NetMakespanOutage, InFlightTransferLosesProgressAndRestartsAfter) {
   // 10 B at rate 1 from node 0 to node 1; node 1 dies at t=5 with the
   // transfer halfway. The 5 delivered-so-far bytes are lost and the
   // whole payload retransmits once the node is back at t=20.
-  const TransmissionLog log{{0, {1}, 10, 0}};
+  const TransmissionLog log{{0, {1}, 10}};
   LinkOutage outage{/*node=*/1, /*start=*/5.0, /*end=*/20.0};
   for (const Discipline d :
        {Discipline::kParallelFullDuplex, Discipline::kParallelHalfDuplex}) {
@@ -735,7 +734,7 @@ TEST(NetMakespanOutage, FollowersOvertakeTheRequeuedTransfer) {
   // A (0->1) is in flight when node 1 dies at t=5; re-queuing releases
   // node 0's uplink, so B (0->2) — otherwise FIFO-blocked behind A —
   // runs during the outage. A retransmits at t=50.
-  const TransmissionLog log{{0, {1}, 10, 0}, {0, {2}, 10, 1}};
+  const TransmissionLog log{{0, {1}, 10}, {0, {2}, 10}};
   LinkOutage outage{/*node=*/1, /*start=*/5.0, /*end=*/50.0};
   for (const ReplayOrder o : kAllOrders) {
     NetReplayStats stats;
@@ -752,7 +751,7 @@ TEST(NetMakespanOutage, FollowersOvertakeTheRequeuedTransfer) {
 TEST(NetMakespanOutage, TransferToDeadNodeWaitsOutTheWindow) {
   // The outage covers the stage start: nothing touching node 1 can be
   // admitted until it lifts.
-  const TransmissionLog log{{0, {1}, 10, 0}};
+  const TransmissionLog log{{0, {1}, 10}};
   LinkOutage outage{/*node=*/1, /*start=*/0.0, /*end=*/12.0};
   for (const Discipline d :
        {Discipline::kParallelFullDuplex, Discipline::kParallelHalfDuplex}) {
@@ -766,7 +765,7 @@ TEST(NetMakespanOutage, MulticastWithOneDeadReceiverRetransmits) {
   // A fanout-2 multicast is in flight when one receiver dies: the
   // whole payload re-queues and both receivers get it after the
   // window (the replay treats a transmission as atomic).
-  const TransmissionLog log{{0, {1, 2}, 10, 0}};
+  const TransmissionLog log{{0, {1, 2}, 10}};
   LinkOutage outage{/*node=*/2, /*start=*/4.0, /*end=*/25.0};
   NetReplayStats stats;
   const double makespan =
@@ -781,7 +780,7 @@ TEST(NetMakespanOutage, SerialMediumRestartsTheInterruptedTransfer) {
   // Serial discipline, unit rate: the first transfer (0->1) overlaps
   // the outage of node 0 and restarts at its end; the second holds
   // the medium behind it (the paper's one-at-a-time program order).
-  const TransmissionLog log{{0, {1}, 10, 0}, {2, {1}, 5, 1}};
+  const TransmissionLog log{{0, {1}, 10}, {2, {1}, 5}};
   LinkOutage outage{/*node=*/0, /*start=*/5.0, /*end=*/12.0};
   NetReplayStats stats;
   const double makespan =
@@ -793,7 +792,7 @@ TEST(NetMakespanOutage, SerialMediumRestartsTheInterruptedTransfer) {
 }
 
 TEST(NetMakespanOutage, WindowOutsideTheStageIsANoop) {
-  const TransmissionLog log{{0, {1}, 10, 0}, {1, {0}, 10, 1}};
+  const TransmissionLog log{{0, {1}, 10}, {1, {0}, 10}};
   for (const Discipline d : kAllDisciplines) {
     const double base =
         NetMakespan(log, UnitRack(2), d, ReplayOrder::kLogOrder);
@@ -825,7 +824,7 @@ TEST(ReplayScenario, FailStopDuringShuffleFreezesLinksAndRequeues) {
   run.num_nodes = 2;
   run.stages.push_back({stage::kMap, StageKind::kCompute, {2.0, 2.0}});
   run.stages.push_back({stage::kShuffle, StageKind::kNetwork, {}});
-  run.shuffle_log = {{0, {1}, 10, 0}};
+  run.shuffle_log = {{0, {1}, 10}};
 
   Scenario s;
   s.cluster = ClusterProfile::Homogeneous(2);
@@ -854,12 +853,12 @@ TEST(NetMakespan, CrossRackFlowsShareTheCore) {
   topo.access_bytes_per_sec = 1.0;
   topo.core_bytes_per_sec = 1.0;
   topo.multicast_log_coeff = 0.0;
-  const TransmissionLog log{{0, {2}, 10, 0}, {1, {3}, 10, 1}};
+  const TransmissionLog log{{0, {2}, 10}, {1, {3}, 10}};
   EXPECT_DOUBLE_EQ(NetMakespan(log, topo, Discipline::kParallelFullDuplex,
                                ReplayOrder::kLogOrder),
                    20.0);
   // An in-rack flow is unaffected by the congested core.
-  const TransmissionLog local{{0, {1}, 10, 0}};
+  const TransmissionLog local{{0, {1}, 10}};
   EXPECT_DOUBLE_EQ(NetMakespan(local, topo, Discipline::kParallelFullDuplex,
                                ReplayOrder::kLogOrder),
                    10.0);
@@ -891,7 +890,7 @@ TEST(NetMakespan, SerialRateLimitedByCongestedCore) {
   topo.core_bytes_per_sec = 1.0;
   topo.multicast_log_coeff = 0.0;
   // In-rack at 2 B/s (5 s), cross-rack at 1 B/s (10 s): serial sum.
-  const TransmissionLog log{{0, {1}, 10, 0}, {0, {2}, 10, 1}};
+  const TransmissionLog log{{0, {1}, 10}, {0, {2}, 10}};
   EXPECT_DOUBLE_EQ(
       NetMakespan(log, topo, Discipline::kSerial, ReplayOrder::kLogOrder),
       15.0);
@@ -1315,9 +1314,9 @@ TEST(NetMakespan, TieOrderPermutationInvariance) {
   // completion times, and delivered bytes.
   const Topology topo = UnitRack(6);
   TransmissionLog log;
-  log.push_back({0, {1}, 500, 0});
-  log.push_back({2, {3}, 500, 1});
-  log.push_back({4, {5}, 500, 2});
+  log.push_back({0, {1}, 500});
+  log.push_back({2, {3}, 500});
+  log.push_back({4, {5}, 500});
 
   NetReplayStats canonical;
   const double base = NetMakespan(log, topo, Discipline::kParallelFullDuplex,
@@ -1350,8 +1349,8 @@ TEST(NetMakespan, HookReceivesOutageRequeueDecisions) {
   // when the outage freezes it, so the requeue batch holds two flows.
   const Topology topo = UnitRack(4);
   TransmissionLog log;
-  log.push_back({0, {1}, 1000, 0});
-  log.push_back({1, {2}, 1000, 1});
+  log.push_back({0, {1}, 1000});
+  log.push_back({1, {2}, 1000});
 
   LinkOutage outage;
   outage.node = 1;

@@ -293,8 +293,8 @@ TEST(Timeline, RunJobRecordsOnlyIntoACallersTimeline) {
 // per-flow wire times, plus the DES registry counters, fold into one
 // FNV hash pinned below: a rewrite of the DES or its flight-recorder
 // probe must reproduce every sample and every event bit for bit.
-// Live runs are deliberately absent — their shuffle-log seq order
-// varies across processes.
+// Live runs are deliberately absent — their shuffle-log order varies
+// across processes.
 
 enum class LogShape { kUnicast, kMulticast, kMixed };
 
@@ -319,7 +319,6 @@ simscen::ScenarioRun GoldenRun(int k, LogShape shape, std::uint64_t seed) {
 
   // Two passes of every sender in turn, so per-sender order and log
   // order differ once senders interleave; multicasts reach 2..3 peers.
-  std::uint64_t seq = 0;
   for (int pass = 0; pass < 2; ++pass) {
     for (int src = 0; src < k; ++src) {
       for (int j = 1; j < k; ++j) {
@@ -333,7 +332,6 @@ simscen::ScenarioRun GoldenRun(int k, LogShape shape, std::uint64_t seed) {
           t.dsts.push_back((src + 1 + (j - 1 + e) % (k - 1)) % k);
         }
         t.bytes = 100000 + rng.below(400000);
-        t.seq = seq++;
         run.shuffle_log.push_back(std::move(t));
       }
     }

@@ -159,19 +159,13 @@ int main(int argc, char** argv) {
         for (const std::string& topo_spec : topologies) {
           for (const std::string& disc_spec : disciplines) {
             for (const std::string& order_spec : orders) {
+              job::ScenarioSpec scenario_spec;
+              scenario_spec.topology = topo_spec;
+              scenario_spec.discipline = disc_spec;
+              scenario_spec.order = order_spec;
               std::string err;
-              simscen::Scenario scenario =
-                  simscen::Scenario::Baseline(k);
-              const auto topo = job::ParseTopology(topo_spec, k, &err);
-              if (!topo) Flags::Fail(err);
-              scenario.topology = *topo;
-              const auto disc = job::ParseDiscipline(disc_spec, &err);
-              if (!disc) Flags::Fail(err);
-              scenario.discipline = *disc;
-              const auto ord = job::ParseOrder(order_spec, &err);
-              if (!ord) Flags::Fail(err);
-              scenario.order = *ord;
-              spec.scenario = scenario;
+              spec.scenario = job::ParseScenario(scenario_spec, k, &err);
+              if (!spec.scenario) Flags::Fail(err);
 
               check::CheckOptions cell_opts = copts;
               cell_opts.analyze_transport = first_combo;

@@ -318,6 +318,12 @@ int main(int argc, char** argv) {
        {"parallel-half", simnet::Discipline::kParallelHalfDuplex}});
   const std::uint64_t paper_records =
       flags.GetU64("paper-records", config.num_records);
+  // The scale RunJob prices at: --paper-records=0 reports the run as
+  // executed.
+  const std::string projection_scale = HumanBytes(
+      static_cast<double>(paper_records == 0 ? config.num_records
+                                             : paper_records) *
+      kRecordBytes);
   const bool verify = !flags.GetBool("no-verify");
   std::string parse_error;
   const std::string inject_spec = flags.Get("inject-delay", "");
@@ -444,9 +450,7 @@ int main(int argc, char** argv) {
     }
     if (!rows.empty()) {
       BreakdownTable("synthesized EC2-calibrated projection at " +
-                         HumanBytes(static_cast<double>(paper_records) *
-                                    kRecordBytes) +
-                         " (100 Mbps)",
+                         projection_scale + " (100 Mbps)",
                      rows)
           .render(std::cout);
     }
@@ -500,11 +504,9 @@ int main(int argc, char** argv) {
     }
   }
   if (!rows.empty()) {
-    BreakdownTable("EC2-calibrated projection at " +
-                       HumanBytes(static_cast<double>(paper_records) *
-                                  kRecordBytes) +
-                       " (100 Mbps)",
-                   rows)
+    BreakdownTable(
+        "EC2-calibrated projection at " + projection_scale + " (100 Mbps)",
+        rows)
         .render(std::cout);
   }
   // Unpriced algorithms (no NodeWork counters) report executed-scale

@@ -19,7 +19,7 @@ break that promise. Rules:
              two lines above the declaration saying why it is not a
              scalability hazard.
   benchkey   string keys fed to bench::JsonReport::add(...) or to the
-             obs::MetricRegistry (counter/gauge/histogram) must be
+             obs::MetricRegistry (counter/histogram) must be
              schema-clean: [A-Za-z0-9_/.:+%-]+, not the reserved
              top-level keys "bench"/"metrics"/"timeline", and registry
              metric names must not end in `_s` (seconds belong to
@@ -39,6 +39,12 @@ break that promise. Rules:
              ParseU64, so one grammar (no leading space or '+', no
              hex, finite doubles) holds for every flag, spec field,
              knob and example argument.
+  pricing    a use of one of CostModel's six per-node stage prices
+             (map_seconds, pack_seconds, encode_seconds,
+             unpack_seconds, decode_seconds, reduce_seconds) outside
+             src/analytics/: NodeStagePrice (analytics/report.h) is
+             the one map from a stage name to its price, so
+             SimulateRun and the scenario engine cannot drift apart.
 
 Any rule is suppressed for a line by `repo-lint: allow(<rule>)` on the
 line itself or within the two lines above it.
@@ -62,7 +68,7 @@ UNORDERED_RE = re.compile(r"std::unordered_(?:map|set)\b")
 MUTEX_RE = re.compile(r"\bstd::mutex\b")
 ADD_KEY_RE = re.compile(r"\.add\(\s*\"([^\"]*)\"")
 REGISTRY_KEY_RE = re.compile(
-    r"\b(?:counter|gauge|histogram)\(\s*\"([^\"]*)\"")
+    r"\b(?:counter|histogram)\(\s*\"([^\"]*)\"")
 KEY_OK_RE = re.compile(r"[A-Za-z0-9_/.:+%-]+\Z")
 RESERVED_KEYS = {"bench", "metrics", "timeline"}
 SAMPLE_KEY_RE = re.compile(r"(?:\.|->)(?:Sample|Series)\(\s*\"([^\"]*)\"")
@@ -71,6 +77,9 @@ NUMPARSE_RE = re.compile(
     r"(?:\bstrto(?:d|f|l|ll|ul|ull|ld)|\bato(?:i|f|l|ll)"
     r"|\bstd::sto(?:i|l|ll|ul|ull|f|d|ld))\s*\(")
 NUMPARSE_HOME = "src/common/numparse.h"
+PRICING_RE = re.compile(
+    r"(?:\.|->|::)\s*(?:map|pack|encode|unpack|decode|reduce)_seconds\b")
+PRICING_HOME = "src/analytics/"
 
 
 def allowed(lines, i, rule):
@@ -89,6 +98,7 @@ def lint_lines(relpath, lines):
     in_simmpi = path.startswith("src/simmpi/")
     numparse_scope = (in_src or path.startswith(("tools/", "examples/"))) \
         and path != NUMPARSE_HOME
+    pricing_scope = not path.startswith(PRICING_HOME)
     for i, line in enumerate(lines):
         # Comments still count for key rules (they would be copied),
         # but pure comment lines are a poor place to flag rand: strip
@@ -118,6 +128,11 @@ def lint_lines(relpath, lines):
             yield (i + 1, "numparse",
                    "C/std number parser outside %s; use its "
                    "ParseDouble/ParseInt/ParseU64" % NUMPARSE_HOME)
+        if pricing_scope and PRICING_RE.search(line) \
+                and not allowed(lines, i, "pricing"):
+            yield (i + 1, "pricing",
+                   "per-node CostModel price outside %s; take it from "
+                   "NodeStagePrice (analytics/report.h)" % PRICING_HOME)
         for m in ADD_KEY_RE.finditer(line):
             key = m.group(1)
             if (not KEY_OK_RE.fullmatch(key) or key in RESERVED_KEYS) \
@@ -236,6 +251,11 @@ def self_test():
                  ["numparse"])
     ok &= expect("numparse-outside-scope-ok", "bench/x.cpp",
                  "const auto n = std::stoull(text);", [])
+    ok &= expect("pricing", "src/simscen/x.cc",
+                 "st.push_back(model.reduce_seconds(w, scale, r));",
+                 ["pricing"])
+    ok &= expect("pricing-analytics-ok", "src/analytics/x.cc",
+                 "return m.map_seconds(w, s);", [])
     ok &= expect("allow-suppresses", "src/x.cc",
                  "// repo-lint: allow(rand)\nint x = rand();", [])
     ok &= expect("allow-wrong-rule", "src/x.cc",
