@@ -20,6 +20,7 @@
 // ext_async embed CTS_CHECK invariants (byte identity, strict replay
 // ordering, the regimes each sweep must expose), so a clean exit is
 // itself evidence.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <iostream>
@@ -570,19 +571,6 @@ void AblationCodegen(JsonReport& json) {
   json.write();
 }
 
-// Returns `result` with node 0's compute counters inflated by `slow`
-// (models a node whose CPU runs 1/slow as fast; byte counts are what
-// the cost model prices, so scaling them scales the node's time).
-AlgorithmResult WithStraggler(AlgorithmResult result, double slow) {
-  auto& w = result.work.front();
-  for (std::uint64_t* bytes :
-       {&w.map_bytes, &w.pack_bytes, &w.unpack_bytes, &w.reduce_bytes,
-        &w.codec.encode_xor_bytes, &w.codec.decoded_bytes}) {
-    *bytes = static_cast<std::uint64_t>(static_cast<double>(*bytes) * slow);
-  }
-  return result;
-}
-
 // Ablation: straggler sensitivity.
 //
 // The paper's intro cites coded computing for straggler mitigation
@@ -590,9 +578,11 @@ AlgorithmResult WithStraggler(AlgorithmResult result, double slow) {
 // needs every node's Map output before any packet can be decoded, and
 // its Map stage processes r x more data per node. This ablation prices
 // the measured runs with one node's compute rate degraded by a factor
-// s (compute stage time = max over nodes, so the slow node sets the
-// pace; the serial shuffle is rate-bound, not compute-bound, and is
-// unaffected).
+// s: node 0's price of every compute stage (NodeStagePrice) is
+// multiplied by s, per-file and per-packet overheads included, and the
+// stage ends with its slowest node. The serial shuffle is rate-bound,
+// not compute-bound, and CodeGen is a collective, so both keep their
+// unslowed prices.
 //
 // Expected shape: TeraSort degrades by (s-1) x a few seconds of
 // compute; CodedTeraSort degrades r x faster in Map — but because the
@@ -610,14 +600,34 @@ void AblationStraggler(JsonReport& json) {
   const CostModel model;
   const RunScale scale = PaperScale(base.num_records, kPaperRecords);
 
+  // `result` priced with node 0's compute stages slowed by `slow`.
+  const auto with_straggler = [&](const AlgorithmResult& result,
+                                  double slow) {
+    StageBreakdown b = SimulateRun(result, model, scale);
+    const int r = std::max(result.config.redundancy, 1);
+    for (StageTime& st : b.stages) {
+      const NodePrice price = NodeStagePrice(st.name);
+      if (price == nullptr) continue;
+      st.seconds = 0;
+      for (std::size_t n = 0; n < result.work.size(); ++n) {
+        const double t = price(model, result.work[n], scale, r);
+        st.seconds = std::max(st.seconds, n == 0 ? t * slow : t);
+      }
+    }
+    return b;
+  };
+  const double plain_shuffle = SimulateRun(plain, model, scale).shuffle();
+  const double coded_shuffle = SimulateRun(coded, model, scale).shuffle();
+
   TextTable table("paper-scale totals with node 0 slowed by s");
   table.set_header({"s", "TeraSort Map", "TeraSort total", "Coded Map",
                     "Coded total", "Speedup"});
   for (const double s : {1.0, 1.5, 2.0, 4.0, 8.0}) {
-    const StageBreakdown p =
-        SimulateRun(WithStraggler(plain, s), model, scale);
-    const StageBreakdown c =
-        SimulateRun(WithStraggler(coded, s), model, scale);
+    const StageBreakdown p = with_straggler(plain, s);
+    const StageBreakdown c = with_straggler(coded, s);
+    CTS_CHECK_MSG(p.shuffle() == plain_shuffle &&
+                      c.shuffle() == coded_shuffle,
+                  "a compute straggler moved the shuffle at s = " << s);
     json.add("s" + TextTable::Num(s, 1) + "/terasort_total_s", p.total());
     json.add("s" + TextTable::Num(s, 1) + "/coded_total_s", c.total());
     json.add("s" + TextTable::Num(s, 1) + "/speedup",

@@ -20,6 +20,9 @@ using simscen::Topology;
 
 constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 
+// Extra runs allowed to minimize a violation, beyond the budget.
+constexpr std::size_t kShrinkBudget = 32;
+
 // One recorded (or prescribed) decision: the canonical candidate batch
 // the simulator offered and the order it was processed in.
 struct Choice {
@@ -158,7 +161,7 @@ class Explorer {
         br = std::move(stack_.back());
         stack_.pop_back();
         from_dependent = true;
-      } else if (opts_.validate_pruned && !vqueue_.empty()) {
+      } else if (!vqueue_.empty()) {
         br = std::move(vqueue_.front());
         vqueue_.pop_front();
       } else if (outage_.active()) {
@@ -353,7 +356,7 @@ class Explorer {
     }
     if (altered.size() <= 1) return br;
     for (std::size_t m = 1; m < altered.size(); ++m) {
-      if (shrink_runs_ >= opts_.shrink_budget) break;
+      if (shrink_runs_ >= kShrinkBudget) break;
       Branch cand;
       cand.script.assign(
           br.script.begin(),

@@ -45,14 +45,10 @@
 namespace cts::check {
 
 struct ExploreOptions {
-  // Alternative orderings to actually run (the DFS budget; shrink and
-  // validation runs draw from the same pot).
+  // Alternative orderings to actually run (the DFS budget). Leftover
+  // budget re-runs pruned (independent) branches and asserts bitwise
+  // identity — a check on the pruning theory itself.
   std::size_t budget = 128;
-  // Re-run pruned (independent) branches with leftover budget and
-  // assert bitwise identity — a check on the pruning theory itself.
-  bool validate_pruned = true;
-  // Extra runs allowed to minimize a violation.
-  std::size_t shrink_budget = 32;
 };
 
 struct OrderingViolation {

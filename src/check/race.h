@@ -11,7 +11,7 @@
 //     happens-before the kMatch that redeemed ticket i on that key
 //     (posting-order matching pairs them exactly).
 //
-// Collectives need no special casing: barriers and bcasts both
+// Collectives need no special casing: barriers, bcasts and splits all
 // flow through mailbox deliveries on reserved negative tags, so their
 // synchronization arrives as ordinary message edges.
 //

@@ -3,6 +3,7 @@
 #include "combinatorics/subsets.h"
 
 #include <algorithm>
+#include <tuple>
 
 namespace cts::simmpi {
 
@@ -194,17 +195,54 @@ std::map<NodeMask, Comm> Comm::create_groups(
 }
 
 std::optional<Comm> Comm::split(int color, int key) {
-  const std::uint64_t epoch = split_epoch_++;
-  const auto result = world_->split_rendezvous(id_, epoch, size(),
-                                               my_global(), color, key);
-  if (!result.has_value()) return std::nullopt;
-  auto members =
-      std::make_shared<const std::vector<NodeId>>(result->members);
-  const auto it =
-      std::find(members->begin(), members->end(), my_global());
+  Buffer reply;
+  if (rank_ != 0) {
+    Buffer request;
+    request.write_i32(color);
+    request.write_i32(key);
+    deliver(0, kTagSplit, std::move(request));
+    reply = recv(0, kTagSplit);
+  } else {
+    // Every member's (key, node id, rank) by color, colors ascending;
+    // the requests arrive in rank order.
+    std::map<int, std::vector<std::tuple<int, NodeId, int>>> groups;
+    for (int m = 0; m < size(); ++m) {
+      int member_color = color;
+      int member_key = key;
+      if (m != 0) {
+        Buffer request = recv(m, kTagSplit);
+        member_color = request.read_i32();
+        member_key = request.read_i32();
+      }
+      if (member_color >= 0) {
+        groups[member_color].emplace_back(member_key, global(m), m);
+      }
+    }
+    // One id per color and one shared reply: the id, then the members.
+    std::vector<Buffer> replies(static_cast<std::size_t>(size()));
+    for (auto& [group_color, group] : groups) {
+      std::sort(group.begin(), group.end());
+      Buffer out;
+      out.write_u32(world_->allocate_comm_id());
+      for (const auto& [k, node, m] : group) out.write_i32(node);
+      for (const auto& [k, node, m] : group) replies[m] = out.Share();
+      // One communicator materialized: the CodeGen cost model charges
+      // per created multicast group.
+      world_->stats().record_comm_creation();
+    }
+    for (int m = 1; m < size(); ++m) {
+      deliver(m, kTagSplit, std::move(replies[m]));
+    }
+    reply = std::move(replies[0]);
+  }
+  if (color < 0) return std::nullopt;
+  const CommId id = reply.read_u32();
+  auto members = std::make_shared<std::vector<NodeId>>();
+  while (reply.remaining() > 0) members->push_back(reply.read_i32());
+  const auto it = std::find(members->begin(), members->end(), my_global());
   CTS_CHECK(it != members->end());
   const int rank = static_cast<int>(it - members->begin());
-  return Comm(world_, result->comm_id, std::move(members), rank);
+  return Comm(world_, id, std::move(members), rank);
 }
 
 }  // namespace cts::simmpi

@@ -14,14 +14,21 @@
 //   MPI_Isend / MPI_Irecv -> Comm::isend / Comm::irecv (nonblocking,
 //                            returning a Request; complete with wait)
 //
+// Every collective is built from mailbox deliveries on a reserved
+// negative tag (user tags are >= 0): bcast on kTagBcast, barrier and
+// split as one round of requests to rank 0 and replies from it on
+// kTagBarrier and kTagSplit. So the transport log a check run captures
+// holds every synchronization between node threads.
+//
 // Traffic accounting: send() records a unicast and bcast() records a
 // multicast with its fan-out into World::stats() under the current
 // stage label. Nonblocking sends account at INITIATION (isend is
 // eager-buffered, so initiation is when the bytes hit the wire) —
 // overlapped and barrier-synchronous schedules therefore measure
-// byte-identical loads. Control-plane traffic (barrier tokens) is
-// deliberately NOT accounted — the paper's tables measure shuffle
-// payloads, not MPI control overhead.
+// byte-identical loads. Control-plane traffic (barrier tokens, split
+// requests and replies) is deliberately NOT accounted — the paper's
+// tables measure shuffle payloads, not MPI control overhead; split
+// records only its comm creations.
 #pragma once
 
 #include <cstdint>
@@ -89,6 +96,11 @@ class Request {
 
 class Comm {
  public:
+  // Reserved tags of the collectives.
+  static constexpr Tag kTagBcast = -1;
+  static constexpr Tag kTagBarrier = -2;
+  static constexpr Tag kTagSplit = -3;
+
   // The world communicator for node `self` (rank == node id).
   static Comm World(class World& world, NodeId self);
 
@@ -188,7 +200,10 @@ class Comm {
 
   // Collective split. Members calling with the same color >= 0 form a
   // new communicator ordered by (key, node id); color < 0 opts out and
-  // yields nullopt. Every member of this communicator must call.
+  // yields nullopt. Every member of this communicator must call. Rank
+  // 0 gathers every (color, key) on kTagSplit, allocates one id per
+  // color in ascending color order, records one comm creation per
+  // group and replies to each member with its group's id and members.
   std::optional<Comm> split(int color, int key);
 
   // Batched group creation (the "Scalable Coding" extension, paper
@@ -212,14 +227,10 @@ class Comm {
   void deliver(int dst_rank, Tag tag, Buffer payload);
   Request post_recv(NodeId src, Tag tag);
 
-  static constexpr Tag kTagBcast = -1;
-  static constexpr Tag kTagBarrier = -2;
-
   class World* world_;
   CommId id_;
   std::shared_ptr<const std::vector<NodeId>> members_;
   int rank_;
-  std::uint64_t split_epoch_ = 0;
 };
 
 }  // namespace cts::simmpi

@@ -1,19 +1,13 @@
 // The simulated cluster: K worker nodes sharing a transport.
 //
 // A World replaces the paper's EC2 cluster + Open MPI runtime. It owns
-// one Mailbox per node, the global TrafficStats, the communicator-id
-// allocator and the rendezvous state for collective Comm::split calls.
-// Node programs never touch World directly except to construct their
-// world communicator (Comm::World).
+// one Mailbox per node, the global TrafficStats and the communicator-id
+// allocator. Node programs never touch World directly except to
+// construct their world communicator (Comm::World).
 #pragma once
 
-#include <condition_variable>
-#include <cstdint>
-#include <map>
+#include <atomic>
 #include <memory>
-#include <mutex>
-#include <optional>
-#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -22,13 +16,6 @@
 #include "simmpi/traffic.h"
 
 namespace cts::simmpi {
-
-// Result of a split rendezvous for one participant: the new
-// communicator's id and its member list (ordered by (key, node id)).
-struct SplitResult {
-  CommId comm_id = 0;
-  std::vector<NodeId> members;
-};
 
 class World {
  public:
@@ -69,20 +56,6 @@ class World {
   // was set before construction. Call after the node threads joined.
   TransportLog transport_log() const { return recorder_.Snapshot(); }
 
-  // ---- Collective split rendezvous (backs Comm::split) ----
-  //
-  // Every member of the parent communicator (comm, epoch) calls this
-  // exactly once with its (node, color, key). The call blocks until all
-  // `expected` members have arrived; the last arrival partitions the
-  // entries by color, orders each group by (key, node), and allocates
-  // one fresh CommId per color in ascending color order (so ids are
-  // deterministic). color < 0 means "not in any group" (MPI_UNDEFINED)
-  // and yields nullopt.
-  std::optional<SplitResult> split_rendezvous(CommId comm,
-                                              std::uint64_t epoch,
-                                              int expected, NodeId node,
-                                              int color, int key);
-
   // Allocates a fresh communicator id (world comm is id 0).
   CommId allocate_comm_id() { return next_comm_id_.fetch_add(1); }
 
@@ -94,38 +67,12 @@ class World {
   }
 
  private:
-  struct SplitEntry {
-    NodeId node;
-    int color;
-    int key;
-  };
-
-  struct SplitState {
-    // repo-lint: allow(mutex): cold-path rendezvous — one lock per
-    // in-flight split collective, never touched by the shuffle.
-    std::mutex mu;
-    std::condition_variable cv;
-    std::vector<SplitEntry> entries;
-    bool done = false;
-    int readers_left = 0;
-    std::map<NodeId, SplitResult> results;  // only colored participants
-  };
-
-  std::shared_ptr<SplitState> split_state(CommId comm, std::uint64_t epoch,
-                                          int expected);
-  void retire_split_state(CommId comm, std::uint64_t epoch);
-
   int num_nodes_;
   // Declared before the mailboxes that hold pointers into it.
   TransportRecorder recorder_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   TrafficStats stats_;
 
-  // repo-lint: allow(mutex): cold-path split-state registry, taken
-  // once per collective split, never on the message path.
-  std::mutex split_mu_;
-  std::map<std::pair<CommId, std::uint64_t>, std::shared_ptr<SplitState>>
-      splits_;
   std::atomic<CommId> next_comm_id_{1};
 };
 

@@ -779,26 +779,18 @@ double SerialNetMakespan(const simnet::TransmissionLog& log,
 }
 
 // Every replay feeds the process-wide registry: flow admissions,
-// outage re-queues, max-min recomputations, and a histogram of flow
-// service times (replay-clock microseconds). Handles are resolved
-// once — the per-replay cost is three relaxed adds plus one record per
-// flow, nothing on the inner event loop.
+// outage re-queues and max-min recomputations. Handles are resolved
+// once — the per-replay cost is three relaxed adds, nothing on the
+// inner event loop.
 void PublishReplayMetrics(const NetReplayStats& stats) {
   auto& registry = obs::MetricRegistry::Global();
   static obs::Counter& started = registry.counter("simscen/flows_started");
   static obs::Counter& requeued = registry.counter("simscen/flows_requeued");
   static obs::Counter& recomputations =
       registry.counter("simscen/maxmin_recomputations");
-  static obs::Histogram& service =
-      registry.histogram("simscen/flow_microseconds");
   started.add(stats.flows_started);
   requeued.add(stats.flows_requeued);
   recomputations.add(stats.maxmin_recomputations);
-  for (std::size_t i = 0; i < stats.flow_end.size(); ++i) {
-    const double start =
-        i < stats.flow_start.size() ? stats.flow_start[i] : 0.0;
-    service.record((stats.flow_end[i] - start) * 1e6);
-  }
 }
 
 }  // namespace

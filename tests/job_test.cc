@@ -482,18 +482,18 @@ TEST(Cli, PaperPresetsArePinned) {
        {{"s1.0/coded_total_s", 461.0159217423528},
         {"s1.0/speedup", 2.0907764904272295},
         {"s1.0/terasort_total_s", 963.8812508915507},
-        {"s1.5/coded_total_s", 487.8661859102975},
-        {"s1.5/speedup", 1.9916286615132128},
-        {"s1.5/terasort_total_s", 971.648278842082},
-        {"s2.0/coded_total_s", 514.8017866254496},
-        {"s2.0/speedup", 1.9025148224607213},
-        {"s2.0/terasort_total_s", 979.4180296841794},
-        {"s4.0/coded_total_s", 622.5441894860581},
-        {"s4.0/speedup", 1.6231731821106323},
-        {"s4.0/terasort_total_s", 1010.4970330525695},
-        {"s8.0/coded_total_s", 838.0289952072753},
-        {"s8.0/speedup", 1.2799736595319617},
-        {"s8.0/terasort_total_s", 1072.655039789349}}},
+        {"s1.5/coded_total_s", 474.68911006418176},
+        {"s1.5/speedup", 2.0469155669290737},
+        {"s1.5/terasort_total_s", 971.648528842082},
+        {"s2.0/coded_total_s", 488.44763493321807},
+        {"s2.0/speedup", 2.0051658758017905},
+        {"s2.0/terasort_total_s", 979.4185296841794},
+        {"s4.0/coded_total_s", 543.4817344093636},
+        {"s4.0/speedup", 1.8593054174134165},
+        {"s4.0/terasort_total_s", 1010.4985330525694},
+        {"s8.0/coded_total_s", 653.5499333616548},
+        {"s8.0/speedup", 1.641280160908183},
+        {"s8.0/terasort_total_s", 1072.658539789349}}},
   };
   const std::map<std::string, std::pair<std::size_t, std::string>>
       digests = {

@@ -7,11 +7,13 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "check/race.h"
 #include "combinatorics/subsets.h"
 #include "common/check.h"
 #include "simmpi/comm.h"
@@ -549,6 +551,46 @@ TEST(Comm, NestedSplitOfSubgroup) {
     ASSERT_TRUE(quarter.has_value());
     EXPECT_EQ(quarter->size(), 2);
   });
+}
+
+TEST(Comm, SplitIsAMailboxCollective) {
+  // Split synchronizes through the mailboxes, so a captured transport
+  // log holds it: every rank but 0 sends its (color, key) to rank 0 and
+  // gets one reply, all on the split tag, and the log certifies.
+  constexpr int K = 5;
+  TransportRecorder::RequestCapture(true);
+  World world(K);
+  TransportRecorder::RequestCapture(false);
+  world.stats().set_stage("CodeGen");
+  std::array<CommId, K> ids{};
+  RunNodes(world, [&](NodeId n) {
+    Comm c = Comm::World(world, n);
+    // Nodes 0 and 2 take color 7, nodes 1 and 3 color 4; node 4 opts
+    // out.
+    const int color = n == 4 ? -1 : (n % 2 == 0 ? 7 : 4);
+    const auto sub = c.split(color, n);
+    ASSERT_EQ(sub.has_value(), color >= 0) << n;
+    if (sub) ids[static_cast<std::size_t>(n)] = sub->id();
+  });
+  // One id per color, consecutive, in ascending color order (not in
+  // the order the colors first appear).
+  EXPECT_EQ(ids[0], ids[2]);
+  EXPECT_EQ(ids[1], ids[3]);
+  EXPECT_EQ(ids[0], ids[1] + 1);
+  EXPECT_EQ(world.stats().stage("CodeGen").comm_creations, 2u);
+  EXPECT_EQ(world.pending_messages(), 0u);
+
+  const TransportLog log = world.transport_log();
+  std::multiset<std::tuple<NodeId, NodeId, std::uint64_t>> sends, matches;
+  for (const TransportEvent& ev : log) {
+    EXPECT_EQ(ev.tag, Comm::kTagSplit);
+    const auto slot = std::make_tuple(ev.dst, ev.src, ev.index);
+    if (ev.kind == TransportEventKind::kSend) sends.insert(slot);
+    if (ev.kind == TransportEventKind::kMatch) matches.insert(slot);
+  }
+  EXPECT_EQ(sends.size(), 2u * (K - 1));
+  EXPECT_EQ(matches, sends);
+  EXPECT_TRUE(check::AnalyzeTransport(log, K).certified());
 }
 
 TEST(Traffic, SendRecordsUnicastUnderCurrentStage) {

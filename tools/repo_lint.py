@@ -18,8 +18,13 @@ break that promise. Rules:
              `repo-lint: allow(mutex): <reason>` annotation within the
              two lines above the declaration saying why it is not a
              scalability hazard.
+  condvar    a std::condition_variable in src/ outside
+             src/simmpi/mailbox.h: every blocking wait between node
+             threads is a Mailbox wait, which the transport log
+             records, so the happens-before analysis in src/check
+             sees every synchronization of a run.
   benchkey   string keys fed to bench::JsonReport::add(...) or to the
-             obs::MetricRegistry (counter/histogram) must be
+             obs::MetricRegistry (counter) must be
              schema-clean: [A-Za-z0-9_/.:+%-]+, not the reserved
              top-level keys "bench"/"metrics"/"timeline", and registry
              metric names must not end in `_s` (seconds belong to
@@ -66,9 +71,10 @@ RAND_RE = re.compile(r"\b(?:srand|rand)\s*\(|std::random_device")
 WALLCLOCK_RE = re.compile(r"\btime\s*\(\s*(?:NULL|nullptr)\s*\)")
 UNORDERED_RE = re.compile(r"std::unordered_(?:map|set)\b")
 MUTEX_RE = re.compile(r"\bstd::mutex\b")
+CONDVAR_RE = re.compile(r"\bstd::condition_variable")
+CONDVAR_HOME = "src/simmpi/mailbox.h"
 ADD_KEY_RE = re.compile(r"\.add\(\s*\"([^\"]*)\"")
-REGISTRY_KEY_RE = re.compile(
-    r"\b(?:counter|histogram)\(\s*\"([^\"]*)\"")
+REGISTRY_KEY_RE = re.compile(r"\bcounter\(\s*\"([^\"]*)\"")
 KEY_OK_RE = re.compile(r"[A-Za-z0-9_/.:+%-]+\Z")
 RESERVED_KEYS = {"bench", "metrics", "timeline"}
 SAMPLE_KEY_RE = re.compile(r"(?:\.|->)(?:Sample|Series)\(\s*\"([^\"]*)\"")
@@ -123,6 +129,11 @@ def lint_lines(relpath, lines):
                    "naked std::mutex in src/simmpi: annotate "
                    "`repo-lint: allow(mutex): <why it is not a "
                    "scalability hazard>` within the two lines above")
+        if in_src and path != CONDVAR_HOME and CONDVAR_RE.search(line) \
+                and not allowed(lines, i, "condvar"):
+            yield (i + 1, "condvar",
+                   "condition variable outside %s: wait on a Mailbox, "
+                   "whose events the transport log records" % CONDVAR_HOME)
         if numparse_scope and NUMPARSE_RE.search(line) \
                 and not allowed(lines, i, "numparse"):
             yield (i + 1, "numparse",
@@ -211,6 +222,10 @@ def self_test():
                  "std::mutex mu_;", [])
     ok &= expect("mutex-outside-simmpi-ok", "src/driver/x.h",
                  "std::mutex mu_;", [])
+    ok &= expect("condvar", "src/simmpi/world.h",
+                 "std::condition_variable cv;", ["condvar"])
+    ok &= expect("condvar-mailbox-ok", "src/simmpi/mailbox.h",
+                 "std::condition_variable cv_;", [])
     ok &= expect("benchkey-space", "bench/x.cpp",
                  'report.add("total s", 1.0);', ["benchkey"])
     ok &= expect("benchkey-reserved", "bench/x.cpp",
