@@ -66,13 +66,13 @@ void CodedTeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
   // ---- Map ----
   // A key-only pass hashes every record of every stored file F_S to its
   // partition and counts each intermediate value, so each kept I^t_S
-  // (t not in S) is allocated once, at its exact packed size, and the
-  // reduce pool is reserved for the own partition. The second pass
-  // generates each record once, into its slot: I^self_S into the pool,
-  // I^t_S into its packed value. Records for the other members of S
-  // are generated and dropped — those nodes mapped F_S too (paper
-  // Fig. 5).
-  std::vector<Record> pool;
+  // (t not in S) and the list of own records (every I^self_S, one
+  // packed list) are allocated once, at their exact packed size. The
+  // second pass generates each record once, into its place: I^self_S
+  // appended to the own list, I^t_S into its packed value's slot.
+  // Records for the other members of S are generated and dropped —
+  // those nodes mapped F_S too (paper Fig. 5).
+  Buffer own_list;
   std::map<IvKey, Buffer> ivs;
   stages.run(stage::kMap, [&] {
     const std::vector<FileId>& files = placement.files_on_node(self);
@@ -93,7 +93,7 @@ void CodedTeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
     for (std::size_t i = 0; i < files.size(); ++i) {
       own += counts[i * k + static_cast<std::size_t>(self)];
     }
-    pool.reserve(own);
+    StartPackedList(own_list, own);
     const PartitionId* next = dest.data();
     std::vector<std::uint8_t*> slot(k);
     for (std::size_t i = 0; i < files.size(); ++i) {
@@ -112,7 +112,7 @@ void CodedTeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
         const Record rec = gen.record(ranges.offset[fi] + j);
         const PartitionId p = *next++;
         if (p == self) {
-          pool.push_back(rec);
+          AppendPackedRecord(own_list, rec);
         } else if (std::uint8_t*& out = slot[static_cast<std::size_t>(p)]) {
           std::memcpy(out, &rec, kRecordBytes);
           out += kRecordBytes;
@@ -157,8 +157,10 @@ void CodedTeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
 
   // ---- Decode ----
   // A header pass reads every group's wanted length from the packets
-  // in place and sizes the reduce pool once; then each group's r
-  // packets decode straight into the pool's records.
+  // in place, so the reduce pool, partition P_self, is allocated once
+  // at its final size. The own records are copied in, and then each
+  // group's r packets decode straight into the pool's records.
+  std::vector<Record> pool;
   stages.run(stage::kDecode, [&] {
     std::vector<PacketView> packets;
     const auto parse_group = [&](NodeMask g) -> std::span<const PacketView> {
@@ -168,10 +170,13 @@ void CodedTeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
       }
       return packets;
     };
-    std::size_t records = pool.size();
+    std::size_t records = MaxPackedRecords(own_list.size());
     for (const auto& [g, group_comm] : groups) {
       records += GroupRecordCount(g, self, parse_group(g));
     }
+    pool.reserve(records);
+    UnpackRecordsInto(own_list, pool);
+    own_list = Buffer();
     std::size_t at = pool.size();
     pool.resize(records);
     for (const auto& [g, group_comm] : groups) {

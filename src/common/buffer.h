@@ -6,6 +6,15 @@
 // self-describing only to the extent callers make it so; the terasort
 // and coding modules define explicit wire formats on top of this.
 //
+// Storage: a Buffer owns one block of bytes. A block of
+// BlockCache::kMinBytes (256 KiB) or more comes from the process-wide
+// BlockCache, so the packed lists, intermediate values, coded packets
+// and shared multicast payloads of a live job reuse the pages that the
+// previous job touched; a smaller block comes from operator new.
+// Capacity grows as std::vector's does (reserve is exact, appends at
+// least double), and resize zero-fills what it adds. A std::vector
+// crosses that boundary by copy: the vector constructor and take().
+//
 // Shared payloads: Share() turns a buffer's bytes into one read-only
 // block that several Buffers hold at once (a multicast root and all
 // its recipients). Reads of a shared buffer happen in place. Any
@@ -13,14 +22,20 @@
 // and take() — first gives that holder a private copy, so no holder
 // ever observes another's writes. An owned buffer never allocates or
 // copies for the shared case.
+//
+// BufferArena, at the end of this file, is kept only for ctbench's
+// transport pass and the simmpi/arena_hits and simmpi/arena_misses
+// counters it reports; no Buffer's storage comes from it.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -35,7 +50,7 @@ class Buffer {
  public:
   Buffer() = default;
   explicit Buffer(std::vector<std::uint8_t> bytes)
-      : bytes_(std::move(bytes)) {}
+      : bytes_(Storage::Copy(bytes)) {}
 
   Buffer(Buffer&&) noexcept = default;
   Buffer& operator=(Buffer&&) noexcept = default;
@@ -44,7 +59,8 @@ class Buffer {
 
   // Explicit deep copy (always owned, even of a shared buffer).
   Buffer Clone() const {
-    Buffer b(bytes());
+    Buffer b;
+    b.bytes_ = Storage::Copy(bytes());
     b.cursor_ = cursor_;
     return b;
   }
@@ -53,11 +69,7 @@ class Buffer {
   // returns one more holder of it, reading from the start. This
   // buffer keeps its cursor.
   Buffer Share() {
-    if (!shared_) {
-      shared_ = std::make_shared<const std::vector<std::uint8_t>>(
-          std::move(bytes_));
-      bytes_ = {};
-    }
+    if (!shared_) shared_ = std::make_shared<const Storage>(std::move(bytes_));
     Buffer holder;
     holder.shared_ = shared_;
     return holder;
@@ -68,7 +80,10 @@ class Buffer {
   const std::uint8_t* data() const { return bytes().data(); }
   std::uint8_t* data() { return own().data(); }
   std::span<const std::uint8_t> span() const { return bytes(); }
-  std::span<std::uint8_t> mutable_span() { return own(); }
+  std::span<std::uint8_t> mutable_span() {
+    Storage& bytes = own();
+    return {bytes.data(), bytes.size()};
+  }
 
   void reserve(std::size_t n) { own().reserve(n); }
   void clear() {
@@ -80,12 +95,9 @@ class Buffer {
 
   // ---- Writing (appends at the end) ----
 
-  void write_bytes(std::span<const std::uint8_t> src) {
-    std::vector<std::uint8_t>& bytes = own();
-    bytes.insert(bytes.end(), src.begin(), src.end());
-  }
+  void write_bytes(std::span<const std::uint8_t> src) { own().append(src); }
 
-  void write_u8(std::uint8_t v) { own().push_back(v); }
+  void write_u8(std::uint8_t v) { own().append({&v, 1}); }
 
   void write_u32(std::uint32_t v) { write_le(v); }
   void write_u64(std::uint64_t v) { write_le(v); }
@@ -172,28 +184,105 @@ class Buffer {
     return b;
   }
 
-  // Steals the underlying byte vector (resets the buffer). A shared
-  // buffer hands over a copy; the other holders keep theirs.
+  // Steals the buffer's bytes as a vector (a copy out of its storage)
+  // and resets the buffer. A shared buffer hands over a copy; the other
+  // holders keep theirs.
   std::vector<std::uint8_t> take() {
+    const std::span<const std::uint8_t> b = bytes();
+    std::vector<std::uint8_t> out(b.begin(), b.end());
+    shared_.reset();
+    bytes_ = Storage();
     cursor_ = 0;
-    return std::move(own());
+    return out;
   }
 
   bool operator==(const Buffer& other) const {
-    return bytes() == other.bytes();
+    return std::ranges::equal(bytes(), other.bytes());
   }
 
  private:
+  // One owned block and how much of it is in use. Blocks of
+  // BlockCache::kMinBytes or more come from the process-wide cache,
+  // smaller ones from operator new.
+  class Storage {
+   public:
+    Storage() = default;
+    Storage(Storage&& other) noexcept
+        : data_(std::exchange(other.data_, nullptr)),
+          size_(std::exchange(other.size_, 0)),
+          capacity_(std::exchange(other.capacity_, 0)) {}
+    Storage& operator=(Storage&& other) noexcept {
+      if (this != &other) {
+        Free(data_, capacity_);
+        data_ = std::exchange(other.data_, nullptr);
+        size_ = std::exchange(other.size_, 0);
+        capacity_ = std::exchange(other.capacity_, 0);
+      }
+      return *this;
+    }
+    Storage(const Storage&) = delete;
+    Storage& operator=(const Storage&) = delete;
+    ~Storage() { Free(data_, capacity_); }
+
+    // A copy of `bytes`, with no spare capacity.
+    static Storage Copy(std::span<const std::uint8_t> bytes) {
+      Storage s;
+      s.append(bytes);
+      return s;
+    }
+
+    std::uint8_t* data() { return data_; }
+    std::span<const std::uint8_t> span() const { return {data_, size_}; }
+    std::size_t size() const { return size_; }
+
+    void reserve(std::size_t n) {
+      if (n > capacity_) Grow(n, {});
+    }
+    void resize(std::size_t n) {
+      if (n <= size_) {
+        size_ = n;
+        return;
+      }
+      if (n > capacity_) Grow(std::max(n, 2 * capacity_), {});
+      std::memset(data_ + size_, 0, n - size_);
+      size_ = n;
+    }
+    // Appends `src`, which may lie inside this storage.
+    void append(std::span<const std::uint8_t> src) {
+      if (src.empty()) return;
+      if (src.size() > capacity_ - size_) {
+        Grow(std::max(size_ + src.size(), 2 * capacity_), src);
+      } else {
+        std::memcpy(data_ + size_, src.data(), src.size());
+      }
+      size_ += src.size();
+    }
+    void clear() { size_ = 0; }
+
+   private:
+    // Out of line (buffer.cc): these are the cold paths, and inlined
+    // into a caller's small write GCC 12's -Wstringop-overflow misreads
+    // Grow's copies under -O3.
+    static void Free(std::uint8_t* block, std::size_t capacity);
+    // Moves the bytes in use into a block of `capacity` bytes, then
+    // copies `tail` after them, before the old block is freed.
+    void Grow(std::size_t capacity, std::span<const std::uint8_t> tail);
+
+    std::uint8_t* data_ = nullptr;
+    std::size_t size_ = 0;
+    std::size_t capacity_ = 0;
+  };
+
   // The bytes this buffer reads: its own, or the shared payload.
-  const std::vector<std::uint8_t>& bytes() const {
-    return shared_ ? *shared_ : bytes_;
+  std::span<const std::uint8_t> bytes() const {
+    return shared_ ? shared_->span() : bytes_.span();
   }
 
-  // The bytes this buffer may write, copied out of a shared payload
+  // The storage this buffer may write, copied out of a shared payload
   // first.
-  std::vector<std::uint8_t>& own() {
+  Storage& own() {
     if (shared_) {
-      bytes_ = *shared_;
+      bytes_ = Storage::Copy(shared_->span());
       shared_.reset();
     }
     return bytes_;
@@ -201,10 +290,11 @@ class Buffer {
 
   template <typename T>
   void write_le(T v) {
-    std::vector<std::uint8_t>& bytes = own();
+    std::uint8_t le[sizeof(T)];
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      le[i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
+    own().append(le);
   }
 
   template <typename T>
@@ -219,22 +309,21 @@ class Buffer {
     return v;
   }
 
-  std::vector<std::uint8_t> bytes_;
+  Storage bytes_;
   // Non-null while this buffer holds a shared payload (bytes_ is then
   // empty).
-  std::shared_ptr<const std::vector<std::uint8_t>> shared_;
+  std::shared_ptr<const Storage> shared_;
   std::size_t cursor_ = 0;
 };
 
-// Thread-local free list of payload byte vectors for copying sends.
-// At K~100 every message sent from a buffer the caller keeps
-// allocates a payload copy (Comm's copying send/isend) that the
-// receiver frees right after consuming it; recycling the backing
-// vectors removes that churn. The pool is per-thread and lock-free: a
-// node thread both sends (acquire) and receives (release) in roughly
-// equal measure during a shuffle, so the pools balance without
-// cross-thread traffic. Multicast no longer copies through the arena:
-// Comm::bcast shares one payload with every recipient.
+// Thread-local free list of payload byte vectors, kept for ctbench's
+// transport pass and its counters. Every copying send (Comm's span and
+// const Buffer& send/isend) makes one acquire, which counts a hit or a
+// miss (simmpi/arena_hits, simmpi/arena_misses); the copy itself lives
+// in the Buffer's own storage. Only a consumer that hands a vector
+// back with release() makes later acquires hit: ctbench's transport
+// pass does, nothing in src/ does. The pool is per-thread and
+// lock-free.
 class BufferArena {
  public:
   // The calling thread's arena.

@@ -91,6 +91,12 @@ std::span<std::uint8_t> AppendPackedSlots(Buffer& out, std::size_t n) {
   return out.mutable_span().subspan(start);
 }
 
+void StartPackedList(Buffer& out, std::size_t n) {
+  CTS_CHECK(out.empty());
+  out.reserve(PackedSize(n));
+  out.write_u64(n);
+}
+
 std::size_t PackRecords(std::span<const Record> records, Buffer& out) {
   const std::span<std::uint8_t> slots = AppendPackedSlots(out, records.size());
   if (!slots.empty()) std::memcpy(slots.data(), records.data(), slots.size());
@@ -108,11 +114,17 @@ void UnpackRecordsInto(Buffer& in, std::vector<Record>& out) {
   CTS_CHECK_MSG(n <= in.remaining() / kRecordBytes,
                 "truncated record list: " << n << " records but only "
                                           << in.remaining() << " bytes");
-  const std::size_t old = out.size();
-  out.resize(old + n);
-  if (n > 0) {
-    const auto view = in.read_view(n * kRecordBytes);
-    std::memcpy(out.data() + old, view.data(), view.size());
+  // Each record is written once, at the end of `out`: no zero-filled
+  // slots to overwrite. Growth stays geometric for callers that did not
+  // size `out` beforehand.
+  if (out.capacity() - out.size() < n) {
+    out.reserve(std::max<std::size_t>(out.size() + n, 2 * out.size()));
+  }
+  const std::uint8_t* at = in.read_view(n * kRecordBytes).data();
+  for (std::uint64_t i = 0; i < n; ++i, at += kRecordBytes) {
+    Record rec;
+    std::memcpy(&rec, at, kRecordBytes);
+    out.push_back(rec);
   }
 }
 

@@ -22,6 +22,15 @@ namespace cts {
 // known here and nowhere else.
 std::span<std::uint8_t> AppendPackedSlots(Buffer& out, std::size_t n);
 
+// Starts a packed list of n records in the empty `out`, allocated once
+// at its final size. Unlike AppendPackedSlots nothing is zero-filled:
+// the caller then appends exactly n records with AppendPackedRecord.
+void StartPackedList(Buffer& out, std::size_t n);
+
+inline void AppendPackedRecord(Buffer& out, const Record& rec) {
+  out.write_bytes({reinterpret_cast<const std::uint8_t*>(&rec), kRecordBytes});
+}
+
 // Serializes records into `out` (appending). Returns bytes written.
 std::size_t PackRecords(std::span<const Record> records, Buffer& out);
 
@@ -30,6 +39,7 @@ std::vector<Record> UnpackRecords(Buffer& in);
 
 // Appends one packed record list from `in`'s cursor into `out`
 // (avoids an intermediate vector when merging many shuffle payloads).
+// Each record is copied once; `out` is not zero-filled first.
 void UnpackRecordsInto(Buffer& in, std::vector<Record>& out);
 
 // Size in bytes that PackRecords will produce for n records.

