@@ -275,15 +275,15 @@ void Fig2(JsonReport& json) {
   table.set_header({"r", "uncoded (theory)", "uncoded (measured)",
                     "CMR (theory)", "CMR (measured)", "gain"});
   for (int r = 1; r <= K - 1; ++r) {
-    cmr::CmrConfig config;
+    SortConfig config;
     config.num_nodes = K;
     config.redundancy = r;
     config.seed = EnvU64("CTS_SEED", 2017);
 
-    config.mode = cmr::ShuffleMode::kUncoded;
-    const cmr::CmrResult uncoded = cmr::RunCmr(*app, config);
-    config.mode = cmr::ShuffleMode::kCoded;
-    const cmr::CmrResult coded = cmr::RunCmr(*app, config);
+    const cmr::CmrResult uncoded =
+        cmr::RunCmr(*app, config, cmr::ShuffleMode::kUncoded);
+    const cmr::CmrResult coded =
+        cmr::RunCmr(*app, config, cmr::ShuffleMode::kCoded);
 
     const double mu = uncoded.measured_payload_load();
     const double mc = coded.measured_payload_load();
@@ -870,7 +870,7 @@ void ExtAsync(JsonReport& json) {
   {
     const int r = 2;
     const auto app = cmr::MakeGrepApp("e", /*records_per_file=*/200);
-    cmr::CmrConfig cc;
+    SortConfig cc;
     cc.num_nodes = K;
     cc.redundancy = r;
     cc.seed = EnvU64("CTS_SEED", 2017);
@@ -885,23 +885,24 @@ void ExtAsync(JsonReport& json) {
                       "overlap full-dup replay", "vs serial"});
     for (const cmr::ShuffleMode mode :
          {cmr::ShuffleMode::kUncoded, cmr::ShuffleMode::kCoded}) {
-      cc.mode = mode;
-      cc.sync = ShuffleSync::kBarrier;
-      const cmr::CmrResult barrier = cmr::RunCmr(*app, cc);
-      cc.sync = ShuffleSync::kOverlapped;
-      const cmr::CmrResult over = cmr::RunCmr(*app, cc);
+      cc.shuffle_sync = ShuffleSync::kBarrier;
+      const cmr::CmrResult barrier = cmr::RunCmr(*app, cc, mode);
+      cc.shuffle_sync = ShuffleSync::kOverlapped;
+      const cmr::CmrResult over = cmr::RunCmr(*app, cc, mode);
 
       // Byte-identity: the overlap moves exactly the same traffic.
       CTS_CHECK_EQ(barrier.shuffled_payload_bytes,
                    over.shuffled_payload_bytes);
       CTS_CHECK_EQ(barrier.total_iv_bytes, over.total_iv_bytes);
-      CTS_CHECK_EQ(barrier.traffic.at(stage::kShuffle).transmitted_bytes(),
-                   over.traffic.at(stage::kShuffle).transmitted_bytes());
+      CTS_CHECK_EQ(
+          barrier.run.traffic.at(stage::kShuffle).transmitted_bytes(),
+          over.run.traffic.at(stage::kShuffle).transmitted_bytes());
 
       const double serial = simscen::NetMakespan(
-          barrier.shuffle_log, rack, simnet::Discipline::kSerial);
+          barrier.run.shuffle_log, rack, simnet::Discipline::kSerial);
       const double parallel = simscen::NetMakespan(
-          over.shuffle_log, rack, simnet::Discipline::kParallelFullDuplex,
+          over.run.shuffle_log, rack,
+          simnet::Discipline::kParallelFullDuplex,
           simnet::ReplayOrder::kPerSender);
       CTS_CHECK_LT(parallel, serial);  // K=16, r>1: strictly below
       table.add_row(

@@ -21,19 +21,14 @@
 
 namespace {
 
-void RunApp(const cts::cmr::CmrApp& app, int K, int r) {
+void RunApp(const cts::cmr::CmrApp& app, const cts::SortConfig& shape) {
   using namespace cts;
   using namespace cts::cmr;
+  const int K = shape.num_nodes;
+  const int r = shape.redundancy;
 
-  CmrConfig config;
-  config.num_nodes = K;
-  config.redundancy = r;
-  config.seed = 2017;
-
-  config.mode = ShuffleMode::kUncoded;
-  const CmrResult uncoded = RunCmr(app, config);
-  config.mode = ShuffleMode::kCoded;
-  const CmrResult coded = RunCmr(app, config);
+  const CmrResult uncoded = RunCmr(app, shape, ShuffleMode::kUncoded);
+  const CmrResult coded = RunCmr(app, shape, ShuffleMode::kCoded);
 
   std::cout << "--- " << app.name() << " ---\n";
   std::cout << "outputs identical (uncoded vs coded): "
@@ -82,17 +77,17 @@ int main(int argc, char** argv) {
             << " simulated nodes, r=" << r << "\n\n";
 
   const auto grep = cts::cmr::MakeGrepApp("needle", /*records_per_file=*/400);
-  RunApp(*grep, K, r);
+  RunApp(*grep, shape);
 
   const auto wordcount = cts::cmr::MakeWordCountApp(/*records_per_file=*/400);
-  RunApp(*wordcount, K, r);
+  RunApp(*wordcount, shape);
 
   const auto selfjoin =
       cts::cmr::MakeSelfJoinApp(/*records_per_file=*/150, /*key_space=*/32);
-  RunApp(*selfjoin, K, r);
+  RunApp(*selfjoin, shape);
 
   const auto index = cts::cmr::MakeInvertedIndexApp(/*records_per_file=*/300);
-  RunApp(*index, K, r);
+  RunApp(*index, shape);
 
   std::cout << "The coded shuffle moves ~" << r
             << "x fewer payload bytes for the same answers — the paper's\n"

@@ -32,11 +32,4 @@ inline double CodedLoad(int K, int r) {
 // Load of plain TeraSort (each file mapped once).
 inline double TeraSortLoad(int K) { return UncodedLoad(K, 1); }
 
-// Multiplicative shuffle gain of coding at redundancy r (exactly r).
-inline double CodingGain(int K, int r) {
-  const double coded = CodedLoad(K, r);
-  CTS_CHECK_GT(coded, 0.0);
-  return UncodedLoad(K, r) / coded;
-}
-
 }  // namespace cts

@@ -1,11 +1,9 @@
 #include "cmr/cmr.h"
 
-#include <algorithm>
-#include <atomic>
-#include <functional>
 #include <map>
-#include <mutex>
+#include <numeric>
 #include <set>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -49,27 +47,31 @@ double CmrResult::measured_payload_load() const {
          static_cast<double>(total_iv_bytes);
 }
 
-CmrResult RunCmr(const CmrApp& app, const CmrConfig& config) {
+CmrResult RunCmr(const CmrApp& app, const SortConfig& config,
+                 ShuffleMode mode) {
   const int K = config.num_nodes;
-  const int r = config.redundancy;
-  const Placement placement = Placement::Create(K, r);
+  const Placement placement = Placement::Create(K, config.redundancy);
   const int N = placement.num_files();
+  const bool coded = mode == ShuffleMode::kCoded;
+  const bool overlapped = config.shuffle_sync == ShuffleSync::kOverlapped;
 
   simmpi::World world(K);
   RunRecorder recorder(K);
-  std::mutex out_mu;
+  // One slot per node: node k writes only slot k, and the slots are
+  // read after the node threads join.
   std::vector<std::string> outputs(static_cast<std::size_t>(K));
-  std::atomic<std::uint64_t> total_iv_bytes{0};
-  std::atomic<std::uint64_t> payload_bytes{0};
+  std::vector<std::uint64_t> iv_bytes(static_cast<std::size_t>(K), 0);
+  std::vector<std::uint64_t> payload_bytes(static_cast<std::size_t>(K), 0);
 
-  const auto program = [&](simmpi::Comm& comm, RunRecorder& rec) {
+  RunOnCluster(world, recorder, [&](simmpi::Comm& comm, RunRecorder& rec) {
     const NodeId self = comm.my_global();
+    const auto slot = static_cast<std::size_t>(self);
     StageRunner stages(comm, rec, &config.injected_delays);
     using IvKey = std::pair<NodeId, FileId>;
 
     // ---- CodeGen (coded mode only) ----
     std::map<NodeMask, simmpi::Comm> groups;
-    if (config.mode == ShuffleMode::kCoded) {
+    if (coded) {
       stages.run(stage::kCodeGen, [&] {
         for (const NodeMask g : placement.multicast_groups()) {
           auto sub = comm.split(Contains(g, self) ? 0 : -1, self);
@@ -79,59 +81,47 @@ CmrResult RunCmr(const CmrApp& app, const CmrConfig& config) {
     }
 
     // ---- Map ----
-    // own_ivs[f] = I^self_f for files this node holds; kept[t][f] =
-    // serialized I^t_f this node retains for the shuffle. The body is
-    // shared between the barrier-synchronous Map stage and the
-    // pipelined map/shuffle overlap; `on_file_mapped` (may be null)
-    // fires after each file's values are stored.
+    // own_ivs[f] = I^self_f for files this node holds; kept[{t, f}] =
+    // serialized I^t_f this node retains for the shuffle (t outside
+    // the file's holders).
     std::map<FileId, std::vector<std::uint8_t>> own_ivs;
     std::map<IvKey, std::vector<std::uint8_t>> kept;
-    const auto map_files =
-        [&](const std::function<void(FileId)>& on_file_mapped) {
-          for (const FileId f : placement.files_on_node(self)) {
-            const NodeMask mask = placement.file_nodes(f);
-            const auto records = app.make_file(f, config.seed);
-            auto ivs = app.map(records, K);
-            CTS_CHECK_EQ(static_cast<int>(ivs.size()), K);
-            // The lowest-id holder accounts the Q*N normalizer once.
-            if (MinMember(mask) == self) {
-              std::uint64_t bytes = 0;
-              for (const auto& iv : ivs) bytes += iv.size();
-              total_iv_bytes.fetch_add(bytes);
-            }
-            for (int t = 0; t < K; ++t) {
-              auto& iv = ivs[static_cast<std::size_t>(t)];
-              if (t == self) {
-                own_ivs.emplace(f, std::move(iv));
-              } else if (!Contains(mask, t)) {
-                kept.emplace(IvKey{t, f}, std::move(iv));
-              }
-            }
-            if (on_file_mapped) on_file_mapped(f);
-          }
-        };
-
-    // The uncoded sends of one mapped file (lowest holder only).
-    // `post` transmits one intermediate value to one target rank.
-    const auto send_file_ivs =
-        [&](FileId f,
-            const std::function<void(NodeId, simmpi::Tag,
-                                     const std::vector<std::uint8_t>&)>&
-                post) {
-          const NodeMask mask = placement.file_nodes(f);
-          if (MinMember(mask) != self) return;
-          for (NodeId t = 0; t < K; ++t) {
-            if (Contains(mask, t) || t == self) continue;
-            const auto& iv = kept.at(IvKey{t, f});
-            payload_bytes.fetch_add(iv.size());
-            post(t, kTagBase + f, iv);
-          }
-        };
+    const auto map_file = [&](FileId f) {
+      const NodeMask mask = placement.file_nodes(f);
+      auto ivs = app.map(app.make_file(f, config.seed), K);
+      CTS_CHECK_EQ(static_cast<int>(ivs.size()), K);
+      // The lowest-id holder accounts the Q*N normalizer once.
+      if (MinMember(mask) == self) {
+        for (const auto& iv : ivs) iv_bytes[slot] += iv.size();
+      }
+      for (int t = 0; t < K; ++t) {
+        auto& iv = ivs[static_cast<std::size_t>(t)];
+        if (t == self) {
+          own_ivs.emplace(f, std::move(iv));
+        } else if (!Contains(mask, t)) {
+          kept.emplace(IvKey{t, f}, std::move(iv));
+        }
+      }
+    };
+    // The uncoded sends of file f: its lowest holder unicasts each
+    // kept value to its reducer, nonblocking under kOverlapped.
+    const auto send_file = [&](FileId f) {
+      const NodeMask mask = placement.file_nodes(f);
+      if (MinMember(mask) != self) return;
+      for (NodeId t = 0; t < K; ++t) {
+        if (Contains(mask, t)) continue;
+        const std::span<const std::uint8_t> iv = kept.at(IvKey{t, f});
+        payload_bytes[slot] += iv.size();
+        if (overlapped) {
+          (void)comm.isend(t, kTagBase + f, iv);
+        } else {
+          comm.send(t, kTagBase + f, iv);
+        }
+      }
+    };
 
     std::map<FileId, std::vector<std::uint8_t>> received;
-    const bool overlapped = config.sync == ShuffleSync::kOverlapped;
-
-    if (config.mode == ShuffleMode::kUncoded && overlapped) {
+    if (!coded && overlapped) {
       // ---- Pipelined Map+Shuffle (one merged stage, labeled Shuffle
       // so the traffic lands where the load accounting expects it;
       // Map itself generates no traffic) ----
@@ -146,70 +136,65 @@ CmrResult RunCmr(const CmrApp& app, const CmrConfig& config) {
               f, comm.irecv(comm.rank_of_global(MinMember(mask)),
                             kTagBase + f));
         }
-        map_files([&](FileId f) {
-          send_file_ivs(f, [&](NodeId t, simmpi::Tag tag,
-                               const std::vector<std::uint8_t>& iv) {
-            (void)comm.isend(t, tag, iv);
-          });
-        });
+        for (const FileId f : placement.files_on_node(self)) {
+          map_file(f);
+          send_file(f);
+        }
         for (auto& [f, req] : recvs) {
           received.emplace(f, comm.wait(req).take());
         }
       });
     } else {
-      stages.run(stage::kMap, [&] { map_files(nullptr); });
+      stages.run(stage::kMap, [&] {
+        for (const FileId f : placement.files_on_node(self)) map_file(f);
+      });
 
       // ---- Shuffle ----
       // Either plain unicast (lowest holder sends each needed IV) or
       // the Algorithm 1/2 coded multicast. Received values are keyed
       // by file.
       stages.run(stage::kShuffle, [&] {
-        if (config.mode == ShuffleMode::kUncoded) {
+        if (!coded) {
           for (NodeId sender = 0; sender < K; ++sender) {
             for (FileId f = 0; f < N; ++f) {
               const NodeMask mask = placement.file_nodes(f);
               if (MinMember(mask) != sender) continue;
               if (sender == self) {
-                send_file_ivs(f, [&](NodeId t, simmpi::Tag tag,
-                                     const std::vector<std::uint8_t>& iv) {
-                  comm.send(t, tag, iv);
-                });
+                send_file(f);
               } else if (!Contains(mask, self)) {
-                Buffer payload = comm.recv(sender, kTagBase + f);
-                received.emplace(f, payload.take());
+                received.emplace(f, comm.recv(sender, kTagBase + f).take());
               }
             }
           }
-        } else {
-          // Coded: encode, multicast, decode (same codec as
-          // CodedTeraSort; stage split is not needed here because the
-          // generic engine reports loads, not stage times).
-          const IvAccess iv_access =
-              [&](NodeId target,
-                  NodeMask file) -> std::span<const std::uint8_t> {
-            return kept.at(IvKey{target, placement.file_of(file)});
-          };
-          std::map<NodeMask, Buffer> outgoing;
-          for (const auto& [g, gc] : groups) {
-            const CodedPacket packet = EncodePacket(g, self, iv_access);
-            payload_bytes.fetch_add(packet.payload.size());
-            Buffer wire;
-            packet.serialize(wire);
-            outgoing.emplace(g, std::move(wire));
+          return;
+        }
+        // Coded: CodedTeraSort's kernels. Each packet is encoded
+        // straight into its multicast payload, and each group's r
+        // packets decode straight into the wanted value once the
+        // header pass has sized it. (No Encode/Decode stage split: the
+        // generic engine reports loads, not stage times.)
+        const IvAccess iv_access =
+            [&](NodeId target, NodeMask file) -> std::span<const std::uint8_t> {
+          return kept.at(IvKey{target, placement.file_of(file)});
+        };
+        CodecStats codec;
+        std::map<NodeMask, Buffer> outgoing;
+        for (const auto& [g, gc] : groups) {
+          EncodeInto(g, self, iv_access, outgoing[g], &codec);
+        }
+        payload_bytes[slot] = codec.encode_payload_bytes;
+        std::map<std::pair<NodeMask, NodeId>, Buffer> incoming =
+            simmpi::MulticastRound(groups, outgoing, overlapped);
+        std::vector<PacketView> packets;
+        for (const auto& [g, gc] : groups) {
+          packets.clear();
+          for (const NodeId sender : MaskToNodes(WithoutNode(g, self))) {
+            packets.push_back(ParsePacket(incoming.at({g, sender}).span()));
           }
-          std::map<std::pair<NodeMask, NodeId>, Buffer> incoming =
-              simmpi::MulticastRound(groups, outgoing, overlapped);
-          for (const auto& [g, gc] : groups) {
-            std::vector<DecodedSegment> segments;
-            for (const NodeId sender : MaskToNodes(WithoutNode(g, self))) {
-              Buffer& wire = incoming.at({g, sender});
-              const CodedPacket packet = CodedPacket::deserialize(wire);
-              segments.push_back(
-                  DecodePacket(g, self, sender, packet, iv_access));
-            }
-            received.emplace(placement.file_of(WithoutNode(g, self)),
-                             MergeSegments(segments));
-          }
+          std::vector<std::uint8_t> value(GroupValueLength(g, self, packets));
+          DecodeGroupInto(g, self, packets, iv_access, {0, {}, value});
+          received.emplace(placement.file_of(WithoutNode(g, self)),
+                           std::move(value));
         }
       });
     }
@@ -228,27 +213,17 @@ CmrResult RunCmr(const CmrApp& app, const CmrConfig& config) {
           values.push_back(std::move(got->second));
         }
       }
-      std::string out = app.reduce(self, values);
-      std::lock_guard lock(out_mu);
-      outputs[static_cast<std::size_t>(self)] = std::move(out);
+      outputs[slot] = app.reduce(self, values);
     });
-  };
-
-  RunOnCluster(world, recorder, program);
+  });
 
   CmrResult result;
-  result.config = config;
+  result.run = CollectRunResult(config, "CMR-" + app.name(), world, recorder);
   result.outputs = std::move(outputs);
-  for (const auto& name : world.stats().stage_names()) {
-    result.traffic[name] = world.stats().stage(name);
-  }
-  result.total_iv_bytes = total_iv_bytes.load();
-  result.shuffled_payload_bytes = payload_bytes.load();
-  result.shuffle_log = world.stats().transmission_log(stage::kShuffle);
-  result.transport_events = world.transport_log();
-  result.stage_order = recorder.stage_order();
-  result.compute_events = recorder.compute_events();
-  CTS_CHECK_EQ(world.pending_messages(), std::size_t{0});
+  result.total_iv_bytes =
+      std::accumulate(iv_bytes.begin(), iv_bytes.end(), std::uint64_t{0});
+  result.shuffled_payload_bytes = std::accumulate(
+      payload_bytes.begin(), payload_bytes.end(), std::uint64_t{0});
   return result;
 }
 

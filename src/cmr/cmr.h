@@ -18,7 +18,16 @@
 // L_uncoded = 1 - r/K and L_coded = (1/r)(1 - r/K) (`bench_paper fig2`
 // verifies this equality on measured traffic).
 //
-// Shuffle sequencing (ShuffleSync in CmrConfig): kBarrier runs the
+// The engine takes the SortConfig every engine takes (K, r, seed,
+// shuffle sync and injected delays; the sort-only fields are ignored)
+// plus the ShuffleMode, and its CmrResult carries the AlgorithmResult
+// the sorts' collector assembles (driver/cluster.h's CollectRunResult):
+// traffic, shuffle log, transport events, stage order, compute events
+// and walls. Its partitions and work stay empty: CMR sorts nothing and
+// keeps no NodeWork counters. The coded shuffle runs on CodedTeraSort's
+// codec kernels (EncodeInto, DecodeGroupInto).
+//
+// Shuffle sequencing (SortConfig::shuffle_sync): kBarrier runs the
 // paper's synchronous stage-after-stage protocol. kOverlapped is the
 // asynchronous-execution extension (paper Section VI): the uncoded
 // engine pipelines Map with Shuffle — a node starts transmitting a
@@ -38,8 +47,6 @@
 
 #include "common/types.h"
 #include "driver/run_result.h"
-#include "simmpi/eventlog.h"
-#include "simmpi/traffic.h"
 
 namespace cts::cmr {
 
@@ -71,44 +78,18 @@ class CmrApp {
 
 enum class ShuffleMode { kUncoded, kCoded };
 
-struct CmrConfig {
-  int num_nodes = 4;   // K (== number of reducers Q)
-  int redundancy = 1;  // r
-  std::uint64_t seed = 7;
-  ShuffleMode mode = ShuffleMode::kUncoded;
-  // Barrier-synchronous stages (the paper) or the pipelined
-  // map/shuffle overlap on nonblocking sends (Section VI extension).
-  ShuffleSync sync = ShuffleSync::kBarrier;
-  // Live straggler injection (tests / demos; see driver/run_result.h).
-  std::vector<InjectedDelay> injected_delays;
-};
-
 struct CmrResult {
-  CmrConfig config;
+  // The run as every engine reports it; algorithm "CMR-<app name>".
+  AlgorithmResult run;
   // outputs[q] = reducer q's result.
   std::vector<std::string> outputs;
-  // Per-stage transport counters ("Map"/"Shuffle"/"Reduce").
-  std::map<std::string, simmpi::ChannelCounters> traffic;
   // Sum over (file, reducer) of intermediate-value bytes — the Q*N
   // normalizer of the communication load.
   std::uint64_t total_iv_bytes = 0;
   // Pure intermediate-value payload shuffled (no packet headers):
-  // uncoded = IV bytes unicast, coded = XOR-packet payload bytes.
+  // uncoded = IV bytes unicast, coded = XOR-packet payload bytes
+  // (CodecStats::encode_payload_bytes).
   std::uint64_t shuffled_payload_bytes = 0;
-  // Ordered shuffle transmissions (true initiation order), for
-  // discrete-event replay by simscen::NetMakespan.
-  simnet::TransmissionLog shuffle_log;
-
-  // Transport events for happens-before analysis (empty unless capture
-  // was requested; see AlgorithmResult::transport_events).
-  simmpi::TransportLog transport_events;
-
-  // Stage names in execution order and per-node stage boundaries at
-  // executed scale; the scenario engine replays these (CMR has no
-  // NodeWork counters, so its compute phases are priced from the
-  // measured boundaries).
-  std::vector<std::string> stage_order;
-  ComputeLog compute_events;
 
   // Measured communication load on payloads (the paper's L): shuffled
   // payload bytes / total IV bytes, without packet framing. Matches
@@ -116,8 +97,10 @@ struct CmrResult {
   double measured_payload_load() const;
 };
 
-// Runs the app distributedly on a fresh simulated cluster.
-CmrResult RunCmr(const CmrApp& app, const CmrConfig& config);
+// Runs the app distributedly on a fresh simulated cluster of
+// config.num_nodes nodes at computation load config.redundancy.
+CmrResult RunCmr(const CmrApp& app, const SortConfig& config,
+                 ShuffleMode mode);
 
 // ---- Bundled applications ----
 

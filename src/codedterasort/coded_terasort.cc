@@ -9,6 +9,7 @@
 #include "coding/codec.h"
 #include "coding/placement.h"
 #include "common/check.h"
+#include "driver/cluster.h"
 #include "driver/partition_util.h"
 #include "keyvalue/recordio.h"
 #include "keyvalue/teragen.h"
@@ -21,8 +22,7 @@ namespace {
 // Key for a node's packed intermediate value I^target_file.
 using IvKey = std::pair<NodeId, FileId>;
 
-}  // namespace
-
+// The CodedTeraSort node program (config.redundancy = r).
 void CodedTeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
                        const SortConfig& config) {
   const int K = config.num_nodes;
@@ -189,19 +189,10 @@ void CodedTeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
     incoming.clear();
   });
 
-  // ---- Reduce ----
-  stages.run(stage::kReduce, [&] {
-    SortRecords(pool);
-    work.reduce_bytes += pool.size() * kRecordBytes;
-    for (const Record& rec : pool) {
-      CTS_CHECK_MSG(partitioner->partition(rec.key) == self,
-                    "record outside partition " << self);
-    }
-  });
-
-  recorder.set_partition(self, std::move(pool));
-  recorder.set_work(self, work);
+  ReduceStage(stages, recorder, self, *partitioner, std::move(pool), work);
 }
+
+}  // namespace
 
 AlgorithmResult RunCodedTeraSort(const SortConfig& config) {
   simmpi::World world(config.num_nodes);

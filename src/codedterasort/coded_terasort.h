@@ -35,18 +35,13 @@
 // unicast in multicast clothing).
 #pragma once
 
-#include "driver/cluster.h"
 #include "driver/run_result.h"
-#include "simmpi/comm.h"
 
 namespace cts {
 
-// The CodedTeraSort node program (config.redundancy = r).
-void CodedTeraSortNode(simmpi::Comm& world_comm, RunRecorder& recorder,
-                       const SortConfig& config);
-
-// Executes CodedTeraSort on a fresh simulated cluster and returns the
-// assembled result (validated for record conservation).
+// Executes CodedTeraSort (config.redundancy = r) on a fresh simulated
+// cluster, one thread per node, and returns the assembled result
+// (validated for record conservation).
 AlgorithmResult RunCodedTeraSort(const SortConfig& config);
 
 }  // namespace cts

@@ -185,10 +185,7 @@ void EncodeInto(NodeMask group, NodeId self, const IvAccess& iv,
     ++n;
   }
 
-  if (wire.empty()) {
-    wire.reserve(sizeof(std::uint32_t) + (n + 1) * sizeof(std::uint64_t) +
-                 max_len);
-  }
+  if (wire.empty()) wire.reserve(PacketHeaderBytes(n) + max_len);
   wire.write_u32(static_cast<std::uint32_t>(n));
   for (std::size_t i = 0; i < n; ++i) wire.write_u64(parts[i].value.size());
   wire.write_u64(max_len);
@@ -278,8 +275,8 @@ SegmentSpan DecodeInto(NodeMask group, NodeId self, NodeId sender,
   return wanted;
 }
 
-std::size_t GroupRecordCount(NodeMask group, NodeId self,
-                             std::span<const PacketView> packets) {
+std::uint64_t GroupValueLength(NodeMask group, NodeId self,
+                               std::span<const PacketView> packets) {
   const NodeMask senders = WithoutNode(group, self);
   CTS_CHECK_EQ(packets.size(), static_cast<std::size_t>(Popcount(senders)));
   std::uint64_t length = 0;
@@ -299,6 +296,24 @@ std::size_t GroupRecordCount(NodeMask group, NodeId self,
   // Segments of one value are disjoint and cover it exactly.
   CTS_CHECK_MSG(covered == length,
                 "segments cover " << covered << " of " << length << " bytes");
+  return length;
+}
+
+void DecodeGroupInto(NodeMask group, NodeId self,
+                     std::span<const PacketView> packets, const IvAccess& iv,
+                     const ValueWindow& out, CodecStats* stats) {
+  CTS_CHECK_EQ(packets.size(),
+               static_cast<std::size_t>(Popcount(group) - 1));
+  std::size_t i = 0;
+  for (NodeMask rest = WithoutNode(group, self); rest != 0;
+       rest &= rest - 1, ++i) {
+    DecodeInto(group, self, LowestMember(rest), packets[i], iv, out, stats);
+  }
+}
+
+std::size_t GroupRecordCount(NodeMask group, NodeId self,
+                             std::span<const PacketView> packets) {
+  const std::uint64_t length = GroupValueLength(group, self, packets);
   const std::size_t records = MaxPackedRecords(length);
   CTS_CHECK_MSG(PackedSize(records) == length,
                 "a " << length << "-byte value is not a packed record list");
@@ -312,14 +327,11 @@ void DecodeRecordsInto(NodeMask group, NodeId self,
   const std::size_t n = GroupRecordCount(group, self, packets);
   CTS_CHECK_EQ(records.size(), n);
   std::array<std::uint8_t, sizeof(std::uint64_t)> count_word{};
-  const ValueWindow out{
-      0, count_word,
-      {reinterpret_cast<std::uint8_t*>(records.data()), n * kRecordBytes}};
-  std::size_t i = 0;
-  for (NodeMask rest = WithoutNode(group, self); rest != 0;
-       rest &= rest - 1, ++i) {
-    DecodeInto(group, self, LowestMember(rest), packets[i], iv, out, stats);
-  }
+  DecodeGroupInto(
+      group, self, packets, iv,
+      {0, count_word,
+       {reinterpret_cast<std::uint8_t*>(records.data()), n * kRecordBytes}},
+      stats);
   const std::uint64_t count = LoadLe<std::uint64_t>(count_word.data());
   CTS_CHECK_MSG(count == n, "group " << group << " value counts " << count
                                      << " records in " << n << " slots");

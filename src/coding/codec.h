@@ -33,10 +33,19 @@
 //               wanted segment straight into the destination and
 //               cancels the r-1 known segments there, eight bytes at a
 //               time. It allocates nothing.
-// The live engine calls them through DecodeRecordsInto, which decodes
-// one group's packed record list into the reduce pool. EncodePacket,
-// DecodePacket and CodedPacket are the packet-object front-ends that
-// the coded CMR engine, the benches and the tests use.
+// Both coded engines run on them. They encode with EncodeInto straight
+// into the multicast payload, and decode a group's r packets with
+// DecodeGroupInto straight into the wanted value, once a header pass
+// has checked the packets and sized the value. CodedTeraSort goes
+// through DecodeRecordsInto, which lands the value's records in the
+// reduce pool; the generic CMR engine decodes into a byte vector sized
+// by GroupValueLength.
+//
+// EncodePacket, DecodePacket, DecodedSegment, MergeSegments and
+// CodedPacket are the packet-object front-end. No engine uses it (the
+// repo_lint `codecfront` rule keeps it out of src/ outside this
+// module): it is the tests' reference decoder, and bench_micro and
+// ctbench's layer pass time it.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +67,12 @@ namespace cts {
 using IvAccess =
     std::function<std::span<const std::uint8_t>(NodeId target, NodeMask file)>;
 
+// Bytes a packet's wire header takes ahead of its payload: the u32
+// count, `count` u64 IV lengths and the u64 payload size.
+constexpr std::size_t PacketHeaderBytes(std::size_t count) {
+  return sizeof(std::uint32_t) + (count + 1) * sizeof(std::uint64_t);
+}
+
 // One coded multicast packet as an object (see the wire layout above).
 struct CodedPacket {
   // Length of I^t_{M\{t}} for each t in M\{sender}, ascending t. The
@@ -72,9 +87,7 @@ struct CodedPacket {
 
   // Bytes this packet occupies on the wire.
   std::size_t wire_size() const {
-    return sizeof(std::uint32_t) +
-           iv_lengths.size() * sizeof(std::uint64_t) +
-           sizeof(std::uint64_t) + payload.size();
+    return PacketHeaderBytes(iv_lengths.size()) + payload.size();
   }
 };
 
@@ -87,8 +100,7 @@ struct PacketView {
   // The i-th IV length of the header (i < count).
   std::uint64_t length(std::size_t i) const;
   std::size_t wire_size() const {
-    return sizeof(std::uint32_t) + lengths.size() + sizeof(std::uint64_t) +
-           payload.size();
+    return PacketHeaderBytes(count) + payload.size();
   }
 };
 
@@ -151,27 +163,45 @@ SegmentSpan DecodeInto(NodeMask group, NodeId self, NodeId sender,
                        const PacketView& packet, const IvAccess& iv,
                        const ValueWindow& out, CodecStats* stats = nullptr);
 
-// ---- Packed record lists (the values CodedTeraSort shuffles) ----
+// ---- One group's r packets ----
 //
 // `packets` are the r packets node `self` received in `group`, parsed
-// in place, in ascending sender order; the wanted value is a packed
-// record list (u64 count, then 100-byte records; see recordio.h).
+// in place, in ascending sender order.
 
-// The header pass of one group: the number of records in the wanted
-// value, whose length L every one of the r packets must agree on and
-// which must be a packed record list's size.
+// The header pass of one group: the length L of the wanted value
+// I^self_{M\{self}}, which every one of the r packets must agree on
+// and which their r segments must cover exactly.
+std::uint64_t GroupValueLength(NodeMask group, NodeId self,
+                               std::span<const PacketView> packets);
+
+// The group-decode kernel: decodes every packet (DecodeInto) straight
+// into `out`, which holds the wanted value from byte 0. Run it on
+// packets GroupValueLength (or GroupRecordCount) accepted, with `out`
+// exactly L bytes long: the header pass is what checks that the r
+// packets agree on L and that their segments cover it.
+void DecodeGroupInto(NodeMask group, NodeId self,
+                     std::span<const PacketView> packets, const IvAccess& iv,
+                     const ValueWindow& out, CodecStats* stats = nullptr);
+
+// ---- Packed record lists (the values CodedTeraSort shuffles) ----
+//
+// The wanted value is a packed record list (u64 count, then 100-byte
+// records; see recordio.h).
+
+// The number of records in the wanted value: GroupValueLength, which
+// must be a packed record list's size.
 std::size_t GroupRecordCount(NodeMask group, NodeId self,
                              std::span<const PacketView> packets);
 
-// Decodes one group straight into `records` (exactly GroupRecordCount
-// records): the value's leading count word goes to a local and must
-// equal that count, and the r segments must cover the value exactly.
+// GroupRecordCount, then DecodeGroupInto straight into `records`
+// (exactly that many records): the value's leading count word goes to
+// a local and must equal that count.
 void DecodeRecordsInto(NodeMask group, NodeId self,
                        std::span<const PacketView> packets,
                        const IvAccess& iv, std::span<Record> records,
                        CodecStats* stats = nullptr);
 
-// ---- Packet-object front-ends ----
+// ---- The packet-object front-end (tests and benches only) ----
 
 // EncodeInto, returned as a packet object.
 CodedPacket EncodePacket(NodeMask group, NodeId self, const IvAccess& iv,

@@ -123,19 +123,6 @@ std::vector<NodeMask> AllSubsets(int K, int r) {
   return out;
 }
 
-std::vector<NodeMask> SubsetsContaining(int K, int r, NodeId node) {
-  CTS_CHECK_GE(node, 0);
-  CTS_CHECK_LT(node, K);
-  CTS_CHECK_GE(r, 1);
-  std::vector<NodeMask> out;
-  out.reserve(Binomial(K - 1, r - 1));
-  for (NodeMask m : AllSubsets(K, r)) {
-    if (Contains(m, node)) out.push_back(m);
-  }
-  CTS_CHECK_EQ(out.size(), Binomial(K - 1, r - 1));
-  return out;
-}
-
 std::uint64_t ColexRank(NodeMask mask) {
   // rank = sum over the i-th smallest member b_i (i = 1..r, ascending)
   // of C(b_i, i).

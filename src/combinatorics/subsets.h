@@ -117,10 +117,6 @@ inline NodeMask WithoutNode(NodeMask mask, NodeId node) {
 // All size-r subsets of {0..K-1} in colex order. Size = C(K, r).
 std::vector<NodeMask> AllSubsets(int K, int r);
 
-// All size-r subsets of {0..K-1} that contain `node`, in colex order.
-// Size = C(K-1, r-1).
-std::vector<NodeMask> SubsetsContaining(int K, int r, NodeId node);
-
 // Colex rank of `mask` among all masks of equal popcount: the number of
 // same-size masks that are numerically smaller. Inverse of ColexUnrank.
 std::uint64_t ColexRank(NodeMask mask);

@@ -102,22 +102,12 @@ class Buffer {
   void write_u32(std::uint32_t v) { write_le(v); }
   void write_u64(std::uint64_t v) { write_le(v); }
   void write_i32(std::int32_t v) { write_le(static_cast<std::uint32_t>(v)); }
-  void write_i64(std::int64_t v) { write_le(static_cast<std::uint64_t>(v)); }
-  void write_f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    write_le(bits);
-  }
 
-  // Length-prefixed string / blob.
+  // Length-prefixed string.
   void write_string(const std::string& s) {
     write_u64(s.size());
     write_bytes(std::span<const std::uint8_t>(
         reinterpret_cast<const std::uint8_t*>(s.data()), s.size()));
-  }
-  void write_blob(std::span<const std::uint8_t> b) {
-    write_u64(b.size());
-    write_bytes(b);
   }
 
   // ---- Reading (consumes from the cursor) ----
@@ -128,14 +118,6 @@ class Buffer {
   void seek(std::size_t pos) {
     CTS_CHECK_LE(pos, size());
     cursor_ = pos;
-  }
-
-  void read_bytes(std::span<std::uint8_t> dst) {
-    CTS_CHECK_MSG(dst.size() <= remaining(),
-                  "buffer underrun: want " << dst.size() << " have "
-                                           << remaining());
-    std::memcpy(dst.data(), bytes().data() + cursor_, dst.size());
-    cursor_ += dst.size();
   }
 
   // Zero-copy view of the next n bytes; the view is invalidated by any
@@ -157,15 +139,6 @@ class Buffer {
   std::int32_t read_i32() {
     return static_cast<std::int32_t>(read_le<std::uint32_t>());
   }
-  std::int64_t read_i64() {
-    return static_cast<std::int64_t>(read_le<std::uint64_t>());
-  }
-  double read_f64() {
-    std::uint64_t bits = read_le<std::uint64_t>();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
 
   std::string read_string() {
     const std::size_t n = read_u64();
@@ -174,14 +147,6 @@ class Buffer {
                   n);
     cursor_ += n;
     return s;
-  }
-  std::vector<std::uint8_t> read_blob() {
-    const std::size_t n = read_u64();
-    CTS_CHECK_LE(n, remaining());
-    const std::uint8_t* first = bytes().data() + cursor_;
-    std::vector<std::uint8_t> b(first, first + n);
-    cursor_ += n;
-    return b;
   }
 
   // Steals the buffer's bytes as a vector (a copy out of its storage)

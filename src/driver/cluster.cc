@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/buffer.h"
+#include "keyvalue/recordio.h"
 #include "obs/metrics.h"
 
 namespace cts {
@@ -74,15 +75,13 @@ void RunOnCluster(simmpi::World& world, RunRecorder& recorder,
   PublishTrafficMetrics(world.stats());
 }
 
-AlgorithmResult CollectSortResult(const SortConfig& config,
-                                  std::string algorithm,
-                                  simmpi::World& world,
-                                  RunRecorder& recorder) {
+AlgorithmResult CollectRunResult(const SortConfig& config,
+                                 std::string algorithm,
+                                 simmpi::World& world,
+                                 const RunRecorder& recorder) {
   AlgorithmResult result;
   result.config = config;
   result.algorithm = std::move(algorithm);
-  result.partitions = recorder.take_partitions();
-  result.work = recorder.work();
   result.wall_seconds = recorder.wall_max();
   result.stage_order = recorder.stage_order();
   result.compute_events = recorder.compute_events();
@@ -92,9 +91,37 @@ AlgorithmResult CollectSortResult(const SortConfig& config,
   result.shuffle_node_traffic = world.stats().per_node(stage::kShuffle);
   result.shuffle_log = world.stats().transmission_log(stage::kShuffle);
   result.transport_events = world.transport_log();
-  CTS_CHECK_EQ(result.total_output_records(), config.num_records);
   CTS_CHECK_EQ(world.pending_messages(), std::size_t{0});
   return result;
+}
+
+AlgorithmResult CollectSortResult(const SortConfig& config,
+                                  std::string algorithm,
+                                  simmpi::World& world,
+                                  RunRecorder& recorder) {
+  AlgorithmResult result =
+      CollectRunResult(config, std::move(algorithm), world, recorder);
+  result.partitions = recorder.take_partitions();
+  result.work = recorder.work();
+  CTS_CHECK_EQ(result.total_output_records(), config.num_records);
+  return result;
+}
+
+void ReduceStage(StageRunner& stages, RunRecorder& recorder, NodeId self,
+                 const Partitioner& partitioner, std::vector<Record> pool,
+                 NodeWork work) {
+  stages.run(stage::kReduce, [&] {
+    SortRecords(pool);
+    work.reduce_bytes += pool.size() * kRecordBytes;
+    // Partition-ownership invariant: everything this node reduced must
+    // belong to its key range.
+    for (const Record& rec : pool) {
+      CTS_CHECK_MSG(partitioner.partition(rec.key) == self,
+                    "record outside partition " << self);
+    }
+  });
+  recorder.set_partition(self, std::move(pool));
+  recorder.set_work(self, work);
 }
 
 }  // namespace cts

@@ -21,6 +21,7 @@
 #include "common/check.h"
 #include "common/stopwatch.h"
 #include "driver/run_result.h"
+#include "keyvalue/partitioner.h"
 #include "simmpi/comm.h"
 #include "simmpi/world.h"
 
@@ -106,11 +107,18 @@ using NodeProgram =
 void RunOnCluster(simmpi::World& world, RunRecorder& recorder,
                   const NodeProgram& program);
 
-// Packs a finished sort run into an AlgorithmResult: the recorder's
-// partitions, work, walls, stage order and events, and the world's
-// per-stage traffic, shuffle traffic, shuffle log and transport events.
-// Checks that every input record came out and that no message or
-// posted receive is left in the world.
+// Packs a finished run of any engine into an AlgorithmResult: the
+// recorder's walls, stage order and events, and the world's per-stage
+// traffic, shuffle traffic, shuffle log and transport events. Checks
+// that no message or posted receive is left in the world. Partitions
+// and work stay empty.
+AlgorithmResult CollectRunResult(const SortConfig& config,
+                                 std::string algorithm,
+                                 simmpi::World& world,
+                                 const RunRecorder& recorder);
+
+// CollectRunResult plus what a sort adds: the recorder's partitions and
+// work. Checks that every input record came out.
 AlgorithmResult CollectSortResult(const SortConfig& config,
                                   std::string algorithm,
                                   simmpi::World& world,
@@ -188,5 +196,13 @@ class StageRunner {
   // when the node program constructs its StageRunner.
   Stopwatch run_clock_;
 };
+
+// The sorts' Reduce stage on node `self`: sorts partition P_self in
+// place (SortRecords), checks that every record belongs to it, adds
+// the sorted bytes to `work`, and hands the partition and `work` to the
+// recorder.
+void ReduceStage(StageRunner& stages, RunRecorder& recorder, NodeId self,
+                 const Partitioner& partitioner, std::vector<Record> pool,
+                 NodeWork work);
 
 }  // namespace cts

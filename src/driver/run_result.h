@@ -1,10 +1,11 @@
-// Shared configuration and result types for one distributed-sort run.
+// Shared configuration and result types for one engine run.
 //
-// Both algorithms (terasort, codedterasort) consume a SortConfig and
-// produce an AlgorithmResult: the sorted per-node partitions plus
-// everything the analytics layer needs to price the run on the paper's
-// testbed — per-node work counters, per-stage transport counters, and
-// per-stage wall times of the actual execution.
+// All three engines (terasort, codedterasort, cmr) consume a SortConfig
+// and produce an AlgorithmResult: for the sorts, the sorted per-node
+// partitions plus everything the analytics layer needs to price the
+// run on the paper's testbed — per-node work counters, per-stage
+// transport counters, and per-stage wall times of the actual
+// execution. CMR fills everything but the partitions and work.
 #pragma once
 
 #include <algorithm>
@@ -156,7 +157,7 @@ inline std::map<std::string, double> StageWalls(const ComputeLog& log) {
 // Everything one run produces.
 struct AlgorithmResult {
   SortConfig config;
-  std::string algorithm;  // "TeraSort" or "CodedTeraSort"
+  std::string algorithm;  // "TeraSort", "CodedTeraSort" or "CMR-<app>"
 
   // partitions[k] = node k's sorted output (partition P_k). Their
   // concatenation in node order is the fully sorted dataset.

@@ -14,39 +14,6 @@ namespace cts::job {
 
 namespace {
 
-// Wraps the generic CMR engine behind the sorting-run interface: the
-// SortConfig maps onto a CmrConfig (K, r, seed, shuffle sync pass
-// through; r > 1 selects the coded shuffle, matching the paper's "r is
-// the computation load" reading), and the result is repackaged as an
-// AlgorithmResult carrying everything the replay paths consume —
-// traffic, stage order, compute events and the shuffle log. CMR has no
-// NodeWork counters or sorted partitions, so the entry registers with
-// priced = sorts = false and scenario replays price it from the
-// measured ComputeEvents (simscen::BuildScenarioRunFromEvents).
-AlgorithmResult RunCmrAsJob(const SortConfig& config) {
-  cmr::CmrConfig cc;
-  cc.num_nodes = config.num_nodes;
-  cc.redundancy = config.redundancy;
-  cc.seed = config.seed;
-  cc.mode = config.redundancy > 1 ? cmr::ShuffleMode::kCoded
-                                  : cmr::ShuffleMode::kUncoded;
-  cc.sync = config.shuffle_sync;
-  cc.injected_delays = config.injected_delays;
-  const auto app = cmr::MakeWordCountApp(CmrRecordsPerFile(config));
-  const cmr::CmrResult run = cmr::RunCmr(*app, cc);
-
-  AlgorithmResult result;
-  result.config = config;
-  result.algorithm = "CMR-" + app->name();
-  result.traffic = run.traffic;
-  result.shuffle_log = run.shuffle_log;
-  result.transport_events = run.transport_events;
-  result.stage_order = run.stage_order;
-  result.compute_events = run.compute_events;
-  result.wall_seconds = StageWalls(run.compute_events);
-  return result;
-}
-
 // The three engines, built once on first use (a function-local static,
 // not per-TU static initializers: the library is a static archive, and
 // a binary that references only the registry must still see all three).
@@ -75,7 +42,17 @@ const std::map<std::string, AlgorithmInfo>& Registry() {
          "bundled WordCount app; r > 1 switches to the coded shuffle",
          {"nodes", "redundancy", "records", "seed", "shuffle-sync",
           "inject-delay"},
-         /*priced=*/false, /*sorts=*/false, RunCmrAsJob});
+         // r > 1 selects the coded shuffle, matching the paper's "r is
+         // the computation load" reading. CMR has no NodeWork counters
+         // or sorted partitions, so scenario replays price it from the
+         // measured ComputeEvents (simscen::BuildScenarioRunFromEvents).
+         /*priced=*/false, /*sorts=*/false, [](const SortConfig& c) {
+           const auto app = cmr::MakeWordCountApp(CmrRecordsPerFile(c));
+           return cmr::RunCmr(*app, c,
+                              c.redundancy > 1 ? cmr::ShuffleMode::kCoded
+                                               : cmr::ShuffleMode::kUncoded)
+               .run;
+         }});
     return r;
   }();
   return registry;

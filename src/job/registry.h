@@ -2,13 +2,14 @@
 // algorithm" on the thread-per-node harness.
 //
 // The paper's experiment matrix is {TeraSort, CodedTeraSort, CMR} ×
-// configuration × evaluation condition, but the engines expose three
-// unrelated entry points (RunTeraSort / RunCodedTeraSort / RunCmr).
-// The registry puts them behind one name-indexed interface so the Job
-// API (job/job.h), ctsort and the bench matrix can iterate algorithms
-// programmatically — `--algo=each`, sweeps over registry names,
-// ctplan and ctcheck all go through here instead of hand-wiring
-// per-algorithm branches.
+// configuration × evaluation condition. All three engines take a
+// SortConfig and return the AlgorithmResult the driver's collector
+// assembles (RunTeraSort, RunCodedTeraSort, and RunCmr's `run`, which
+// also needs the app and the shuffle mode). The registry names them,
+// so the Job API (job/job.h), ctsort and the bench matrix can iterate
+// algorithms programmatically — `--algo=each`, sweeps over registry
+// names, ctplan and ctcheck all go through here instead of
+// hand-wiring per-algorithm branches.
 //
 // The registry is a fixed table of the three engines, built once on
 // first use; adding an engine means adding its entry in registry.cc.
@@ -58,9 +59,10 @@ std::string SuggestName(const std::string& name);
 // executes anything; Backend::kSimulated keeps its own bounds.
 std::string BoundsError(const AlgorithmInfo& info, const SortConfig& config);
 
-// The CMR adapter sizes its text workload so that total record count
-// tracks SortConfig::num_records across the C(K, r) files; exposed so
-// tests can reproduce the exact direct RunCmr call the adapter makes.
+// The `cmr` entry sizes its WordCount workload so that total record
+// count tracks SortConfig::num_records across the C(K, r) files;
+// exposed so tests can reproduce the exact direct RunCmr call the
+// entry makes.
 int CmrRecordsPerFile(const SortConfig& config);
 
 }  // namespace cts::job

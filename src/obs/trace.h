@@ -89,12 +89,6 @@ class Trace {
                    double ts_seconds, double value);
 
   const std::vector<TraceEvent>& events() const { return events_; }
-  const std::map<int, std::string>& process_names() const {
-    return process_names_;
-  }
-  const std::map<std::pair<int, int>, std::string>& track_names() const {
-    return track_names_;
-  }
   const std::map<std::string, double>& meta() const { return meta_; }
 
   // Appends another trace's events and metadata (use distinct pids so

@@ -163,18 +163,22 @@ void Comm::barrier() {
 std::map<NodeMask, Comm> Comm::create_groups(
     const std::vector<NodeMask>& groups) {
   // One collective round: rank 0 reserves a contiguous id block and
-  // broadcasts the base; every member then derives every group's id
-  // and membership locally. This replaces |groups| full collectives
-  // with a single one — the point of the extension.
+  // shares the base; every member then derives every group's id and
+  // membership locally. This replaces |groups| full collectives with a
+  // single one — the point of the extension. The base is control
+  // plane, like barrier and split messages: bcast_put delivers it
+  // without accounting a multicast, so the stage's traffic records
+  // only the communicators created.
   Buffer base_msg;
   if (rank_ == 0) {
     const CommId base = world_->allocate_comm_id_block(
         static_cast<CommId>(groups.size()));
     base_msg.write_u32(base);
     world_->stats().record_comm_creation(groups.size());
+    bcast_put(base_msg);
+  } else {
+    base_msg = recv(0, kTagBcast);
   }
-  bcast(0, base_msg);
-  base_msg.rewind();
   const CommId base = base_msg.read_u32();
 
   std::map<NodeMask, Comm> mine;

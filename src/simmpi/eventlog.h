@@ -56,10 +56,6 @@ struct TransportEvent {
   std::uint64_t index = 0;  // arrival index / ticket on the key
   std::uint64_t bytes = 0;  // payload size (kSend / kMatch)
   std::uint64_t stamp = 0;  // global draw order — a valid linearization
-
-  bool same_key(const TransportEvent& o) const {
-    return dst == o.dst && comm == o.comm && src == o.src && tag == o.tag;
-  }
 };
 
 using TransportLog = std::vector<TransportEvent>;

@@ -60,6 +60,8 @@ struct ChannelCounters {
   std::uint64_t mcast_recipient_bytes = 0;  // payload * number of receivers
   std::uint64_t comm_creations = 0;      // communicator-split results
 
+  bool operator==(const ChannelCounters&) const = default;
+
   ChannelCounters& operator+=(const ChannelCounters& o) {
     unicast_msgs += o.unicast_msgs;
     unicast_bytes += o.unicast_bytes;

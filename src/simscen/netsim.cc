@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -224,19 +223,12 @@ class FlowSim {
           f.pipes_stream.push_back({up_base + src_rack, 1.0});
         }
         if (down_base >= 0) {
-          // Copies entering each destination rack: one per receiver
-          // there, or one total when the rack switch replicates
-          // (rack-aware multicast).
-          std::map<int, double> copies;
-          for (const NodeId d : t.dsts) {
-            const int r = topo.rack_of(d);
-            if (r != src_rack) copies[r] += 1.0;
-          }
-          for (const auto& [rack, count] : copies) {
-            f.pipes_payload.push_back(
-                {down_base + rack,
-                 topo.rack_aware_multicast ? 1.0 : count});
-          }
+          // Copies entering each destination rack's downlink.
+          topo.for_each_rack_copies(t, [&](int rack, double copies) {
+            if (rack != src_rack) {
+              f.pipes_payload.push_back({down_base + rack, copies});
+            }
+          });
         }
       }
       flows_.push_back(std::move(f));
@@ -724,16 +716,11 @@ double SerialNetMakespan(const simnet::TransmissionLog& log,
       rate = std::min(rate, topo.rack_uplink_bytes_per_sec);
       if (topo.rack_downlink_bytes_per_sec < kInf) {
         const int src_rack = topo.rack_of(t.src);
-        std::map<int, double> copies;
-        for (const NodeId d : t.dsts) {
-          const int r = topo.rack_of(d);
-          if (r != src_rack) copies[r] += 1.0;
-        }
-        for (const auto& [rack, count] : copies) {
-          (void)rack;
-          const double w = topo.rack_aware_multicast ? 1.0 : count;
-          rate = std::min(rate, topo.rack_downlink_bytes_per_sec / w);
-        }
+        topo.for_each_rack_copies(t, [&](int rack, double copies) {
+          if (rack != src_rack) {
+            rate = std::min(rate, topo.rack_downlink_bytes_per_sec / copies);
+          }
+        });
       }
     }
     CTS_CHECK_GT(rate, 0.0);

@@ -1,6 +1,5 @@
 #include "simscen/scenario.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -103,16 +102,8 @@ bool Topology::crosses_core(const simnet::Transmission& t) const {
 }
 
 double Topology::multicast_penalty(const simnet::Transmission& t) const {
-  double fanout = static_cast<double>(t.dsts.size());
-  if (rack_aware_multicast) {
-    // Distinct racks the stream reaches; the switch fans out locally.
-    std::vector<int> racks;
-    racks.reserve(t.dsts.size());
-    for (const NodeId d : t.dsts) racks.push_back(rack_of(d));
-    std::sort(racks.begin(), racks.end());
-    racks.erase(std::unique(racks.begin(), racks.end()), racks.end());
-    fanout = static_cast<double>(racks.size());
-  }
+  double fanout = 0;
+  for_each_rack_copies(t, [&](int, double copies) { fanout += copies; });
   return fanout > 1.0
              ? 1.0 + multicast_log_coeff * std::log2(fanout)
              : 1.0;
@@ -123,23 +114,11 @@ double CrossRackBytes(const simnet::TransmissionLog& log,
   double total = 0;
   for (const auto& t : log) {
     const int src_rack = topology.rack_of(t.src);
-    if (topology.rack_aware_multicast) {
-      std::vector<int> racks;
-      for (const NodeId d : t.dsts) {
-        const int r = topology.rack_of(d);
-        if (r != src_rack) racks.push_back(r);
-      }
-      std::sort(racks.begin(), racks.end());
-      racks.erase(std::unique(racks.begin(), racks.end()), racks.end());
-      total += static_cast<double>(t.bytes) *
-               static_cast<double>(racks.size());
-    } else {
-      std::size_t copies = 0;
-      for (const NodeId d : t.dsts) {
-        if (topology.rack_of(d) != src_rack) ++copies;
-      }
-      total += static_cast<double>(t.bytes) * static_cast<double>(copies);
-    }
+    double copies = 0;
+    topology.for_each_rack_copies(t, [&](int rack, double c) {
+      if (rack != src_rack) copies += c;
+    });
+    total += static_cast<double>(t.bytes) * copies;
   }
   return total;
 }

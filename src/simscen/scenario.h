@@ -146,12 +146,41 @@ struct Topology {
   // sender's rack (and therefore traverses the core).
   bool crosses_core(const simnet::Transmission& t) const;
 
+  // The one rule for where a transmission's payload goes: calls
+  // visit(rack, copies) for each rack `t` delivers into, in ascending
+  // rack order (the sender's own rack included when a receiver sits
+  // there), with the copies of the payload that enter it: one per
+  // receiver there, or one under rack_aware_multicast. The copy counts
+  // are whole numbers held as doubles. multicast_penalty,
+  // CrossRackBytes and the flow DES's downlink pipes all read it.
+  template <typename Visit>
+  void for_each_rack_copies(const simnet::Transmission& t,
+                            Visit&& visit) const {
+    for (int done = -1;;) {
+      int rack = std::numeric_limits<int>::max();
+      double receivers = 0;
+      for (const NodeId d : t.dsts) {
+        const int r = rack_of(d);
+        if (r <= done || r > rack) continue;
+        if (r < rack) {
+          rack = r;
+          receivers = 0;
+        }
+        receivers += 1.0;
+      }
+      if (receivers == 0) return;
+      visit(rack, rack_aware_multicast ? 1.0 : receivers);
+      done = rack;
+    }
+  }
+
   // Sender-side multicast stream penalty (the application-layer copy
-  // count folded into a unicast-rate multiplier). Under
-  // rack_aware_multicast the fanout is the number of distinct racks
-  // the transmission reaches (its own rack's switch counts once);
-  // otherwise it is the receiver count, 1 + coeff·log2(fanout) for a
-  // fanout above 1 and exactly 1 for a unicast.
+  // count folded into a unicast-rate multiplier): the fanout is the
+  // total copies over every rack the transmission enters — its
+  // receiver count, or under rack_aware_multicast the number of
+  // distinct racks it reaches (its own rack's switch counts once).
+  // 1 + coeff·log2(fanout) for a fanout above 1, exactly 1 for a
+  // unicast.
   double multicast_penalty(const simnet::Transmission& t) const;
 
   bool core_is_finite() const {

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "coding/codec.h"
 #include "coding/placement.h"
 #include "coding/segments.h"
 #include "combinatorics/subsets.h"
@@ -228,8 +229,7 @@ SynthesisResult SynthesizeCoded(const SortConfig& config) {
   std::vector<std::uint64_t> p8(static_cast<std::size_t>(slots));
   std::vector<std::uint64_t> wire8(static_cast<std::size_t>(slots));
   std::uint64_t wire8_sum = 0;
-  const std::uint64_t header =  // CodedPacket wire minus payload:
-      4 + 8 * static_cast<std::uint64_t>(r) + 8;
+  const std::uint64_t header = PacketHeaderBytes(static_cast<std::size_t>(r));
   for (int q = 0; q < slots; ++q) {
     const std::uint64_t below =
         q > 0 ? s8[static_cast<std::size_t>(q - 1)] : 0;

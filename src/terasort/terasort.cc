@@ -6,6 +6,7 @@
 
 #include "coding/placement.h"
 #include "common/check.h"
+#include "driver/cluster.h"
 #include "driver/partition_util.h"
 #include "keyvalue/recordio.h"
 #include "keyvalue/teragen.h"
@@ -16,8 +17,8 @@ namespace {
 
 constexpr simmpi::Tag kTagShuffle = 0;
 
-}  // namespace
-
+// The TeraSort node program. Runs inside a cluster node thread; fills
+// `recorder` with this node's partition, work counters and stage walls.
 void TeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
                   const SortConfig& config) {
   const int K = config.num_nodes;
@@ -151,21 +152,10 @@ void TeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
     }
   });
 
-  // ---- Reduce ----
-  stages.run(stage::kReduce, [&] {
-    SortRecords(pool);
-    work.reduce_bytes += pool.size() * kRecordBytes;
-    // Partition-ownership invariant: everything this node reduced must
-    // belong to its key range.
-    for (const Record& rec : pool) {
-      CTS_CHECK_MSG(partitioner->partition(rec.key) == self,
-                    "record outside partition " << self);
-    }
-  });
-
-  recorder.set_partition(self, std::move(pool));
-  recorder.set_work(self, work);
+  ReduceStage(stages, recorder, self, *partitioner, std::move(pool), work);
 }
+
+}  // namespace
 
 AlgorithmResult RunTeraSort(const SortConfig& config) {
   simmpi::World world(config.num_nodes);

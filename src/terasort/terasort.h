@@ -24,18 +24,11 @@
 // local disks; generation stands in for local-disk load).
 #pragma once
 
-#include "driver/cluster.h"
 #include "driver/run_result.h"
-#include "simmpi/comm.h"
 
 namespace cts {
 
-// The TeraSort node program. Runs inside a cluster node thread; fills
-// `recorder` with this node's partition, work counters and stage walls.
-void TeraSortNode(simmpi::Comm& world_comm, RunRecorder& recorder,
-                  const SortConfig& config);
-
-// Convenience driver: executes TeraSort on a fresh simulated cluster
+// Executes TeraSort on a fresh simulated cluster, one thread per node,
 // and returns the assembled result (validated for record conservation).
 AlgorithmResult RunTeraSort(const SortConfig& config);
 

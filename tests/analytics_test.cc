@@ -18,7 +18,6 @@ TEST(Loads, Formulas) {
   EXPECT_DOUBLE_EQ(TeraSortLoad(4), 0.75);
   EXPECT_DOUBLE_EQ(UncodedLoad(4, 2), 0.5);
   EXPECT_DOUBLE_EQ(CodedLoad(4, 2), 0.25);
-  EXPECT_DOUBLE_EQ(CodingGain(4, 2), 2.0);
 }
 
 TEST(Loads, Fig1ExampleCounts) {

@@ -3,9 +3,12 @@
 // outputs, and measured communication loads must match eq. (2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "analytics/loads.h"
 #include "cmr/cmr.h"
@@ -14,11 +17,10 @@
 namespace cts::cmr {
 namespace {
 
-CmrConfig Config(int K, int r, ShuffleMode mode) {
-  CmrConfig c;
+SortConfig Config(int K, int r) {
+  SortConfig c;
   c.num_nodes = K;
   c.redundancy = r;
-  c.mode = mode;
   c.seed = 99;
   return c;
 }
@@ -53,7 +55,7 @@ TEST_P(CmrModes, GrepMatchesSequentialReferenceBothModes) {
   const auto expected = SequentialReference(*app, K, r, 99);
   for (const ShuffleMode mode :
        {ShuffleMode::kUncoded, ShuffleMode::kCoded}) {
-    const CmrResult result = RunCmr(*app, Config(K, r, mode));
+    const CmrResult result = RunCmr(*app, Config(K, r), mode);
     EXPECT_EQ(result.outputs, expected)
         << "mode=" << (mode == ShuffleMode::kCoded ? "coded" : "uncoded");
   }
@@ -65,7 +67,7 @@ TEST_P(CmrModes, WordCountMatchesSequentialReferenceBothModes) {
   const auto expected = SequentialReference(*app, K, r, 99);
   for (const ShuffleMode mode :
        {ShuffleMode::kUncoded, ShuffleMode::kCoded}) {
-    const CmrResult result = RunCmr(*app, Config(K, r, mode));
+    const CmrResult result = RunCmr(*app, Config(K, r), mode);
     EXPECT_EQ(result.outputs, expected);
   }
 }
@@ -86,7 +88,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Cmr, WordCountTotalsAreConserved) {
   const auto app = MakeWordCountApp(100);
-  const CmrResult coded = RunCmr(*app, Config(4, 2, ShuffleMode::kCoded));
+  const CmrResult coded = RunCmr(*app, Config(4, 2), ShuffleMode::kCoded);
   // Sum of all reducer counts must equal total words generated.
   std::uint64_t counted = 0;
   for (const auto& out : coded.outputs) {
@@ -120,7 +122,7 @@ TEST(Cmr, MeasuredLoadsMatchEquation2) {
     // allow a wider band there.
     const double pad_tol = r <= 3 ? 0.12 : 0.18;
     const CmrResult uncoded =
-        RunCmr(*app, Config(K, r, ShuffleMode::kUncoded));
+        RunCmr(*app, Config(K, r), ShuffleMode::kUncoded);
     // Unicast payloads carry no padding or headers; the ~1% residue is
     // hash-routing variance (which reducers land inside each holder
     // set). The exact identity under balanced loads is asserted in
@@ -128,7 +130,7 @@ TEST(Cmr, MeasuredLoadsMatchEquation2) {
     EXPECT_NEAR(uncoded.measured_payload_load(), UncodedLoad(K, r),
                 UncodedLoad(K, r) * 0.01)
         << "r=" << r;
-    const CmrResult coded = RunCmr(*app, Config(K, r, ShuffleMode::kCoded));
+    const CmrResult coded = RunCmr(*app, Config(K, r), ShuffleMode::kCoded);
     // Coded payloads additionally pad ragged segments to the longest
     // constituent per packet (paper footnote 3).
     EXPECT_NEAR(coded.measured_payload_load(), CodedLoad(K, r),
@@ -144,24 +146,24 @@ TEST(Cmr, MeasuredLoadsMatchEquation2) {
 
 TEST(Cmr, CodedShuffleUsesOnlyMulticast) {
   const auto app = MakeGrepApp("map", 50);
-  const CmrResult coded = RunCmr(*app, Config(5, 2, ShuffleMode::kCoded));
-  const auto shuffle = coded.traffic.at(stage::kShuffle);
+  const CmrResult coded = RunCmr(*app, Config(5, 2), ShuffleMode::kCoded);
+  const auto shuffle = coded.run.traffic.at(stage::kShuffle);
   EXPECT_EQ(shuffle.unicast_msgs, 0u);
   EXPECT_EQ(shuffle.mcast_msgs, Binomial(5, 3) * 3);
-  const CmrResult uncoded = RunCmr(*app, Config(5, 2, ShuffleMode::kUncoded));
-  EXPECT_EQ(uncoded.traffic.at(stage::kShuffle).mcast_msgs, 0u);
+  const CmrResult uncoded = RunCmr(*app, Config(5, 2), ShuffleMode::kUncoded);
+  EXPECT_EQ(uncoded.run.traffic.at(stage::kShuffle).mcast_msgs, 0u);
 }
 
 TEST(Cmr, RedundancyKIsShuffleFree) {
   const auto app = MakeWordCountApp(40);
-  const CmrResult result = RunCmr(*app, Config(4, 4, ShuffleMode::kCoded));
-  EXPECT_EQ(result.traffic.at(stage::kShuffle).transmitted_bytes(), 0u);
+  const CmrResult result = RunCmr(*app, Config(4, 4), ShuffleMode::kCoded);
+  EXPECT_EQ(result.run.traffic.at(stage::kShuffle).transmitted_bytes(), 0u);
   EXPECT_EQ(result.outputs, SequentialReference(*app, 4, 4, 99));
 }
 
 TEST(Cmr, GrepFindsOnlyMatchingLines) {
   const auto app = MakeGrepApp("needle", 100);
-  const CmrResult result = RunCmr(*app, Config(4, 2, ShuffleMode::kCoded));
+  const CmrResult result = RunCmr(*app, Config(4, 2), ShuffleMode::kCoded);
   std::size_t lines = 0;
   for (const auto& out : result.outputs) {
     std::istringstream is(out);
@@ -180,7 +182,7 @@ TEST_P(CmrModes, SelfJoinMatchesSequentialReferenceBothModes) {
   const auto expected = SequentialReference(*app, K, r, 99);
   for (const ShuffleMode mode :
        {ShuffleMode::kUncoded, ShuffleMode::kCoded}) {
-    const CmrResult result = RunCmr(*app, Config(K, r, mode));
+    const CmrResult result = RunCmr(*app, Config(K, r), mode);
     EXPECT_EQ(result.outputs, expected);
   }
 }
@@ -191,14 +193,14 @@ TEST_P(CmrModes, InvertedIndexMatchesSequentialReferenceBothModes) {
   const auto expected = SequentialReference(*app, K, r, 99);
   for (const ShuffleMode mode :
        {ShuffleMode::kUncoded, ShuffleMode::kCoded}) {
-    const CmrResult result = RunCmr(*app, Config(K, r, mode));
+    const CmrResult result = RunCmr(*app, Config(K, r), mode);
     EXPECT_EQ(result.outputs, expected);
   }
 }
 
 TEST(Cmr, SelfJoinPairsShareTheirKey) {
   const auto app = MakeSelfJoinApp(60, 8);
-  const CmrResult result = RunCmr(*app, Config(4, 2, ShuffleMode::kCoded));
+  const CmrResult result = RunCmr(*app, Config(4, 2), ShuffleMode::kCoded);
   std::size_t pairs = 0;
   for (const auto& out : result.outputs) {
     std::istringstream is(out);
@@ -216,7 +218,7 @@ TEST(Cmr, SelfJoinPairsShareTheirKey) {
 
 TEST(Cmr, SelfJoinKeysRouteToOneReducer) {
   const auto app = MakeSelfJoinApp(60, 8);
-  const CmrResult result = RunCmr(*app, Config(4, 2, ShuffleMode::kCoded));
+  const CmrResult result = RunCmr(*app, Config(4, 2), ShuffleMode::kCoded);
   std::map<std::string, std::set<int>> key_reducers;
   for (int q = 0; q < 4; ++q) {
     std::istringstream is(result.outputs[static_cast<std::size_t>(q)]);
@@ -230,7 +232,7 @@ TEST(Cmr, SelfJoinKeysRouteToOneReducer) {
 
 TEST(Cmr, InvertedIndexPostingsContainTheWord) {
   const auto app = MakeInvertedIndexApp(80);
-  const CmrResult result = RunCmr(*app, Config(4, 2, ShuffleMode::kCoded));
+  const CmrResult result = RunCmr(*app, Config(4, 2), ShuffleMode::kCoded);
   std::size_t words = 0;
   for (const auto& out : result.outputs) {
     std::istringstream is(out);
@@ -246,14 +248,107 @@ TEST(Cmr, InvertedIndexPostingsContainTheWord) {
   EXPECT_EQ(words, 18u);
 }
 
+// FNV-1a over everything a CMR run reports except wall times: the
+// reducer outputs, the per-stage traffic, the shuffle log in
+// per-sender order (its global order is arrival order at the
+// transport, which threads race for; within one sender it is program
+// order), the two load counters, the stage order and each node's
+// compute-event stages.
+std::uint64_t CmrDigest(const CmrResult& result) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto byte = [&h](std::uint8_t b) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  };
+  const auto add = [&byte](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  const auto add_name = [&](const std::string& name) {
+    add(name.size());
+    for (const char ch : name) byte(static_cast<std::uint8_t>(ch));
+  };
+  const AlgorithmResult& run = result.run;
+  add(result.outputs.size());
+  for (const std::string& out : result.outputs) add_name(out);
+  add(run.traffic.size());
+  for (const auto& [stage_name, c] : run.traffic) {
+    add_name(stage_name);
+    for (const std::uint64_t v :
+         {c.unicast_msgs, c.unicast_bytes, c.mcast_msgs, c.mcast_bytes,
+          c.mcast_recipient_bytes, c.comm_creations}) {
+      add(v);
+    }
+  }
+  simnet::TransmissionLog log = run.shuffle_log;
+  std::stable_sort(log.begin(), log.end(),
+                   [](const auto& a, const auto& b) { return a.src < b.src; });
+  add(log.size());
+  for (const simnet::Transmission& t : log) {
+    add(static_cast<std::uint64_t>(t.src));
+    add(t.dsts.size());
+    for (const NodeId d : t.dsts) add(static_cast<std::uint64_t>(d));
+    add(t.bytes);
+  }
+  add(result.total_iv_bytes);
+  add(result.shuffled_payload_bytes);
+  add(run.stage_order.size());
+  for (const std::string& name : run.stage_order) add_name(name);
+  add(run.compute_events.size());
+  for (const ComputeEvent& ev : run.compute_events) {
+    add_name(ev.stage);
+    add(static_cast<std::uint64_t>(ev.node));
+  }
+  return h;
+}
+
+// Pins everything the engine reports across shapes, both apps, both
+// shuffles and both syncs. Each digest folds Grep then WordCount, each
+// under kBarrier then kOverlapped.
+TEST(Cmr, GoldenDigestAcrossTheGrid) {
+  struct Golden {
+    int K;
+    int r;
+    std::uint64_t uncoded_digest;
+    std::uint64_t coded_digest;
+  };
+  const Golden grid[] = {
+      {3, 1, 0x4b3bc8a6f7af607fULL, 0x7f0750a0343fd125ULL},
+      {3, 2, 0xaf6e56821cdd8f5fULL, 0xe24c479c2e6c47f5ULL},
+      {4, 2, 0x9db4eece2dd6e24dULL, 0x706937ee7921d697ULL},
+      {4, 3, 0xd2111121cf3f8a35ULL, 0xaa56ccbdfbdbbde5ULL},
+      {4, 4, 0x28350b5fb4139b3bULL, 0xa1d524167726807fULL},
+      {5, 2, 0x9c20566751609c11ULL, 0x50e6a3ce00a35ddbULL},
+  };
+  const auto grep = MakeGrepApp("needle", /*records_per_file=*/30);
+  const auto wordcount = MakeWordCountApp(/*records_per_file=*/30);
+  for (const Golden& g : grid) {
+    for (const ShuffleMode mode :
+         {ShuffleMode::kUncoded, ShuffleMode::kCoded}) {
+      std::uint64_t h = 0xcbf29ce484222325ULL;
+      for (const CmrApp* app : {grep.get(), wordcount.get()}) {
+        for (const ShuffleSync sync :
+             {ShuffleSync::kBarrier, ShuffleSync::kOverlapped}) {
+          SortConfig config = Config(g.K, g.r);
+          config.shuffle_sync = sync;
+          h = (h ^ CmrDigest(RunCmr(*app, config, mode))) * 0x100000001b3ULL;
+        }
+      }
+      const bool coded = mode == ShuffleMode::kCoded;
+      EXPECT_EQ(h, coded ? g.coded_digest : g.uncoded_digest)
+          << "K = " << g.K << ", r = " << g.r
+          << (coded ? " coded" : " uncoded") << " got 0x" << std::hex << h;
+    }
+  }
+}
+
 TEST(Cmr, DeterministicAcrossRuns) {
   const auto app = MakeWordCountApp(50);
-  const CmrResult a = RunCmr(*app, Config(4, 2, ShuffleMode::kCoded));
-  const CmrResult b = RunCmr(*app, Config(4, 2, ShuffleMode::kCoded));
+  const CmrResult a = RunCmr(*app, Config(4, 2), ShuffleMode::kCoded);
+  const CmrResult b = RunCmr(*app, Config(4, 2), ShuffleMode::kCoded);
   EXPECT_EQ(a.outputs, b.outputs);
   EXPECT_EQ(a.total_iv_bytes, b.total_iv_bytes);
-  EXPECT_EQ(a.traffic.at(stage::kShuffle).transmitted_bytes(),
-            b.traffic.at(stage::kShuffle).transmitted_bytes());
+  EXPECT_EQ(a.run.traffic.at(stage::kShuffle).transmitted_bytes(),
+            b.run.traffic.at(stage::kShuffle).transmitted_bytes());
 }
 
 }  // namespace

@@ -200,8 +200,11 @@ TEST(CodedTeraSort, StagesRecorded) {
 // each file into per-partition record vectors, packed the kept ones
 // during Encode, copied every multicast payload once per recipient and
 // decoded through DecodePacket and MergeSegments; a rewrite of Map,
-// Encode, Shuffle or Decode must reproduce them bit for bit. The two pairings differ in CodeGen traffic (one split per group
-// against one batched bcast), so each has its own digest.
+// Encode, Shuffle or Decode must reproduce them bit for bit. The
+// kOverlapped + kBatched column was re-pinned when the batched
+// CodeGen's 4-byte id base stopped being accounted as a CodeGen
+// multicast: its digests are that engine's with the CodeGen stage's
+// mcast_msgs, mcast_bytes and mcast_recipient_bytes folded as zero.
 TEST(CodedTeraSort, GoldenDigestAcrossTheGrid) {
   struct Golden {
     int K;
@@ -210,16 +213,16 @@ TEST(CodedTeraSort, GoldenDigestAcrossTheGrid) {
     std::uint64_t overlapped_digest;  // kOverlapped + kBatched
   };
   const Golden grid[] = {
-      {2, 1, 0x3c5f6df91931396cULL, 0x29e6967240509c1aULL},
-      {3, 1, 0x0229fa048a64eaccULL, 0xd7f568e90c49bf95ULL},
-      {3, 2, 0xbb2b6bd23637f2a6ULL, 0x45d4403d8e1f7b7eULL},
-      {4, 1, 0x73b86987b6dcbcdaULL, 0x56f5eb93db6bb70fULL},
-      {4, 2, 0xe6fa2949b42de8e9ULL, 0xd6c5f990d4ea67e4ULL},
-      {4, 3, 0x9960b6541a610874ULL, 0x4e36c354b8f29283ULL},
-      {4, 4, 0xec011ce5e93d3670ULL, 0xa117437b7d55b4dfULL},
-      {5, 2, 0xe88c5cf6af360e8dULL, 0x55e42233861fc351ULL},
-      {6, 3, 0xd762b4641833bf07ULL, 0x50711bd14254c2c5ULL},
-      {7, 3, 0x81917796af9f5fccULL, 0xe9a1aa9422b683d3ULL},
+      {2, 1, 0x3c5f6df91931396cULL, 0xa1aa4eab696bff0eULL},
+      {3, 1, 0x0229fa048a64eaccULL, 0xc414e24fd04a3451ULL},
+      {3, 2, 0xbb2b6bd23637f2a6ULL, 0x81f5fb11644bb832ULL},
+      {4, 1, 0x73b86987b6dcbcdaULL, 0x46f6c5ce72547e83ULL},
+      {4, 2, 0xe6fa2949b42de8e9ULL, 0x119ef91d6899de0cULL},
+      {4, 3, 0x9960b6541a610874ULL, 0xada1b96ac534b5abULL},
+      {4, 4, 0xec011ce5e93d3670ULL, 0xbe97ad0704d5a5bbULL},
+      {5, 2, 0xe88c5cf6af360e8dULL, 0xf70a72b969c8ee49ULL},
+      {6, 3, 0xd762b4641833bf07ULL, 0x6c6120342e6dee09ULL},
+      {7, 3, 0x81917796af9f5fccULL, 0x7c2fff0bc48175c3ULL},
   };
   for (const Golden& g : grid) {
     for (const bool overlapped : {false, true}) {

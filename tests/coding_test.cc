@@ -566,6 +566,46 @@ TEST(CodecKernels, DecodeRecordsIntoMatchesTheMergedValue) {
   }
 }
 
+// The group-decode kernel both coded engines run: on random groups
+// (K <= 8, every r < K, a quarter of the values empty, the rest of
+// random lengths), it yields the wanted value's bytes and the counters
+// that DecodePacket and MergeSegments do.
+TEST(CodecKernels, DecodeGroupIntoMatchesMergedSegments) {
+  std::uint64_t draw = 2017;
+  for (int K = 2; K <= 8; ++K) {
+    for (int r = 1; r < K; ++r) {
+      SCOPED_TRACE(testing::Message() << "K " << K << " r " << r);
+      RandomIvStore store(K, r, /*seed=*/K * 13 + r, /*records=*/false);
+      const IvAccess iv = store.access();
+      const Placement placement = Placement::Create(K, r);
+      const std::vector<NodeMask>& groups = placement.multicast_groups();
+      for (int pick = 0; pick < 4; ++pick) {
+        const NodeMask g = groups[SplitMix64(draw) % groups.size()];
+        const std::map<NodeId, Buffer> wires = EncodeGroup(g, iv, nullptr);
+        for (const NodeId k : MaskToNodes(g)) {
+          const std::vector<PacketView> packets = PacketsFor(g, k, wires);
+          std::vector<std::uint8_t> value(GroupValueLength(g, k, packets));
+          CodecStats kernel_stats;
+          DecodeGroupInto(g, k, packets, iv, {0, {}, value}, &kernel_stats);
+
+          CodecStats packet_stats;
+          std::vector<DecodedSegment> segments;
+          for (const NodeId u : MaskToNodes(WithoutNode(g, k))) {
+            Buffer wire = wires.at(u).Clone();
+            segments.push_back(DecodePacket(g, k, u,
+                                            CodedPacket::deserialize(wire),
+                                            iv, &packet_stats));
+          }
+          EXPECT_EQ(value, MergeSegments(segments))
+              << "group " << g << " receiver " << k;
+          EXPECT_EQ(value, store.value(k, WithoutNode(g, k)));
+          ExpectSameStats(kernel_stats, packet_stats);
+        }
+      }
+    }
+  }
+}
+
 // A destination with guard bytes on both sides, to show that a kernel
 // which throws wrote nothing outside the span it was given.
 class GuardedRecords {

@@ -90,15 +90,6 @@ TEST(Subsets, Paper4Choose2Example) {
   EXPECT_EQ(subsets[5], NodesToMask({2, 3}));
 }
 
-TEST(Subsets, SubsetsContainingNode) {
-  const auto with2 = SubsetsContaining(5, 3, 2);
-  EXPECT_EQ(with2.size(), Binomial(4, 2));
-  for (NodeMask m : with2) {
-    EXPECT_TRUE(Contains(m, 2));
-    EXPECT_EQ(Popcount(m), 3);
-  }
-}
-
 // Property: ColexRank and ColexUnrank are inverse bijections over all
 // (K, r) pairs in a sweep.
 class ColexBijection : public ::testing::TestWithParam<std::pair<int, int>> {};

@@ -10,6 +10,7 @@
 #include "analytics/loads.h"
 #include "analytics/report.h"
 #include "codedterasort/coded_terasort.h"
+#include "driver/cluster.h"
 #include "keyvalue/recordio.h"
 #include "keyvalue/teragen.h"
 #include "simmpi/comm.h"

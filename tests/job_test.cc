@@ -111,27 +111,24 @@ TEST(Registry, RoundTripMatchesDirectCalls) {
         direct.traffic.at(stage::kShuffle).transmitted_bytes());
   }
   {
-    // CMR: the adapter must run exactly the direct RunCmr call it
-    // documents (WordCount app sized by CmrRecordsPerFile).
+    // CMR: the registry entry runs exactly the direct RunCmr call it
+    // documents (WordCount app sized by CmrRecordsPerFile, coded at
+    // r > 1) and returns its run.
     const SortConfig config = SmallConfig(2);
     JobSpec spec;
     spec.algorithm = "cmr";
     spec.config = config;
     spec.backend = Backend::kLive;
     const JobResult via_job = RunJob(spec);
-    cmr::CmrConfig cc;
-    cc.num_nodes = config.num_nodes;
-    cc.redundancy = config.redundancy;
-    cc.seed = config.seed;
-    cc.mode = cmr::ShuffleMode::kCoded;
     const auto app = cmr::MakeWordCountApp(CmrRecordsPerFile(config));
-    const cmr::CmrResult direct = cmr::RunCmr(*app, cc);
-    EXPECT_EQ(via_job.execution->stage_order, direct.stage_order);
-    EXPECT_EQ(
-        via_job.execution->traffic.at(stage::kShuffle).transmitted_bytes(),
-        direct.traffic.at(stage::kShuffle).transmitted_bytes());
+    const AlgorithmResult direct =
+        cmr::RunCmr(*app, config, cmr::ShuffleMode::kCoded).run;
+    EXPECT_EQ(direct.algorithm, "CMR-WordCount");
+    EXPECT_EQ(via_job.execution->algorithm, direct.algorithm);
+    EXPECT_EQ(via_job.execution->traffic, direct.traffic);
     EXPECT_EQ(via_job.execution->shuffle_log.size(),
               direct.shuffle_log.size());
+    EXPECT_EQ(via_job.execution->stage_order, direct.stage_order);
   }
 }
 

@@ -184,17 +184,17 @@ TEST_P(CmrLoadIdentity, PayloadLoadsMatchEquation2UnderBothSyncs) {
   const FixedSizeIvApp app(720);
   ASSERT_EQ(720 % r, 0);
 
-  cmr::CmrConfig config;
+  SortConfig config;
   config.num_nodes = K;
   config.redundancy = r;
+  config.seed = 7;
 
   for (const cmr::ShuffleMode mode :
        {cmr::ShuffleMode::kUncoded, cmr::ShuffleMode::kCoded}) {
-    config.mode = mode;
-    config.sync = ShuffleSync::kBarrier;
-    const cmr::CmrResult barrier = RunCmr(app, config);
-    config.sync = ShuffleSync::kOverlapped;
-    const cmr::CmrResult overlapped = RunCmr(app, config);
+    config.shuffle_sync = ShuffleSync::kBarrier;
+    const cmr::CmrResult barrier = RunCmr(app, config, mode);
+    config.shuffle_sync = ShuffleSync::kOverlapped;
+    const cmr::CmrResult overlapped = RunCmr(app, config, mode);
 
     const double expected = mode == cmr::ShuffleMode::kCoded
                                 ? CodedLoad(K, r)
@@ -210,13 +210,14 @@ TEST_P(CmrLoadIdentity, PayloadLoadsMatchEquation2UnderBothSyncs) {
     EXPECT_EQ(barrier.shuffled_payload_bytes,
               overlapped.shuffled_payload_bytes);
     EXPECT_EQ(barrier.total_iv_bytes, overlapped.total_iv_bytes);
-    const auto& bt = barrier.traffic.at(stage::kShuffle);
-    const auto& ot = overlapped.traffic.at(stage::kShuffle);
+    const auto& bt = barrier.run.traffic.at(stage::kShuffle);
+    const auto& ot = overlapped.run.traffic.at(stage::kShuffle);
     EXPECT_EQ(bt.transmitted_bytes(), ot.transmitted_bytes());
     EXPECT_EQ(bt.unicast_msgs, ot.unicast_msgs);
     EXPECT_EQ(bt.mcast_msgs, ot.mcast_msgs);
     EXPECT_EQ(bt.mcast_recipient_bytes, ot.mcast_recipient_bytes);
-    EXPECT_EQ(barrier.shuffle_log.size(), overlapped.shuffle_log.size());
+    EXPECT_EQ(barrier.run.shuffle_log.size(),
+              overlapped.run.shuffle_log.size());
     EXPECT_EQ(barrier.outputs, overlapped.outputs);
   }
 }

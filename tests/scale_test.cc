@@ -23,6 +23,8 @@
 #include "keyvalue/recordio.h"
 #include "keyvalue/teragen.h"
 #include "keyvalue/teravalidate.h"
+#include "simmpi/comm.h"
+#include "simmpi/world.h"
 #include "terasort/terasort.h"
 
 namespace cts {

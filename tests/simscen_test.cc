@@ -1035,12 +1035,13 @@ TEST(ReplayScenario, FailStopOutageDelaysExactlyRecovery) {
 }
 
 TEST(ReplayScenario, CmrEventsReplayThroughTheSameEngine) {
-  cmr::CmrConfig config;
+  SortConfig config;
   config.num_nodes = 4;
   config.redundancy = 2;
-  config.mode = cmr::ShuffleMode::kCoded;
+  config.seed = 7;
   const auto app = cmr::MakeGrepApp("map", 40);
-  const cmr::CmrResult result = cmr::RunCmr(*app, config);
+  const AlgorithmResult result =
+      cmr::RunCmr(*app, config, cmr::ShuffleMode::kCoded).run;
   ASSERT_FALSE(result.stage_order.empty());
   ASSERT_FALSE(result.compute_events.empty());
 
@@ -1066,13 +1067,14 @@ TEST(ReplayScenario, OverlappedCmrStragglerStillStretchesPipelinedStage) {
   // stage (pipelined). The stage is network-priced, but its measured
   // per-node compute must still respond to a straggler: the stage
   // ends when both the transfers and the slowest node are done.
-  cmr::CmrConfig config;
+  SortConfig config;
   config.num_nodes = 4;
   config.redundancy = 2;
-  config.mode = cmr::ShuffleMode::kUncoded;
-  config.sync = ShuffleSync::kOverlapped;
+  config.seed = 7;
+  config.shuffle_sync = ShuffleSync::kOverlapped;
   const auto app = cmr::MakeGrepApp("map", 40);
-  const cmr::CmrResult result = cmr::RunCmr(*app, config);
+  const AlgorithmResult result =
+      cmr::RunCmr(*app, config, cmr::ShuffleMode::kUncoded).run;
 
   const ScenarioRun run = BuildScenarioRunFromEvents(
       "CMR-Grep-overlapped", config.num_nodes, result.stage_order,

@@ -74,14 +74,20 @@ void ExpectSameCounters(const AlgorithmResult& live,
   EXPECT_EQ(a.mcast_msgs, b.mcast_msgs);
   EXPECT_EQ(a.mcast_bytes, b.mcast_bytes);
   EXPECT_EQ(a.mcast_recipient_bytes, b.mcast_recipient_bytes);
-  // CodeGen: the pricing reads only the communicator count (the
-  // kBatched id-base broadcast's 4 wire bytes are not modeled).
-  const auto creations = [](const AlgorithmResult& r) {
+  // CodeGen records only the communicators created, under both
+  // CodeGenModes: splits and the kBatched id base are control plane.
+  const auto codegen = [](const AlgorithmResult& r) {
     const auto it = r.traffic.find(stage::kCodeGen);
-    return it == r.traffic.end() ? std::uint64_t{0}
-                                 : it->second.comm_creations;
+    return it == r.traffic.end() ? simmpi::ChannelCounters{} : it->second;
   };
-  EXPECT_EQ(creations(live), creations(synth));
+  const simmpi::ChannelCounters lc = codegen(live);
+  const simmpi::ChannelCounters sc = codegen(synth);
+  EXPECT_EQ(lc.unicast_msgs, sc.unicast_msgs);
+  EXPECT_EQ(lc.unicast_bytes, sc.unicast_bytes);
+  EXPECT_EQ(lc.mcast_msgs, sc.mcast_msgs);
+  EXPECT_EQ(lc.mcast_bytes, sc.mcast_bytes);
+  EXPECT_EQ(lc.mcast_recipient_bytes, sc.mcast_recipient_bytes);
+  EXPECT_EQ(lc.comm_creations, sc.comm_creations);
   ASSERT_EQ(live.shuffle_node_traffic.size(),
             synth.shuffle_node_traffic.size());
   for (std::size_t k = 0; k < live.shuffle_node_traffic.size(); ++k) {

@@ -57,6 +57,12 @@ break that promise. Rules:
              src/analytics/: NodeStagePrice (analytics/report.h) is
              the one map from a stage name to its price, so
              SimulateRun and the scenario engine cannot drift apart.
+  codecfront a use of the codec's packet-object front-end
+             (CodedPacket, EncodePacket, DecodePacket, DecodedSegment,
+             MergeSegments) in src/ outside src/coding/: every engine
+             encodes and decodes with the kernels (EncodeInto,
+             DecodeGroupInto), and the object front-end stays the
+             tests' reference decoder and the benches' timing subject.
 
 Any rule is suppressed for a line by `repo-lint: allow(<rule>)` on the
 line itself or within the two lines above it.
@@ -98,6 +104,10 @@ MALLOC_RE = re.compile(
 PRICING_RE = re.compile(
     r"(?:\.|->|::)\s*(?:map|pack|encode|unpack|decode|reduce)_seconds\b")
 PRICING_HOME = "src/analytics/"
+CODECFRONT_RE = re.compile(
+    r"\b(?:CodedPacket|EncodePacket|DecodePacket|DecodedSegment"
+    r"|MergeSegments)\b")
+CODECFRONT_HOME = "src/coding/"
 
 
 def allowed(lines, i, rule):
@@ -118,6 +128,7 @@ def lint_lines(relpath, lines):
         and path != NUMPARSE_HOME
     pricing_scope = not path.startswith(PRICING_HOME)
     malloc_scope = in_src or path.startswith(("tools/", "examples/"))
+    codecfront_scope = in_src and not path.startswith(CODECFRONT_HOME)
     for i, line in enumerate(lines):
         # Comments still count for key rules (they would be copied),
         # but pure comment lines are a poor place to flag rand: strip
@@ -162,6 +173,12 @@ def lint_lines(relpath, lines):
             yield (i + 1, "pricing",
                    "per-node CostModel price outside %s; take it from "
                    "NodeStagePrice (analytics/report.h)" % PRICING_HOME)
+        if codecfront_scope and CODECFRONT_RE.search(line) \
+                and not allowed(lines, i, "codecfront"):
+            yield (i + 1, "codecfront",
+                   "packet-object codec front-end outside %s; encode and "
+                   "decode with the kernels (EncodeInto, DecodeGroupInto)"
+                   % CODECFRONT_HOME)
         for m in ADD_KEY_RE.finditer(line):
             key = m.group(1)
             if (not KEY_OK_RE.fullmatch(key) or key in RESERVED_KEYS) \
@@ -289,6 +306,12 @@ def self_test():
                  ["pricing"])
     ok &= expect("pricing-analytics-ok", "src/analytics/x.cc",
                  "return m.map_seconds(w, s);", [])
+    ok &= expect("codecfront", "src/cmr/x.cc",
+                 "const CodedPacket packet = EncodePacket(g, self, iv);",
+                 ["codecfront"])
+    ok &= expect("codecfront-coding-ok", "src/coding/x.cc",
+                 "segments.push_back(DecodePacket(g, k, u, packet, iv));",
+                 [])
     ok &= expect("malloc", "src/x.cc",
                  "mallopt(M_TRIM_THRESHOLD, 1 << 30);", ["malloc"])
     ok &= expect("malloc-operator-new", "tools/x.cpp",
