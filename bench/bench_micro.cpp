@@ -39,6 +39,25 @@ void BM_TeraGen(benchmark::State& state) {
 }
 BENCHMARK(BM_TeraGen)->Arg(1000)->Arg(100000);
 
+// The in-place writer both Maps generate with: n records straight
+// into one packed buffer, as into an intermediate value's slots.
+void BM_TeraGenInto(benchmark::State& state) {
+  const TeraGen gen(42);
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  std::vector<std::uint8_t> out(n * kRecordBytes);
+  for (auto _ : state) {
+    std::uint8_t* at = out.data();
+    for (std::uint64_t i = 0; i < n; ++i, at += kRecordBytes) {
+      gen.record_into(i, at);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * kRecordBytes));
+}
+BENCHMARK(BM_TeraGenInto)->Arg(100000);
+
 // Key-only generation: what the synthesizer and the sampled
 // partitioners pay per record.
 void BM_TeraGenKey(benchmark::State& state) {

@@ -1,6 +1,5 @@
 #include "codedterasort/coded_terasort.h"
 
-#include <cstring>
 #include <map>
 #include <span>
 #include <utility>
@@ -68,15 +67,17 @@ void CodedTeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
   // partition and counts each intermediate value, so each kept I^t_S
   // (t not in S) and the list of own records (every I^self_S, one
   // packed list) are allocated once, at their exact packed size. The
-  // second pass generates each record once, into its place: I^self_S
-  // appended to the own list, I^t_S into its packed value's slot.
-  // Records for the other members of S are generated and dropped —
-  // those nodes mapped F_S too (paper Fig. 5).
+  // second pass generates each kept record once, in place: I^self_S
+  // into the own list, I^t_S into its packed value's slot. Records for
+  // the other members of S are hashed, never generated — those nodes
+  // mapped F_S too (paper Fig. 5). No slot is zeroed first, so every
+  // one must be filled.
   Buffer own_list;
   std::map<IvKey, Buffer> ivs;
   stages.run(stage::kMap, [&] {
     const std::vector<FileId>& files = placement.files_on_node(self);
     const auto k = static_cast<std::size_t>(K);
+    const auto me = static_cast<std::size_t>(self);
     std::size_t n = 0;
     for (const FileId f : files) n += ranges.count[static_cast<std::size_t>(f)];
     std::vector<PartitionId> dest(n);
@@ -90,37 +91,46 @@ void CodedTeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
       }
     }
     std::size_t own = 0;
-    for (std::size_t i = 0; i < files.size(); ++i) {
-      own += counts[i * k + static_cast<std::size_t>(self)];
-    }
-    StartPackedList(own_list, own);
-    const PartitionId* next = dest.data();
+    for (std::size_t i = 0; i < files.size(); ++i) own += counts[i * k + me];
+    // slot[t] is the next record to write for partition t, null where
+    // t is in S \ {self}; slot[self] runs through the own list.
     std::vector<std::uint8_t*> slot(k);
+    std::vector<std::uint8_t*> slot_end(k);
+    const auto open = [&](std::size_t t, std::span<std::uint8_t> slots) {
+      slot[t] = slots.data();
+      slot_end[t] = slots.data() + slots.size();
+    };
+    open(me, AppendPackedSlots(own_list, own));
+    const PartitionId* next = dest.data();
     for (std::size_t i = 0; i < files.size(); ++i) {
       const FileId f = files[i];
       const NodeMask file_mask = placement.file_nodes(f);
       for (int t = 0; t < K; ++t) {
         const auto tt = static_cast<std::size_t>(t);
-        slot[tt] = t == self || Contains(file_mask, t)
-                       ? nullptr
-                       : AppendPackedSlots(ivs[IvKey{t, f}],
-                                           counts[i * k + tt])
-                             .data();
+        if (t == self) continue;
+        if (Contains(file_mask, t)) {
+          open(tt, {});
+        } else {
+          open(tt, AppendPackedSlots(ivs[IvKey{t, f}], counts[i * k + tt]));
+        }
       }
       const auto fi = static_cast<std::size_t>(f);
       for (std::uint64_t j = 0; j < ranges.count[fi]; ++j) {
-        const Record rec = gen.record(ranges.offset[fi] + j);
-        const PartitionId p = *next++;
-        if (p == self) {
-          AppendPackedRecord(own_list, rec);
-        } else if (std::uint8_t*& out = slot[static_cast<std::size_t>(p)]) {
-          std::memcpy(out, &rec, kRecordBytes);
-          out += kRecordBytes;
-        }  // else p is in S \ {self}: dropped
+        std::uint8_t*& out = slot[static_cast<std::size_t>(*next++)];
+        if (out == nullptr) continue;  // in S \ {self}: never generated
+        gen.record_into(ranges.offset[fi] + j, out);
+        out += kRecordBytes;
+      }
+      for (std::size_t t = 0; t < k; ++t) {
+        CTS_CHECK_MSG(t == me || slot[t] == slot_end[t],
+                      "node " << self << " left slots of I^" << t << "_" << f
+                              << " unfilled");
       }
       work.map_bytes += ranges.count[fi] * kRecordBytes;
       work.map_files += 1;
     }
+    CTS_CHECK_MSG(slot[me] == slot_end[me],
+                  "node " << self << " left own-list slots unfilled");
   });
 
   // ---- Encode ----
@@ -156,35 +166,40 @@ void CodedTeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
   });
 
   // ---- Decode ----
-  // A header pass reads every group's wanted length from the packets
-  // in place, so the reduce pool, partition P_self, is allocated once
-  // at its final size. The own records are copied in, and then each
-  // group's r packets decode straight into the pool's records.
+  // One header pass parses every group's r packets in place, checks
+  // them and reads the wanted record count, so the reduce pool,
+  // partition P_self, is allocated once at its final size. The own
+  // records are copied in, and then each group's packets, kept from
+  // the header pass, decode straight into the pool's records.
   std::vector<Record> pool;
   stages.run(stage::kDecode, [&] {
-    std::vector<PacketView> packets;
-    const auto parse_group = [&](NodeMask g) -> std::span<const PacketView> {
-      packets.clear();
+    const auto rr = static_cast<std::size_t>(r);
+    std::vector<PacketView> packets;  // r per group, in `groups` order
+    std::vector<std::size_t> group_records;
+    packets.reserve(groups.size() * rr);
+    group_records.reserve(groups.size());
+    std::size_t records = MaxPackedRecords(own_list.size());
+    for (const auto& [g, group_comm] : groups) {
       for (const NodeId sender : MaskToNodes(WithoutNode(g, self))) {
         packets.push_back(ParsePacket(incoming.at({g, sender}).span()));
       }
-      return packets;
-    };
-    std::size_t records = MaxPackedRecords(own_list.size());
-    for (const auto& [g, group_comm] : groups) {
-      records += GroupRecordCount(g, self, parse_group(g));
+      group_records.push_back(GroupRecordCount(
+          g, self, std::span(packets).last(rr)));
+      records += group_records.back();
     }
     pool.reserve(records);
     UnpackRecordsInto(own_list, pool);
     own_list = Buffer();
     std::size_t at = pool.size();
     pool.resize(records);
+    std::size_t i = 0;
     for (const auto& [g, group_comm] : groups) {
-      const std::span<const PacketView> group_packets = parse_group(g);
-      const std::size_t n = GroupRecordCount(g, self, group_packets);
-      DecodeRecordsInto(g, self, group_packets, iv_access,
-                        std::span(pool).subspan(at, n), &work.codec);
+      const std::size_t n = group_records[i];
+      DecodeRecordsInto(g, self, std::span(packets).subspan(i * rr, rr),
+                        iv_access, std::span(pool).subspan(at, n),
+                        &work.codec);
       at += n;
+      ++i;
     }
     incoming.clear();
   });

@@ -5,13 +5,14 @@
 //   CodeGen  — every node enumerates the N = C(K, r) file subsets and
 //              creates the C(K, r+1) multicast-group communicators via
 //              collective splits (MPI_Comm_split in the paper).
-//   Map      — node k hashes every file F_S with k in S. Of the K
-//              intermediate values per file it keeps only I^k_S (its
-//              own partition) and {I^i_S : i not in S}; values for
-//              other members of S are discarded — those nodes computed
-//              them locally (paper Fig. 5). A key-only pass counts
-//              every value, then each record is generated once, into
-//              the reduce pool or into its value's exact-size packed
+//   Map      — node k hashes every key of every file F_S with k in S.
+//              Of the K intermediate values per file it keeps only
+//              I^k_S (its own partition) and {I^i_S : i not in S};
+//              records for other members of S are hashed, never
+//              generated — those nodes computed them locally (paper
+//              Fig. 5). A key-only pass counts every value, then each
+//              kept record is generated once, in place, into the list
+//              of own records or into its value's exact-size packed
 //              buffer (the one IV store Encode and Decode read).
 //   Encode   — per multicast group M (|M| = r+1), node k XORs r
 //              segments of those packed values straight into the wire
@@ -21,10 +22,11 @@
 //              within each group members broadcast in ascending order
 //              (paper Fig. 9(b)); each packet is MPI_Bcast to the r
 //              other members as one payload they all share.
-//   Decode   — node k reads every received packet in place: a header
-//              pass sizes the reduce pool once, then each group's r
-//              packets are decoded straight into the pool, their known
-//              segments cancelled there (Algorithm 2; DecodeRecordsInto).
+//   Decode   — node k reads every received packet in place: one
+//              header pass parses and checks each group's r packets and
+//              sizes the reduce pool once, then the same packets are
+//              decoded straight into the pool, their known segments
+//              cancelled there (Algorithm 2; DecodeRecordsInto).
 //   Reduce   — node k sorts partition P_k locally (SortRecords, an
 //              in-place MSD radix sort on the key bytes).
 //

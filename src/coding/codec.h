@@ -193,9 +193,10 @@ void DecodeGroupInto(NodeMask group, NodeId self,
 std::size_t GroupRecordCount(NodeMask group, NodeId self,
                              std::span<const PacketView> packets);
 
-// GroupRecordCount, then DecodeGroupInto straight into `records`
-// (exactly that many records): the value's leading count word goes to
-// a local and must equal that count.
+// DecodeGroupInto straight into `records`, which holds exactly the
+// GroupRecordCount that the header pass returned for these packets
+// (the way DecodeGroupInto's `out` holds L): the value's leading count
+// word goes to a local and must equal records.size().
 void DecodeRecordsInto(NodeMask group, NodeId self,
                        std::span<const PacketView> packets,
                        const IvAccess& iv, std::span<Record> records,

@@ -12,8 +12,11 @@
 // and shared multicast payloads of a live job reuse the pages that the
 // previous job touched; a smaller block comes from operator new.
 // Capacity grows as std::vector's does (reserve is exact, appends at
-// least double), and resize zero-fills what it adds. A std::vector
-// crosses that boundary by copy: the vector constructor and take().
+// least double). resize zero-fills what it adds; append_unfilled adds
+// bytes of unspecified value, which its caller must overwrite (a
+// recycled block still holds the bytes of a previous job). A
+// std::vector crosses that boundary by copy: the vector constructor
+// and take().
 //
 // Shared payloads: Share() turns a buffer's bytes into one read-only
 // block that several Buffers hold at once (a multicast root and all
@@ -92,6 +95,11 @@ class Buffer {
     cursor_ = 0;
   }
   void resize(std::size_t n) { own().resize(n); }
+  // Appends n bytes without zero-filling them and returns them: every
+  // one must be written before the buffer is read or sent.
+  std::span<std::uint8_t> append_unfilled(std::size_t n) {
+    return {own().extend(n), n};
+  }
 
   // ---- Writing (appends at the end) ----
 
@@ -208,9 +216,15 @@ class Buffer {
         size_ = n;
         return;
       }
-      if (n > capacity_) Grow(std::max(n, 2 * capacity_), {});
-      std::memset(data_ + size_, 0, n - size_);
-      size_ = n;
+      const std::size_t added = n - size_;
+      std::memset(extend(added), 0, added);
+    }
+    // Grows the bytes in use by n, unfilled, and returns the first.
+    std::uint8_t* extend(std::size_t n) {
+      if (n > capacity_ - size_) Grow(std::max(size_ + n, 2 * capacity_), {});
+      std::uint8_t* added = data_ + size_;
+      size_ += n;
+      return added;
     }
     // Appends `src`, which may lie inside this storage.
     void append(std::span<const std::uint8_t> src) {

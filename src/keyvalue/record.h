@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <compare>
 #include <cstdint>
 #include <cstring>
@@ -45,35 +46,51 @@ inline bool KeyLess(const Key& a, const Key& b) {
   return CompareKeys(a, b) < 0;
 }
 
-// Sorting comparator. TeraSort orders by key; value is a tiebreaker so
-// that the fully-sorted output is unique and cross-implementation
-// comparisons (coded vs uncoded vs std::sort) are exact.
-inline bool RecordLess(const Record& a, const Record& b) {
-  const int c = CompareKeys(a.key, b.key);
-  if (c != 0) return c < 0;
-  return std::memcmp(a.value.data(), b.value.data(), kValueBytes) < 0;
+static_assert(std::endian::native == std::endian::little ||
+                  std::endian::native == std::endian::big,
+              "key prefixes assume a little- or big-endian host");
+
+// A native word's bytes in big-endian order, and back: the swap is its
+// own inverse, and a no-op on a big-endian host.
+constexpr std::uint64_t BigEndianWord(std::uint64_t word) {
+  if constexpr (std::endian::native == std::endian::little) {
+    return __builtin_bswap64(word);
+  } else {
+    return word;
+  }
 }
 
-// The top 8 bytes of the key as a u64; enough resolution to partition
-// the key domain (collisions beyond 64 bits land in the same range).
+// The top 8 bytes of the key as a u64 (big-endian, one load); enough
+// resolution to partition the key domain (collisions beyond 64 bits
+// land in the same range).
 inline std::uint64_t KeyPrefix(const Key& key) {
-  std::uint64_t p = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    p = (p << 8) | key[i];
-  }
-  return p;
+  std::uint64_t word = 0;
+  std::memcpy(&word, key.data(), sizeof word);
+  return BigEndianWord(word);
 }
 
 // Writes a u64 into the top 8 bytes of a key (remaining bytes given).
 inline Key MakeKey(std::uint64_t prefix, std::uint16_t suffix = 0) {
   Key k{};
-  for (int i = 7; i >= 0; --i) {
-    k[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(prefix);
-    prefix >>= 8;
-  }
+  const std::uint64_t word = BigEndianWord(prefix);
+  std::memcpy(k.data(), &word, sizeof word);
   k[8] = static_cast<std::uint8_t>(suffix >> 8);
   k[9] = static_cast<std::uint8_t>(suffix);
   return k;
+}
+
+// Sorting comparator. TeraSort orders by key; value is a tiebreaker so
+// that the fully-sorted output is unique and cross-implementation
+// comparisons (coded vs uncoded vs std::sort) are exact. The key
+// prefixes decide as integers first, which is the same order; only a
+// tie on them reaches the byte comparisons.
+inline bool RecordLess(const Record& a, const Record& b) {
+  const std::uint64_t pa = KeyPrefix(a.key);
+  const std::uint64_t pb = KeyPrefix(b.key);
+  if (pa != pb) return pa < pb;
+  const int c = CompareKeys(a.key, b.key);
+  if (c != 0) return c < 0;
+  return std::memcmp(a.value.data(), b.value.data(), kValueBytes) < 0;
 }
 
 }  // namespace cts

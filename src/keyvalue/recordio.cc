@@ -86,15 +86,7 @@ std::span<std::uint8_t> AppendPackedSlots(Buffer& out, std::size_t n) {
   // a used one keeps the vector's geometric growth.
   if (out.empty()) out.reserve(PackedSize(n));
   out.write_u64(n);
-  const std::size_t start = out.size();
-  out.resize(start + n * kRecordBytes);
-  return out.mutable_span().subspan(start);
-}
-
-void StartPackedList(Buffer& out, std::size_t n) {
-  CTS_CHECK(out.empty());
-  out.reserve(PackedSize(n));
-  out.write_u64(n);
+  return out.append_unfilled(n * kRecordBytes);
 }
 
 std::size_t PackRecords(std::span<const Record> records, Buffer& out) {

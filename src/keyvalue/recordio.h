@@ -17,19 +17,12 @@
 namespace cts {
 
 // Appends one packed list of n records to `out`: the count is
-// written, and the n zeroed 100-byte record slots that follow are
-// returned for the caller to fill with std::memcpy. The wire layout is
+// written, and the n record slots that follow are returned for the
+// caller to fill. The slots are not zeroed (a recycled block may still
+// hold another job's bytes), so the caller must write every byte of
+// every one of them before `out` is read or sent. The wire layout is
 // known here and nowhere else.
 std::span<std::uint8_t> AppendPackedSlots(Buffer& out, std::size_t n);
-
-// Starts a packed list of n records in the empty `out`, allocated once
-// at its final size. Unlike AppendPackedSlots nothing is zero-filled:
-// the caller then appends exactly n records with AppendPackedRecord.
-void StartPackedList(Buffer& out, std::size_t n);
-
-inline void AppendPackedRecord(Buffer& out, const Record& rec) {
-  out.write_bytes({reinterpret_cast<const std::uint8_t*>(&rec), kRecordBytes});
-}
 
 // Serializes records into `out` (appending). Returns bytes written.
 std::size_t PackRecords(std::span<const Record> records, Buffer& out);

@@ -43,6 +43,11 @@ class TeraGen {
   // The i-th record of the stream. Pure function of (seed, dist, i).
   Record record(std::uint64_t index) const;
 
+  // Writes record(index)'s 100 bytes at `out` (any alignment), so a
+  // Map generates each record straight into its packed slot. The one
+  // generator: record() is a wrapper around it.
+  void record_into(std::uint64_t index, std::uint8_t* out) const;
+
   // record(index).key without generating the 90-byte value, for
   // callers that only partition or sample keys.
   Key key(std::uint64_t index) const;

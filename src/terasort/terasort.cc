@@ -1,6 +1,6 @@
 #include "terasort/terasort.h"
 
-#include <cstring>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -48,9 +48,10 @@ void TeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
   // ---- Map ----
   // A key-only pass hashes every record to its partition and counts
   // each intermediate value, so every packed list is allocated once at
-  // its exact size. The second pass generates each record once, into
-  // its slot: the own partition into the reduce pool, the rest into
-  // the buffer that leaves the node.
+  // its exact size. The second pass generates each record once, in
+  // place: the own partition into the reduce pool, the rest straight
+  // into the unzeroed slots of the buffer that leaves the node, every
+  // one of which must then be filled.
   stages.run(stage::kMap, [&] {
     const auto n = static_cast<std::size_t>(my_range.count);
     std::vector<PartitionId> dest(n);
@@ -60,22 +61,27 @@ void TeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
       ++counts[static_cast<std::size_t>(dest[i])];
     }
     std::vector<std::uint8_t*> slot(static_cast<std::size_t>(K), nullptr);
+    std::vector<std::uint8_t*> slot_end(static_cast<std::size_t>(K), nullptr);
     for (int j = 0; j < K; ++j) {
       if (j == self) continue;
       const auto jj = static_cast<std::size_t>(j);
-      slot[jj] = AppendPackedSlots(packed[jj], counts[jj]).data();
+      const std::span<std::uint8_t> slots =
+          AppendPackedSlots(packed[jj], counts[jj]);
+      slot[jj] = slots.data();
+      slot_end[jj] = slots.data() + slots.size();
     }
     pool.reserve(counts[static_cast<std::size_t>(self)]);
     for (std::size_t i = 0; i < n; ++i) {
-      const Record rec = gen.record(my_range.offset + i);
       if (dest[i] == self) {
-        pool.push_back(rec);
+        pool.push_back(gen.record(my_range.offset + i));
         continue;
       }
       std::uint8_t*& out = slot[static_cast<std::size_t>(dest[i])];
-      std::memcpy(out, &rec, kRecordBytes);
+      gen.record_into(my_range.offset + i, out);
       out += kRecordBytes;
     }
+    CTS_CHECK_MSG(slot == slot_end,
+                  "node " << self << " left packed slots unfilled");
     work.map_bytes += n * kRecordBytes;
     work.map_files += 1;
   });

@@ -14,10 +14,12 @@
 //
 // Each record is written once on its way out: Map hashes the keys
 // first, sizes every intermediate value exactly, and then generates
-// each record straight into its packed form (AppendPackedSlots) or,
-// for partition P_k, into the reduce pool. Pack therefore only counts
-// the packed bytes, and Shuffle hands each packed buffer to the
-// transport instead of copying it (Comm::send / isend on a Buffer&&).
+// each record in place (TeraGen::record_into) into its packed slot
+// (AppendPackedSlots, which does not zero the slots it hands out, so
+// Map checks that it filled every one) or, for partition P_k, into the
+// reduce pool. Pack therefore only counts the packed bytes, and
+// Shuffle hands each packed buffer to the transport instead of copying
+// it (Comm::send / isend on a Buffer&&).
 //
 // The input file of node k is generated in place from the deterministic
 // TeraGen stream (the paper's coordinator pre-places files on workers'

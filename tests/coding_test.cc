@@ -10,6 +10,7 @@
 #include <map>
 #include <new>
 #include <numeric>
+#include <optional>
 #include <set>
 
 #include "coding/codec.h"
@@ -676,20 +677,23 @@ TEST(CodecKernels, MalformedPacketsThrowWithoutStrayWrites) {
       GroupRecordCount(group, self, PacketsFor(group, self, wires));
   ASSERT_EQ(n, 1u);
 
-  // Runs the whole group through DecodeRecordsInto with the packet
-  // from `sender` replaced by `bad` (or, with `sized`, into a
-  // destination of that many records) and expects the check `what`.
+  // Runs the whole group as the Decode stage does, the header pass
+  // (GroupRecordCount) and then DecodeRecordsInto, with the packet from
+  // `sender` replaced by `bad` (or, with `sized`, into a destination of
+  // that many records) and expects the check `what`.
   const auto decode_with = [&](NodeId sender, const Buffer& bad,
                                const std::string& what,
-                               std::size_t sized = 0) {
+                               std::optional<std::size_t> sized = {}) {
     std::map<NodeId, Buffer> copy;
     for (const auto& [u, wire] : wires) copy[u] = wire.Clone();
     copy[sender] = bad.Clone();
-    GuardedRecords out(sized > 0 ? sized : n);
+    GuardedRecords out(sized.value_or(n));
     ExpectCheckError(
         [&] {
-          DecodeRecordsInto(group, self, PacketsFor(group, self, copy), iv,
-                            out.span());
+          const std::vector<PacketView> packets =
+              PacketsFor(group, self, copy);
+          (void)GroupRecordCount(group, self, packets);
+          DecodeRecordsInto(group, self, packets, iv, out.span());
         },
         what);
     EXPECT_TRUE(out.guards_intact());
@@ -753,8 +757,10 @@ TEST(CodecKernels, MalformedPacketsThrowWithoutStrayWrites) {
     wanted[0] = 1;
     decode_with(0, lying.at(0), "counts 2 records in 1 slots");
   }
-  // A destination of the wrong size.
-  decode_with(0, good, "records.size() == n", n + 1);
+  // A destination of the wrong size: too large, the count word
+  // disagrees; too small, a segment falls outside it.
+  decode_with(0, good, "counts 1 records in 2 slots", n + 1);
+  decode_with(0, good, "lies outside the destination", n - 1);
 }
 
 // The decode kernels run on the live path once per packet and group:

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <new>
 #include <vector>
@@ -44,6 +46,92 @@ TEST(Record, KeyPrefixRoundTrip) {
   EXPECT_EQ(KeyPrefix(MakeKey(p)), p);
   EXPECT_EQ(KeyPrefix(MakeKey(0)), 0u);
   EXPECT_EQ(KeyPrefix(MakeKey(~std::uint64_t{0})), ~std::uint64_t{0});
+}
+
+// KeyPrefix and MakeKey by their byte-order definition: key bytes
+// 0..7 are the prefix, most significant first, on any host.
+std::uint64_t PrefixByBytes(const Key& key) {
+  std::uint64_t p = 0;
+  for (std::size_t i = 0; i < 8; ++i) p = (p << 8) | key[i];
+  return p;
+}
+
+Key KeyByBytes(std::uint64_t prefix, std::uint16_t suffix) {
+  Key k{};
+  for (std::size_t i = 0; i < 8; ++i) {
+    k[i] = static_cast<std::uint8_t>(prefix >> (8 * (7 - i)));
+  }
+  k[8] = static_cast<std::uint8_t>(suffix >> 8);
+  k[9] = static_cast<std::uint8_t>(suffix);
+  return k;
+}
+
+TEST(Record, KeyPrefixAndMakeKeyMatchTheByteOrderDefinition) {
+  Key ones{};
+  ones.fill(0xff);
+  Key counting{};
+  for (std::size_t i = 0; i < kKeyBytes; ++i) {
+    counting[i] = static_cast<std::uint8_t>(i + 1);  // 0x0102...0a
+  }
+  std::vector<Key> keys = {Key{}, ones, counting};
+  Xoshiro256 rng(31);
+  for (int i = 0; i < 1000; ++i) {
+    Key k{};
+    const std::uint64_t a = rng();
+    const std::uint64_t b = rng();
+    std::memcpy(k.data(), &a, 8);
+    std::memcpy(k.data() + 8, &b, 2);
+    keys.push_back(k);
+  }
+  EXPECT_EQ(KeyPrefix(counting), 0x0102030405060708ULL);
+  for (const Key& k : keys) {
+    const std::uint64_t prefix = PrefixByBytes(k);
+    ASSERT_EQ(KeyPrefix(k), prefix);
+    const auto suffix = static_cast<std::uint16_t>((k[8] << 8) | k[9]);
+    ASSERT_EQ(MakeKey(prefix, suffix), KeyByBytes(prefix, suffix));
+    ASSERT_EQ(MakeKey(prefix, suffix), k);
+  }
+  EXPECT_EQ(MakeKey(0x0102030405060708ULL, 0x090a), counting);
+}
+
+// RecordLess compares the prefixes as integers first: the order must
+// still be memcmp's over all 100 bytes, key then value, including
+// pairs whose prefixes tie and that differ only in key byte 8 or 9 or
+// in the value.
+TEST(Record, RecordLessAgreesWithMemcmp) {
+  Xoshiro256 rng(2017);
+  const auto random_record = [&] {
+    Record rec{};
+    auto* bytes = reinterpret_cast<std::uint8_t*>(&rec);
+    for (std::size_t i = 0; i < kRecordBytes; i += 4) {
+      const auto word = static_cast<std::uint32_t>(rng());
+      std::memcpy(bytes + i, &word, 4);
+    }
+    return rec;
+  };
+  const auto expect_agrees = [](const Record& a, const Record& b) {
+    const int c = std::memcmp(&a, &b, kRecordBytes);
+    ASSERT_EQ(RecordLess(a, b), c < 0);
+    ASSERT_EQ(RecordLess(b, a), c > 0);
+  };
+  for (int i = 0; i < 20000; ++i) {
+    const Record a = random_record();
+    Record b = random_record();
+    expect_agrees(a, b);
+    // Tied prefixes: the rest of b is random, or equal to a's but for
+    // one byte: key byte 8, key byte 9, or one value byte.
+    std::memcpy(b.key.data(), a.key.data(), 8);
+    expect_agrees(a, b);
+    for (const std::size_t at :
+         {std::size_t{8}, std::size_t{9},
+          kKeyBytes + static_cast<std::size_t>(rng() % kValueBytes)}) {
+      Record c = a;
+      auto* bytes = reinterpret_cast<std::uint8_t*>(&c);
+      bytes[at] = static_cast<std::uint8_t>(rng());
+      expect_agrees(a, c);
+    }
+    expect_agrees(a, a);
+  }
 }
 
 TEST(Record, SuffixBreaksTiesWithoutChangingPrefix) {
@@ -100,6 +188,34 @@ TEST(TeraGen, KeyMatchesRecordKey) {
     }
     for (std::uint64_t i = 0; i < 10000; ++i) {
       ASSERT_EQ(gen.key(i), gen.record(i).key) << "index " << i;
+    }
+  }
+}
+
+// The in-place writer both Maps generate with is record(), byte for
+// byte, at any alignment, and writes exactly the record's 100 bytes.
+TEST(TeraGen, RecordIntoMatchesRecord) {
+  std::vector<std::uint64_t> indices = {0, 1, std::uint64_t{1} << 32,
+                                        ~std::uint64_t{0}};
+  Xoshiro256 rng(7);
+  while (indices.size() < 1004) indices.push_back(rng());
+  constexpr std::uint8_t kGuard = 0xa5;
+  for (const KeyDistribution dist : kAllDistributions) {
+    SCOPED_TRACE(static_cast<int>(dist));
+    const TeraGen gen(2017, dist);
+    for (const std::uint64_t i : indices) {
+      const std::size_t offset = i % 8;  // misaligned destinations
+      std::array<std::uint8_t, kRecordBytes + 16> out{};
+      out.fill(kGuard);
+      gen.record_into(i, out.data() + offset);
+      const Record expected = gen.record(i);
+      ASSERT_EQ(std::memcmp(out.data() + offset, &expected, kRecordBytes), 0)
+          << "index " << i;
+      for (std::size_t b = 0; b < out.size(); ++b) {
+        if (b < offset || b >= offset + kRecordBytes) {
+          ASSERT_EQ(out[b], kGuard) << "index " << i << " byte " << b;
+        }
+      }
     }
   }
 }
