@@ -73,10 +73,8 @@ CmrResult RunCmr(const CmrApp& app, const SortConfig& config,
     std::map<NodeMask, simmpi::Comm> groups;
     if (coded) {
       stages.run(stage::kCodeGen, [&] {
-        for (const NodeMask g : placement.multicast_groups()) {
-          auto sub = comm.split(Contains(g, self) ? 0 : -1, self);
-          if (sub.has_value()) groups.emplace(g, std::move(*sub));
-        }
+        groups = CreateGroups(comm, placement.multicast_groups(),
+                              CodeGenMode::kCommSplit);
       });
     }
 
@@ -84,8 +82,8 @@ CmrResult RunCmr(const CmrApp& app, const SortConfig& config,
     // own_ivs[f] = I^self_f for files this node holds; kept[{t, f}] =
     // serialized I^t_f this node retains for the shuffle (t outside
     // the file's holders).
-    std::map<FileId, std::vector<std::uint8_t>> own_ivs;
-    std::map<IvKey, std::vector<std::uint8_t>> kept;
+    std::map<FileId, Buffer> own_ivs;
+    std::map<IvKey, Buffer> kept;
     const auto map_file = [&](FileId f) {
       const NodeMask mask = placement.file_nodes(f);
       auto ivs = app.map(app.make_file(f, config.seed), K);
@@ -110,7 +108,7 @@ CmrResult RunCmr(const CmrApp& app, const SortConfig& config,
       if (MinMember(mask) != self) return;
       for (NodeId t = 0; t < K; ++t) {
         if (Contains(mask, t)) continue;
-        const std::span<const std::uint8_t> iv = kept.at(IvKey{t, f});
+        const Buffer& iv = kept.at(IvKey{t, f});
         payload_bytes[slot] += iv.size();
         if (overlapped) {
           (void)comm.isend(t, kTagBase + f, iv);
@@ -120,7 +118,7 @@ CmrResult RunCmr(const CmrApp& app, const SortConfig& config,
       }
     };
 
-    std::map<FileId, std::vector<std::uint8_t>> received;
+    std::map<FileId, Buffer> received;
     if (!coded && overlapped) {
       // ---- Pipelined Map+Shuffle (one merged stage, labeled Shuffle
       // so the traffic lands where the load accounting expects it;
@@ -141,7 +139,7 @@ CmrResult RunCmr(const CmrApp& app, const SortConfig& config,
           send_file(f);
         }
         for (auto& [f, req] : recvs) {
-          received.emplace(f, comm.wait(req).take());
+          received.emplace(f, comm.wait(req));
         }
       });
     } else {
@@ -162,7 +160,7 @@ CmrResult RunCmr(const CmrApp& app, const SortConfig& config,
               if (sender == self) {
                 send_file(f);
               } else if (!Contains(mask, self)) {
-                received.emplace(f, comm.recv(sender, kTagBase + f).take());
+                received.emplace(f, comm.recv(sender, kTagBase + f));
               }
             }
           }
@@ -175,7 +173,7 @@ CmrResult RunCmr(const CmrApp& app, const SortConfig& config,
         // generic engine reports loads, not stage times.)
         const IvAccess iv_access =
             [&](NodeId target, NodeMask file) -> std::span<const std::uint8_t> {
-          return kept.at(IvKey{target, placement.file_of(file)});
+          return kept.at(IvKey{target, placement.file_of(file)}).span();
         };
         CodecStats codec;
         std::map<NodeMask, Buffer> outgoing;
@@ -191,8 +189,10 @@ CmrResult RunCmr(const CmrApp& app, const SortConfig& config,
           for (const NodeId sender : MaskToNodes(WithoutNode(g, self))) {
             packets.push_back(ParsePacket(incoming.at({g, sender}).span()));
           }
-          std::vector<std::uint8_t> value(GroupValueLength(g, self, packets));
-          DecodeGroupInto(g, self, packets, iv_access, {0, {}, value});
+          Buffer value;
+          const std::span<std::uint8_t> out =
+              value.append_unfilled(GroupValueLength(g, self, packets));
+          DecodeGroupInto(g, self, packets, iv_access, {0, {}, out});
           received.emplace(placement.file_of(WithoutNode(g, self)),
                            std::move(value));
         }
@@ -201,7 +201,7 @@ CmrResult RunCmr(const CmrApp& app, const SortConfig& config,
 
     // ---- Reduce ----
     stages.run(stage::kReduce, [&] {
-      std::vector<std::vector<std::uint8_t>> values;
+      std::vector<Buffer> values;
       values.reserve(static_cast<std::size_t>(N));
       for (FileId f = 0; f < N; ++f) {
         if (const auto own = own_ivs.find(f); own != own_ivs.end()) {
@@ -268,9 +268,8 @@ class GrepApp final : public CmrApp {
     return MakeTextFile(file, seed, records_per_file_);
   }
 
-  std::vector<std::vector<std::uint8_t>> map(
-      const std::vector<std::string>& records,
-      int num_reducers) const override {
+  std::vector<Buffer> map(const std::vector<std::string>& records,
+                          int num_reducers) const override {
     std::vector<Buffer> per_reducer(static_cast<std::size_t>(num_reducers));
     for (const std::string& record : records) {
       if (record.find(pattern_) == std::string::npos) continue;
@@ -278,18 +277,13 @@ class GrepApp final : public CmrApp {
           StableHash(record) % static_cast<std::uint64_t>(num_reducers));
       per_reducer[q].write_string(record);
     }
-    std::vector<std::vector<std::uint8_t>> out;
-    out.reserve(per_reducer.size());
-    for (auto& b : per_reducer) out.push_back(b.take());
-    return out;
+    return per_reducer;
   }
 
-  std::string reduce(
-      int /*reducer*/,
-      const std::vector<std::vector<std::uint8_t>>& values) const override {
+  std::string reduce(int /*reducer*/,
+                     std::span<Buffer> values) const override {
     std::ostringstream os;
-    for (const auto& blob : values) {
-      Buffer b{std::vector<std::uint8_t>(blob)};
+    for (Buffer& b : values) {
       while (b.remaining() > 0) os << b.read_string() << '\n';
     }
     return os.str();
@@ -314,9 +308,8 @@ class WordCountApp final : public CmrApp {
     return MakeTextFile(file, seed, records_per_file_);
   }
 
-  std::vector<std::vector<std::uint8_t>> map(
-      const std::vector<std::string>& records,
-      int num_reducers) const override {
+  std::vector<Buffer> map(const std::vector<std::string>& records,
+                          int num_reducers) const override {
     // Combiner-style local tally, then (word, count) pairs per reducer.
     std::vector<std::map<std::string, std::uint64_t>> tallies(
         static_cast<std::size_t>(num_reducers));
@@ -329,25 +322,20 @@ class WordCountApp final : public CmrApp {
         ++tallies[q][word];
       }
     }
-    std::vector<std::vector<std::uint8_t>> out;
-    out.reserve(tallies.size());
-    for (const auto& tally : tallies) {
-      Buffer b;
-      for (const auto& [word, count] : tally) {
-        b.write_string(word);
-        b.write_u64(count);
+    std::vector<Buffer> out(tallies.size());
+    for (std::size_t q = 0; q < tallies.size(); ++q) {
+      for (const auto& [word, count] : tallies[q]) {
+        out[q].write_string(word);
+        out[q].write_u64(count);
       }
-      out.push_back(b.take());
     }
     return out;
   }
 
-  std::string reduce(
-      int /*reducer*/,
-      const std::vector<std::vector<std::uint8_t>>& values) const override {
+  std::string reduce(int /*reducer*/,
+                     std::span<Buffer> values) const override {
     std::map<std::string, std::uint64_t> counts;
-    for (const auto& blob : values) {
-      Buffer b{std::vector<std::uint8_t>(blob)};
+    for (Buffer& b : values) {
       while (b.remaining() > 0) {
         const std::string word = b.read_string();
         counts[word] += b.read_u64();
@@ -389,9 +377,8 @@ class SelfJoinApp final : public CmrApp {
     return records;
   }
 
-  std::vector<std::vector<std::uint8_t>> map(
-      const std::vector<std::string>& records,
-      int num_reducers) const override {
+  std::vector<Buffer> map(const std::vector<std::string>& records,
+                          int num_reducers) const override {
     std::vector<Buffer> per_reducer(static_cast<std::size_t>(num_reducers));
     for (const std::string& record : records) {
       const std::size_t space = record.find(' ');
@@ -401,20 +388,15 @@ class SelfJoinApp final : public CmrApp {
           StableHash(key) % static_cast<std::uint64_t>(num_reducers));
       per_reducer[q].write_string(record);
     }
-    std::vector<std::vector<std::uint8_t>> out;
-    out.reserve(per_reducer.size());
-    for (auto& b : per_reducer) out.push_back(b.take());
-    return out;
+    return per_reducer;
   }
 
-  std::string reduce(
-      int /*reducer*/,
-      const std::vector<std::vector<std::uint8_t>>& values) const override {
+  std::string reduce(int /*reducer*/,
+                     std::span<Buffer> values) const override {
     // Group values by key (values kept in arrival order: file order,
     // then record order — deterministic across shuffles).
     std::map<std::string, std::vector<std::string>> by_key;
-    for (const auto& blob : values) {
-      Buffer b{std::vector<std::uint8_t>(blob)};
+    for (Buffer& b : values) {
       while (b.remaining() > 0) {
         const std::string record = b.read_string();
         const std::size_t space = record.find(' ');
@@ -451,9 +433,8 @@ class InvertedIndexApp final : public CmrApp {
     return MakeTextFile(file, seed, records_per_file_);
   }
 
-  std::vector<std::vector<std::uint8_t>> map(
-      const std::vector<std::string>& records,
-      int num_reducers) const override {
+  std::vector<Buffer> map(const std::vector<std::string>& records,
+                          int num_reducers) const override {
     // Document id = hash of the full line (stable across the nodes
     // that map the same file). Postings are (word -> set of doc ids).
     std::vector<std::map<std::string, std::set<std::uint64_t>>> postings(
@@ -468,26 +449,21 @@ class InvertedIndexApp final : public CmrApp {
         postings[q][word].insert(doc);
       }
     }
-    std::vector<std::vector<std::uint8_t>> out;
-    out.reserve(postings.size());
-    for (const auto& tally : postings) {
-      Buffer b;
-      for (const auto& [word, docs] : tally) {
-        b.write_string(word);
-        b.write_u64(docs.size());
-        for (const std::uint64_t d : docs) b.write_u64(d);
+    std::vector<Buffer> out(postings.size());
+    for (std::size_t q = 0; q < postings.size(); ++q) {
+      for (const auto& [word, docs] : postings[q]) {
+        out[q].write_string(word);
+        out[q].write_u64(docs.size());
+        for (const std::uint64_t d : docs) out[q].write_u64(d);
       }
-      out.push_back(b.take());
     }
     return out;
   }
 
-  std::string reduce(
-      int /*reducer*/,
-      const std::vector<std::vector<std::uint8_t>>& values) const override {
+  std::string reduce(int /*reducer*/,
+                     std::span<Buffer> values) const override {
     std::map<std::string, std::set<std::uint64_t>> merged;
-    for (const auto& blob : values) {
-      Buffer b{std::vector<std::uint8_t>(blob)};
+    for (Buffer& b : values) {
       while (b.remaining() > 0) {
         const std::string word = b.read_string();
         const std::uint64_t n = b.read_u64();

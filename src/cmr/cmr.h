@@ -24,8 +24,13 @@
 // the sorts' collector assembles (driver/cluster.h's CollectRunResult):
 // traffic, shuffle log, transport events, stage order, compute events
 // and walls. Its partitions and work stay empty: CMR sorts nothing and
-// keeps no NodeWork counters. The coded shuffle runs on CodedTeraSort's
-// codec kernels (EncodeInto, DecodeGroupInto).
+// keeps no NodeWork counters. The coded shuffle creates its group
+// communicators with the paper's per-group CodeGen (driver/cluster.h's
+// CreateGroups, kCommSplit) and runs on CodedTeraSort's codec kernels
+// (EncodeInto, DecodeGroupInto).
+// Intermediate values are Buffers from map to reduce: a received one
+// is the transport's own payload, and a coded one is decoded straight
+// into its Buffer.
 //
 // Shuffle sequencing (SortConfig::shuffle_sync): kBarrier runs the
 // paper's synchronous stage-after-stage protocol. kOverlapped is the
@@ -42,9 +47,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/buffer.h"
 #include "common/types.h"
 #include "driver/run_result.h"
 
@@ -66,14 +73,15 @@ class CmrApp {
 
   // Maps a file's records to one serialized intermediate value per
   // reducer. Returned vector has exactly num_reducers entries.
-  virtual std::vector<std::vector<std::uint8_t>> map(
-      const std::vector<std::string>& records, int num_reducers) const = 0;
+  virtual std::vector<Buffer> map(const std::vector<std::string>& records,
+                                  int num_reducers) const = 0;
 
   // Folds the per-file intermediate values of one reducer (in FileId
-  // order, one entry per file) into the reducer's output.
-  virtual std::string reduce(
-      int reducer,
-      const std::vector<std::vector<std::uint8_t>>& values) const = 0;
+  // order, one entry per file, each read from its start) into the
+  // reducer's output. It may read them in place with the cursor
+  // readers.
+  virtual std::string reduce(int reducer,
+                             std::span<Buffer> values) const = 0;
 };
 
 enum class ShuffleMode { kUncoded, kCoded };

@@ -42,22 +42,8 @@ void CodedTeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
   // ---- CodeGen: one communicator per multicast group ----
   std::map<NodeMask, simmpi::Comm> groups;
   stages.run(stage::kCodeGen, [&] {
-    switch (config.codegen_mode) {
-      case CodeGenMode::kCommSplit:
-        // The paper's approach: one collective split per group.
-        for (const NodeMask g : placement.multicast_groups()) {
-          auto sub = comm.split(Contains(g, self) ? 0 : -1, /*key=*/self);
-          if (sub.has_value()) {
-            CTS_CHECK_EQ(sub->size(), r + 1);
-            groups.emplace(g, std::move(*sub));
-          }
-        }
-        break;
-      case CodeGenMode::kBatched:
-        // Scalable-coding extension: all groups in one collective.
-        groups = comm.create_groups(placement.multicast_groups());
-        break;
-    }
+    groups = CreateGroups(comm, placement.multicast_groups(),
+                          config.codegen_mode);
     CTS_CHECK_EQ(groups.size(),
                  r < K ? Binomial(K - 1, r) : std::uint64_t{0});
   });

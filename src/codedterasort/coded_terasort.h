@@ -3,8 +3,10 @@
 // Six stages, exactly as the paper's C++/Open MPI implementation:
 //
 //   CodeGen  — every node enumerates the N = C(K, r) file subsets and
-//              creates the C(K, r+1) multicast-group communicators via
-//              collective splits (MPI_Comm_split in the paper).
+//              creates the C(K, r+1) multicast-group communicators
+//              (driver/cluster.h's CreateGroups): one collective per
+//              group, as the paper's MPI_Comm_split, or under
+//              CodeGenMode::kBatched one collective for all.
 //   Map      — node k hashes every key of every file F_S with k in S.
 //              Of the K intermediate values per file it keeps only
 //              I^k_S (its own partition) and {I^i_S : i not in S};

@@ -38,8 +38,8 @@
 // DecodeGroupInto straight into the wanted value, once a header pass
 // has checked the packets and sized the value. CodedTeraSort goes
 // through DecodeRecordsInto, which lands the value's records in the
-// reduce pool; the generic CMR engine decodes into a byte vector sized
-// by GroupValueLength.
+// reduce pool; the generic CMR engine decodes into a Buffer's
+// append_unfilled(L), L from GroupValueLength.
 //
 // EncodePacket, DecodePacket, DecodedSegment, MergeSegments and
 // CodedPacket are the packet-object front-end. No engine uses it (the

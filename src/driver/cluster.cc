@@ -55,15 +55,21 @@ void RunOnCluster(simmpi::World& world, RunRecorder& recorder,
   const int K = world.num_nodes();
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(K));
+  // Each node's own failure, and the WorldAborted its peers then saw.
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(K));
+  std::vector<std::exception_ptr> aborts(static_cast<std::size_t>(K));
 
   for (NodeId node = 0; node < K; ++node) {
     threads.emplace_back([&, node] {
+      const auto n = static_cast<std::size_t>(node);
       try {
         simmpi::Comm comm = simmpi::Comm::World(world, node);
         program(comm, recorder);
+      } catch (const simmpi::WorldAborted&) {
+        aborts[n] = std::current_exception();
       } catch (...) {
-        errors[static_cast<std::size_t>(node)] = std::current_exception();
+        errors[n] = std::current_exception();
+        world.abort();
       }
       PublishArenaMetrics();
     });
@@ -72,7 +78,19 @@ void RunOnCluster(simmpi::World& world, RunRecorder& recorder,
   for (const auto& e : errors) {
     if (e) std::rethrow_exception(e);
   }
+  for (const auto& e : aborts) {
+    if (e) std::rethrow_exception(e);
+  }
   PublishTrafficMetrics(world.stats());
+}
+
+std::map<NodeMask, simmpi::Comm> CreateGroups(
+    simmpi::Comm& comm, const std::vector<NodeMask>& groups,
+    CodeGenMode mode) {
+  if (mode == CodeGenMode::kBatched) return comm.create_groups(groups);
+  std::map<NodeMask, simmpi::Comm> mine;
+  for (const NodeMask g : groups) mine.merge(comm.create_groups({g}));
+  return mine;
 }
 
 AlgorithmResult CollectRunResult(const SortConfig& config,

@@ -99,13 +99,24 @@ class RunRecorder {
 };
 
 // Runs `program(comm, recorder)` on one thread per node of a fresh
-// World and returns after all threads join. The first per-node
-// exception (if any) is rethrown on the calling thread.
+// World and returns after all threads join. A node program that throws
+// aborts the world (World::abort), so no peer waits for it forever;
+// after the join the lowest node's own exception is rethrown on the
+// calling thread, not a peer's WorldAborted.
 using NodeProgram =
     std::function<void(simmpi::Comm& world_comm, RunRecorder& recorder)>;
 
 void RunOnCluster(simmpi::World& world, RunRecorder& recorder,
                   const NodeProgram& program);
+
+// CodeGen of both coded engines, called by every member of `comm`: the
+// communicators of `groups` that contain the caller, keyed by mask.
+// kCommSplit creates them with one create_groups round per group (the
+// paper's MPI_Comm_split per group, 2(K-1) control messages each);
+// kBatched with one round for all of them.
+std::map<NodeMask, simmpi::Comm> CreateGroups(
+    simmpi::Comm& comm, const std::vector<NodeMask>& groups,
+    CodeGenMode mode);
 
 // Packs a finished run of any engine into an AlgorithmResult: the
 // recorder's walls, stage order and events, and the world's per-stage

@@ -46,12 +46,15 @@ enum class PartitionerKind {
 };
 
 // How CodedTeraSort materializes its C(K, r+1) multicast groups
-// (paper Section VI, "Scalable Coding" future direction):
+// (paper Section VI, "Scalable Coding" future direction). Both modes
+// run the one group-creation collective, Comm::create_groups
+// (driver/cluster.h's CreateGroups):
 enum class CodeGenMode {
-  kCommSplit,  // the paper's approach: one MPI_Comm_split-style
-               // collective per group — cost grows as 3.5 ms * groups
-  kBatched,    // extension: a single collective reserves ids for all
-               // groups and members derive memberships locally
+  kCommSplit,  // the paper's approach, MPI_Comm_split per group: one
+               // create_groups round per group, 2(K-1) control
+               // messages each — cost grows as 3.5 ms * groups
+  kBatched,    // extension: one create_groups round reserves ids for
+               // all groups and members derive memberships locally
                // (MPI_Comm_create_group-style) — per-group cost drops
                // to plan bookkeeping
 };

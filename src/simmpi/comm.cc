@@ -3,7 +3,6 @@
 #include "combinatorics/subsets.h"
 
 #include <algorithm>
-#include <tuple>
 
 namespace cts::simmpi {
 
@@ -162,24 +161,21 @@ void Comm::barrier() {
 
 std::map<NodeMask, Comm> Comm::create_groups(
     const std::vector<NodeMask>& groups) {
-  // One collective round: rank 0 reserves a contiguous id block and
-  // shares the base; every member then derives every group's id and
-  // membership locally. This replaces |groups| full collectives with a
-  // single one — the point of the extension. The base is control
-  // plane, like barrier and split messages: bcast_put delivers it
-  // without accounting a multicast, so the stage's traffic records
-  // only the communicators created.
-  Buffer base_msg;
+  // Requests and replies are control plane, like barrier tokens:
+  // delivered, never accounted, so the stage records only the
+  // communicators created.
+  Buffer reply;
   if (rank_ == 0) {
-    const CommId base = world_->allocate_comm_id_block(
-        static_cast<CommId>(groups.size()));
-    base_msg.write_u32(base);
+    for (int m = 1; m < size(); ++m) (void)recv(m, kTagGroups);
+    reply.write_u32(
+        world_->allocate_comm_ids(static_cast<CommId>(groups.size())));
     world_->stats().record_comm_creation(groups.size());
-    bcast_put(base_msg);
+    for (int m = 1; m < size(); ++m) deliver(m, kTagGroups, reply.Share());
   } else {
-    base_msg = recv(0, kTagBcast);
+    deliver(0, kTagGroups, Buffer{});
+    reply = recv(0, kTagGroups);
   }
-  const CommId base = base_msg.read_u32();
+  const CommId base = reply.read_u32();
 
   std::map<NodeMask, Comm> mine;
   for (std::size_t i = 0; i < groups.size(); ++i) {
@@ -195,62 +191,7 @@ std::map<NodeMask, Comm> Comm::create_groups(
     mine.emplace(mask, Comm(world_, base + static_cast<CommId>(i),
                             std::move(members), rank));
   }
-  // Synchronize so no member races ahead and messages a group comm a
-  // laggard has not constructed (harmless with mailboxes, but keeps
-  // the collective contract of MPI_Comm_create_group).
-  barrier();
   return mine;
-}
-
-std::optional<Comm> Comm::split(int color, int key) {
-  Buffer reply;
-  if (rank_ != 0) {
-    Buffer request;
-    request.write_i32(color);
-    request.write_i32(key);
-    deliver(0, kTagSplit, std::move(request));
-    reply = recv(0, kTagSplit);
-  } else {
-    // Every member's (key, node id, rank) by color, colors ascending;
-    // the requests arrive in rank order.
-    std::map<int, std::vector<std::tuple<int, NodeId, int>>> groups;
-    for (int m = 0; m < size(); ++m) {
-      int member_color = color;
-      int member_key = key;
-      if (m != 0) {
-        Buffer request = recv(m, kTagSplit);
-        member_color = request.read_i32();
-        member_key = request.read_i32();
-      }
-      if (member_color >= 0) {
-        groups[member_color].emplace_back(member_key, global(m), m);
-      }
-    }
-    // One id per color and one shared reply: the id, then the members.
-    std::vector<Buffer> replies(static_cast<std::size_t>(size()));
-    for (auto& [group_color, group] : groups) {
-      std::sort(group.begin(), group.end());
-      Buffer out;
-      out.write_u32(world_->allocate_comm_id());
-      for (const auto& [k, node, m] : group) out.write_i32(node);
-      for (const auto& [k, node, m] : group) replies[m] = out.Share();
-      // One communicator materialized: the CodeGen cost model charges
-      // per created multicast group.
-      world_->stats().record_comm_creation();
-    }
-    for (int m = 1; m < size(); ++m) {
-      deliver(m, kTagSplit, std::move(replies[m]));
-    }
-    reply = std::move(replies[0]);
-  }
-  if (color < 0) return std::nullopt;
-  const CommId id = reply.read_u32();
-  auto members = std::make_shared<std::vector<NodeId>>();
-  while (reply.remaining() > 0) members->push_back(reply.read_i32());
-  const auto it = std::find(members->begin(), members->end(), my_global());
-  CTS_CHECK(it != members->end());
-  const int rank = static_cast<int>(it - members->begin());
-  return Comm(world_, id, std::move(members), rank);
 }
 
 }  // namespace cts::simmpi

@@ -9,32 +9,37 @@
 //                            the root transmits once, accounting-wise,
 //                            and every member holds one shared payload)
 //   MPI_Barrier           -> Comm::barrier
-//   MPI_Comm_split        -> Comm::split (collective; color < 0 is
-//                            MPI_UNDEFINED)
+//   MPI_Comm_split        -> one Comm::create_groups per group (the
+//                            paper's CodeGen: one collective a group)
+//   MPI_Comm_create_group -> one Comm::create_groups for all groups
+//                            (the Section VI "scalable coding" CodeGen)
 //   MPI_Isend / MPI_Irecv -> Comm::isend / Comm::irecv (nonblocking,
 //                            returning a Request; complete with wait)
 //
 // Every collective is built from mailbox deliveries on a reserved
-// negative tag (user tags are >= 0): bcast on kTagBcast, barrier and
-// split as one round of requests to rank 0 and replies from it on
-// kTagBarrier and kTagSplit. So the transport log a check run captures
-// holds every synchronization between node threads.
+// negative tag (user tags are >= 0):
+//
+//   kTagBcast   (-1) bcast's payloads, from the root to each member
+//   kTagBarrier (-2) barrier's tokens, to rank 0 and back
+//   kTagGroups  (-3) create_groups' requests to rank 0 and its replies
+//
+// So the transport log a check run captures holds every
+// synchronization between node threads.
 //
 // Traffic accounting: send() records a unicast and bcast() records a
 // multicast with its fan-out into World::stats() under the current
 // stage label. Nonblocking sends account at INITIATION (isend is
 // eager-buffered, so initiation is when the bytes hit the wire) —
 // overlapped and barrier-synchronous schedules therefore measure
-// byte-identical loads. Control-plane traffic (barrier tokens, split
-// requests and replies) is deliberately NOT accounted — the paper's
-// tables measure shuffle payloads, not MPI control overhead; split
-// records only its comm creations.
+// byte-identical loads. Control-plane traffic (barrier tokens,
+// create_groups' requests and replies) is deliberately NOT accounted —
+// the paper's tables measure shuffle payloads, not MPI control
+// overhead; create_groups records only its comm creations.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -99,7 +104,7 @@ class Comm {
   // Reserved tags of the collectives.
   static constexpr Tag kTagBcast = -1;
   static constexpr Tag kTagBarrier = -2;
-  static constexpr Tag kTagSplit = -3;
+  static constexpr Tag kTagGroups = -3;
 
   // The world communicator for node `self` (rank == node id).
   static Comm World(class World& world, NodeId self);
@@ -198,22 +203,15 @@ class Comm {
   // Synchronizes all members (token to rank 0, token back).
   void barrier();
 
-  // Collective split. Members calling with the same color >= 0 form a
-  // new communicator ordered by (key, node id); color < 0 opts out and
-  // yields nullopt. Every member of this communicator must call. Rank
-  // 0 gathers every (color, key) on kTagSplit, allocates one id per
-  // color in ascending color order, records one comm creation per
-  // group and replies to each member with its group's id and members.
-  std::optional<Comm> split(int color, int key);
-
-  // Batched group creation (the "Scalable Coding" extension, paper
-  // Section VI): creates one communicator per node-mask in `groups`
-  // using a single collective round instead of one split per group.
+  // Creates one communicator per node mask in `groups`, in one
+  // collective round: every rank but 0 asks rank 0 on kTagGroups, and
+  // rank 0 reserves one id per mask, records one comm creation per
+  // mask under the current stage label and replies with the first id.
   // Every member of this communicator must call with the SAME list;
   // masks are over global node ids and must be members of this comm.
   // Returns the communicators for the groups containing the caller,
-  // keyed by mask; ranks are in ascending node order. Accounting: one
-  // comm creation per group, under the current stage label.
+  // keyed by mask; ranks are in ascending node order. CodeGen calls it
+  // once per group or once for all (driver/cluster.h's CreateGroups).
   std::map<NodeMask, Comm> create_groups(const std::vector<NodeMask>& groups);
 
  private:

@@ -19,6 +19,11 @@
 // posted but never matched shows up in pending() — and hence in
 // World::pending_messages() — at shutdown, exactly like a leaked
 // message would.
+//
+// Abort: once a mailbox is aborted (World::abort), every receive
+// blocked on it wakes with WorldAborted, and every later receive fails
+// the same way, so a node program that throws cannot leave its peers
+// waiting for messages it will never send.
 #pragma once
 
 #include <atomic>
@@ -26,6 +31,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <tuple>
 
 #include "common/buffer.h"
@@ -36,6 +42,11 @@ namespace cts::simmpi {
 
 using CommId = std::uint32_t;
 using Tag = std::int32_t;
+
+// What a receive throws once its world was aborted.
+struct WorldAborted : std::runtime_error {
+  WorldAborted() : std::runtime_error("receive in an aborted world") {}
+};
 
 class Mailbox {
  public:
@@ -68,14 +79,17 @@ class Mailbox {
   }
 
   // Blocks until the message with arrival index `ticket` on the key
-  // is present, then removes and returns it.
+  // is present, then removes and returns it. Throws WorldAborted once
+  // the mailbox is aborted.
   Buffer claim(CommId comm, NodeId src, Tag tag, std::uint64_t ticket) {
     std::unique_lock lock(mu_);
     const Key key{comm, src, tag};
     cv_.wait(lock, [&] {
       const auto it = keys_.find(key);
-      return it != keys_.end() && it->second.msgs.contains(ticket);
+      return aborted_ ||
+             (it != keys_.end() && it->second.msgs.contains(ticket));
     });
+    if (aborted_) throw WorldAborted();
     Buffer payload = take(key, ticket);
     record(TransportEventKind::kMatch, owner_, src, comm, tag, ticket,
            payload.size());
@@ -91,6 +105,14 @@ class Mailbox {
       record(TransportEventKind::kPost, owner_, src, comm, tag, ticket, 0);
     }
     return claim(comm, src, tag, ticket);
+  }
+
+  // Wakes every receive blocked here with WorldAborted; every later
+  // one fails the same way.
+  void abort() {
+    std::lock_guard lock(mu_);
+    aborted_ = true;
+    cv_.notify_all();
   }
 
   // Retires a posted receive once its wait completed it. An
@@ -161,6 +183,7 @@ class Mailbox {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::map<Key, KeyState> keys_;
+  bool aborted_ = false;  // guarded by mu_
   std::atomic<std::size_t> posted_recvs_{0};
 };
 

@@ -58,7 +58,7 @@ struct ChannelCounters {
   std::uint64_t mcast_msgs = 0;          // one per MPI_Bcast-style send
   std::uint64_t mcast_bytes = 0;         // payload bytes transmitted once
   std::uint64_t mcast_recipient_bytes = 0;  // payload * number of receivers
-  std::uint64_t comm_creations = 0;      // communicator-split results
+  std::uint64_t comm_creations = 0;      // communicators created
 
   bool operator==(const ChannelCounters&) const = default;
 

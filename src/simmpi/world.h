@@ -56,14 +56,18 @@ class World {
   // was set before construction. Call after the node threads joined.
   TransportLog transport_log() const { return recorder_.Snapshot(); }
 
-  // Allocates a fresh communicator id (world comm is id 0).
-  CommId allocate_comm_id() { return next_comm_id_.fetch_add(1); }
-
-  // Allocates `count` consecutive ids and returns the first — used by
-  // the batched group-creation extension so every member can derive
-  // all group ids from a single broadcast base.
-  CommId allocate_comm_id_block(CommId count) {
+  // Allocates `count` consecutive communicator ids and returns the
+  // first (the world comm is id 0), so Comm::create_groups' members
+  // derive every group's id from one reply.
+  CommId allocate_comm_ids(CommId count) {
     return next_comm_id_.fetch_add(count);
+  }
+
+  // Fails the run: every receive blocked in any mailbox wakes with
+  // WorldAborted, and every later receive fails the same way.
+  // RunOnCluster calls it when a node program throws.
+  void abort() {
+    for (const auto& mb : mailboxes_) mb->abort();
   }
 
  private:

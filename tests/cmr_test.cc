@@ -29,8 +29,7 @@ SortConfig Config(int K, int r) {
 std::vector<std::string> SequentialReference(const CmrApp& app, int K, int r,
                                              std::uint64_t seed) {
   const Placement placement = Placement::Create(K, r);
-  std::vector<std::vector<std::vector<std::uint8_t>>> ivs(
-      static_cast<std::size_t>(K));
+  std::vector<std::vector<Buffer>> ivs(static_cast<std::size_t>(K));
   for (auto& v : ivs) v.resize(static_cast<std::size_t>(placement.num_files()));
   for (FileId f = 0; f < placement.num_files(); ++f) {
     auto mapped = app.map(app.make_file(f, seed), K);

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <exception>
+#include <future>
+#include <memory>
+#include <string>
 
 #include "common/block_cache.h"
 #include "common/check.h"
@@ -31,12 +36,44 @@ TEST(Cluster, RethrowsNodeFailure) {
   EXPECT_THROW(
       RunOnCluster(world, recorder,
                    [&](simmpi::Comm& comm, RunRecorder&) {
-                     // All nodes fail before any communication, so no
-                     // peer blocks on a missing message.
                      CTS_CHECK_MSG(false, "injected failure on node "
                                               << comm.my_global());
                    }),
       CheckError);
+}
+
+// A node that throws before a blocking exchange its peers enter fails
+// the run instead of hanging it: the world is aborted, the peers'
+// barrier wakes with WorldAborted, and the thrower's own error is the
+// one rethrown. A watchdog bounds the run, so a hang fails the test; on
+// a hang the future is leaked, because its destructor would wait for
+// the blocked node threads.
+TEST(Cluster, FailingNodeFailsTheRun) {
+  auto run = std::make_unique<std::future<std::string>>(
+      std::async(std::launch::async, [] {
+        simmpi::World world(4);
+        RunRecorder recorder(4);
+        try {
+          RunOnCluster(world, recorder,
+                       [](simmpi::Comm& comm, RunRecorder&) {
+                         CTS_CHECK_MSG(comm.my_global() != 2,
+                                       "node 2 fails before the barrier");
+                         comm.barrier();
+                       });
+        } catch (const CheckError& e) {
+          return std::string(e.what());
+        } catch (const std::exception& e) {
+          return std::string("not the node's own error: ") + e.what();
+        }
+        return std::string("no error");
+      }));
+  if (run->wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    (void)run.release();
+    FAIL() << "RunOnCluster still blocked after 10 s";
+  }
+  const std::string error = run->get();
+  EXPECT_NE(error.find("node 2 fails before the barrier"), std::string::npos)
+      << error;
 }
 
 TEST(Cluster, StageRunnerLabelsTrafficPerStage) {

@@ -82,7 +82,7 @@ TEST(BatchedCodeGen, PricedCheaperThanCommSplit) {
 
 // ---- simmpi::Comm::create_groups ----
 
-TEST(CreateGroups, MatchesSplitSemantics) {
+TEST(CreateGroups, DerivesGroupsFromMasks) {
   simmpi::World world(5);
   RunRecorder recorder(5);
   const std::vector<NodeMask> groups = AllSubsets(5, 3);
@@ -111,7 +111,7 @@ TEST(CreateGroups, RejectsNonMemberMasks) {
       RunOnCluster(world, recorder,
                    [&](simmpi::Comm& comm, RunRecorder&) {
                      // Node 7 does not exist in a 3-node world; every
-                     // node fails the same check after the id bcast.
+                     // node fails the same check after the id round.
                      (void)comm.create_groups({NodesToMask({0, 7})});
                    }),
       CheckError);

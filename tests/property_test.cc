@@ -144,28 +144,24 @@ class FixedSizeIvApp final : public cmr::CmrApp {
     return {std::to_string(file)};
   }
 
-  std::vector<std::vector<std::uint8_t>> map(
-      const std::vector<std::string>& records,
-      int num_reducers) const override {
+  std::vector<Buffer> map(const std::vector<std::string>& records,
+                          int num_reducers) const override {
     const auto file = static_cast<std::uint8_t>(std::stoi(records.at(0)));
-    std::vector<std::vector<std::uint8_t>> out;
-    out.reserve(static_cast<std::size_t>(num_reducers));
+    std::vector<Buffer> out(static_cast<std::size_t>(num_reducers));
     for (int q = 0; q < num_reducers; ++q) {
-      std::vector<std::uint8_t> iv(iv_bytes_);
-      for (std::size_t i = 0; i < iv.size(); ++i) {
-        iv[i] = static_cast<std::uint8_t>(file * 31 + q * 7 + i);
+      for (std::size_t i = 0; i < iv_bytes_; ++i) {
+        out[static_cast<std::size_t>(q)].write_u8(
+            static_cast<std::uint8_t>(file * 31 + q * 7 + i));
       }
-      out.push_back(std::move(iv));
     }
     return out;
   }
 
-  std::string reduce(
-      int reducer,
-      const std::vector<std::vector<std::uint8_t>>& values) const override {
+  std::string reduce(int reducer,
+                     std::span<Buffer> values) const override {
     std::uint64_t checksum = 0;
-    for (const auto& v : values) {
-      for (const std::uint8_t b : v) checksum = checksum * 131 + b;
+    for (const Buffer& v : values) {
+      for (const std::uint8_t b : v.span()) checksum = checksum * 131 + b;
     }
     return std::to_string(reducer) + ":" + std::to_string(checksum);
   }

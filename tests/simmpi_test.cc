@@ -1,5 +1,5 @@
 // Tests for the simmpi substrate: mailboxes, send/recv, collectives,
-// communicator splits, and traffic accounting.
+// group creation, and traffic accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -16,6 +17,7 @@
 #include "check/race.h"
 #include "combinatorics/subsets.h"
 #include "common/check.h"
+#include "driver/cluster.h"
 #include "simmpi/comm.h"
 #include "simmpi/eventlog.h"
 #include "simmpi/mailbox.h"
@@ -354,9 +356,10 @@ std::uintptr_t AddressOf(const Buffer& b) {
 // payload stays readable and unchanged; a holder that writes
 // (write_u8, mutable_span, take) gets a private copy that no other
 // holder sees. The transport's accounting, per-sender order and
-// captured events are pinned to the values of the copying multicast
-// this replaced, less create_groups' 4-byte id base, which is no
-// longer accounted as a multicast (its captured events are unchanged).
+// captured events are pinned: the Shuffle counters, per-node traffic,
+// log and every group communicator's events are those of the copying
+// multicast this replaced; the world communicator's events hold
+// create_groups' one round on the groups tag.
 TEST(Comm, BcastSharesOnePayload) {
   constexpr int K = 4;
   const std::vector<NodeMask> masks = AllSubsets(K, 3);
@@ -447,7 +450,7 @@ TEST(Comm, BcastSharesOnePayload) {
     EXPECT_EQ(shuffle.mcast_msgs, 1u + masks.size() * 3);
     EXPECT_EQ(shuffle.unicast_msgs, 0u);
     EXPECT_EQ(TransportDigest(world),
-              overlapped ? 0x139a1d2f55af0384ULL : 0xd69d96ccc2b72daaULL)
+              overlapped ? 0x8afda746b3d63308ULL : 0x28a50b284280b02eULL)
         << std::hex << "got 0x" << TransportDigest(world);
   }
 }
@@ -476,115 +479,40 @@ TEST(Comm, BarrierSynchronizes) {
   EXPECT_FALSE(violated.load());
 }
 
-TEST(Comm, SplitFormsColorGroups) {
-  constexpr int K = 6;
-  World world(K);
-  RunNodes(world, [&](NodeId n) {
-    Comm c = Comm::World(world, n);
-    // Even nodes -> color 0, odd -> color 1.
-    auto sub = c.split(n % 2, /*key=*/n);
-    ASSERT_TRUE(sub.has_value());
-    EXPECT_EQ(sub->size(), 3);
-    // Members are the same-parity nodes in ascending order.
-    for (int i = 0; i < 3; ++i) {
-      EXPECT_EQ(sub->global(i), 2 * i + (n % 2));
-    }
-    // Communication within the subgroup works.
-    Buffer payload;
-    if (sub->rank() == 0) payload.write_i32(n % 2);
-    sub->bcast(0, payload);
-    payload.rewind();
-    EXPECT_EQ(payload.read_i32(), n % 2);
-  });
-}
-
-TEST(Comm, SplitUndefinedColorYieldsNullopt) {
-  constexpr int K = 4;
-  World world(K);
-  RunNodes(world, [&](NodeId n) {
-    Comm c = Comm::World(world, n);
-    auto sub = c.split(n == 0 ? 0 : -1, 0);
-    EXPECT_EQ(sub.has_value(), n == 0);
-    if (sub) {
-      EXPECT_EQ(sub->size(), 1);
-    }
-  });
-}
-
-TEST(Comm, SplitKeyControlsRankOrder) {
-  constexpr int K = 3;
-  World world(K);
-  RunNodes(world, [&](NodeId n) {
-    Comm c = Comm::World(world, n);
-    // Reverse rank order via descending keys.
-    auto sub = c.split(0, /*key=*/K - n);
-    ASSERT_TRUE(sub.has_value());
-    EXPECT_EQ(sub->rank(), K - 1 - n);
-  });
-}
-
-TEST(Comm, RepeatedSplitsAreIndependent) {
-  constexpr int K = 4;
-  World world(K);
-  RunNodes(world, [&](NodeId n) {
-    Comm c = Comm::World(world, n);
-    for (int round = 0; round < 10; ++round) {
-      auto sub = c.split(n < 2 ? 0 : 1, n);
-      ASSERT_TRUE(sub.has_value());
-      EXPECT_EQ(sub->size(), 2);
-      Buffer token;
-      if (sub->rank() == 0) token.write_i32(round);
-      sub->bcast(0, token);
-      token.rewind();
-      EXPECT_EQ(token.read_i32(), round);
-    }
-  });
-}
-
-TEST(Comm, NestedSplitOfSubgroup) {
-  constexpr int K = 8;
-  World world(K);
-  RunNodes(world, [&](NodeId n) {
-    Comm c = Comm::World(world, n);
-    auto half = c.split(n / 4, n);  // two groups of 4
-    ASSERT_TRUE(half.has_value());
-    auto quarter = half->split(half->rank() / 2, half->rank());
-    ASSERT_TRUE(quarter.has_value());
-    EXPECT_EQ(quarter->size(), 2);
-  });
-}
-
-TEST(Comm, SplitIsAMailboxCollective) {
-  // Split synchronizes through the mailboxes, so a captured transport
-  // log holds it: every rank but 0 sends its (color, key) to rank 0 and
-  // gets one reply, all on the split tag, and the log certifies.
+// create_groups is a mailbox collective, so a captured transport log
+// holds it: every rank but 0 sends one request to rank 0 and gets one
+// reply, all on the groups tag, and the log certifies. Rank 0 reserves
+// one id per mask, consecutive in list order.
+TEST(Comm, CreateGroupsIsAMailboxCollective) {
   constexpr int K = 5;
   TransportRecorder::RequestCapture(true);
   World world(K);
   TransportRecorder::RequestCapture(false);
   world.stats().set_stage("CodeGen");
-  std::array<CommId, K> ids{};
+  // Nodes 1 and 3 form the first group, nodes 0 and 2 the second; node
+  // 4 is in neither.
+  const std::vector<NodeMask> masks = {NodesToMask({1, 3}),
+                                       NodesToMask({0, 2})};
+  std::array<std::map<NodeMask, CommId>, K> ids;
   RunNodes(world, [&](NodeId n) {
     Comm c = Comm::World(world, n);
-    // Nodes 0 and 2 take color 7, nodes 1 and 3 color 4; node 4 opts
-    // out.
-    const int color = n == 4 ? -1 : (n % 2 == 0 ? 7 : 4);
-    const auto sub = c.split(color, n);
-    ASSERT_EQ(sub.has_value(), color >= 0) << n;
-    if (sub) ids[static_cast<std::size_t>(n)] = sub->id();
+    for (const auto& [mask, gc] : c.create_groups(masks)) {
+      ids[static_cast<std::size_t>(n)][mask] = gc.id();
+    }
   });
-  // One id per color, consecutive, in ascending color order (not in
-  // the order the colors first appear).
-  EXPECT_EQ(ids[0], ids[2]);
-  EXPECT_EQ(ids[1], ids[3]);
-  EXPECT_EQ(ids[0], ids[1] + 1);
+  // The world communicator is id 0, so the first group is id 1.
+  EXPECT_EQ(ids[1], (std::map<NodeMask, CommId>{{masks[0], 1}}));
+  EXPECT_EQ(ids[3], ids[1]);
+  EXPECT_EQ(ids[0], (std::map<NodeMask, CommId>{{masks[1], 2}}));
+  EXPECT_EQ(ids[2], ids[0]);
+  EXPECT_TRUE(ids[4].empty());
   EXPECT_EQ(world.stats().stage("CodeGen").comm_creations, 2u);
   EXPECT_EQ(world.pending_messages(), 0u);
 
   const TransportLog log = world.transport_log();
   std::multiset<std::tuple<NodeId, NodeId, std::uint64_t>> sends, matches;
   for (const TransportEvent& ev : log) {
-    EXPECT_EQ(ev.tag, Comm::kTagSplit);
+    EXPECT_EQ(ev.tag, Comm::kTagGroups);
     const auto slot = std::make_tuple(ev.dst, ev.src, ev.index);
     if (ev.kind == TransportEventKind::kSend) sends.insert(slot);
     if (ev.kind == TransportEventKind::kMatch) matches.insert(slot);
@@ -592,6 +520,60 @@ TEST(Comm, SplitIsAMailboxCollective) {
   EXPECT_EQ(sends.size(), 2u * (K - 1));
   EXPECT_EQ(matches, sends);
   EXPECT_TRUE(check::AnalyzeTransport(log, K).certified());
+}
+
+// The two CodeGen modes (driver/cluster.h's CreateGroups): one
+// create_groups round per group, as the paper's MPI_Comm_split, and
+// one round for every group give each node the same communicators,
+// ids included, and record the same comm creations; neither leaves a
+// message behind, and both captured logs certify. Each round is
+// 2(K - 1) messages on the groups tag.
+TEST(Comm, CreateGroupsPerGroupEqualsBatched) {
+  // Per node: mask -> (id, members, rank).
+  using Groups =
+      std::map<NodeMask, std::tuple<CommId, std::vector<NodeId>, int>>;
+  for (const int K : {4, 6}) {
+    for (const int r : {1, 2, 3}) {
+      SCOPED_TRACE("K = " + std::to_string(K) + ", r = " + std::to_string(r));
+      const std::vector<NodeMask> masks = AllSubsets(K, r + 1);
+      std::map<CodeGenMode, std::vector<Groups>> got;
+      std::map<CodeGenMode, std::uint64_t> creations;
+      for (const CodeGenMode mode :
+           {CodeGenMode::kCommSplit, CodeGenMode::kBatched}) {
+        TransportRecorder::RequestCapture(true);
+        World world(K);
+        TransportRecorder::RequestCapture(false);
+        world.stats().set_stage("CodeGen");
+        std::vector<Groups>& mine = got[mode];
+        mine.resize(static_cast<std::size_t>(K));
+        RunNodes(world, [&](NodeId n) {
+          Comm c = Comm::World(world, n);
+          for (const auto& [mask, gc] : CreateGroups(c, masks, mode)) {
+            mine[static_cast<std::size_t>(n)][mask] = {gc.id(), gc.members(),
+                                                       gc.rank()};
+          }
+        });
+        creations[mode] = world.stats().stage("CodeGen").comm_creations;
+        EXPECT_EQ(world.pending_messages(), 0u);
+        const TransportLog log = world.transport_log();
+        std::size_t sends = 0;
+        for (const TransportEvent& ev : log) {
+          EXPECT_EQ(ev.tag, Comm::kTagGroups);
+          sends += ev.kind == TransportEventKind::kSend;
+        }
+        const std::size_t rounds =
+            mode == CodeGenMode::kBatched ? 1 : masks.size();
+        EXPECT_EQ(sends, rounds * 2 * (K - 1));
+        EXPECT_TRUE(check::AnalyzeTransport(log, K).certified());
+      }
+      EXPECT_EQ(got[CodeGenMode::kCommSplit], got[CodeGenMode::kBatched]);
+      EXPECT_EQ(creations[CodeGenMode::kCommSplit], masks.size());
+      EXPECT_EQ(creations[CodeGenMode::kBatched], masks.size());
+      for (const Groups& node : got[CodeGenMode::kBatched]) {
+        EXPECT_EQ(node.size(), Binomial(K - 1, r));
+      }
+    }
+  }
 }
 
 TEST(Traffic, SendRecordsUnicastUnderCurrentStage) {
@@ -647,20 +629,9 @@ TEST(Traffic, BarrierIsUnaccounted) {
   EXPECT_EQ(s.mcast_msgs, 0u);
 }
 
-TEST(Traffic, SplitRecordsCommCreation) {
-  constexpr int K = 4;
-  World world(K);
-  world.stats().set_stage("CodeGen");
-  RunNodes(world, [&](NodeId n) {
-    Comm c = Comm::World(world, n);
-    (void)c.split(n % 2, n);  // creates 2 communicators
-  });
-  EXPECT_EQ(world.stats().stage("CodeGen").comm_creations, 2u);
-}
-
-// The batched CodeGen's id base is control plane, like barrier and
-// split messages: the stage records the communicators it creates and
-// no data traffic.
+// create_groups' requests and replies are control plane, like barrier
+// tokens: the stage records the communicators it creates and no data
+// traffic.
 TEST(Traffic, CreateGroupsRecordsOnlyCommCreations) {
   constexpr int K = 4;
   World world(K);

@@ -63,6 +63,10 @@ break that promise. Rules:
              encodes and decodes with the kernels (EncodeInto,
              DecodeGroupInto), and the object front-end stays the
              tests' reference decoder and the benches' timing subject.
+  codegen    a create_groups call in src/ outside src/simmpi/ and
+             src/driver/cluster.cc: CreateGroups (driver/cluster.h)
+             is CodeGen for every coded engine, so no engine keeps a
+             group-creation loop of its own.
 
 Any rule is suppressed for a line by `repo-lint: allow(<rule>)` on the
 line itself or within the two lines above it.
@@ -108,6 +112,8 @@ CODECFRONT_RE = re.compile(
     r"\b(?:CodedPacket|EncodePacket|DecodePacket|DecodedSegment"
     r"|MergeSegments)\b")
 CODECFRONT_HOME = "src/coding/"
+CODEGEN_RE = re.compile(r"(?:\.|->)\s*create_groups\s*\(")
+CODEGEN_HOMES = ("src/simmpi/", "src/driver/cluster.cc")
 
 
 def allowed(lines, i, rule):
@@ -129,6 +135,7 @@ def lint_lines(relpath, lines):
     pricing_scope = not path.startswith(PRICING_HOME)
     malloc_scope = in_src or path.startswith(("tools/", "examples/"))
     codecfront_scope = in_src and not path.startswith(CODECFRONT_HOME)
+    codegen_scope = in_src and not path.startswith(CODEGEN_HOMES)
     for i, line in enumerate(lines):
         # Comments still count for key rules (they would be copied),
         # but pure comment lines are a poor place to flag rand: strip
@@ -179,6 +186,12 @@ def lint_lines(relpath, lines):
                    "packet-object codec front-end outside %s; encode and "
                    "decode with the kernels (EncodeInto, DecodeGroupInto)"
                    % CODECFRONT_HOME)
+        if codegen_scope and CODEGEN_RE.search(line) \
+                and not allowed(lines, i, "codegen"):
+            yield (i + 1, "codegen",
+                   "group creation outside src/simmpi/ and "
+                   "src/driver/cluster.cc; call CreateGroups "
+                   "(driver/cluster.h) with the job's CodeGenMode")
         for m in ADD_KEY_RE.finditer(line):
             key = m.group(1)
             if (not KEY_OK_RE.fullmatch(key) or key in RESERVED_KEYS) \
@@ -312,6 +325,10 @@ def self_test():
     ok &= expect("codecfront-coding-ok", "src/coding/x.cc",
                  "segments.push_back(DecodePacket(g, k, u, packet, iv));",
                  [])
+    ok &= expect("codegen", "src/cmr/x.cc",
+                 "mine.merge(comm.create_groups({g}));", ["codegen"])
+    ok &= expect("codegen-driver-ok", "src/driver/cluster.cc",
+                 "if (batched) return comm.create_groups(groups);", [])
     ok &= expect("malloc", "src/x.cc",
                  "mallopt(M_TRIM_THRESHOLD, 1 << 30);", ["malloc"])
     ok &= expect("malloc-operator-new", "tools/x.cpp",
