@@ -106,11 +106,7 @@ RunCache::Entry& RunCache::Fetch(const std::string& key,
                                  const SortConfig& config, bool count_hit) {
   auto& registry = obs::MetricRegistry::Global();
   if (const auto it = entries_.find(key); it != entries_.end()) {
-    if (count_hit) {
-      static obs::Counter& hits = registry.counter("job/cache_hits");
-      ++hits_;
-      hits.add();
-    }
+    if (count_hit) CountHits(1);
     return it->second;
   }
   const AlgorithmInfo& info = FindOrDie(algorithm);
@@ -131,6 +127,14 @@ RunCache::Entry& RunCache::Fetch(const std::string& key,
   Entry& entry = entries_[key];
   entry.run = std::move(run);
   return entry;
+}
+
+void RunCache::CountHits(int n) {
+  if (n == 0) return;
+  static obs::Counter& hits =
+      obs::MetricRegistry::Global().counter("job/cache_hits");
+  hits_ += n;
+  hits.add(static_cast<std::uint64_t>(n));
 }
 
 std::shared_ptr<const AlgorithmResult> RunCache::Get(
@@ -184,18 +188,15 @@ RunCache::Replay& RunCache::ScenarioRunOf(Entry& entry,
   return replay;
 }
 
-JobResult RunJob(const JobSpec& spec, RunCache& cache,
-                 obs::Timeline* timeline) {
-  const AlgorithmInfo& info = FindOrDie(spec.algorithm);
-  JobResult result;
-  result.spec = spec;
+RunCache::Resolved RunCache::Resolve(const JobSpec& spec) {
+  Resolved in;
+  in.info = &FindOrDie(spec.algorithm);
 
   // Every view prices per-record work, and the paper-scale ratio of an
   // empty run is undefined.
   if (spec.config.num_records == 0) {
-    result.algorithm = spec.algorithm;
-    result.error = "a job needs at least one record (num_records = 0)";
-    return result;
+    in.error = "a job needs at least one record (num_records = 0)";
+    return in;
   }
 
   // kPriced/kSimulated are the closed-form backends; they have no way
@@ -204,25 +205,80 @@ JobResult RunJob(const JobSpec& spec, RunCache& cache,
   if ((spec.backend == Backend::kPriced ||
        spec.backend == Backend::kSimulated) &&
       spec.scenario.has_value()) {
-    result.algorithm = spec.algorithm;
-    result.error =
-        "closed-form backends ignore scenarios — use Backend::kReplay";
-    return result;
+    in.error = "closed-form backends ignore scenarios — use Backend::kReplay";
+    return in;
   }
 
-  // kSimulated deliberately bypasses the cache: RunCache::Get executes
-  // the live harness on a miss, and never executing is this backend's
+  // kSimulated deliberately bypasses the cache: Fetch executes the
+  // live harness on a miss, and never executing is this backend's
   // entire point.
   if (spec.backend == Backend::kSimulated) {
-    result.algorithm = spec.algorithm;
     simulate::SynthesisResult synth =
         simulate::SynthesizeRun(spec.algorithm, spec.config);
     if (!synth.ok()) {
-      result.error = std::move(synth.error);
-      return result;
+      in.error = std::move(synth.error);
+    } else {
+      in.execution = std::move(synth.run);
     }
-    result.execution = std::move(synth.run);
-    result.algorithm = result.execution->algorithm;
+    return in;
+  }
+
+  // Every other backend executes (or replays) the engine, whose
+  // CTS_CHECKs would abort on an out-of-range cluster shape.
+  in.error = BoundsError(*in.info, spec.config);
+  if (!in.error.empty()) return in;
+
+  // One key: the entry holds both the run and the replay inputs
+  // derived from it.
+  Entry& entry = Fetch(Key(spec.algorithm, spec.config), spec.algorithm,
+                       spec.config, /*count_hit=*/true);
+  in.execution = entry.run;
+  if (spec.backend == Backend::kReplay) {
+    in.replay = &ScenarioRunOf(entry, spec.config, spec.paper_records,
+                               /*from_events=*/!in.info->priced);
+  } else if (spec.backend == Backend::kLive && spec.scenario.has_value()) {
+    // The live-mitigation path replays the measured stage boundaries
+    // at executed scale.
+    in.replay = &ScenarioRunOf(entry, spec.config, /*paper_records=*/0,
+                               /*from_events=*/true);
+  }
+  return in;
+}
+
+JobResult RunCache::Evaluate(const JobSpec& spec, const Resolved& in,
+                             obs::Timeline* timeline) {
+  JobResult result;
+  result.spec = spec;
+  result.algorithm = spec.algorithm;
+  if (!in.error.empty()) {
+    result.error = in.error;
+    return result;
+  }
+  result.execution = in.execution;
+  result.algorithm = result.execution->algorithm;
+  // The live flight-recorder series, derived purely from the (cached
+  // or synthesized) execution — a cache hit reproduces them bit for
+  // bit. Scenario replays below append their DES series to the same
+  // timeline.
+  if (timeline != nullptr) {
+    timeline->Merge(obs::BuildLiveTimeline(*result.execution));
+  }
+
+  if (in.replay != nullptr) {
+    std::optional<simscen::Scenario> baseline;
+    if (!spec.scenario.has_value()) {
+      baseline = simscen::Scenario::Baseline(spec.config.num_nodes);
+    }
+    const simscen::Scenario& scenario =
+        spec.scenario.has_value() ? *spec.scenario : *baseline;
+    result.outcome = simscen::ReplayScenario(*in.replay->run, scenario,
+                                             timeline, &in.replay->network);
+    result.breakdown = result.outcome->breakdown();
+    result.priced = spec.backend == Backend::kReplay && in.info->priced;
+    FillMitigationStats(*result.outcome, result);
+  } else if (spec.backend != Backend::kLive && in.info->priced) {
+    // kPriced, and kSimulated, whose synthesizer only runs priced
+    // algorithms.
     const RunScale scale = PaperScale(
         spec.config.num_records, spec.paper_records == 0
                                      ? spec.config.num_records
@@ -230,86 +286,17 @@ JobResult RunJob(const JobSpec& spec, RunCache& cache,
     result.breakdown =
         SimulateRun(*result.execution, CostModel{}, scale, spec.schedule);
     result.priced = true;
-    result.makespan = result.breakdown.total();
-    if (timeline != nullptr) {
-      timeline->Merge(obs::BuildLiveTimeline(*result.execution));
-    }
-    FillDollars(spec, result);
-    return result;
-  }
-
-  // Every other backend executes (or replays) the engine, whose
-  // CTS_CHECKs would abort on an out-of-range cluster shape.
-  result.error = BoundsError(info, spec.config);
-  if (!result.error.empty()) {
-    result.algorithm = spec.algorithm;
-    return result;
-  }
-
-  // One key per cell: the entry holds both the run and the replay
-  // inputs derived from it.
-  RunCache::Entry& entry =
-      cache.Fetch(RunCache::Key(spec.algorithm, spec.config), spec.algorithm,
-                  spec.config, /*count_hit=*/true);
-  result.execution = entry.run;
-  result.algorithm = result.execution->algorithm;
-  // The live flight-recorder series, derived purely from the cached
-  // execution — a cache hit reproduces them bit for bit. Scenario
-  // replays below append their DES series to the same timeline.
-  if (timeline != nullptr) {
-    timeline->Merge(obs::BuildLiveTimeline(*result.execution));
-  }
-
-  switch (spec.backend) {
-    case Backend::kLive:
-    case Backend::kPriced: {
-      if (spec.backend == Backend::kPriced && info.priced) {
-        const RunScale scale = PaperScale(
-            spec.config.num_records, spec.paper_records == 0
-                                         ? spec.config.num_records
-                                         : spec.paper_records);
-        result.breakdown = SimulateRun(*result.execution, CostModel{}, scale,
-                                       spec.schedule);
-        result.priced = true;
-      } else {
-        result.breakdown = MeasuredBreakdown(*result.execution);
-      }
-      // kLive with a scenario: replay the measured stage boundaries
-      // under it (executed scale) — the live-mitigation path.
-      if (spec.backend == Backend::kLive && spec.scenario.has_value()) {
-        RunCache::Replay& replay = cache.ScenarioRunOf(
-            entry, spec.config, /*paper_records=*/0, /*from_events=*/true);
-        result.outcome = simscen::ReplayScenario(
-            *replay.run, *spec.scenario, timeline, &replay.network);
-        result.breakdown = result.outcome->breakdown();
-        FillMitigationStats(*result.outcome, result);
-      }
-      break;
-    }
-    case Backend::kReplay: {
-      RunCache::Replay& replay = cache.ScenarioRunOf(
-          entry, spec.config, spec.paper_records,
-          /*from_events=*/!info.priced);
-      std::optional<simscen::Scenario> baseline;
-      if (!spec.scenario.has_value()) {
-        baseline = simscen::Scenario::Baseline(spec.config.num_nodes);
-      }
-      const simscen::Scenario& scenario =
-          spec.scenario.has_value() ? *spec.scenario : *baseline;
-      result.outcome = simscen::ReplayScenario(*replay.run, scenario,
-                                               timeline, &replay.network);
-      result.breakdown = result.outcome->breakdown();
-      result.priced = info.priced;
-      FillMitigationStats(*result.outcome, result);
-      break;
-    }
-    case Backend::kSimulated:
-      CTS_CHECK_MSG(false, "kSimulated returns above");
-      break;
+  } else {
+    result.breakdown = MeasuredBreakdown(*result.execution);
   }
   result.makespan = result.breakdown.total();
   FillDollars(spec, result);
   return result;
+}
+
+JobResult RunJob(const JobSpec& spec, RunCache& cache,
+                 obs::Timeline* timeline) {
+  return RunCache::Evaluate(spec, cache.Resolve(spec), timeline);
 }
 
 JobResult RunJob(const JobSpec& spec) {

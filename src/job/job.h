@@ -36,6 +36,10 @@
 
 namespace cts::job {
 
+struct AlgorithmInfo;
+struct JobMatrix;
+class MatrixResults;
+
 // How a job evaluates its run.
 enum class Backend {
   // Executed-scale view: the measured wall clocks as they happened on
@@ -135,7 +139,13 @@ struct JobResult {
 // simscen::NetworkMemo, which RunJob passes to every replay of it:
 // cells that differ only in stragglers, policies or instances share
 // one outage-free Shuffle replay per (topology, discipline, order).
-// Not thread-safe; share one per sweep.
+//
+// Not thread-safe: call it from one thread at a time. RunMatrix makes
+// every lookup, execution and replay-input build on its calling
+// thread; only then do its worker threads replay the cells, reading
+// what it resolved and the network memo, which locks itself. The
+// lookups the cells skip count as hits, so hits() and the job/* and
+// simscen/* counters read the same whatever the number of threads.
 class RunCache {
  public:
   // The cached run for (algorithm, config), executing it on miss.
@@ -163,7 +173,8 @@ class RunCache {
 
   // Live thread-harness executions performed (== distinct keys seen).
   int executions() const { return executions_; }
-  // Run lookups (Get() and RunJob) served from the cache.
+  // Run lookups (Get(), RunJob and every RunMatrix cell) served from
+  // the cache.
   int hits() const { return hits_; }
 
   // The memoization key: every SortConfig field an engine reads.
@@ -171,9 +182,8 @@ class RunCache {
                          const SortConfig& config);
 
  private:
-  // RunJob builds a cell's key once and reaches both the run and its
-  // replay input through the one entry.
   friend JobResult RunJob(const JobSpec&, RunCache&, obs::Timeline*);
+  friend MatrixResults RunMatrix(const JobMatrix&, RunCache&);
 
   // One replay input and the network stages already replayed from it;
   // sharing the slot keeps a memo from outliving or mixing runs.
@@ -190,12 +200,37 @@ class RunCache {
     std::map<std::pair<bool, std::uint64_t>, Replay> scenario_runs;
   };
 
+  // What a cell reads besides its spec: the run and, when the cell
+  // replays, its replay input with that input's network memo — or the
+  // error the cell reports instead. Every cell of one
+  // (algorithm, SortConfig) in a sweep resolves to the same inputs.
+  struct Resolved {
+    const AlgorithmInfo* info = nullptr;
+    std::string error;  // JobResult::error; the rest is then unset
+    std::shared_ptr<const AlgorithmResult> execution;
+    Replay* replay = nullptr;  // kReplay, and kLive with a scenario
+  };
+  // Validates `spec` and fetches its inputs: one run lookup (a miss
+  // executes the run), then the replay input the backend needs. A
+  // kSimulated spec synthesizes its run here instead; the cache is
+  // not involved.
+  Resolved Resolve(const JobSpec& spec);
+  // The rest of RunJob: the breakdown, the scenario replay, the
+  // dollars and the timeline's series, from `in` alone. Writes only
+  // the network memo and `timeline`, so any number of threads may
+  // evaluate cells of one Resolved at once.
+  static JobResult Evaluate(const JobSpec& spec, const Resolved& in,
+                            obs::Timeline* timeline);
+
   // The entry for `key`, executing its run on a miss. `count_hit` is
   // false for GetScenarioRun's internal fetch, so hits() counts
   // exactly the run lookups a caller saved: hits == cells - distinct
   // keys in a matrix sweep, which job_test pins.
   Entry& Fetch(const std::string& key, const std::string& algorithm,
                const SortConfig& config, bool count_hit);
+  // Adds `n` lookups served from the cache to hits() and
+  // job/cache_hits.
+  void CountHits(int n);
   // GetScenarioRun's memo on an already fetched entry; an unpriced
   // algorithm's caller passes from_events = true.
   Replay& ScenarioRunOf(Entry& entry, const SortConfig& config,

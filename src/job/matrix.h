@@ -9,6 +9,15 @@
 // bench_paper's sweeps rely on — its `scenarios` preset replays 16
 // scenarios and `mitigation` 18 scenario×policy cells off 3 executions
 // each).
+//
+// Threads: RunMatrix resolves each algorithm on the calling thread —
+// the cache lookup, the execution on a miss, the replay input and the
+// partition release — and then evaluates the cells on up to
+// std::thread::hardware_concurrency() threads, the calling thread
+// among them, each writing its own preallocated cell. The cells share
+// only read-only inputs and the network memo, which fills each entry
+// once under its own lock, so every cell, every registry counter and
+// RunCache::hits() read the same whatever the thread count.
 #pragma once
 
 #include <array>
@@ -93,6 +102,13 @@ class MatrixResults {
                       const std::string& scenario = "",
                       const std::string& policy = "",
                       const std::string& instance = "") const;
+  // The same cell by its position on each axis, in JobMatrix order (0
+  // on a collapsed axis): no label is built or looked up, which is how
+  // a caller that walks the axes it built reads every cell. Dies on a
+  // position past an axis's end.
+  const JobResult& at_position(std::size_t algo, std::size_t scenario = 0,
+                               std::size_t policy = 0,
+                               std::size_t instance = 0) const;
 
   int executions() const { return executions_; }  // live harness runs
   int replays() const { return static_cast<int>(cells_.size()); }
@@ -110,8 +126,11 @@ class MatrixResults {
 // Expands and evaluates the matrix. The overload taking a RunCache
 // shares executions with other sweeps (and exposes the instrumented
 // counters); the other uses a private cache. Each execution's sorted
-// partitions are released after its first cell (no matrix view reads
+// partitions are released before its cells run (no matrix view reads
 // them); use RunJob directly when the sorted output itself is needed.
+// When cells fail, RunMatrix joins every thread and then rethrows the
+// exception of the lowest-index failing cell, the one a cell-by-cell
+// loop would have thrown.
 MatrixResults RunMatrix(const JobMatrix& matrix, RunCache& cache);
 MatrixResults RunMatrix(const JobMatrix& matrix);
 

@@ -207,27 +207,28 @@ PlanResult RunPlan(const PlanAxes& axes, const PlanQuery& query,
     // Aggregate each architecture over the straggler set: the SLO is a
     // statement about the tail of that distribution, and the row is
     // priced at its quantile — the capacity you must budget, not the
-    // lucky mean.
-    for (const InstanceProfile& instance : instances) {
+    // lucky mean. Cells are read by their position on the axes built
+    // above; the scenario axis is topology-major, then straggler.
+    for (std::size_t i = 0; i < instances.size(); ++i) {
+      const InstanceProfile& instance = instances[i];
       DollarCost cost = axes.cost;
       cost.node_usd_per_hour = instance.usd_per_hour;
-      for (const std::string& topo_spec : topologies) {
-        for (const std::string& policy_spec : policies) {
-          for (const job::AlgoAxis& algo : matrix.algos) {
+      for (std::size_t t = 0; t < topologies.size(); ++t) {
+        for (std::size_t p = 0; p < policies.size(); ++p) {
+          for (std::size_t a = 0; a < matrix.algos.size(); ++a) {
+            const job::AlgoAxis& algo = matrix.algos[a];
             PlanRow row;
             row.algorithm = algo.label;
             row.redundancy = algo.config.redundancy;
             row.num_nodes = num_nodes;
-            row.topology = topo_label(topo_spec);
-            row.policy = policy_spec;
+            row.topology = topo_label(topologies[t]);
+            row.policy = policies[p];
             row.instance = instance.name;
             std::vector<double> makespans;
             double cross_rack_bytes = 0;
-            for (const std::string& straggler_spec : stragglers) {
-              const job::JobResult& cell = results.at(
-                  algo.label,
-                  row.topology + "|" + straggler_spec,
-                  row.policy, instance.name);
+            for (std::size_t s = 0; s < stragglers.size(); ++s) {
+              const job::JobResult& cell = results.at_position(
+                  a, t * stragglers.size() + s, p, i);
               makespans.push_back(cell.makespan);
               cross_rack_bytes = cell.cross_rack_bytes;
             }

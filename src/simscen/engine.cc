@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <map>
+#include <mutex>
 #include <utility>
 
 #include "common/check.h"
@@ -153,8 +154,14 @@ ScenarioOutcome ReplayScenario(const ScenarioRun& run,
       // in for the DES (a probed replay always runs it).
       const bool memoizable =
           memo != nullptr && timeline == nullptr && !outage.active();
+      // The memo's lock is held from the search until a missing entry
+      // is stored, so each input runs the DES once however many
+      // threads ask; entries never move, so the one found or stored is
+      // read after the lock is released.
+      std::unique_lock<std::mutex> lock;
       const NetworkMemo::Entry* replay = nullptr;
       if (memoizable) {
+        lock = std::unique_lock<std::mutex>(memo->mu);
         for (const NetworkMemo::Entry& e : memo->entries) {
           if (e.topology == scenario.topology &&
               e.discipline == scenario.discipline &&
@@ -194,6 +201,7 @@ ScenarioOutcome ReplayScenario(const ScenarioRun& run,
           replay = &simulated;
         }
       }
+      if (lock.owns_lock()) lock.unlock();
       const double net = replay->makespan * run.shuffle_correction;
       // Per-flow wire times in scenario seconds, for the tracer. Only
       // the first network stage fills them (runs have one Shuffle).

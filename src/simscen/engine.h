@@ -17,6 +17,8 @@
 // scenario sweeps and the paper tables share one pricing pipeline.
 #pragma once
 
+#include <deque>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -155,6 +157,15 @@ ScenarioRun BuildScenarioRunFromEvents(
 // DES's numbers instead of re-running it. A memo belongs to exactly
 // one ScenarioRun (job::RunCache keeps each beside its run); passing
 // it with another run prices that run with the wrong log.
+//
+// Any number of threads may replay through one memo. ReplayScenario
+// searches and fills it under `mu`: the thread that misses an entry
+// runs its DES while holding the lock, and the others wait for it, so
+// each (topology, discipline, order) is simulated exactly once. Entries
+// are only appended, and a deque never moves them, so a replay reads
+// its entry after releasing the lock. The DES counters and
+// simscen/network_memo_hits therefore read the same totals whatever
+// the number of threads.
 struct NetworkMemo {
   struct Entry {
     Topology topology;
@@ -164,8 +175,9 @@ struct NetworkMemo {
     std::vector<double> flow_start;  // NetReplayStats::flow_start
     std::vector<double> flow_end;    // NetReplayStats::flow_end
   };
+  std::mutex mu;  // guards `entries`
   // Searched linearly: a sweep holds a few network inputs per run.
-  std::vector<Entry> entries;
+  std::deque<Entry> entries;
 };
 
 // Replays `run` under `scenario`. When `timeline` is non-null the
@@ -181,7 +193,8 @@ struct NetworkMemo {
 // and skipping NetMakespan, and otherwise runs the DES and stores the
 // result. Every outcome is bit-identical to a replay without a memo;
 // the simscen/* DES counters count only the replays actually
-// simulated.
+// simulated. `run` is only read, so threads may replay one run and
+// one memo concurrently (each with its own timeline, if any).
 ScenarioOutcome ReplayScenario(const ScenarioRun& run,
                                const Scenario& scenario,
                                obs::Timeline* timeline = nullptr,

@@ -8,12 +8,14 @@
 #include <sys/wait.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -718,6 +720,25 @@ TEST(Matrix, AtAddressesEveryCell) {
   // A populated axis has no "" entry.
   EXPECT_THROW((void)results.at("terasort"), CheckError);
 
+  // RunPlan's positional lookup finds the cell the labels find, and
+  // dies one past the end of any axis.
+  for (std::size_t i = 0; i < m.instances.size(); ++i) {
+    for (std::size_t s = 0; s < m.scenarios.size(); ++s) {
+      for (std::size_t p = 0; p < m.policies.size(); ++p) {
+        for (std::size_t a = 0; a < m.algos.size(); ++a) {
+          EXPECT_EQ(&results.at_position(a, s, p, i),
+                    &results.at(m.algos[a].label, m.scenarios[s].label,
+                                m.policies[p].label, m.instances[i].label))
+              << a << s << p << i;
+        }
+      }
+    }
+  }
+  EXPECT_THROW((void)results.at_position(2, 0, 0, 0), CheckError);
+  EXPECT_THROW((void)results.at_position(0, 3, 0, 0), CheckError);
+  EXPECT_THROW((void)results.at_position(0, 0, 2, 0), CheckError);
+  EXPECT_THROW((void)results.at_position(0, 0, 0, 2), CheckError);
+
   // Collapsed axes resolve through "" (the bench_paper table style).
   JobMatrix flat;
   flat.backend = Backend::kPriced;
@@ -728,6 +749,73 @@ TEST(Matrix, AtAddressesEveryCell) {
   EXPECT_EQ(&priced.at("coded_r2"), &priced.cells()[1].result);
   EXPECT_THROW((void)priced.at("coded_r3"), CheckError);
   EXPECT_THROW((void)priced.at("terasort", "healthy"), CheckError);
+  EXPECT_EQ(&priced.at_position(1), &priced.cells()[1].result);
+  EXPECT_THROW((void)priced.at_position(0, 1), CheckError);
+}
+
+// A failing cell fails the sweep on the calling thread: RunMatrix joins
+// its workers, then rethrows the exception of the lowest failing cell,
+// the one a loop of RunJob calls over the cells meets first. The cache
+// keeps the runs it executed.
+TEST(Matrix, FailingCellRethrowsOnTheCaller) {
+  JobMatrix m;
+  m.backend = Backend::kReplay;
+  m.algos.push_back({"terasort", "terasort", SmallConfig(1)});
+  m.algos.push_back({"coded_r2", "coded", SmallConfig(2)});
+  simscen::Scenario slow = simscen::Scenario::Baseline(4);
+  slow.cluster.straggler.kind = simscen::StragglerKind::kSlowNode;
+  slow.cluster.straggler.slowdown = 3.0;
+  // Scenarios 1 and 3 name 5- and 6-node clusters for 4-node runs.
+  m.scenarios.push_back({"healthy", simscen::Scenario::Baseline(4)});
+  m.scenarios.push_back({"five", simscen::Scenario::Baseline(5)});
+  m.scenarios.push_back({"slow", slow});
+  m.scenarios.push_back({"six", simscen::Scenario::Baseline(6)});
+  m.policies.push_back({"none", mitigate::MitigationPolicy::None()});
+  m.policies.push_back({"spec", mitigate::MitigationPolicy::Speculative()});
+
+  RunCache cache;
+  std::string error;
+  try {
+    (void)RunMatrix(m, cache);
+  } catch (const CheckError& e) {
+    error = e.what();
+  }
+  EXPECT_NE(error.find("lhs=5 rhs=4"), std::string::npos) << error;
+  // No worker outlives the throw: nothing replays after it.
+  auto& registry = obs::MetricRegistry::Global();
+  const auto replays = [&registry] {
+    return std::make_pair(
+        registry.counter("simscen/flows_started").value(),
+        registry.counter("simscen/network_memo_hits").value());
+  };
+  const auto at_throw = replays();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(replays(), at_throw);
+
+  // The serial loop's first failing cell is (five, none, terasort).
+  JobSpec first_bad;
+  first_bad.algorithm = "terasort";
+  first_bad.config = SmallConfig(1);
+  first_bad.backend = Backend::kReplay;
+  first_bad.scenario = simscen::Scenario::Baseline(5);
+  std::string serial_error;
+  try {
+    (void)RunJob(first_bad, cache);
+  } catch (const CheckError& e) {
+    serial_error = e.what();
+  }
+  EXPECT_EQ(error, serial_error);
+
+  // Both runs executed before the cells; a good sweep replays them.
+  EXPECT_EQ(cache.executions(), 2);
+  JobMatrix good = m;
+  good.scenarios = {m.scenarios[0], m.scenarios[2]};
+  const MatrixResults results = RunMatrix(good, cache);
+  EXPECT_EQ(results.executions(), 0);
+  ASSERT_EQ(results.cells().size(), 8u);
+  for (const MatrixCell& cell : results.cells()) {
+    EXPECT_GT(cell.result.makespan, 0.0) << cell.algo << cell.scenario;
+  }
 }
 
 TEST(Parse, StragglerSpecs) {

@@ -9,7 +9,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <latch>
+#include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analytics/report.h"
@@ -1279,6 +1282,110 @@ TEST(NetworkMemo, ATimelineRunsTheDesAndLeavesTheMemoAlone) {
   EXPECT_EQ(OutcomeBits(c), OutcomeBits(a));
   EXPECT_EQ(hits.value(), hits_before + 1);
   EXPECT_EQ(started.value() - started_before, run.shuffle_log.size());
+}
+
+// One memo shared by four threads that replay the same cells at the
+// same moment: each (topology, discipline, order) still runs the DES
+// once, so the DES counters and the memo hits read what one thread
+// replaying the same cells reads, and every outcome is the bare
+// replay's.
+TEST(NetworkMemo, ConcurrentReplaysFillEachInputOnce) {
+  const ScenarioRun run =
+      BuildScenarioRun(SmallCoded(), CostModel{}, PaperScale(6000, 600000));
+  // Two networks × two disciplines, each under a slow node, a
+  // shifted-exponential straggler and a fail-stop inside the Shuffle
+  // (whose cells bypass the memo), with and without speculation.
+  std::vector<Scenario> cells;
+  for (const Topology& topology :
+       {Topology::SingleRack(6), Topology::Oversubscribed(6, 2, 4.0)}) {
+    for (const Discipline d :
+         {Discipline::kSerial, Discipline::kParallelFullDuplex}) {
+      Scenario base = DegenerateScenario(6, d, ReplayOrder::kPerSender);
+      base.topology = topology;
+      const ScenarioOutcome plain = ReplayScenario(run, base);
+      const auto shuffle = std::find_if(
+          plain.spans.begin(), plain.spans.end(),
+          [](const StageSpan& s) { return s.name == stage::kShuffle; });
+      ASSERT_NE(shuffle, plain.spans.end());
+      StragglerModel slow;
+      slow.kind = StragglerKind::kSlowNode;
+      slow.node = 1;
+      slow.slowdown = 3.0;
+      StragglerModel shifted_exp;
+      shifted_exp.kind = StragglerKind::kShiftedExp;
+      shifted_exp.seed = 7;
+      StragglerModel fail_stop;
+      fail_stop.kind = StragglerKind::kFailStop;
+      fail_stop.node = 1;
+      fail_stop.fail_at = shuffle->start + 0.25 * shuffle->seconds();
+      fail_stop.recovery = 0.25 * shuffle->seconds();
+      for (const StragglerModel& straggler : {slow, shifted_exp, fail_stop}) {
+        for (const mitigate::MitigationPolicy& policy :
+             {mitigate::MitigationPolicy::None(),
+              mitigate::MitigationPolicy::Speculative()}) {
+          Scenario s = base;
+          s.cluster.straggler = straggler;
+          s.mitigation = policy;
+          cells.push_back(s);
+        }
+      }
+    }
+  }
+  std::vector<std::vector<std::uint64_t>> bare;
+  for (const Scenario& s : cells) {
+    bare.push_back(OutcomeBits(ReplayScenario(run, s)));
+  }
+
+  auto& registry = obs::MetricRegistry::Global();
+  const auto counters = [&registry] {
+    std::map<std::string, std::uint64_t> values;
+    for (const char* name :
+         {"simscen/flows_started", "simscen/flows_requeued",
+          "simscen/maxmin_recomputations", "simscen/network_memo_hits"}) {
+      values[name] = registry.counter(name).value();
+    }
+    return values;
+  };
+  const auto delta = [](std::map<std::string, std::uint64_t> after,
+                        const std::map<std::string, std::uint64_t>& before) {
+    for (auto& [name, value] : after) value -= before.at(name);
+    return after;
+  };
+  constexpr int kThreads = 4;
+
+  // The reference: one thread replays every thread's cells.
+  NetworkMemo serial_memo;
+  const auto serial_before = counters();
+  for (int t = 0; t < kThreads; ++t) {
+    for (const Scenario& s : cells) {
+      (void)ReplayScenario(run, s, nullptr, &serial_memo);
+    }
+  }
+  const auto serial = delta(counters(), serial_before);
+  ASSERT_GT(serial.at("simscen/network_memo_hits"), 0u);
+  ASSERT_GT(serial.at("simscen/flows_requeued"), 0u);
+
+  NetworkMemo memo;
+  std::vector<std::vector<std::vector<std::uint64_t>>> outcomes(kThreads);
+  const auto before = counters();
+  {
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        for (const Scenario& s : cells) {
+          outcomes[static_cast<std::size_t>(t)].push_back(
+              OutcomeBits(ReplayScenario(run, s, nullptr, &memo)));
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+  }
+  EXPECT_EQ(delta(counters(), before), serial);
+  EXPECT_EQ(memo.entries.size(), 4u);
+  EXPECT_EQ(memo.entries.size(), serial_memo.entries.size());
+  for (const auto& got : outcomes) EXPECT_EQ(got, bare);
 }
 
 // ---- Ordering-hook seam ----
