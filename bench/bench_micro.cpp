@@ -7,7 +7,9 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
+#include <string>
 #include <thread>
 
 #include "coding/codec.h"
@@ -19,6 +21,7 @@
 #include "keyvalue/partitioner.h"
 #include "keyvalue/recordio.h"
 #include "keyvalue/teragen.h"
+#include "keyvalue/teragen_kernels.h"
 #include "mitigate/policy.h"
 #include "simmpi/comm.h"
 #include "simmpi/world.h"
@@ -27,6 +30,19 @@
 
 namespace cts {
 namespace {
+
+// The generator benchmarks that run TeraGen's selected kernel carry
+// its name ("BM_TeraGenInto/wide/100000"), so a trend gate comparing
+// an AVX-512 host's run with a scalar host's sees two series, not a
+// regression.
+benchmark::internal::Benchmark* RegisterPerKernel(
+    const char* name, void (*fn)(benchmark::State&)) {
+  const char* kernel =
+      teragen_internal::WideKernelMissingFeature() == nullptr ? "wide"
+                                                              : "scalar";
+  const std::string full = std::string(name) + "/" + kernel;
+  return benchmark::RegisterBenchmark(full.c_str(), fn);
+}
 
 void BM_TeraGen(benchmark::State& state) {
   const TeraGen gen(42);
@@ -37,7 +53,8 @@ void BM_TeraGen(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n * kRecordBytes));
 }
-BENCHMARK(BM_TeraGen)->Arg(1000)->Arg(100000);
+[[maybe_unused]] const auto* const kTeraGen =
+    RegisterPerKernel("BM_TeraGen", BM_TeraGen)->Arg(1000)->Arg(100000);
 
 // The in-place writer both Maps generate with: n records straight
 // into one packed buffer, as into an intermediate value's slots.
@@ -56,10 +73,11 @@ void BM_TeraGenInto(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n * kRecordBytes));
 }
-BENCHMARK(BM_TeraGenInto)->Arg(100000);
+[[maybe_unused]] const auto* const kTeraGenInto =
+    RegisterPerKernel("BM_TeraGenInto", BM_TeraGenInto)->Arg(100000);
 
 // Key-only generation: what the synthesizer and the sampled
-// partitioners pay per record.
+// partitioners pay per record. Always the scalar key().
 void BM_TeraGenKey(benchmark::State& state) {
   const TeraGen gen(42);
   const auto n = static_cast<std::uint64_t>(state.range(0));
@@ -72,6 +90,27 @@ void BM_TeraGenKey(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_TeraGenKey)->Arg(100000);
+
+// The Maps' batched key pass: n keys through keys_into in the same
+// 256-key stack chunks as PartitionRecords.
+void BM_TeraGenKeys(benchmark::State& state) {
+  const TeraGen gen(42);
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  std::array<Key, 256> keys{};
+  for (auto _ : state) {
+    for (std::uint64_t i = 0; i < n; i += keys.size()) {
+      const std::span<Key> chunk =
+          std::span(keys).first(std::min<std::uint64_t>(keys.size(), n - i));
+      gen.keys_into(i, chunk);
+      benchmark::DoNotOptimize(keys.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+[[maybe_unused]] const auto* const kTeraGenKeys =
+    RegisterPerKernel("BM_TeraGenKeys", BM_TeraGenKeys)->Arg(100000);
 
 void BM_HashPartition(benchmark::State& state) {
   const TeraGen gen(42);

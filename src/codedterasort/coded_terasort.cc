@@ -68,13 +68,13 @@ void CodedTeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
     for (const FileId f : files) n += ranges.count[static_cast<std::size_t>(f)];
     std::vector<PartitionId> dest(n);
     std::vector<std::size_t> counts(files.size() * k, 0);
-    PartitionId* to = dest.data();
+    std::size_t at = 0;
     for (std::size_t i = 0; i < files.size(); ++i) {
       const auto fi = static_cast<std::size_t>(files[i]);
-      for (std::uint64_t j = 0; j < ranges.count[fi]; ++j, ++to) {
-        *to = partitioner->partition(gen.key(ranges.offset[fi] + j));
-        ++counts[i * k + static_cast<std::size_t>(*to)];
-      }
+      PartitionRecords(gen, *partitioner, ranges.offset[fi],
+                       std::span(dest).subspan(at, ranges.count[fi]),
+                       std::span(counts).subspan(i * k, k));
+      at += ranges.count[fi];
     }
     std::size_t own = 0;
     for (std::size_t i = 0; i < files.size(); ++i) own += counts[i * k + me];

@@ -1,6 +1,7 @@
 #include "driver/partition_util.h"
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
 #include "common/check.h"
@@ -35,6 +36,23 @@ std::unique_ptr<Partitioner> MakePartitioner(const SortConfig& config) {
   }
   CTS_CHECK_MSG(false, "unknown partitioner kind");
   return nullptr;
+}
+
+void PartitionRecords(const TeraGen& gen, const Partitioner& partitioner,
+                      std::uint64_t first, std::span<PartitionId> dest,
+                      std::span<std::size_t> counts) {
+  constexpr std::size_t kChunk = 256;
+  std::array<Key, kChunk> keys{};
+  for (std::size_t i = 0; i < dest.size(); i += kChunk) {
+    const std::span<Key> chunk =
+        std::span(keys).first(std::min(kChunk, dest.size() - i));
+    gen.keys_into(first + i, chunk);
+    for (std::size_t j = 0; j < chunk.size(); ++j) {
+      const PartitionId p = partitioner.partition(chunk[j]);
+      dest[i + j] = p;
+      ++counts[static_cast<std::size_t>(p)];
+    }
+  }
 }
 
 }  // namespace cts

@@ -199,6 +199,14 @@ RunCache::Resolved RunCache::Resolve(const JobSpec& spec) {
     return in;
   }
 
+  // The sampled partitioner derives its splitters from the sample.
+  if (spec.config.partitioner == PartitionerKind::kSampled &&
+      spec.config.sample_size == 0) {
+    in.error = "a sampled partitioner needs at least one sampled key "
+               "(sample_size = 0)";
+    return in;
+  }
+
   // kPriced/kSimulated are the closed-form backends; they have no way
   // to honor a scenario, and silently ignoring one would label an
   // unmitigated run as a scenario cell. Price scenarios with kReplay.

@@ -10,9 +10,25 @@
 //
 // Additional distributions exercise the partitioners and the sort under
 // skew (used by tests and ablation benches, not by the paper's tables).
+//
+// Record i comes from 64-bit hash lanes h(seed, i, lane) =
+// Mix64(seed ^ Mix64(i * golden + lane)): lane 0 is the key prefix's
+// hash (uniform, skewed and few-distinct keys; the other distributions
+// derive the prefix from i alone), lane 1 the 2-byte key suffix, and
+// lanes 3..13 the value's printable filler (value words 1..10 and the
+// 2-byte tail word; word 0 is the row id).
+//
+// Two kernels compute those lanes. The scalar one hashes one lane at a
+// time, runs everywhere and is the tests' reference. The wide one
+// hashes eight lanes per AVX-512 vector (two vectors per record, eight
+// keys per vector in keys_into) and writes identical bytes. Which one
+// runs is decided once per process from the CPU: wide on x86-64 hosts
+// with AVX-512 F, DQ, BW and VL, scalar everywhere else. Nothing else
+// selects it.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/random.h"
@@ -51,6 +67,11 @@ class TeraGen {
   // record(index).key without generating the 90-byte value, for
   // callers that only partition or sample keys.
   Key key(std::uint64_t index) const;
+
+  // key(first + i) into keys[i] for every i; indices wrap past
+  // 2^64 - 1. The wide kernel hashes eight consecutive keys per vector,
+  // so a Map's key pass reads its keys through this in chunks.
+  void keys_into(std::uint64_t first, std::span<Key> keys) const;
 
   // Records [start, start+count).
   std::vector<Record> generate(std::uint64_t start,

@@ -56,10 +56,7 @@ void TeraSortNode(simmpi::Comm& comm, RunRecorder& recorder,
     const auto n = static_cast<std::size_t>(my_range.count);
     std::vector<PartitionId> dest(n);
     std::vector<std::size_t> counts(static_cast<std::size_t>(K), 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      dest[i] = partitioner->partition(gen.key(my_range.offset + i));
-      ++counts[static_cast<std::size_t>(dest[i])];
-    }
+    PartitionRecords(gen, *partitioner, my_range.offset, dest, counts);
     std::vector<std::uint8_t*> slot(static_cast<std::size_t>(K), nullptr);
     std::vector<std::uint8_t*> slot_end(static_cast<std::size_t>(K), nullptr);
     for (int j = 0; j < K; ++j) {

@@ -252,6 +252,27 @@ TEST(Job, RunJobRejectsOutOfRangeShapes) {
     }
   }
 
+  // Nor can a sampled partitioner split the key domain on an empty
+  // sample.
+  for (const Backend backend : {Backend::kLive, Backend::kPriced,
+                                Backend::kReplay, Backend::kSimulated}) {
+    for (const char* algorithm : {"terasort", "coded"}) {
+      SCOPED_TRACE(std::string(BackendName(backend)) + " " + algorithm);
+      RunCache cache;
+      JobSpec spec;
+      spec.algorithm = algorithm;
+      spec.config = SmallConfig(2);
+      spec.config.partitioner = PartitionerKind::kSampled;
+      spec.config.sample_size = 0;
+      spec.backend = backend;
+      const JobResult result = RunJob(spec, cache);
+      EXPECT_NE(result.error.find("sample_size = 0"), std::string::npos)
+          << result.error;
+      EXPECT_EQ(result.execution, nullptr);
+      EXPECT_EQ(cache.executions(), 0);
+    }
+  }
+
   JobSpec spec;
   spec.algorithm = "coded";
   spec.config = SmallConfig(3);

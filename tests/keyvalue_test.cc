@@ -9,6 +9,7 @@
 #include <cstring>
 #include <map>
 #include <new>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -17,6 +18,7 @@
 #include "keyvalue/record.h"
 #include "keyvalue/recordio.h"
 #include "keyvalue/teragen.h"
+#include "keyvalue/teragen_kernels.h"
 #include "keyvalue/teravalidate.h"
 
 namespace cts {
@@ -214,6 +216,80 @@ TEST(TeraGen, RecordIntoMatchesRecord) {
       for (std::size_t b = 0; b < out.size(); ++b) {
         if (b < offset || b >= offset + kRecordBytes) {
           ASSERT_EQ(out[b], kGuard) << "index " << i << " byte " << b;
+        }
+      }
+    }
+  }
+}
+
+// The wide record kernel writes the scalar kernel's bytes, and only
+// them: every distribution, edge and random seeds and indices, and
+// destinations at every offset within a cache line, guarded on both
+// sides.
+TEST(TeraGen, WideKernelMatchesScalar) {
+  if (const char* missing = teragen_internal::WideKernelMissingFeature()) {
+    GTEST_SKIP() << "wide kernel not covered: this CPU lacks " << missing
+                 << "; record_into runs the scalar kernel";
+  }
+  std::vector<std::uint64_t> indices = {
+      0,
+      1,
+      (std::uint64_t{1} << 32) - 1,
+      std::uint64_t{1} << 32,
+      std::uint64_t{1} << 63,
+      ~std::uint64_t{0} - 1,
+      ~std::uint64_t{0},
+  };
+  Xoshiro256 rng(37);
+  while (indices.size() < 7 + 10000) indices.push_back(rng());
+  constexpr std::uint8_t kGuard = 0xa5;
+  std::size_t written = 0;
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{2017},
+        ~std::uint64_t{0}}) {
+    for (const KeyDistribution dist : kAllDistributions) {
+      SCOPED_TRACE(static_cast<int>(dist));
+      const TeraGen gen(seed, dist);
+      for (const std::uint64_t i : indices) {
+        const std::size_t offset = 1 + written++ % 64;
+        alignas(64) std::array<std::uint8_t, kRecordBytes + 80> wide{};
+        alignas(64) std::array<std::uint8_t, kRecordBytes + 80> scalar{};
+        wide.fill(kGuard);
+        scalar.fill(kGuard);
+        teragen_internal::RecordIntoWide(gen, i, wide.data() + offset);
+        teragen_internal::RecordIntoScalar(gen, i, scalar.data() + offset);
+        ASSERT_EQ(wide, scalar) << "seed " << seed << " index " << i;
+        for (std::size_t b = 0; b < wide.size(); ++b) {
+          if (b < offset || b >= offset + kRecordBytes) {
+            ASSERT_EQ(wide[b], kGuard) << "index " << i << " byte " << b;
+          }
+        }
+      }
+    }
+  }
+}
+
+// keys_into is key() over a span of consecutive indices, whatever the
+// span's length against the eight-key vector, including indices that
+// wrap past 2^64 - 1, and writes nothing outside the span.
+TEST(TeraGen, KeysIntoMatchesKey) {
+  const Key sentinel = MakeKey(0x5a5a5a5a5a5a5a5aULL, 0x5a5a);
+  for (const KeyDistribution dist : kAllDistributions) {
+    SCOPED_TRACE(static_cast<int>(dist));
+    for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{2017}}) {
+      const TeraGen gen(seed, dist);
+      for (const std::size_t n : {0, 1, 7, 8, 9, 256, 263}) {
+        for (const std::uint64_t first :
+             {std::uint64_t{0}, std::uint64_t{12345}, ~std::uint64_t{0} - 3}) {
+          std::vector<Key> keys(n + 2, sentinel);
+          gen.keys_into(first, std::span(keys).subspan(1, n));
+          EXPECT_EQ(keys.front(), sentinel);
+          EXPECT_EQ(keys.back(), sentinel);
+          for (std::size_t j = 0; j < n; ++j) {
+            ASSERT_EQ(keys[1 + j], gen.key(first + j))
+                << "seed " << seed << " n " << n << " first " << first
+                << " j " << j;
+          }
         }
       }
     }

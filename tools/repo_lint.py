@@ -67,6 +67,13 @@ break that promise. Rules:
              src/driver/cluster.cc: CreateGroups (driver/cluster.h)
              is CodeGen for every coded engine, so no engine keeps a
              group-creation loop of its own.
+  isa        ISA selection in src/, tools/ or examples/ outside
+             src/keyvalue/teragen.cc: a target or target_clones
+             attribute, __builtin_cpu_supports/__builtin_cpu_init,
+             `#pragma GCC target`, <immintrin.h> or <x86intrin.h>.
+             TeraGen's record kernels are the one place the code picks
+             an instruction set from the CPU, so every other module
+             builds and behaves the same on every x86-64 host.
 
 Any rule is suppressed for a line by `repo-lint: allow(<rule>)` on the
 line itself or within the two lines above it.
@@ -114,6 +121,11 @@ CODECFRONT_RE = re.compile(
 CODECFRONT_HOME = "src/coding/"
 CODEGEN_RE = re.compile(r"(?:\.|->)\s*create_groups\s*\(")
 CODEGEN_HOMES = ("src/simmpi/", "src/driver/cluster.cc")
+ISA_RE = re.compile(
+    r"__attribute__\s*\(\(\s*target\s*\(|\bgnu::target\s*\("
+    r"|\btarget_clones\b|\b__builtin_cpu_(?:supports|init)\b"
+    r"|#\s*pragma\s+GCC\s+target\b|<(?:immintrin|x86intrin)\.h>")
+ISA_HOME = "src/keyvalue/teragen.cc"
 
 
 def allowed(lines, i, rule):
@@ -136,6 +148,7 @@ def lint_lines(relpath, lines):
     malloc_scope = in_src or path.startswith(("tools/", "examples/"))
     codecfront_scope = in_src and not path.startswith(CODECFRONT_HOME)
     codegen_scope = in_src and not path.startswith(CODEGEN_HOMES)
+    isa_scope = malloc_scope and path != ISA_HOME
     for i, line in enumerate(lines):
         # Comments still count for key rules (they would be copied),
         # but pure comment lines are a poor place to flag rand: strip
@@ -192,6 +205,12 @@ def lint_lines(relpath, lines):
                    "group creation outside src/simmpi/ and "
                    "src/driver/cluster.cc; call CreateGroups "
                    "(driver/cluster.h) with the job's CodeGenMode")
+        if isa_scope and ISA_RE.search(line) \
+                and not allowed(lines, i, "isa"):
+            yield (i + 1, "isa",
+                   "instruction-set selection outside %s; TeraGen's "
+                   "record kernels are the one CPU-dispatched code"
+                   % ISA_HOME)
         for m in ADD_KEY_RE.finditer(line):
             key = m.group(1)
             if (not KEY_OK_RE.fullmatch(key) or key in RESERVED_KEYS) \
@@ -329,6 +348,17 @@ def self_test():
                  "mine.merge(comm.create_groups({g}));", ["codegen"])
     ok &= expect("codegen-driver-ok", "src/driver/cluster.cc",
                  "if (batched) return comm.create_groups(groups);", [])
+    ok &= expect("isa-target", "src/coding/x.cc",
+                 '__attribute__((target("avx2"))) void Xor(u8* a);',
+                 ["isa"])
+    ok &= expect("isa-intrinsics", "tools/x.cpp",
+                 "#include <immintrin.h>", ["isa"])
+    ok &= expect("isa-pragma", "examples/x.cpp",
+                 "#pragma GCC target(\"avx512f\")", ["isa"])
+    ok &= expect("isa-teragen-ok", "src/keyvalue/teragen.cc",
+                 "__builtin_cpu_init();\n"
+                 'if (!__builtin_cpu_supports("avx512f")) return "avx512f";',
+                 [])
     ok &= expect("malloc", "src/x.cc",
                  "mallopt(M_TRIM_THRESHOLD, 1 << 30);", ["malloc"])
     ok &= expect("malloc-operator-new", "tools/x.cpp",
