@@ -26,9 +26,8 @@
 // ever observes another's writes. An owned buffer never allocates or
 // copies for the shared case.
 //
-// BufferArena, at the end of this file, is kept only for ctbench's
-// transport pass and the simmpi/arena_hits and simmpi/arena_misses
-// counters it reports; no Buffer's storage comes from it.
+// BufferArena, at the end of this file, is an empty shim kept only
+// because ctbench's transport pass still calls it.
 #pragma once
 
 #include <algorithm>
@@ -295,57 +294,18 @@ class Buffer {
   std::size_t cursor_ = 0;
 };
 
-// Thread-local free list of payload byte vectors, kept for ctbench's
-// transport pass and its counters. Every copying send (Comm's span and
-// const Buffer& send/isend) makes one acquire, which counts a hit or a
-// miss (simmpi/arena_hits, simmpi/arena_misses); the copy itself lives
-// in the Buffer's own storage. Only a consumer that hands a vector
-// back with release() makes later acquires hit: ctbench's transport
-// pass does, nothing in src/ does. The pool is per-thread and
-// lock-free.
+// An empty shim: release() drops what it is handed. Nothing in the
+// library pools or counts through it; only ctbench's transport pass
+// (bench/ctbench/layers.cc) still calls it. The next change to
+// bench/ctbench deletes those calls and this class.
 class BufferArena {
  public:
-  // The calling thread's arena.
   static BufferArena& Local() {
-    thread_local BufferArena arena;
+    static BufferArena arena;
     return arena;
   }
 
-  // An empty vector with capacity >= capacity_hint, reusing a pooled
-  // backing store when one is available.
-  std::vector<std::uint8_t> acquire(std::size_t capacity_hint) {
-    std::vector<std::uint8_t> v;
-    if (!pool_.empty()) {
-      v = std::move(pool_.back());
-      pool_.pop_back();
-      v.clear();
-      ++hits_;
-    } else {
-      ++misses_;
-    }
-    v.reserve(capacity_hint);
-    return v;
-  }
-
-  // Returns a backing store to the pool. Bounded in count and per-entry
-  // capacity so a burst of jumbo payloads cannot pin memory forever.
-  void release(std::vector<std::uint8_t> bytes) {
-    if (pool_.size() >= kMaxPooled || bytes.capacity() > kMaxPooledCapacity) {
-      return;  // drop: freed by the vector destructor
-    }
-    pool_.push_back(std::move(bytes));
-  }
-
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-
- private:
-  static constexpr std::size_t kMaxPooled = 256;
-  static constexpr std::size_t kMaxPooledCapacity = std::size_t{8} << 20;
-
-  std::vector<std::vector<std::uint8_t>> pool_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
+  void release(std::vector<std::uint8_t> /*bytes*/) {}
 };
 
 }  // namespace cts

@@ -4,25 +4,12 @@
 #include <thread>
 #include <utility>
 
-#include "common/buffer.h"
 #include "keyvalue/recordio.h"
 #include "obs/metrics.h"
 
 namespace cts {
 
 namespace {
-
-// Node threads are spawned fresh per run, so each thread-local arena's
-// counters cover exactly this run; they are drained into the registry
-// just before the thread exits (the arena dies with it).
-void PublishArenaMetrics() {
-  auto& registry = obs::MetricRegistry::Global();
-  static obs::Counter& hits = registry.counter("simmpi/arena_hits");
-  static obs::Counter& misses = registry.counter("simmpi/arena_misses");
-  const BufferArena& arena = BufferArena::Local();
-  hits.add(arena.hits());
-  misses.add(arena.misses());
-}
 
 // Pull-at-end publication of the transport's per-stage counters: one
 // registry write per (stage, counter) after the run, nothing on the
@@ -71,7 +58,6 @@ void RunOnCluster(simmpi::World& world, RunRecorder& recorder,
         errors[n] = std::current_exception();
         world.abort();
       }
-      PublishArenaMetrics();
     });
   }
   for (auto& t : threads) t.join();

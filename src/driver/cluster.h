@@ -8,12 +8,9 @@
 // only communicate through simmpi.
 #pragma once
 
-#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <map>
-#include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,75 +24,65 @@
 
 namespace cts {
 
-// Thread-safe collection of per-node results during a run.
+// Per-node results of a run. Node k writes only slot k of each vector
+// (its stage events, partition and work), so nothing is locked; the
+// slots are read after the node threads join.
 class RunRecorder {
  public:
   explicit RunRecorder(int num_nodes)
-      : partitions_(static_cast<std::size_t>(num_nodes)),
+      : events_(static_cast<std::size_t>(num_nodes)),
+        partitions_(static_cast<std::size_t>(num_nodes)),
         work_(static_cast<std::size_t>(num_nodes)) {}
 
-  // Records one stage boundary on one node ([start, end) on the node's
-  // local run clock). The first node to enter a stage also fixes the
-  // stage's position in stage_order() — stages are barrier-delimited,
-  // so every node sees the same sequence.
+  // Appends one stage boundary to `node`'s slot ([start, end) on the
+  // node's local run clock), in the order the node runs its stages.
   void record_event(const std::string& stage, NodeId node, double start,
                     double end) {
-    std::lock_guard lock(mu_);
-    if (seen_stages_.insert(stage).second) stage_order_.push_back(stage);
-    events_.push_back(ComputeEvent{stage, node, start, end});
+    events_[static_cast<std::size_t>(node)].push_back(
+        ComputeEvent{stage, node, start, end});
   }
 
-  // Stage names in first-execution order.
+  // Stage names in execution order: node 0's sequence. Stages are
+  // barrier-delimited, so every node runs the same one.
   std::vector<std::string> stage_order() const {
-    std::lock_guard lock(mu_);
-    return stage_order_;
+    std::vector<std::string> order;
+    for (const ComputeEvent& e : events_.front()) order.push_back(e.stage);
+    return order;
   }
 
-  // All recorded events, ordered by (node, start).
+  // All recorded events, ordered by (node, start): the slots in node
+  // order.
   ComputeLog compute_events() const {
-    std::lock_guard lock(mu_);
-    ComputeLog log = events_;
-    std::sort(log.begin(), log.end(),
-              [](const ComputeEvent& a, const ComputeEvent& b) {
-                return a.node != b.node ? a.node < b.node
-                                        : a.start_seconds < b.start_seconds;
-              });
+    ComputeLog log;
+    for (const ComputeLog& node : events_) {
+      log.insert(log.end(), node.begin(), node.end());
+    }
     return log;
   }
 
   void set_partition(NodeId node, std::vector<Record> records) {
-    std::lock_guard lock(mu_);
     partitions_[static_cast<std::size_t>(node)] = std::move(records);
   }
 
   void set_work(NodeId node, const NodeWork& work) {
-    std::lock_guard lock(mu_);
     work_[static_cast<std::size_t>(node)] = work;
   }
 
   // Max-over-nodes wall seconds per stage, folded from the events.
   std::map<std::string, double> wall_max() const {
-    std::lock_guard lock(mu_);
-    return StageWalls(events_);
+    return StageWalls(compute_events());
   }
 
   std::vector<std::vector<Record>> take_partitions() {
-    std::lock_guard lock(mu_);
     return std::move(partitions_);
   }
 
-  std::vector<NodeWork> work() const {
-    std::lock_guard lock(mu_);
-    return work_;
-  }
+  std::vector<NodeWork> work() const { return work_; }
 
  private:
-  mutable std::mutex mu_;
+  std::vector<ComputeLog> events_;
   std::vector<std::vector<Record>> partitions_;
   std::vector<NodeWork> work_;
-  std::set<std::string> seen_stages_;
-  std::vector<std::string> stage_order_;
-  ComputeLog events_;
 };
 
 // Runs `program(comm, recorder)` on one thread per node of a fresh
@@ -135,38 +122,13 @@ AlgorithmResult CollectSortResult(const SortConfig& config,
                                   simmpi::World& world,
                                   RunRecorder& recorder);
 
-// Scoped timer for one stage body on one node: on destruction it
-// records the stage's ComputeEvent, from which RunRecorder::wall_max
-// also derives the stage's wall time, so the scenario engine's events
-// and the tables' walls cannot disagree.
-class StageTimer {
- public:
-  // `run_clock_start` anchors the event on the node's local run clock
-  // (seconds since the node program started its StageRunner).
-  StageTimer(RunRecorder& recorder, std::string stage, NodeId node,
-             double run_clock_start)
-      : recorder_(recorder), stage_(std::move(stage)), node_(node),
-        start_(run_clock_start) {}
-
-  StageTimer(const StageTimer&) = delete;
-  StageTimer& operator=(const StageTimer&) = delete;
-
-  ~StageTimer() {
-    recorder_.record_event(stage_, node_, start_, start_ + watch_.elapsed());
-  }
-
- private:
-  RunRecorder& recorder_;
-  std::string stage_;
-  NodeId node_;
-  double start_;
-  Stopwatch watch_;
-};
-
-// Stage sequencing helper used inside node programs. Stages execute
-// under a barrier-delimited protocol: everyone finishes the previous
-// stage, rank 0 labels the traffic stats, everyone starts — matching
-// the paper's synchronous stage-after-stage execution.
+// Stage sequencing helper used inside node programs, matching the
+// paper's synchronous stage-after-stage execution: one barrier opens
+// each stage (every node finished the previous one), then each node
+// labels its own traffic with the stage, runs the body and records
+// the body's ComputeEvent, from which RunRecorder::wall_max also
+// derives the stage's wall time, so the scenario engine's events and
+// the tables' walls cannot disagree.
 class StageRunner {
  public:
   // `injected_delays` (optional, borrowed) is the live fault-injection
@@ -181,13 +143,13 @@ class StageRunner {
 
   template <typename Fn>
   void run(const std::string& name, Fn&& body) {
-    comm_.barrier();  // previous stage fully drained
-    if (comm_.rank() == 0) comm_.world().stats().set_stage(name);
-    comm_.barrier();  // label visible before any traffic
-    const StageTimer timer(recorder_, name, comm_.my_global(),
-                           run_clock_.elapsed());
+    const NodeId self = comm_.my_global();
+    comm_.barrier();
+    comm_.world().stats().set_stage(self, name);
+    const double start = run_clock_.elapsed();
     body();
-    inject_delay(name);  // inside the timer scope: the sleep is measured
+    inject_delay(name);  // before the end stamp: the sleep is measured
+    recorder_.record_event(name, self, start, run_clock_.elapsed());
   }
 
  private:

@@ -199,15 +199,6 @@ struct AlgorithmResult {
   // Per-node stage boundaries at executed scale (see ComputeEvent).
   ComputeLog compute_events;
 
-  // Registry deltas attributed to this execution: for every metric the
-  // run touched, Snapshot-after minus Snapshot-before, captured by
-  // RunCache::Execute around the thread harness. Values that are
-  // timing-dependent in the live process (arena hit counts) are
-  // *frozen* here, so every consumer replaying this cached result —
-  // timelines, ledger entries, priced cells — sees the same numbers
-  // bit for bit.
-  std::map<std::string, double> run_metrics;
-
   std::uint64_t total_output_records() const {
     std::uint64_t n = 0;
     for (const auto& p : partitions) n += p.size();

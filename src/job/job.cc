@@ -1,5 +1,7 @@
 #include "job/job.h"
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <utility>
 
@@ -18,6 +20,53 @@ std::string ExactDouble(double v) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%a", v);
   return buf;
+}
+
+// Why the spec's injected delays cannot be honoured before anything
+// executes, or "" when they can. A delay on no node, of a length
+// sleep_for cannot take (it converts to nanoseconds), or on a backend
+// that runs nothing would leave the run unperturbed while it is
+// reported as a straggler experiment.
+std::string DelayError(const JobSpec& spec) {
+  if (spec.config.injected_delays.empty()) return "";
+  if (spec.backend == Backend::kSimulated) {
+    return "Backend::kSimulated executes nothing, so it cannot inject a delay";
+  }
+  const int K = spec.config.num_nodes;
+  const double max_seconds =
+      std::chrono::duration<double>(std::chrono::nanoseconds::max()).count();
+  for (const InjectedDelay& d : spec.config.injected_delays) {
+    if (d.node < 0 || d.node >= K) {
+      return "injected delay node " + std::to_string(d.node) +
+             " out of range for " + std::to_string(K) + " nodes";
+    }
+    if (!(d.seconds >= 0 && d.seconds < max_seconds)) {
+      char seconds[32];
+      std::snprintf(seconds, sizeof(seconds), "%g", d.seconds);
+      return std::string("injected delay of ") + seconds +
+             " s: need a finite delay >= 0 and below " +
+             std::to_string(static_cast<long long>(max_seconds)) + " s";
+    }
+  }
+  return "";
+}
+
+// Why a delay names a stage the executed run does not have, or "".
+std::string DelayStageError(const SortConfig& config,
+                            const AlgorithmResult& run) {
+  const std::vector<std::string>& stages = run.stage_order;
+  for (const InjectedDelay& d : config.injected_delays) {
+    if (std::find(stages.begin(), stages.end(), d.stage) != stages.end()) {
+      continue;
+    }
+    std::string names;
+    for (const std::string& name : stages) {
+      names += (names.empty() ? "" : ", ") + name;
+    }
+    return "injected delay stage '" + d.stage + "' is not a stage of " +
+           run.algorithm + " (" + names + ")";
+  }
+  return "";
 }
 
 const AlgorithmInfo& FindOrDie(const std::string& name) {
@@ -104,28 +153,15 @@ std::string RunCache::Key(const std::string& algorithm,
 RunCache::Entry& RunCache::Fetch(const std::string& key,
                                  const std::string& algorithm,
                                  const SortConfig& config, bool count_hit) {
-  auto& registry = obs::MetricRegistry::Global();
   if (const auto it = entries_.find(key); it != entries_.end()) {
     if (count_hit) CountHits(1);
     return it->second;
   }
   const AlgorithmInfo& info = FindOrDie(algorithm);
   ++executions_;
-  registry.counter("job/cache_misses").add();
-  // Freeze this execution's registry deltas into the cached result.
-  // Some of them (arena hits) depend on thread interleaving, so the
-  // only reproducible view is the one captured here: every later
-  // consumer of the cached run reads run_metrics, never the live
-  // registry.
-  const std::map<std::string, double> before = registry.Snapshot();
-  auto run = std::make_shared<AlgorithmResult>(info.run(config));
-  for (const auto& [name, value] : registry.Snapshot()) {
-    const auto it = before.find(name);
-    const double delta = it == before.end() ? value : value - it->second;
-    if (delta != 0) run->run_metrics[name] = delta;
-  }
+  obs::MetricRegistry::Global().counter("job/cache_misses").add();
   Entry& entry = entries_[key];
-  entry.run = std::move(run);
+  entry.run = std::make_shared<AlgorithmResult>(info.run(config));
   return entry;
 }
 
@@ -207,6 +243,9 @@ RunCache::Resolved RunCache::Resolve(const JobSpec& spec) {
     return in;
   }
 
+  in.error = DelayError(spec);
+  if (!in.error.empty()) return in;
+
   // kPriced/kSimulated are the closed-form backends; they have no way
   // to honor a scenario, and silently ignoring one would label an
   // unmitigated run as a scenario cell. Price scenarios with kReplay.
@@ -240,6 +279,9 @@ RunCache::Resolved RunCache::Resolve(const JobSpec& spec) {
   // derived from it.
   Entry& entry = Fetch(Key(spec.algorithm, spec.config), spec.algorithm,
                        spec.config, /*count_hit=*/true);
+  // Which stages a run has is known once it ran.
+  in.error = DelayStageError(spec.config, *entry.run);
+  if (!in.error.empty()) return in;
   in.execution = entry.run;
   if (spec.backend == Backend::kReplay) {
     in.replay = &ScenarioRunOf(entry, spec.config, spec.paper_records,

@@ -101,8 +101,6 @@ struct JobResult {
   // `spec` and `algorithm` is then default-valued.
   std::string error;
   // The measured run (shared with the RunCache when one was used).
-  // Its run_metrics hold the registry deltas of that one execution;
-  // the process-wide obs::MetricRegistry is cumulative across jobs.
   std::shared_ptr<const AlgorithmResult> execution;
   // Per-stage seconds of the requested view.
   StageBreakdown breakdown;

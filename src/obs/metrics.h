@@ -31,8 +31,8 @@
 // per counter, so values add across runs and jobs. The map plugs
 // directly into bench::JsonReport (which embeds it under the
 // artifact's "metrics" key) and the run ledger. The registry is
-// process-wide and cumulative; RunCache freezes each execution's
-// deltas into AlgorithmResult::run_metrics, the per-run view.
+// process-wide and cumulative; a per-job view is the difference of two
+// snapshots taken around the job.
 //
 // Header-only: the registry sits below every subsystem (transport,
 // DES, cache, driver) and needs no translation unit of its own.

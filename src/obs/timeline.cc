@@ -62,22 +62,6 @@ Timeline BuildLiveTimeline(const AlgorithmResult& result) {
     }
   }
 
-  // End-of-run tick: values frozen into the cached result by
-  // RunCache::Execute (run_metrics deltas). Arena hit counts depend on
-  // thread interleaving, so they would *not* be reproducible if read
-  // live; the timeline only ever sees the captured copy.
-  const auto metric = [&](const char* name) -> double {
-    auto it = result.run_metrics.find(name);
-    return it == result.run_metrics.end() ? 0 : it->second;
-  };
-  const double hits = metric("simmpi/arena_hits");
-  const double misses = metric("simmpi/arena_misses");
-  const double end_tick =
-      static_cast<double>(result.stage_order.size());
-  if (hits + misses > 0) {
-    tl.Sample("live/arena_hit_rate", end_tick, hits / (hits + misses));
-  }
-
   return tl;
 }
 

@@ -211,14 +211,12 @@ class Timeline {
 // Live run -> timeline, defined in timeline.cc (needs
 // driver/run_result.h). Ticks are logical — stage index and shuffle
 // round — and every value comes from the run's deterministic
-// counters (traffic, transmission log, run_metrics), so the series
-// are bitwise reproducible across reruns of the same cached
-// execution:
+// counters (traffic, transmission log), so the series are bitwise
+// reproducible across reruns of the same cached execution:
 //   live/stage_bytes/bytes    cumulative transport bytes per stage tick
 //   live/stage_msgs           cumulative transport messages per stage tick
 //   live/shuffle_bytes/bytes  cumulative shuffle bytes per round tick
 //   live/shuffle_round_bytes/bytes  bytes moved in each round
-//   live/arena_hit_rate       arena hits/(hits+misses) at run end
 Timeline BuildLiveTimeline(const AlgorithmResult& result);
 
 }  // namespace cts::obs

@@ -21,14 +21,7 @@ int Comm::rank_of_global(NodeId node) const {
   return static_cast<int>(it - members_->begin());
 }
 
-Buffer Comm::ArenaCopy(std::span<const std::uint8_t> payload) {
-  // One arena acquire per copying send keeps the simmpi/arena_hits and
-  // simmpi/arena_misses counts. A hit needs a consumer that hands a
-  // backing store back (BufferArena::release), which nothing in src/
-  // does; only ctbench's transport pass does. The copy itself lives in
-  // the Buffer's own storage, so the acquire asks for no capacity and
-  // the payload is allocated once.
-  (void)BufferArena::Local().acquire(0);
+Buffer Comm::Copy(std::span<const std::uint8_t> payload) {
   Buffer copy;
   copy.write_bytes(payload);
   return copy;
@@ -145,16 +138,13 @@ void Comm::bcast_put(Buffer& payload) {
 
 void Comm::barrier() {
   if (size() == 1) return;
-  const Buffer token;
   if (rank_ == 0) {
     for (int m = 1; m < size(); ++m) {
       (void)world_->mailbox(my_global()).receive(id_, global(m), kTagBarrier);
     }
-    for (int m = 1; m < size(); ++m) {
-      deliver(m, kTagBarrier, ArenaCopy(token.span()));
-    }
+    for (int m = 1; m < size(); ++m) deliver(m, kTagBarrier, Buffer{});
   } else {
-    deliver(0, kTagBarrier, ArenaCopy(token.span()));
+    deliver(0, kTagBarrier, Buffer{});
     (void)world_->mailbox(my_global()).receive(id_, global(0), kTagBarrier);
   }
 }
@@ -169,7 +159,7 @@ std::map<NodeMask, Comm> Comm::create_groups(
     for (int m = 1; m < size(); ++m) (void)recv(m, kTagGroups);
     reply.write_u32(
         world_->allocate_comm_ids(static_cast<CommId>(groups.size())));
-    world_->stats().record_comm_creation(groups.size());
+    world_->stats().record_comm_creation(my_global(), groups.size());
     for (int m = 1; m < size(); ++m) deliver(m, kTagGroups, reply.Share());
   } else {
     deliver(0, kTagGroups, Buffer{});

@@ -27,14 +27,15 @@
 // synchronization between node threads.
 //
 // Traffic accounting: send() records a unicast and bcast() records a
-// multicast with its fan-out into World::stats() under the current
+// multicast with its fan-out into World::stats() under the sender's
 // stage label. Nonblocking sends account at INITIATION (isend is
 // eager-buffered, so initiation is when the bytes hit the wire) —
 // overlapped and barrier-synchronous schedules therefore measure
 // byte-identical loads. Control-plane traffic (barrier tokens,
 // create_groups' requests and replies) is deliberately NOT accounted —
 // the paper's tables measure shuffle payloads, not MPI control
-// overhead; create_groups records only its comm creations.
+// overhead; create_groups records only its comm creations, under
+// rank 0's label.
 #pragma once
 
 #include <cstdint>
@@ -133,13 +134,13 @@ class Comm {
   // The Buffer&& overloads of send and isend take ownership: the
   // payload itself becomes the receiver's message, with no copy, and
   // the caller's buffer is left empty. The span and const Buffer&
-  // overloads copy the payload into a new buffer (ArenaCopy) and then
-  // take the same path, for callers that keep or reuse their buffer.
+  // overloads copy the payload into a new buffer and then take the
+  // same path, for callers that keep or reuse their buffer.
   // Either way the accounting, the log entry and the captured
   // transport events are the same.
   void send(int dst_rank, Tag tag, Buffer&& payload);
   void send(int dst_rank, Tag tag, std::span<const std::uint8_t> payload) {
-    send(dst_rank, tag, ArenaCopy(payload));
+    send(dst_rank, tag, Copy(payload));
   }
   void send(int dst_rank, Tag tag, const Buffer& payload) {
     send(dst_rank, tag, payload.span());
@@ -157,7 +158,7 @@ class Comm {
   // deadlock.
   Request isend(int dst_rank, Tag tag, Buffer&& payload);
   Request isend(int dst_rank, Tag tag, std::span<const std::uint8_t> payload) {
-    return isend(dst_rank, tag, ArenaCopy(payload));
+    return isend(dst_rank, tag, Copy(payload));
   }
   Request isend(int dst_rank, Tag tag, const Buffer& payload) {
     return isend(dst_rank, tag, payload.span());
@@ -206,7 +207,7 @@ class Comm {
   // Creates one communicator per node mask in `groups`, in one
   // collective round: every rank but 0 asks rank 0 on kTagGroups, and
   // rank 0 reserves one id per mask, records one comm creation per
-  // mask under the current stage label and replies with the first id.
+  // mask under its own stage label and replies with the first id.
   // Every member of this communicator must call with the SAME list;
   // masks are over global node ids and must be members of this comm.
   // Returns the communicators for the groups containing the caller,
@@ -219,9 +220,8 @@ class Comm {
        std::shared_ptr<const std::vector<NodeId>> members, int rank)
       : world_(world), id_(id), members_(std::move(members)), rank_(rank) {}
 
-  // A copy of `payload`, counted as one lookup in the calling thread's
-  // BufferArena (the simmpi/arena_* counters).
-  static Buffer ArenaCopy(std::span<const std::uint8_t> payload);
+  // A new buffer holding a copy of `payload`.
+  static Buffer Copy(std::span<const std::uint8_t> payload);
   // Hands `payload` to rank dst_rank's mailbox (unaccounted).
   void deliver(int dst_rank, Tag tag, Buffer payload);
   Request post_recv(NodeId src, Tag tag);

@@ -5,28 +5,23 @@
 // *would* have crossed the 100 Mbps links: unicast payload bytes and
 // message counts (TeraSort shuffle), multicast payload bytes, message
 // counts and fan-out (CodedTeraSort shuffle), and communicator
-// creations (CodeGen). Stages are barrier-synchronized in both
-// algorithms (the paper executes stages "one after another in a
-// synchronous manner"), so a single global current-stage label is
-// sufficient and race-free between barriers.
+// creations (CodeGen).
 //
-// One mutex guards every stage. A record bumps the current stage's
-// counters and appends its transmission to the stage's log, so the
+// Each node has its own current-stage label, which only that node's
+// StageRunner sets, right after the barrier that opens the stage
+// (driver/cluster.h). A transmission, and a comm creation, is charged
+// to its sender's label. The sender records it from its own thread
+// inside the stage body, so the label it reads is the one it set
+// itself: no relabel can race a record, under the barrier schedules
+// and the overlapped ones alike (nonblocking sends account at
+// initiation, see comm.h).
+//
+// One mutex guards every stage. A record bumps the sender's stage's
+// counters and appends its transmission to that stage's log, so the
 // log meets the simnet contract by construction: within one sender,
 // log order IS program order (a node thread records its sends in
 // sequence). Per-node tx/rx bytes are folded from that log when read,
 // not kept a second time.
-//
-// set_stage contract vs. overlapped shuffles (audited): set_stage must
-// be called only between stage barriers (all nodes quiescent). The
-// ShuffleSync::kOverlapped paths satisfy this because nonblocking sends
-// account at INITIATION (see comm.h) and every initiation happens
-// inside the stage body, i.e. after StageRunner's label barrier and
-// before the next stage's entry barrier — bytes initiated before a
-// relabel are attributed to the initiating stage even if the matching
-// wait() drains after it. The relabel takes the same mutex as a
-// record, so a racing record (a contract violation) would still land
-// intact on one side or the other, never on a torn stage.
 #pragma once
 
 #include <algorithm>
@@ -36,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "common/types.h"
 #include "simnet/transmission_log.h"
 
@@ -91,24 +87,25 @@ struct MulticastEvent {
 // Thread-safe per-stage counter registry (see file comment).
 class TrafficStats {
  public:
-  explicit TrafficStats(int num_nodes = 0)
-      : num_nodes_(num_nodes), current_(&stages_[""]) {}
+  explicit TrafficStats(int num_nodes)
+      : num_nodes_(num_nodes),
+        current_(static_cast<std::size_t>(num_nodes), &stages_[""]) {}
 
   TrafficStats(const TrafficStats&) = delete;
   TrafficStats& operator=(const TrafficStats&) = delete;
 
-  // Sets the label under which subsequent traffic is recorded.
-  // Call only between stage barriers (all nodes quiescent) — see the
-  // overlapped-shuffle audit in the file comment.
-  void set_stage(const std::string& stage) {
+  // Sets the label under which `node`'s subsequent transmissions and
+  // comm creations are recorded. Called by the node's own StageRunner.
+  void set_stage(NodeId node, const std::string& stage) {
     std::lock_guard lock(mu_);
-    current_ = &stages_[stage];
-    current_->named = true;
+    Stage& s = stages_[stage];
+    s.named = true;
+    current_of(node) = &s;
   }
 
   void record_unicast(std::uint64_t bytes, NodeId src, NodeId dst) {
     std::lock_guard lock(mu_);
-    Stage& s = *current_;
+    Stage& s = *current_of(src);
     ++s.counters.unicast_msgs;
     s.counters.unicast_bytes += bytes;
     s.log.push_back({src, {dst}, bytes});
@@ -118,7 +115,7 @@ class TrafficStats {
   void record_multicast(std::uint64_t bytes, NodeId src,
                         const std::vector<NodeId>& recipients) {
     std::lock_guard lock(mu_);
-    AppendMulticast(*current_, bytes, src, recipients);
+    AppendMulticast(*current_of(src), bytes, src, recipients);
   }
 
   // Batched accounting for one sender's multicast round. Equivalent to
@@ -129,13 +126,14 @@ class TrafficStats {
     if (events.empty()) return;
     std::lock_guard lock(mu_);
     for (const MulticastEvent& e : events) {
-      AppendMulticast(*current_, e.bytes, e.src, e.recipients);
+      AppendMulticast(*current_of(e.src), e.bytes, e.src, e.recipients);
     }
   }
 
-  void record_comm_creation(std::uint64_t count = 1) {
+  // `count` communicators created by `node`.
+  void record_comm_creation(NodeId node, std::uint64_t count) {
     std::lock_guard lock(mu_);
-    current_->counters.comm_creations += count;
+    current_of(node)->counters.comm_creations += count;
   }
 
   ChannelCounters stage(const std::string& name) const {
@@ -156,8 +154,8 @@ class TrafficStats {
     std::vector<std::string> names;
     names.reserve(stages_.size());
     for (const auto& [name, s] : stages_) {
-      // The default "" stage exists from construction so the
-      // current-stage pointer is never null; report it only if it was
+      // The default "" stage exists from construction so no node's
+      // current-stage pointer is ever null; report it only if it was
       // explicitly set or actually absorbed traffic.
       if (!s.named && s.empty()) continue;
       names.push_back(name);
@@ -196,14 +194,6 @@ class TrafficStats {
     return it == stages_.end() ? simnet::TransmissionLog{} : it->second.log;
   }
 
-  // Call only while no node thread is recording (same quiescence
-  // requirement as set_stage).
-  void reset() {
-    std::lock_guard lock(mu_);
-    stages_.clear();
-    current_ = &stages_[""];
-  }
-
  private:
   struct Stage {
     bool named = false;  // true once set_stage names this stage
@@ -215,6 +205,12 @@ class TrafficStats {
              counters.mcast_msgs == 0 && counters.comm_creations == 0;
     }
   };
+
+  Stage*& current_of(NodeId node) {
+    CTS_CHECK_GE(node, 0);
+    CTS_CHECK_LT(node, num_nodes_);
+    return current_[static_cast<std::size_t>(node)];
+  }
 
   static void AppendMulticast(Stage& s, std::uint64_t bytes, NodeId src,
                               const std::vector<NodeId>& recipients) {
@@ -232,9 +228,10 @@ class TrafficStats {
   // VM, g++ 12; an overlapped round takes it once per sender).
   // repo-lint: allow(mutex): not a scalability hazard, measured above.
   mutable std::mutex mu_;
-  // std::map nodes are stable, so current_ stays valid until reset().
+  // std::map nodes are stable, so the labels stay valid.
   std::map<std::string, Stage> stages_;
-  Stage* current_;
+  // Each node's current stage, indexed by node id.
+  std::vector<Stage*> current_;
 };
 
 }  // namespace cts::simmpi

@@ -172,7 +172,7 @@ TEST(AsyncComm, SelfSendCompletes) {
 // measurements; remote isends account at initiation.
 TEST(AsyncComm, TrafficAccountedAtInitiationAndNotForLoopback) {
   World world(2);
-  world.stats().set_stage("Shuffle");
+  world.stats().set_stage(0, "Shuffle");  // node 0 is the only sender
   Comm c = Comm::World(world, 0);
   Buffer big;
   big.resize(500);

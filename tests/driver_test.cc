@@ -8,6 +8,7 @@
 #include <future>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/block_cache.h"
 #include "common/check.h"
@@ -102,6 +103,41 @@ TEST(Cluster, StageRunnerLabelsTrafficPerStage) {
   });
   EXPECT_EQ(world.stats().stage("first").unicast_msgs, 1u);
   EXPECT_EQ(world.stats().stage("second").unicast_msgs, 2u);
+}
+
+// A stage is one barrier: K = 4 nodes running three empty stages send
+// 2(K - 1) barrier tokens per stage and nothing else. Each node's
+// events sit in its own slot, so the recorder lists them by node, in
+// the order the node ran its stages, and the stage order is node 0's.
+TEST(Cluster, OneBarrierPerStage) {
+  constexpr int K = 4;
+  const std::vector<std::string> names = {"one", "two", "three"};
+  simmpi::TransportRecorder::RequestCapture(true);
+  simmpi::World world(K);
+  simmpi::TransportRecorder::RequestCapture(false);
+  RunRecorder recorder(K);
+  RunOnCluster(world, recorder, [&](simmpi::Comm& comm, RunRecorder& rec) {
+    StageRunner stages(comm, rec);
+    for (const std::string& name : names) stages.run(name, [] {});
+  });
+  std::size_t sends = 0;
+  for (const simmpi::TransportEvent& ev : world.transport_log()) {
+    if (ev.kind != simmpi::TransportEventKind::kSend) continue;
+    EXPECT_EQ(ev.tag, simmpi::Comm::kTagBarrier);
+    ++sends;
+  }
+  EXPECT_EQ(sends, names.size() * 2 * (K - 1));
+
+  EXPECT_EQ(recorder.stage_order(), names);
+  const ComputeLog events = recorder.compute_events();
+  ASSERT_EQ(events.size(), names.size() * K);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].node, static_cast<NodeId>(i / names.size()));
+    EXPECT_EQ(events[i].stage, names[i % names.size()]);
+    if (i % names.size() != 0) {
+      EXPECT_LE(events[i - 1].end_seconds, events[i].start_seconds);
+    }
+  }
 }
 
 TEST(Cluster, StageRunnerRecordsWallPerNode) {

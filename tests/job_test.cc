@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -283,6 +284,69 @@ TEST(Job, RunJobRejectsOutOfRangeShapes) {
   EXPECT_GT(result.makespan, 0.0);
 }
 
+// RunJob fails a job whose injected delay the run cannot honour
+// instead of running it unperturbed: a node outside [0, K), a delay
+// that is negative, not finite or too long for sleep_for's nanoseconds,
+// or any delay on kSimulated, before anything executes; a stage the
+// run does not have once the run is known, naming the stages it has.
+TEST(Job, RunJobRejectsDelaysItCannotInject) {
+  const auto run = [](const char* algorithm, Backend backend,
+                      InjectedDelay delay, RunCache& cache) {
+    JobSpec spec;
+    spec.algorithm = algorithm;
+    spec.config = SmallConfig(2);
+    spec.config.injected_delays.push_back(std::move(delay));
+    spec.backend = backend;
+    return RunJob(spec, cache);
+  };
+  for (const Backend backend :
+       {Backend::kLive, Backend::kPriced, Backend::kReplay}) {
+    SCOPED_TRACE(BackendName(backend));
+    RunCache cache;
+    for (const NodeId node : {-1, 4, 9}) {
+      const JobResult result =
+          run("coded", backend, {stage::kMap, node, 0.2}, cache);
+      EXPECT_NE(result.error.find("node " + std::to_string(node) +
+                                  " out of range for 4 nodes"),
+                std::string::npos)
+          << result.error;
+      EXPECT_EQ(result.execution, nullptr);
+    }
+    for (const double seconds :
+         {-1.0, std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity(), 1e300}) {
+      SCOPED_TRACE(seconds);
+      const JobResult result =
+          run("coded", backend, {stage::kMap, 0, seconds}, cache);
+      EXPECT_NE(result.error.find("need a finite delay >= 0"),
+                std::string::npos)
+          << result.error;
+      EXPECT_EQ(result.execution, nullptr);
+    }
+    EXPECT_EQ(cache.executions(), 0);
+  }
+
+  RunCache cache;
+  const JobResult simulated =
+      run("coded", Backend::kSimulated, {stage::kMap, 0, 0.2}, cache);
+  EXPECT_NE(simulated.error.find("cannot inject a delay"), std::string::npos)
+      << simulated.error;
+  EXPECT_EQ(simulated.execution, nullptr);
+
+  const JobResult terasort =
+      run("terasort", Backend::kLive, {stage::kEncode, 0, 0.2}, cache);
+  EXPECT_EQ(terasort.error,
+            "injected delay stage 'Encode' is not a stage of TeraSort "
+            "(Map, Pack, Shuffle, Unpack, Reduce)");
+  EXPECT_EQ(terasort.execution, nullptr);
+  EXPECT_EQ(terasort.makespan, 0.0);
+
+  const JobResult coded =
+      run("coded", Backend::kLive, {stage::kEncode, 0, 0}, cache);
+  EXPECT_EQ(coded.error, "");
+  EXPECT_GT(coded.makespan, 0.0);
+}
+
 // Runs `command` through the shell and returns its stdout and stderr;
 // *status gets pclose's status (0 on a clean exit, -1 when popen
 // fails).
@@ -335,7 +399,9 @@ TEST(Cli, BadShapesAndTyposExitTwo) {
         "--schedule=paralel-full", "--mitigate=spec:nan:1.5",
         "--mitigate=spec:0.5:nan", "--mitigate=spec:0.5:inf",
         "--scenario --straggler=slow:0:0x2", "--scenario --topology=' 2:2'",
-        "--inject-delay='Map:0: 0.01'", "--shuffle-sync=bogus"}) {
+        "--inject-delay='Map:0: 0.01'", "--shuffle-sync=bogus",
+        "--inject-delay=Encode:0:0.5 --algo=terasort",
+        "--inject-delay=Map:0:1e300"}) {
     EXPECT_EQ(status(ctsort, std::string(args) + " --records=2000"), 2)
         << "ctsort " << args;
   }

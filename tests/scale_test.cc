@@ -1,14 +1,14 @@
 // Scale-out regression suite: the live harness well past the old
 // K = 32 mask cap.
 //
-//  * Plain TeraSort executes end-to-end at K = 100 (mask-free split,
-//    arena-backed shuffle payloads) and leaks no mailbox state.
+//  * Plain TeraSort executes end-to-end at K = 100 (mask-free split)
+//    and leaks no mailbox state.
 //  * The transport keeps exact counters and a valid transmission log
 //    under many nodes x many keys of contention (runs under the TSan
 //    CI job).
 //  * ShuffleSync::kOverlapped moves byte-identical per-stage traffic
-//    to the barrier schedule — the TrafficStats::set_stage audit
-//    pinned as a regression test.
+//    to the barrier schedule: each sender charges its sends to its own
+//    stage label (simmpi/traffic.h), pinned as a regression test.
 //  * Live CodedTeraSort at K = 24 shares every multicast payload among
 //    its root and recipients and still sorts and validates.
 
@@ -161,10 +161,11 @@ TEST(ScaleOut, ShardedTransportKeepsExactCountsUnderContention) {
   }
 }
 
-// Satellite of the set_stage audit (see simmpi/traffic.h): nonblocking
-// sends account at initiation inside the stage body, so the overlapped
-// schedules must charge exactly the bytes the barrier schedules do, to
-// exactly the same stages.
+// Per-sender stage labels (see simmpi/traffic.h): nonblocking sends
+// account at initiation inside the sender's stage body, under the label
+// the sender set for that stage, so the overlapped schedules must
+// charge exactly the bytes the barrier schedules do, to exactly the
+// same stages.
 void ExpectSameStageTraffic(const AlgorithmResult& barrier,
                             const AlgorithmResult& overlapped) {
   ASSERT_EQ(barrier.stage_order, overlapped.stage_order);

@@ -48,6 +48,14 @@ void RunNodes(World& world, const std::function<void(NodeId)>& fn) {
   }
 }
 
+// Labels every node's traffic `stage` before the node threads start, as
+// each node's StageRunner does for itself at a stage's barrier.
+void LabelNodes(World& world, const std::string& stage) {
+  for (NodeId n = 0; n < world.num_nodes(); ++n) {
+    world.stats().set_stage(n, stage);
+  }
+}
+
 Buffer BufferOf(std::initializer_list<std::uint8_t> bytes) {
   Buffer b;
   b.write_bytes(std::vector<std::uint8_t>(bytes));
@@ -168,7 +176,7 @@ ExchangeRecord RunExchange(bool move) {
   TransportRecorder::RequestCapture(true);
   World world(3);
   TransportRecorder::RequestCapture(false);
-  world.stats().set_stage("Shuffle");
+  LabelNodes(world, "Shuffle");
   ExchangeRecord out;
   out.received.resize(3);
   const auto payload = [](int i) {
@@ -368,7 +376,7 @@ TEST(Comm, BcastSharesOnePayload) {
     TransportRecorder::RequestCapture(true);
     World world(K);
     TransportRecorder::RequestCapture(false);
-    world.stats().set_stage("Shuffle");
+    LabelNodes(world, "Shuffle");
     const Buffer expected = PayloadOf(1, 0);
     std::array<std::uintptr_t, K> bcast_at{};
     // (group, sender) -> where each member holds that packet.
@@ -488,7 +496,7 @@ TEST(Comm, CreateGroupsIsAMailboxCollective) {
   TransportRecorder::RequestCapture(true);
   World world(K);
   TransportRecorder::RequestCapture(false);
-  world.stats().set_stage("CodeGen");
+  LabelNodes(world, "CodeGen");
   // Nodes 1 and 3 form the first group, nodes 0 and 2 the second; node
   // 4 is in neither.
   const std::vector<NodeMask> masks = {NodesToMask({1, 3}),
@@ -543,7 +551,7 @@ TEST(Comm, CreateGroupsPerGroupEqualsBatched) {
         TransportRecorder::RequestCapture(true);
         World world(K);
         TransportRecorder::RequestCapture(false);
-        world.stats().set_stage("CodeGen");
+        LabelNodes(world, "CodeGen");
         std::vector<Groups>& mine = got[mode];
         mine.resize(static_cast<std::size_t>(K));
         RunNodes(world, [&](NodeId n) {
@@ -578,7 +586,7 @@ TEST(Comm, CreateGroupsPerGroupEqualsBatched) {
 
 TEST(Traffic, SendRecordsUnicastUnderCurrentStage) {
   World world(2);
-  world.stats().set_stage("Shuffle");
+  LabelNodes(world, "Shuffle");
   RunNodes(world, [&](NodeId n) {
     Comm c = Comm::World(world, n);
     if (n == 0) {
@@ -599,7 +607,7 @@ TEST(Traffic, SendRecordsUnicastUnderCurrentStage) {
 TEST(Traffic, BcastRecordsOneMulticastWithFanout) {
   constexpr int K = 5;
   World world(K);
-  world.stats().set_stage("MulticastShuffle");
+  LabelNodes(world, "MulticastShuffle");
   RunNodes(world, [&](NodeId n) {
     Comm c = Comm::World(world, n);
     Buffer payload;
@@ -617,7 +625,7 @@ TEST(Traffic, BcastRecordsOneMulticastWithFanout) {
 TEST(Traffic, BarrierIsUnaccounted) {
   constexpr int K = 4;
   World world(K);
-  world.stats().set_stage("ControlOnly");
+  LabelNodes(world, "ControlOnly");
   RunNodes(world, [&](NodeId n) {
     Comm c = Comm::World(world, n);
     c.barrier();
@@ -635,7 +643,7 @@ TEST(Traffic, BarrierIsUnaccounted) {
 TEST(Traffic, CreateGroupsRecordsOnlyCommCreations) {
   constexpr int K = 4;
   World world(K);
-  world.stats().set_stage("CodeGen");
+  LabelNodes(world, "CodeGen");
   RunNodes(world, [&](NodeId n) {
     Comm c = Comm::World(world, n);
     EXPECT_EQ(c.create_groups(AllSubsets(K, 3)).size(), 3u);
@@ -651,22 +659,22 @@ TEST(Traffic, CreateGroupsRecordsOnlyCommCreations) {
   EXPECT_EQ(world.pending_messages(), 0u);
 }
 
+// Each node relabels itself after the barrier between two stages, as
+// StageRunner does.
 TEST(Traffic, StagesAccumulateIndependently) {
   World world(2);
   RunNodes(world, [&](NodeId n) {
     Comm c = Comm::World(world, n);
     Buffer b;
     b.resize(10);
-    world.stats().set_stage("A");
-    c.barrier();
+    world.stats().set_stage(n, "A");
     if (n == 0) {
       c.send(1, 1, b);
     } else {
       (void)c.recv(0, 1);
     }
     c.barrier();
-    world.stats().set_stage("B");
-    c.barrier();
+    world.stats().set_stage(n, "B");
     if (n == 1) {
       c.send(0, 1, b);
       c.send(0, 2, b);
@@ -681,13 +689,31 @@ TEST(Traffic, StagesAccumulateIndependently) {
   EXPECT_EQ(world.stats().total().unicast_bytes, 30u);
 }
 
-TEST(Traffic, ResetClearsEverything) {
+// Each node's traffic is charged to its own label: with node 0 in
+// stage A and node 1 in stage B at the same time, each one's unicast
+// and log entry land in its own stage.
+TEST(Traffic, EachSenderChargesItsOwnStage) {
   World world(2);
-  world.stats().set_stage("X");
-  world.stats().record_unicast(5, 0, 1);
-  world.stats().reset();
-  EXPECT_EQ(world.stats().total().unicast_bytes, 0u);
-  EXPECT_TRUE(world.stats().stage_names().empty());
+  RunNodes(world, [&](NodeId n) {
+    Comm c = Comm::World(world, n);
+    world.stats().set_stage(n, n == 0 ? "A" : "B");
+    Buffer b;
+    b.resize(n == 0 ? 10 : 20);
+    c.send(1 - n, 1, b);
+    (void)c.recv(1 - n, 1);
+  });
+  for (const auto& [stage, src, bytes] :
+       {std::tuple{"A", 0, 10u}, std::tuple{"B", 1, 20u}}) {
+    SCOPED_TRACE(stage);
+    const ChannelCounters s = world.stats().stage(stage);
+    EXPECT_EQ(s.unicast_msgs, 1u);
+    EXPECT_EQ(s.unicast_bytes, bytes);
+    const simnet::TransmissionLog log = world.stats().transmission_log(stage);
+    ASSERT_EQ(log.size(), 1u);
+    EXPECT_EQ(log[0].src, src);
+    EXPECT_EQ(log[0].dsts, std::vector<NodeId>{1 - src});
+    EXPECT_EQ(log[0].bytes, bytes);
+  }
 }
 
 // Stress: all-to-all exchange with many tags, verifying no message is

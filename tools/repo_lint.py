@@ -74,6 +74,14 @@ break that promise. Rules:
              TeraGen's record kernels are the one place the code picks
              an instruction set from the CPU, so every other module
              builds and behaves the same on every x86-64 host.
+  stagelabel a set_stage( call in src/, tools/ or examples/ outside
+             src/simmpi/traffic.h and src/driver/cluster.h: only a
+             node's own StageRunner labels that node's traffic, right
+             after the barrier that opens the stage.
+  arena      BufferArena in src/, tools/ or examples/ outside
+             src/common/buffer.h: the class is an empty shim kept
+             only for ctbench's transport pass until the next
+             benchmark change deletes it, so nothing may adopt it.
 
 Any rule is suppressed for a line by `repo-lint: allow(<rule>)` on the
 line itself or within the two lines above it.
@@ -126,6 +134,10 @@ ISA_RE = re.compile(
     r"|\btarget_clones\b|\b__builtin_cpu_(?:supports|init)\b"
     r"|#\s*pragma\s+GCC\s+target\b|<(?:immintrin|x86intrin)\.h>")
 ISA_HOME = "src/keyvalue/teragen.cc"
+STAGELABEL_RE = re.compile(r"\bset_stage\s*\(")
+STAGELABEL_HOMES = ("src/simmpi/traffic.h", "src/driver/cluster.h")
+ARENA_RE = re.compile(r"\bBufferArena\b")
+ARENA_HOME = "src/common/buffer.h"
 
 
 def allowed(lines, i, rule):
@@ -149,6 +161,8 @@ def lint_lines(relpath, lines):
     codecfront_scope = in_src and not path.startswith(CODECFRONT_HOME)
     codegen_scope = in_src and not path.startswith(CODEGEN_HOMES)
     isa_scope = malloc_scope and path != ISA_HOME
+    stagelabel_scope = malloc_scope and path not in STAGELABEL_HOMES
+    arena_scope = malloc_scope and path != ARENA_HOME
     for i, line in enumerate(lines):
         # Comments still count for key rules (they would be copied),
         # but pure comment lines are a poor place to flag rand: strip
@@ -211,6 +225,16 @@ def lint_lines(relpath, lines):
                    "instruction-set selection outside %s; TeraGen's "
                    "record kernels are the one CPU-dispatched code"
                    % ISA_HOME)
+        if stagelabel_scope and STAGELABEL_RE.search(line) \
+                and not allowed(lines, i, "stagelabel"):
+            yield (i + 1, "stagelabel",
+                   "stage label set outside %s; a node's own StageRunner "
+                   "labels its traffic" % " and ".join(STAGELABEL_HOMES))
+        if arena_scope and ARENA_RE.search(line) \
+                and not allowed(lines, i, "arena"):
+            yield (i + 1, "arena",
+                   "BufferArena outside %s; it is an empty shim awaiting "
+                   "deletion" % ARENA_HOME)
         for m in ADD_KEY_RE.finditer(line):
             key = m.group(1)
             if (not KEY_OK_RE.fullmatch(key) or key in RESERVED_KEYS) \
@@ -359,6 +383,14 @@ def self_test():
                  "__builtin_cpu_init();\n"
                  'if (!__builtin_cpu_supports("avx512f")) return "avx512f";',
                  [])
+    ok &= expect("stagelabel", "src/job/x.cc",
+                 'world.stats().set_stage(0, "Map");', ["stagelabel"])
+    ok &= expect("stagelabel-runner-ok", "src/driver/cluster.h",
+                 "comm_.world().stats().set_stage(self, name);", [])
+    ok &= expect("arena", "src/simmpi/x.cc",
+                 "(void)BufferArena::Local().acquire(0);", ["arena"])
+    ok &= expect("arena-shim-ok", "src/common/buffer.h",
+                 "class BufferArena {", [])
     ok &= expect("malloc", "src/x.cc",
                  "mallopt(M_TRIM_THRESHOLD, 1 << 30);", ["malloc"])
     ok &= expect("malloc-operator-new", "tools/x.cpp",
